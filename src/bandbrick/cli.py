@@ -204,8 +204,8 @@ def _cmd_band_module(args) -> int:
     walk = gentle.psi(word, args.n)
     mod = gentle.band_module(walk, _parse_lambda(args.lam))
     arrows = {
-        f"{kind}{idx}": [[str(v) for v in row] for row in mat]
-        for (kind, idx), mat in sorted(mod.mats.items())
+        f"{kind}{idx}": [[str(v) for v in row] for row in mod.matrix(kind, idx)]
+        for kind, idx in sorted(mod.arrows)
     }
     lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, mod.dims))}"]
     for name, rows in arrows.items():
@@ -236,8 +236,7 @@ def _cmd_band_hom(args) -> int:
     if args.lambda2 is not None:
         lam2 = _parse_lambda(args.lambda2)
     else:
-        same = gentle.canonical_walk(w1) == gentle.canonical_walk(w2)
-        lam2 = Fraction(2) if same and lam1 == Fraction(1) else Fraction(1)
+        lam2 = gentle.distinct_lambda(w1, lam1, w2, 1)
     x = gentle.band_module(w1, lam1, shared)
     y = gentle.band_module(w2, lam2, shared)
     hom_xy = gentle.hom_dim(x, y)
@@ -402,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("maxcompat", help="maximum pairwise-compatible brick set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--box", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     _add_json(p)
     p.set_defaults(fn=_cmd_fan_maxcompat)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadDimension, InvalidGVector
+from .errors import BadDimension, InternalInconsistency, InvalidGVector
 from .words import necklace
 
 GVector = tuple[int, ...]
@@ -108,7 +108,8 @@ def _nested_matching(diagram: DyckDiagram) -> list[tuple[int, int]]:
             stack.append(pos)
         else:
             pairs.append((stack.pop(), pos))
-    assert not stack
+    if stack:
+        raise InternalInconsistency(f"{len(stack)} up-steps left unmatched")
     return sorted(pairs)
 
 

@@ -46,15 +46,6 @@ def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
     return euler_form(x, y) == -euler_form(y, x)
 
 
-def _brick_walk(g: Sequence[int]) -> gentle.Walk:
-    # single-component walk of a brick g-vector, canonicalized
-    ms = dyck.reconstruct_multislalom(g)
-    if len(ms.components) != 1:
-        raise NotABrick(f"{tuple(g)} decomposes into {len(ms.components)} bricks")
-    walk = gentle.slalom_to_band_walk(ms.components[0])
-    return gentle.canonical_walk(walk)
-
-
 def _guarded_end_is_one(walk: gentle.Walk, n: int) -> bool:
     results = []
     for lam in (1, 2, 3):
@@ -67,20 +58,25 @@ def _guarded_end_is_one(walk: gentle.Walk, n: int) -> bool:
     return results[0]
 
 
-def is_brick_gvector(g: Sequence[int]) -> bool:
-    """True iff the multislalom of g has one component, whose band module
-    is a brick.  A single component with a non-brick module would break
-    the correspondence, so it raises instead of returning."""
+def _brick_walk(g: Sequence[int]) -> gentle.Walk | None:
+    # canonical walk of a brick g-vector, None when g decomposes
     entries = tuple(g)
     ms = dyck.reconstruct_multislalom(entries)  # raises InvalidGVector
     if len(ms.components) != 1:
-        return False
+        return None
     walk = gentle.canonical_walk(gentle.slalom_to_band_walk(ms.components[0]))
     if not _guarded_end_is_one(walk, len(entries)):
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
         )
-    return True
+    return walk
+
+
+def is_brick_gvector(g: Sequence[int]) -> bool:
+    """True iff the multislalom of g has one component, whose band module
+    is a brick.  A single component with a non-brick module would break
+    the correspondence, so it raises instead of returning."""
+    return _brick_walk(g) is not None
 
 
 def is_brick_gvector_n4(g: Sequence[int]) -> bool:
@@ -96,13 +92,12 @@ def is_brick_gvector_n4(g: Sequence[int]) -> bool:
 
 
 def _compatible_walks(z1: gentle.Walk, z2: gentle.Walk, n: int) -> bool:
-    # genericity guard: sample three parameter pairs; equal canonical walks
-    # get distinct parameters (two members of one family)
-    pairs = ((1, 2), (2, 3), (1, 3)) if z1 == z2 else ((1, 1), (2, 2), (3, 3))
+    # genericity guard: sample three parameters; walks of one family get
+    # two distinct members
     results = []
-    for lam1, lam2 in pairs:
-        m1 = gentle.band_module(z1, lam1, n=n)
-        m2 = gentle.band_module(z2, lam2, n=n)
+    for lam in (1, 2, 3):
+        m1 = gentle.band_module(z1, lam, n=n)
+        m2 = gentle.band_module(z2, gentle.distinct_lambda(z1, lam, z2, lam), n=n)
         results.append(
             gentle.hom_dim(m1, m2) == 0 and gentle.hom_dim(m2, m1) == 0
         )
@@ -121,13 +116,13 @@ def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
     v1, v2 = tuple(g1), tuple(g2)
     if len(v1) != len(v2):
         raise DimensionMismatch(f"lengths differ: {len(v1)} != {len(v2)}")
-    if not is_brick_gvector(v1):
-        raise NotABrick(f"{v1} is not a brick g-vector")
-    if not is_brick_gvector(v2):
-        raise NotABrick(f"{v2} is not a brick g-vector")
+    z1, z2 = _brick_walk(v1), _brick_walk(v2)
+    for v, z in ((v1, z1), (v2, z2)):
+        if z is None:
+            raise NotABrick(f"{v} is not a brick g-vector")
     if euler_form(v1, v2) != 0:
         return False
-    return _compatible_walks(_brick_walk(v1), _brick_walk(v2), len(v1))
+    return _compatible_walks(z1, z2, len(v1))
 
 
 def hom_difference_check(z1: Sequence[gentle.Step], z2: Sequence[gentle.Step]) -> bool:
@@ -136,9 +131,8 @@ def hom_difference_check(z1: Sequence[gentle.Step], z2: Sequence[gentle.Step]) -
     if not gentle.validate_band_walk(w1) or not gentle.validate_band_walk(w2):
         raise InvalidWalk("both arguments must be band walks")
     n = 1 + max(s.index for s in w1 + w2)
-    lam2 = 2 if gentle.canonical_walk(w1) == gentle.canonical_walk(w2) else 1
     x = gentle.band_module(w1, 1, n=n)
-    y = gentle.band_module(w2, lam2, n=n)
+    y = gentle.band_module(w2, gentle.distinct_lambda(w1, 1, w2, 1), n=n)
     gx = gentle.g_vector_of_band(w1, n=n)
     gy = gentle.g_vector_of_band(w2, n=n)
     return euler_form(gx, gy) == gentle.hom_dim(x, y) - gentle.hom_dim(y, x)
@@ -165,16 +159,18 @@ def witness_family(n: int) -> tuple[GVector, ...]:
     return tuple(family)
 
 
-def _enumerate_brick_gvectors(n: int, box: int) -> list[GVector]:
-    bricks = []
+def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.Walk]:
+    # brick g-vectors with max-norm <= box, each with its canonical walk
+    bricks = {}
 
     def extend(prefix: list[int], partial: int) -> None:
         if len(prefix) == n - 1:
             last = -partial
             if abs(last) <= box:
                 candidate = tuple(prefix) + (last,)
-                if any(candidate) and is_brick_gvector(candidate):
-                    bricks.append(candidate)
+                walk = _brick_walk(candidate) if any(candidate) else None
+                if walk is not None:
+                    bricks[candidate] = walk
             return
         for a in range(-box, box + 1):
             if partial + a <= 0:
@@ -210,9 +206,9 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     """Exact maximum set of mutually compatible brick g-vectors with
     max-norm <= box.  The standard witness family is preferred as the
     returned witness when no strictly larger clique exists."""
-    bricks = _enumerate_brick_gvectors(n, box)
+    walks = _enumerate_brick_gvectors(n, box)
+    bricks = list(walks)
     index = {g: i for i, g in enumerate(bricks)}
-    walks = {g: _brick_walk(g) for g in bricks}
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
     for i, g1 in enumerate(bricks):
         for j in range(i + 1, len(bricks)):

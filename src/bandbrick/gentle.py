@@ -6,9 +6,13 @@ sequences of signed steps stored in written (composition) order: the
 rightmost step is traversed first, and consecutive written steps x, y
 compose when from(x) == to(y).
 
-Band modules are built with exact rational entries; Hom dimensions come
-from the nullity of the intertwiner system, solved by sparse integer
-elimination (the dimension is independent of the base field).
+A band module of multiplicity one is its walk with one scalar: each
+arrow is stored sparsely, sending a basis vector to at most one basis
+vector with an exact rational scalar.  The gentle relations are checked
+on every build in one pass over the walk.  Hom dimensions come from the
+nullity of the intertwiner system, whose equations have at most two
+terms and are assembled directly in integers, then solved by sparse
+integer elimination (the dimension is independent of the base field).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Iterable, Sequence
 from .dyck import Component
 from .errors import (
     DimensionMismatch,
+    InternalInconsistency,
     InvalidComponent,
     InvalidWalk,
     LetterOutOfRange,
@@ -29,8 +34,6 @@ from .errors import (
     ZeroLambda,
 )
 from .words import is_primitive
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,8 @@ def step_to(s: Step) -> int:
     return s.index if s.exp > 0 else s.index + 1
 
 
-def _step_key(s: Step) -> tuple[str, int, int]:
-    return (s.kind, s.index, 0 if s.exp > 0 else 1)
+def _walk_key(walk: Walk) -> list[tuple[str, int, int]]:
+    return [(s.kind, s.index, 0 if s.exp > 0 else 1) for s in walk]
 
 
 _TOKEN = re.compile(r"([ab])(\d+)(-?)$")
@@ -109,7 +112,8 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
     for letter in word:
         steps.extend(letter_cycle(letter))
     walk = tuple(steps)
-    assert validate_band_walk(walk)
+    if not validate_band_walk(walk):
+        raise InternalInconsistency(f"psi{word} is not a band walk")
     return walk
 
 
@@ -143,24 +147,58 @@ def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
 def canonical_walk(steps: Sequence[Step]) -> Walk:
     """Minimal rotation under the order a < b, index order, +1 < -1."""
     walk = tuple(steps)
-    rotated = [walk[k:] + walk[:k] for k in range(len(walk))]
-    return min(rotated, key=lambda rot: [_step_key(s) for s in rot])
+    keys = _walk_key(walk)
+    k = min(range(len(walk)), key=lambda k: keys[k:] + keys[:k])
+    return walk[k:] + walk[:k]
+
+
+def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fraction]:
+    """Canonical (walk, parameter) of a band module, up to isomorphism.
+
+    Quotients the walk by rotation and inversion.  lam stays: band_module
+    puts it on an a-step, all a-steps of a band walk share one sign (the
+    arrow kind changes at every turn), so reversing the walk inverts the
+    holonomy twice.
+    """
+    forward = canonical_walk(steps)
+    backward = canonical_walk(tuple(s.inverse() for s in reversed(forward)))
+    return min(forward, backward, key=_walk_key), Fraction(lam)
+
+
+def distinct_lambda(
+    w1: Sequence[Step], lam1: Fraction | int, w2: Sequence[Step], lam2: Fraction | int
+) -> Fraction:
+    """lam2, or lam2 + 1 where (w2, lam2) would be the same band module as
+    (w1, lam1), so that the two are distinct members of one family."""
+    lam2 = Fraction(lam2)
+    return lam2 + 1 if canonical_band(w1, lam1) == canonical_band(w2, lam2) else lam2
+
+
+Arrow = dict[int, tuple[int, Fraction]]
 
 
 @dataclass
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
-    dims[i] is the dimension at vertex i+1; mats[(kind, index)] has shape
-    dims[index-1] x dims[index] and satisfies the gentle relations; the
-    scalar lam sits on the wrap-around step of the canonical rotation.
+    dims[i] is the dimension at vertex i+1.  arrows[(kind, index)] maps a
+    basis index at vertex index+1 to (basis index at vertex index, scalar)
+    for every arrow of the quiver.  The scalar lam sits on the wrap-around
+    step of the canonical rotation; every other scalar is 1.
     """
 
     n: int
     dims: tuple[int, ...]
-    mats: dict[tuple[str, int], Matrix]
+    arrows: dict[tuple[str, int], Arrow]
     lam: Fraction
     walk: Walk
+
+    def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense matrix of one arrow, shape dims[index-1] x dims[index]."""
+        rows = [[Fraction(0)] * self.dims[index] for _ in range(self.dims[index - 1])]
+        for col, (row, value) in self.arrows[(kind, index)].items():
+            rows[row][col] = value
+        return tuple(tuple(row) for row in rows)
 
 
 def band_module(
@@ -184,44 +222,28 @@ def band_module(
     for v in visits:
         index_in_vertex.append(dims[v - 1])
         dims[v - 1] += 1
-    entries: dict[tuple[str, int], list[tuple[int, int, Fraction]]] = {}
+    arrows: dict[tuple[str, int], Arrow] = {
+        (kind, idx): {} for idx in range(1, n) for kind in ("a", "b")
+    }
     for t, s in enumerate(trav):
-        nxt = (t + 1) % r
-        value = lam if t == r - 1 else Fraction(1)
-        if s.exp > 0:
-            row, col = index_in_vertex[nxt], index_in_vertex[t]
-        else:
-            row, col = index_in_vertex[t], index_in_vertex[nxt]
-        entries.setdefault((s.kind, s.index), []).append((row, col, value))
-    mats: dict[tuple[str, int], Matrix] = {}
-    for idx in range(1, n):
-        for kind in ("a", "b"):
-            rows = [[Fraction(0)] * dims[idx] for _ in range(dims[idx - 1])]
-            for row, col, value in entries.get((kind, idx), []):
-                assert rows[row][col] == 0
-                rows[row][col] = value
-            mats[(kind, idx)] = tuple(tuple(row) for row in rows)
-    module = BandModule(n=n, dims=tuple(dims), mats=mats, lam=lam, walk=walk)
-    assert _relations_hold(module)
-    return module
+        here, there = index_in_vertex[t], index_in_vertex[(t + 1) % r]
+        if s.exp < 0:
+            here, there = there, here
+        arrows[(s.kind, s.index)][here] = (there, lam if t == r - 1 else Fraction(1))
+    _check_relations(arrows, r)
+    return BandModule(n=n, dims=tuple(dims), arrows=arrows, lam=lam, walk=walk)
 
 
-def _matmul(x: Matrix, y: Matrix) -> Matrix:
-    inner = len(y)
-    cols = len(y[0]) if y else 0
-    return tuple(
-        tuple(sum((row[k] * y[k][c] for k in range(inner)), Fraction(0)) for c in range(cols))
-        for row in x
-    )
-
-
-def _relations_hold(m: BandModule) -> bool:
-    for i in range(1, m.n - 1):
-        for first, second in (("b", "a"), ("a", "b")):
-            prod = _matmul(m.mats[(first, i)], m.mats[(second, i + 1)])
-            if any(any(entry for entry in row) for row in prod):
-                return False
-    return True
+def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
+    # each step writes one entry, so a lost one means two steps share a
+    # source; b_i a_{i+1} and a_i b_{i+1} vanish when no image of the
+    # second arrow is a source of the first
+    if sum(len(arrow) for arrow in arrows.values()) != r:
+        raise InternalInconsistency("two steps send one vector along one arrow")
+    for (kind, idx), second in arrows.items():
+        first = arrows.get(("b" if kind == "a" else "a", idx - 1))
+        if first and any(row in first for row, _ in second.values()):
+            raise InternalInconsistency(f"a relation through {kind}{idx} does not vanish")
 
 
 def _echelon_rank(rows: Iterable[dict[int, int]]) -> int:
@@ -262,22 +284,8 @@ def _echelon_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _sparse_columns(mat: Matrix) -> dict[int, list[tuple[int, Fraction]]]:
-    cols: dict[int, list[tuple[int, Fraction]]] = {}
-    for r, row in enumerate(mat):
-        for c, value in enumerate(row):
-            if value:
-                cols.setdefault(c, []).append((r, value))
-    return cols
-
-
-def _sparse_rows(mat: Matrix) -> dict[int, list[tuple[int, Fraction]]]:
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for r, row in enumerate(mat):
-        for c, value in enumerate(row):
-            if value:
-                rows.setdefault(r, []).append((c, value))
-    return rows
+# an absent term of a Hom equation: no index, scalar 0
+_NO_TERM = (None, Fraction(0))
 
 
 def hom_dim(m: BandModule, w: BandModule) -> int:
@@ -285,6 +293,8 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
 
     Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
     for every arrow g: s -> t the equation f_t M_g = W_g f_s must hold.
+    M_g has at most one entry per column and W_g at most one per row, so
+    each entry equation a x - b y = 0 has at most two terms.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
@@ -298,32 +308,21 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
         return base[vertex - 1] + row * m.dims[vertex - 1] + col
 
     equations: list[dict[int, int]] = []
-    for idx in range(1, m.n):
-        for kind in ("a", "b"):
-            src, tgt = idx + 1, idx
-            m_cols = _sparse_columns(m.mats[(kind, idx)])
-            w_rows = _sparse_rows(w.mats[(kind, idx)])
-            for v in range(m.dims[src - 1]):
-                mc = m_cols.get(v)
-                for u in range(w.dims[tgt - 1]):
-                    wr = w_rows.get(u)
-                    if not mc and not wr:
-                        continue
-                    terms: dict[int, Fraction] = {}
-                    if mc:
-                        for k, value in mc:
-                            key = var(tgt, u, k)
-                            terms[key] = terms.get(key, Fraction(0)) + value
-                    if wr:
-                        for k, value in wr:
-                            key = var(src, k, v)
-                            terms[key] = terms.get(key, Fraction(0)) - value
-                    scale = math.lcm(*(t.denominator for t in terms.values()))
-                    row = {
-                        k: int(t * scale) for k, t in terms.items() if t
-                    }
-                    if row:
-                        equations.append(row)
+    for (kind, idx), m_arrow in m.arrows.items():
+        src, tgt = idx + 1, idx
+        w_rows = {u: (k, b) for k, (u, b) in w.arrows[(kind, idx)].items()}
+        for v in range(m.dims[src - 1]):
+            mk, a = m_arrow.get(v, _NO_TERM)
+            for u in range(w.dims[tgt - 1]):
+                wk, b = w_rows.get(u, _NO_TERM)
+                # a x - b y = 0, scaled by the denominators of a and b
+                row = {}
+                if mk is not None:
+                    row[var(tgt, u, mk)] = a.numerator * b.denominator
+                if wk is not None:
+                    row[var(src, wk, v)] = -b.numerator * a.denominator
+                if row:
+                    equations.append(row)
     return nvars - _echelon_rank(equations)
 
 

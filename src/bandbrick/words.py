@@ -14,7 +14,9 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import EmptyWord, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
+from .errors import (
+    EmptyWord, InternalInconsistency, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
+)
 
 Word = tuple[int, ...]
 
@@ -134,7 +136,8 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
         cycle_word = tuple(word[p] for p in cyc)
         # cycles of the inverse standard permutation always give primitive
         # necklaces, so a failure here is a construction bug
-        assert is_primitive(cycle_word)
+        if not is_primitive(cycle_word):
+            raise InternalInconsistency(f"cycle word {cycle_word} is a proper power")
         out.append(necklace(cycle_word))
     return tuple(sorted(out))
 
@@ -180,5 +183,6 @@ def bw_inverse(w: Sequence[int]) -> Word:
             f"inverse standard permutation has {len(cycles)} cycles"
         )
     preimage = tuple(word[p] for p in cycles[0])
-    assert is_primitive(preimage)
+    if not is_primitive(preimage):
+        raise InternalInconsistency(f"preimage {preimage} is a proper power")
     return necklace(preimage)

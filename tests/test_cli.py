@@ -13,6 +13,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# `band module 2332 --lambda 3/2`, recorded before the sparse module storage
+MODULE_2332_TEXT = """\
+n: 3
+lambda: 3/2
+dims: 4,6,2
+a1: [['0', '0', '0', '0', '0', '3/2'], ['1', '0', '0', '0', '0', '0'], ['0', '1', '0', '0', '0', '0'], ['0', '0', '0', '1', '0', '0']]
+a2: [['0', '0'], ['0', '0'], ['0', '0'], ['1', '0'], ['0', '0'], ['0', '1']]
+b1: [['1', '0', '0', '0', '0', '0'], ['0', '1', '0', '0', '0', '0'], ['0', '0', '1', '0', '0', '0'], ['0', '0', '0', '0', '1', '0']]
+b2: [['0', '0'], ['0', '0'], ['1', '0'], ['0', '0'], ['0', '1'], ['0', '0']]
+"""
+
+MODULE_2332_JSON = (
+    '{"n": 3, "lambda": "3/2", "dims": [4, 6, 2], '
+    '"arrows": {"a1": [["0", "0", "0", "0", "0", "3/2"], ["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"]], '
+    '"a2": [["0", "0"], ["0", "0"], ["0", "0"], ["1", "0"], ["0", "0"], ["0", "1"]], '
+    '"b1": [["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"], ["0", "0", "0", "0", "1", "0"]], '
+    '"b2": [["0", "0"], ["0", "0"], ["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]]}}\n'
+)
+
+
 class TestWordCommands:
     def test_bw_letters(self, capsys):
         code, out, _ = run(capsys, "bw", "acab")
@@ -92,6 +112,15 @@ class TestBandCommands:
         assert data["arrows"]["a1"] == [["5"]]
         assert data["arrows"]["b1"] == [["1"]]
 
+    def test_module_golden(self, capsys):
+        # multi-visit module: arrow order a1, a2, b1, b2, zero entries kept
+        code, out, _ = run(capsys, "band", "module", "2332", "--lambda", "3/2")
+        assert code == 0
+        assert out == MODULE_2332_TEXT
+        code, out, _ = run(capsys, "band", "module", "2332", "--lambda", "3/2", "--json")
+        assert code == 0
+        assert out == MODULE_2332_JSON
+
     def test_brick(self, capsys):
         code, out, _ = run(capsys, "band", "brick", "23223")
         assert (code, out) == (0, "true\n")
@@ -107,10 +136,12 @@ class TestBandCommands:
         assert data["hom_xy"] - data["hom_yx"] == data["euler"]
 
     def test_hom_same_band_distinct_lambda(self, capsys):
-        code, out, _ = run(capsys, "band", "hom", "23", "23", "--json")
-        assert code == 0
-        data = json.loads(out)
-        assert data == {"hom_xy": 0, "hom_yx": 0, "ext1_xy": 0, "ext1_yx": 0, "euler": 0}
+        # the second pair is one walk and its inverse: the same family
+        for spec1, spec2 in [("23", "23"), ("a1 b1-", "b1 a1-")]:
+            code, out, _ = run(capsys, "band", "hom", spec1, spec2, "--json")
+            assert code == 0
+            data = json.loads(out)
+            assert data == {"hom_xy": 0, "hom_yx": 0, "ext1_xy": 0, "ext1_yx": 0, "euler": 0}
 
 
 class TestFanCommands:
@@ -127,6 +158,10 @@ class TestFanCommands:
         assert code == 0
         data = json.loads(out)
         assert data == {"size": 1, "max_clique": [[-2, 1, 1]]}
+
+    def test_maxcompat_has_no_seed(self, capsys):
+        code, _, _ = run(capsys, "fan", "maxcompat", "--n", "3", "--box", "2", "--seed", "1")
+        assert code == 2
 
     def test_euler(self, capsys):
         code, out, _ = run(capsys, "euler", "-2,1,0,1", "-1,0,1,0")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bandbrick import dyck, gentle, words
 from bandbrick.forms import euler_form
 from bandbrick.errors import (
+    InternalInconsistency,
     InvalidWalk,
     LetterOutOfRange,
     NonPrimitive,
@@ -78,12 +79,45 @@ class TestWalks:
         assert gentle.validate_band_walk(gentle.psi(w))
 
 
+def _inverse(walk):
+    return tuple(s.inverse() for s in reversed(walk))
+
+
+class TestCanonicalBand:
+    def test_rotation_and_inversion_invariant(self):
+        walk = gentle.psi((2, 3, 2, 2, 3))
+        canon = gentle.canonical_band(walk, 2)
+        for w in (walk, _inverse(walk)):
+            for k in range(len(w)):
+                assert gentle.canonical_band(w[k:] + w[:k], 2) == canon
+
+    @pytest.mark.parametrize("spec", ["a1 b1-", "a1 a2 b2- b1- a1 b1-"])
+    def test_same_band_exactly_when_isomorphic(self, spec):
+        # bricks: Hom is 1 between isomorphic members and 0 between
+        # distinct members of one family
+        walk = gentle.walk_from_str(spec)
+        x = gentle.band_module(walk, 2)
+        for w in (walk, _inverse(walk)):
+            for mu in (Fraction(2), Fraction(1, 2), Fraction(3)):
+                y = gentle.band_module(w, mu)
+                same = gentle.canonical_band(w, mu) == gentle.canonical_band(walk, 2)
+                assert gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == int(same)
+
+    def test_distinct_lambda(self):
+        walk = gentle.walk_from_str("a1 b1-")
+        assert gentle.distinct_lambda(walk, 1, _inverse(walk), 1) == 2
+        assert gentle.distinct_lambda(walk, 1, walk[1:] + walk[:1], 1) == 2
+        assert gentle.distinct_lambda(walk, 2, walk, 1) == 1
+        other = gentle.psi((2, 3))
+        assert gentle.distinct_lambda(walk, 1, other, 1) == 1
+
+
 class TestBandModule:
     def test_minimal_module(self):
         m = gentle.band_module(gentle.psi((2,)), Fraction(5))
         assert m.dims == (1, 1)
-        assert m.mats[("a", 1)] == ((Fraction(5),),)
-        assert m.mats[("b", 1)] == ((Fraction(1),),)
+        assert m.matrix("a", 1) == ((Fraction(5),),)
+        assert m.matrix("b", 1) == ((Fraction(1),),)
 
     def test_multi_visit_module(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
@@ -91,8 +125,8 @@ class TestBandModule:
         assert m.dims == (1, 3, 2)
         entries = [
             v
-            for mat in m.mats.values()
-            for row in mat
+            for kind, idx in m.arrows
+            for row in m.matrix(kind, idx)
             for v in row
             if v not in (0, 1)
         ]
@@ -103,8 +137,8 @@ class TestBandModule:
         m = gentle.band_module(walk, Fraction(7), n=3)
         entries = [
             v
-            for mat in m.mats.values()
-            for row in mat
+            for kind, idx in m.arrows
+            for row in m.matrix(kind, idx)
             for v in row
             if v not in (0, 1)
         ]
@@ -117,6 +151,31 @@ class TestBandModule:
     def test_invalid_walk_rejected(self):
         with pytest.raises(InvalidWalk):
             gentle.band_module(gentle.walk_from_str("a1 a1-"), 1)
+
+    def test_arrows_are_sparse_basis_maps(self):
+        walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
+        m = gentle.band_module(walk, Fraction(7), n=3)
+        assert sum(len(arrow) for arrow in m.arrows.values()) == len(walk)
+        for (kind, idx), arrow in m.arrows.items():
+            dense = m.matrix(kind, idx)
+            assert len(dense) == m.dims[idx - 1]
+            nonzero = {
+                col: (row, v)
+                for row, values in enumerate(dense)
+                for col, v in enumerate(values)
+                if v
+            }
+            assert nonzero == arrow
+
+    def test_relation_check_raises(self):
+        # a1 after b2 is the relation a_1 b_2, which must vanish
+        arrows = {("a", 1): {0: (0, Fraction(1))}, ("b", 1): {},
+                  ("a", 2): {}, ("b", 2): {0: (0, Fraction(1))}}
+        with pytest.raises(InternalInconsistency, match="relation"):
+            gentle._check_relations(arrows, 2)
+        gentle._check_relations({**arrows, ("a", 1): {}}, 1)
+        with pytest.raises(InternalInconsistency, match="two steps"):
+            gentle._check_relations({**arrows, ("a", 1): {}}, 2)
 
     @given(primitive_words, st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -154,6 +213,16 @@ class TestHom:
         y = gentle.band_module(walk, Fraction(2))
         assert gentle.hom_dim(x, y) == 0
         assert gentle.hom_dim(x, x) == 1
+
+    def test_fractional_parameters(self):
+        # both sides carry a non-integer scalar in the same equations
+        walk = gentle.psi((2, 3, 2, 2, 3))
+        x = gentle.band_module(walk, Fraction(3, 2))
+        y = gentle.band_module(walk, Fraction(-2, 5))
+        assert gentle.hom_dim(x, x) == gentle.hom_dim(y, y) == 1
+        assert gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0
+        m = gentle.band_module(gentle.psi((2, 2, 3, 3)), Fraction(5, 3))
+        assert gentle.hom_dim(m, m) == 2
 
 
 class TestGVector:
