@@ -193,7 +193,7 @@ def _cmd_gvec_decompose(args) -> int:
 def _cmd_band_walk(args) -> int:
     word, _ = _parse_word(args.word)
     walk = gentle.psi(word, args.n)
-    g = gentle.g_vector_of_band(walk)
+    g = gentle.g_vector_of_band(walk, args.n)
     human = gentle.walk_to_str(walk)
     _emit(args, human, {"walk": human, "gvector": list(g)})
     return 0
@@ -202,7 +202,7 @@ def _cmd_band_walk(args) -> int:
 def _cmd_band_module(args) -> int:
     word, _ = _parse_word(args.word)
     walk = gentle.psi(word, args.n)
-    mod = gentle.band_module(walk, _parse_lambda(args.lam))
+    mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
     arrows = {
         f"{kind}{idx}": [[str(v) for v in row] for row in mod.matrix(kind, idx)]
         for kind, idx in sorted(mod.arrows)
@@ -223,7 +223,7 @@ def _cmd_band_module(args) -> int:
 def _cmd_band_brick(args) -> int:
     word, _ = _parse_word(args.word)
     walk = gentle.psi(word, args.n)
-    mod = gentle.band_module(walk, _parse_lambda(args.lam))
+    mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
     return _bool_out(args, gentle.is_brick(mod))
 
 
@@ -308,12 +308,22 @@ def _cmd_render(args) -> int:
         g, unit=args.unit, width=args.width, palette_seed=args.palette_seed
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from exc
         _emit(args, args.output, {"path": args.output})
     else:
         sys.stdout.write(svg)
     return 0
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number: {text!r}")
+    return value
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -413,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw the Dyck path model as SVG")
     p.add_argument("gvector")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p.add_argument("--unit", type=float, default=40.0)
-    p.add_argument("--width", type=float, default=None)
+    p.add_argument("--unit", type=_positive, default=40.0)
+    p.add_argument("--width", type=_positive, default=None)
     p.add_argument("--palette-seed", type=int, default=0)
     _add_json(p)
     p.set_defaults(fn=_cmd_render)

@@ -206,6 +206,10 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     """Exact maximum set of mutually compatible brick g-vectors with
     max-norm <= box.  The standard witness family is preferred as the
     returned witness when no strictly larger clique exists."""
+    if n < 2:
+        raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
+    if box < 1:
+        raise BadDimension(f"the box must have max-norm at least 1, got {box}")
     walks = _enumerate_brick_gvectors(n, box)
     bricks = list(walks)
     index = {g: i for i, g in enumerate(bricks)}

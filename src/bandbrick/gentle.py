@@ -33,7 +33,7 @@ from .errors import (
     NonPrimitive,
     ZeroLambda,
 )
-from .words import is_primitive
+from .words import is_primitive, least_rotation
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,13 @@ def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
                 return False
     if not any(s.exp > 0 for s in walk) or not any(s.exp < 0 for s in walk):
         return False
-    return all(walk[k:] + walk[:k] != walk for k in range(1, r))
+    return is_primitive(walk)
 
 
 def canonical_walk(steps: Sequence[Step]) -> Walk:
     """Minimal rotation under the order a < b, index order, +1 < -1."""
     walk = tuple(steps)
-    keys = _walk_key(walk)
-    k = min(range(len(walk)), key=lambda k: keys[k:] + keys[:k])
+    k = least_rotation(_walk_key(walk))
     return walk[k:] + walk[:k]
 
 

@@ -7,11 +7,18 @@ of primitive necklaces (standard-permutation cycle construction).
 A word is a tuple of positive integers; a necklace is represented by its
 lexicographically minimal rotation; a necklace multiset is a sorted tuple
 of such representatives with duplicates repeated.
+
+No function here copies the rotations of its input (``rotations`` exists
+for callers that want them).  ``least_rotation`` finds the minimal
+rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
+``is_primitive`` compares w with its shifts by |w|/p for the primes p
+dividing |w|, O(|w| log |w|).  ``bw_transform`` and ``phi_inverse`` rank
+rotation start positions by prefix doubling, O(|w| log^2 |w|): each round
+sorts the rank pairs (rank[p], rank[p + span]) and doubles span.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,21 +45,102 @@ def rotations(w: Sequence[int]) -> list[Word]:
     return [word[k:] + word[:k] for k in range(len(word))]
 
 
+def _prime_factors(r: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= r:
+        if r % p == 0:
+            primes.append(p)
+            while r % p == 0:
+                r //= p
+        p += 1
+    if r > 1:
+        primes.append(r)
+    return primes
+
+
 def is_primitive(w: Sequence[int]) -> bool:
-    """True iff no rotation by 0 < k < |w| fixes w."""
+    """True iff no rotation by 0 < k < |w| fixes w.
+
+    The rotations fixing w form a subgroup of Z_|w|.  A non-trivial one
+    contains the rotation by |w|/p for some prime p dividing |w|, and a
+    rotation by a divisor d fixes w iff w has period d, so only those
+    shifts are compared.
+    """
     word = _as_word(w)
     r = len(word)
-    return all(word[k:] + word[:k] != word for k in range(1, r))
+    return all(word[r // p :] != word[: r - r // p] for p in _prime_factors(r))
+
+
+def least_rotation(seq: Sequence) -> int:
+    """Smallest k such that seq[k:] + seq[:k] is the minimal rotation.
+
+    Two candidate starts i < j are compared letter by letter; a mismatch
+    after k equal letters rules out the k + 1 starts beginning at the
+    candidate with the larger letter, so the scan is linear.
+
+    >>> least_rotation((2, 1, 1, 2, 1))
+    1
+    """
+    word = _as_word(seq)
+    r = len(word)
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while j < r and k < r:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 def necklace(w: Sequence[int]) -> Word:
     """Canonical form of the conjugacy class of w: the minimal rotation."""
-    return min(rotations(w))
+    word = _as_word(w)
+    k = least_rotation(word)
+    return word[k:] + word[:k]
+
+
+def _rotation_order(letters: Sequence, succ: Sequence[int], bound: int) -> list[int]:
+    """Positions sorted by the first ``bound`` letters read along ``succ``.
+
+    Prefix doubling: rank[p] orders the first ``span`` letters from p and
+    jump[p] is p moved ``span`` steps, so ranking the pairs
+    (rank[p], rank[jump[p]]) orders 2 * span letters.  Stops once span
+    reaches bound or every rank is distinct; ties keep position order.
+    """
+    n = len(letters)
+    alphabet = {a: i for i, a in enumerate(sorted(set(letters)))}
+    rank = [alphabet[a] for a in letters]
+    distinct = len(alphabet)
+    jump = list(succ)
+    span = 1
+    while span < bound and distinct < n:
+        # ranks are below n, so a * n + b orders the pairs
+        keys = [a * n + b for a, b in zip(rank, map(rank.__getitem__, jump))]
+        levels = {key: i for i, key in enumerate(sorted(set(keys)))}
+        rank = list(map(levels.__getitem__, keys))
+        distinct = len(levels)
+        jump = list(map(jump.__getitem__, jump))
+        span *= 2
+    return sorted(range(n), key=rank.__getitem__)
 
 
 def bw_transform(w: Sequence[int]) -> Word:
     """Last letters of the sorted rotations of w (duplicates kept)."""
-    return tuple(rot[-1] for rot in sorted(rotations(w)))
+    word = _as_word(w)
+    r = len(word)
+    succ = [*range(1, r), 0]
+    return tuple(word[p - 1] for p in _rotation_order(word, succ, r))
 
 
 def _weakly_decreasing(w: Sequence[int]) -> bool:
@@ -142,36 +230,34 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
     return tuple(sorted(out))
 
 
-def _infinite_power_cmp(u: Word, v: Word) -> int:
-    # u^inf vs v^inf; a first difference appears within |u| + |v| letters
-    bound = len(u) + len(v)
-    uu = (u * (bound // len(u) + 1))[:bound]
-    vv = (v * (bound // len(v) + 1))[:bound]
-    if uu < vv:
-        return -1
-    if uu > vv:
-        return 1
-    return 0
-
-
 def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
     """Word whose necklace multiset is ms; inverts phi.
 
-    Expands every necklace into its rotations, sorts all rows by the order
-    of their infinite powers and reads the last column.  Rows with equal
-    infinite powers end in the same letter, so their relative order does
-    not matter.
+    Lays the necklaces end to end, sorts every rotation start by the
+    infinite power read from it and takes the letter before each start.
+    Two rotations u, v of primitive necklaces with u^inf = v^inf on the
+    first |u| + |v| letters are equal (Fine-Wilf), so 2 * longest letters
+    decide the order and tied rows end in the same letter.
     """
-    rows: list[Word] = []
+    letters: list[int] = []
+    succ: list[int] = []
+    pred: list[int] = []
+    longest = 0
     for entry in ms:
         word = _as_word(entry)
         if not is_primitive(word):
             raise NonPrimitiveNecklace(f"{word} is a proper power")
-        rows.extend(rotations(word))
-    if not rows:
+        start, end = len(letters), len(letters) + len(word)
+        letters.extend(word)
+        succ.extend(range(start + 1, end))
+        succ.append(start)
+        pred.append(end - 1)
+        pred.extend(range(start, end - 1))
+        longest = max(longest, len(word))
+    if not letters:
         raise EmptyWord("multiset must contain at least one necklace")
-    rows.sort(key=cmp_to_key(_infinite_power_cmp))
-    return tuple(row[-1] for row in rows)
+    order = _rotation_order(letters, succ, 2 * longest)
+    return tuple(letters[pred[p]] for p in order)
 
 
 def bw_inverse(w: Sequence[int]) -> Word:

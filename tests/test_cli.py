@@ -121,6 +121,18 @@ class TestBandCommands:
         assert code == 0
         assert out == MODULE_2332_JSON
 
+    def test_module_honours_n(self, capsys):
+        code, out, _ = run(capsys, "band", "module", "2", "--n", "3")
+        assert code == 0
+        assert out.startswith("n: 3\nlambda: 1\ndims: 1,1,0\n")
+
+    def test_walk_and_brick_honour_n(self, capsys):
+        code, out, _ = run(capsys, "band", "walk", "2", "--n", "3", "--json")
+        assert code == 0
+        assert json.loads(out) == {"walk": "a1 b1-", "gvector": [-1, 1, 0]}
+        code, out, _ = run(capsys, "band", "brick", "2", "--n", "3")
+        assert (code, out) == (0, "true\n")
+
     def test_brick(self, capsys):
         code, out, _ = run(capsys, "band", "brick", "23223")
         assert (code, out) == (0, "true\n")
@@ -158,6 +170,14 @@ class TestFanCommands:
         assert code == 0
         data = json.loads(out)
         assert data == {"size": 1, "max_clique": [[-2, 1, 1]]}
+
+    @pytest.mark.parametrize("n, box", [("0", "1"), ("1", "2"), ("-3", "2"), ("3", "0")])
+    def test_maxcompat_bad_size(self, capsys, n, box):
+        code, out, err = run(capsys, "fan", "maxcompat", "--n", n, "--box", box)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: BadDimension: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_maxcompat_has_no_seed(self, capsys):
         code, _, _ = run(capsys, "fan", "maxcompat", "--n", "3", "--box", "2", "--seed", "1")
@@ -199,6 +219,21 @@ class TestRender:
         assert code == 0
         assert target.read_text().startswith("<svg")
         assert out == f"{target}\n"
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(capsys, "render", "-1,1", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: cannot write")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--unit", "0"), ("--unit", "-1"), ("--width", "-5"), ("--width", "0")]
+    )
+    def test_non_positive_size(self, capsys, flag, value):
+        code, out, err = run(capsys, "render", "-1,1", flag, value)
+        assert (code, out) == (2, "")
+        assert "must be a positive number" in err
 
 
 class TestErrorsAndFormats:

@@ -135,6 +135,11 @@ class TestMaxCompatible:
         size, _ = forms.max_compatible_search(3, 4)
         assert size == 1
 
+    @pytest.mark.parametrize("n, box", [(0, 1), (1, 2), (-2, 1), (3, 0), (3, -1)])
+    def test_bad_size_rejected(self, n, box):
+        with pytest.raises(BadDimension):
+            forms.max_compatible_search(n, box)
+
 
 class TestNecklaceBound:
     def test_examples(self):

@@ -73,6 +73,18 @@ class TestWalks:
         for k in range(len(walk)):
             assert gentle.canonical_walk(walk[k:] + walk[:k]) == canon
 
+    @given(primitive_words, st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_is_least_key_rotation(self, w, k):
+        walk = gentle.psi(w)
+        k %= len(walk)
+        rot = walk[k:] + walk[:k]
+        rots = [rot[j:] + rot[:j] for j in range(len(rot))]
+        least = min(rots, key=gentle._walk_key)
+        assert gentle.canonical_walk(rot) == least
+        assert gentle.validate_band_walk(rot)
+        assert not gentle.validate_band_walk(rot * 2)
+
     @given(primitive_words)
     @settings(max_examples=60, deadline=None)
     def test_psi_always_valid(self, w):

@@ -6,14 +6,42 @@ from pathlib import Path
 import bandbrick
 
 
+def package_trees():
+    for path in sorted(Path(bandbrick.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_assert_in_package():
     # python -O strips asserts, so invariants must raise InternalInconsistency
     found = []
-    for path in sorted(Path(bandbrick.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in package_trees():
         found += [
-            f"{path.name}:{node.lineno}"
+            f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    return set()
+
+
+def test_no_rotation_copies_in_package():
+    # copying every rotation makes the word layer quadratic; rotations()
+    # stays public, but no library function may call it or sort rotations
+    # with a comparator
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "rotations" in _names(node.func):
+                found.append(f"{name}:{node.lineno} calls rotations")
+            if "cmp_to_key" in _names(node):
+                found.append(f"{name}:{node.lineno} uses cmp_to_key")
     assert found == []

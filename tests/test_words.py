@@ -1,5 +1,9 @@
 """Word transforms: Burrows-Wheeler, clustering tests, necklace bijection."""
 
+import itertools
+import random
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,50 @@ def alpha(s):
 
 words_st = st.lists(st.integers(1, 4), min_size=1, max_size=9).map(tuple)
 primitive_st = words_st.filter(words.is_primitive)
+
+
+# Quadratic references written from the definitions: every rotation is
+# copied, and necklace rows are sorted by comparing their infinite powers.
+def ref_rotations(w):
+    return [w[k:] + w[:k] for k in range(len(w))]
+
+
+def ref_is_primitive(w):
+    return all(rot != w for rot in ref_rotations(w)[1:])
+
+
+def ref_least_rotation(w):
+    rots = ref_rotations(w)
+    return min(range(len(w)), key=rots.__getitem__)
+
+
+def ref_bw_transform(w):
+    return tuple(rot[-1] for rot in sorted(ref_rotations(w)))
+
+
+def _ref_power_cmp(u, v):
+    bound = len(u) + len(v)
+    uu = (u * (bound // len(u) + 1))[:bound]
+    vv = (v * (bound // len(v) + 1))[:bound]
+    return (uu > vv) - (uu < vv)
+
+
+def ref_phi_inverse(ms):
+    rows = [rot for u in ms for rot in ref_rotations(tuple(u))]
+    rows.sort(key=cmp_to_key(_ref_power_cmp))
+    return tuple(row[-1] for row in rows)
+
+
+def all_short_words():
+    for alphabet in ((1, 2), (1, 2, 3)):
+        for length in range(1, 9):
+            yield from itertools.product(alphabet, repeat=length)
+
+
+necklace_st = primitive_st.map(words.necklace)
+repeated_multiset_st = st.lists(
+    st.tuples(necklace_st, st.integers(1, 3)), min_size=1, max_size=5
+).map(lambda pairs: tuple(sorted(u for u, k in pairs for _ in range(k))))
 
 
 class TestBWTransform:
@@ -157,3 +205,50 @@ class TestNecklace:
         assert words.is_primitive((1, 2, 2))
         assert not words.is_primitive((1, 2, 1, 2))
         assert words.is_primitive((5,))
+
+
+class TestAgainstDefinitions:
+    """The linear word layer equals the rotation-copy definitions."""
+
+    def test_exhaustive_short_words(self):
+        # every word of length <= 8 on {1,2} and {1,2,3}, powers included
+        for w in all_short_words():
+            assert words.is_primitive(w) == ref_is_primitive(w), w
+            assert words.least_rotation(w) == ref_least_rotation(w), w
+            assert words.necklace(w) == min(ref_rotations(w)), w
+            assert words.bw_transform(w) == ref_bw_transform(w), w
+            ms = words.phi(w)
+            assert words.phi_inverse(ms) == ref_phi_inverse(ms) == w, w
+
+    def test_least_rotation_of_tuples(self):
+        keys = [("b", 1, 0), ("a", 2, 1), ("a", 1, 0), ("a", 2, 1), ("a", 1, 0)]
+        assert words.least_rotation(keys) == 2
+
+    def test_least_rotation_rejects_empty(self):
+        with pytest.raises(EmptyWord):
+            words.least_rotation(())
+
+    def test_repeated_single_letter(self):
+        ms = words.phi((1, 1, 1))
+        assert ms == ((1,), (1,), (1,))
+        assert words.phi_inverse(ms) == (1, 1, 1)
+
+    @given(repeated_multiset_st)
+    @settings(max_examples=80, deadline=None)
+    def test_phi_inverse_repeated_necklaces(self, ms):
+        out = words.phi_inverse(ms)
+        assert out == ref_phi_inverse(ms)
+        assert words.phi(out) == ms
+
+    @given(repeated_multiset_st)
+    @settings(max_examples=40, deadline=None)
+    def test_phi_inverse_with_repeated_one(self, ms):
+        ms = tuple(sorted(ms + ((1,),) * 3))
+        assert words.phi_inverse(ms) == ref_phi_inverse(ms)
+
+    def test_long_round_trip(self):
+        rng = random.Random(20000)
+        w = tuple(rng.randint(1, 4) for _ in range(20000))
+        assert words.phi_inverse(words.phi(w)) == w
+        assert words.is_primitive(w)
+        assert words.bw_inverse(words.bw_transform(w)) == words.necklace(w)
