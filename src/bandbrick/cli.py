@@ -231,7 +231,7 @@ def _cmd_band_hom(args) -> int:
     n = args.n
     w1 = _parse_band_spec(args.spec1, n)
     w2 = _parse_band_spec(args.spec2, n)
-    shared = n or 1 + max(s.index for s in w1 + w2)
+    shared = 1 + max(s.index for s in w1 + w2) if n is None else n
     lam1 = _parse_lambda(args.lambda1)
     if args.lambda2 is not None:
         lam2 = _parse_lambda(args.lambda2)
@@ -247,8 +247,8 @@ def _cmd_band_hom(args) -> int:
     data = {
         "hom_xy": hom_xy,
         "hom_yx": hom_yx,
-        "ext1_xy": gentle.ext1_dim(x, y),
-        "ext1_yx": gentle.ext1_dim(y, x),
+        "ext1_xy": hom_yx,  # ext1_dim(x, y) is hom_dim(y, x)
+        "ext1_yx": hom_xy,
         "euler": euler,
     }
     human = "\n".join(f"{k}: {v}" for k, v in data.items())

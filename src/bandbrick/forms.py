@@ -10,7 +10,7 @@ sampling the checks at several parameter values.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import dyck, gentle, words
 from .errors import (
@@ -46,16 +46,21 @@ def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
     return euler_form(x, y) == -euler_form(y, x)
 
 
+def _sampled(check: Callable[[int], bool], message: str) -> bool:
+    # genericity guard: the check must give one answer at three parameters
+    results = {check(lam) for lam in (1, 2, 3)}
+    if len(results) != 1:
+        raise GenericityViolation(message)
+    return results.pop()
+
+
 def _guarded_end_is_one(walk: gentle.Walk, n: int) -> bool:
-    results = []
-    for lam in (1, 2, 3):
+    def end_is_one(lam: int) -> bool:
         module = gentle.band_module(walk, lam, n=n)
-        results.append(gentle.hom_dim(module, module) == 1)
-    if len(set(results)) != 1:
-        raise GenericityViolation(
-            f"End dimension depends on the parameter for {gentle.walk_to_str(walk)}"
-        )
-    return results[0]
+        return gentle.hom_dim(module, module) == 1
+
+    message = f"End dimension depends on the parameter for {gentle.walk_to_str(walk)}"
+    return _sampled(end_is_one, message)
 
 
 def _brick_walk(g: Sequence[int]) -> gentle.Walk | None:
@@ -92,18 +97,13 @@ def is_brick_gvector_n4(g: Sequence[int]) -> bool:
 
 
 def _compatible_walks(z1: gentle.Walk, z2: gentle.Walk, n: int) -> bool:
-    # genericity guard: sample three parameters; walks of one family get
-    # two distinct members
-    results = []
-    for lam in (1, 2, 3):
+    def no_morphisms(lam: int) -> bool:
+        # walks of one family get two distinct members
         m1 = gentle.band_module(z1, lam, n=n)
         m2 = gentle.band_module(z2, gentle.distinct_lambda(z1, lam, z2, lam), n=n)
-        results.append(
-            gentle.hom_dim(m1, m2) == 0 and gentle.hom_dim(m2, m1) == 0
-        )
-    if len(set(results)) != 1:
-        raise GenericityViolation("compatibility depends on the parameters")
-    return results[0]
+        return gentle.hom_dim(m1, m2) == 0 and gentle.hom_dim(m2, m1) == 0
+
+    return _sampled(no_morphisms, "compatibility depends on the parameters")
 
 
 def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:

@@ -10,14 +10,14 @@ A band module of multiplicity one is its walk with one scalar: each
 arrow is stored sparsely, sending a basis vector to at most one basis
 vector with an exact rational scalar.  The gentle relations are checked
 on every build in one pass over the walk.  Hom dimensions come from the
-nullity of the intertwiner system, whose equations have at most two
-terms and are assembled directly in integers, then solved by sparse
-integer elimination (the dimension is independent of the base field).
+nullity of the intertwiner system.  Its equations have at most two terms,
+so the nullity is a count of connected components of unknowns, found in
+one walk over the links without any elimination (the dimension is
+independent of the base field).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,84 +245,79 @@ def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
             raise InternalInconsistency(f"a relation through {kind}{idx} does not vanish")
 
 
-def _echelon_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of a sparse integer matrix by fraction-free elimination."""
-    pivots: dict[int, dict[int, int]] = {}
-    for incoming in rows:
-        row = {k: v for k, v in incoming.items() if v}
-        while row:
-            v = min(row)
-            piv = pivots.get(v)
-            if piv is None:
-                g = 0
-                for c in row.values():
-                    g = math.gcd(g, c)
-                if g > 1:
-                    row = {k: c // g for k, c in row.items()}
-                pivots[v] = row
-                break
-            a = row.pop(v)
-            b = piv[v]
-            for k, c in piv.items():
-                if k == v:
-                    continue
-                nc = b * row.get(k, 0) - a * c
-                if nc:
-                    row[k] = nc
-                elif k in row:
-                    del row[k]
-            for k in row:
-                if k not in piv:
-                    row[k] = row[k] * b
-            if row:
-                g = 0
-                for c in row.values():
-                    g = math.gcd(g, c)
-                if g > 1:
-                    row = {k: c // g for k, c in row.items()}
-    return len(pivots)
-
-
-# an absent term of a Hom equation: no index, scalar 0
-_NO_TERM = (None, Fraction(0))
-
-
 def hom_dim(m: BandModule, w: BandModule) -> int:
     """Dimension of the space of morphisms m -> w.
 
     Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
     for every arrow g: s -> t the equation f_t M_g = W_g f_s must hold.
     M_g has at most one entry per column and W_g at most one per row, so
-    each entry equation a x - b y = 0 has at most two terms.
+    each entry equation reads p x = q y (p, q non-zero integers) or x = 0.
+    Each component of unknowns linked by these equations adds one
+    dimension when it holds no forced zero and its cycles are consistent.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
     base = [0] * (m.n + 1)
     for i in range(m.n):
         base[i + 1] = base[i] + w.dims[i] * m.dims[i]
-    nvars = base[m.n]
+    # links[x] holds (y, p, q) for every equation p x = q y; zero[x]
+    # marks an unknown that an equation forces to 0
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(base[m.n])]
+    zero = [False] * base[m.n]
 
     def var(vertex: int, row: int, col: int) -> int:
         # f at vertex (1-based): row in w basis, col in m basis
         return base[vertex - 1] + row * m.dims[vertex - 1] + col
 
-    equations: list[dict[int, int]] = []
     for (kind, idx), m_arrow in m.arrows.items():
         src, tgt = idx + 1, idx
         w_rows = {u: (k, b) for k, (u, b) in w.arrows[(kind, idx)].items()}
         for v in range(m.dims[src - 1]):
-            mk, a = m_arrow.get(v, _NO_TERM)
+            image = m_arrow.get(v)
             for u in range(w.dims[tgt - 1]):
-                wk, b = w_rows.get(u, _NO_TERM)
-                # a x - b y = 0, scaled by the denominators of a and b
-                row = {}
-                if mk is not None:
-                    row[var(tgt, u, mk)] = a.numerator * b.denominator
-                if wk is not None:
-                    row[var(src, wk, v)] = -b.numerator * a.denominator
-                if row:
-                    equations.append(row)
-    return nvars - _echelon_rank(equations)
+                preimage = w_rows.get(u)
+                if image is None:
+                    if preimage is not None:
+                        zero[var(src, preimage[0], v)] = True
+                elif preimage is None:
+                    zero[var(tgt, u, image[0])] = True
+                else:
+                    # a x - b y = 0, scaled by the denominators of a and b
+                    (mk, a), (wk, b) = image, preimage
+                    x, y = var(tgt, u, mk), var(src, wk, v)
+                    p, q = a.numerator * b.denominator, b.numerator * a.denominator
+                    links[x].append((y, p, q))
+                    links[y].append((x, q, p))
+    return _free_components(links, zero)
+
+
+def _free_components(links: list[list[tuple[int, int, int]]], zero: list[bool]) -> int:
+    # one walk per component: start at 1, carry y = x p / q along each
+    # link, and count the component unless it meets a forced zero or a
+    # link whose far end already holds another value
+    value: list[int | Fraction | None] = [None] * len(links)
+    free = 0
+    for start in range(len(links)):
+        if value[start] is not None:
+            continue
+        value[start] = 1
+        stack = [start]
+        consistent = True
+        while stack:
+            x = stack.pop()
+            if zero[x]:
+                consistent = False
+            vx = value[x]
+            for y, p, q in links[x]:
+                vy = vx if p == q else Fraction(vx * p, q)
+                seen = value[y]
+                if seen is None:
+                    value[y] = vy
+                    stack.append(y)
+                elif seen != vy:
+                    consistent = False
+        free += consistent
+    return free
 
 
 def is_brick(m: BandModule) -> bool:

@@ -1,8 +1,12 @@
 """Command-line interface: encodings, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandbrick.cli import main
 
@@ -155,6 +159,22 @@ class TestBandCommands:
             data = json.loads(out)
             assert data == {"hom_xy": 0, "hom_yx": 0, "ext1_xy": 0, "ext1_yx": 0, "euler": 0}
 
+    def test_hom_golden(self, capsys):
+        # recorded before Ext was read off the two Hom dimensions
+        code, out, _ = run(capsys, "band", "hom", "2", "23", "--lambda1", "3/2")
+        assert code == 0
+        assert out == "hom_xy: 1\nhom_yx: 0\next1_xy: 0\next1_yx: 1\neuler: 1\n"
+        code, out, _ = run(capsys, "band", "hom", "2332", "2", "--lambda2=-2/5", "--json")
+        assert code == 0
+        assert out == (
+            '{"hom_xy": 0, "hom_yx": 2, "ext1_xy": 2, "ext1_yx": 0, "euler": -2}\n'
+        )
+
+    def test_hom_honours_n_zero(self, capsys):
+        code, out, err = run(capsys, "band", "hom", "a1 b1-", "a1 a2 b2- b1-", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidWalk")
+
 
 class TestFanCommands:
     def test_brick4(self, capsys):
@@ -281,3 +301,50 @@ class TestErrorsAndFormats:
         code, _, err = run(capsys, "band", "module", "2", "--lambda", "0")
         assert code == 1
         assert "ZeroLambda" in err
+
+
+_words = st.one_of(
+    st.text("abcdef", min_size=1, max_size=6),
+    st.text("123456", min_size=1, max_size=6),
+    st.lists(st.integers(1, 7), min_size=1, max_size=5).map(
+        lambda w: ",".join(map(str, w))
+    ),
+)
+_walks = st.lists(
+    st.builds(
+        "{}{}{}".format, st.sampled_from("ab"), st.integers(1, 4), st.sampled_from(["", "-"])
+    ),
+    min_size=1,
+    max_size=8,
+).map(" ".join)
+_junk = st.sampled_from(["", " ", "-", "0", "a0", "a1 c2", "1,,2", "-3,1", "ab-", "--", "x"])
+_specs = st.one_of(_words, _walks, _junk)
+_lambdas = st.sampled_from(["0", "1", "-1", "3/2", "1/0", "x", "nan"])
+
+
+@st.composite
+def _band_argv(draw):
+    op = draw(st.sampled_from(["walk", "module", "brick", "hom"]))
+    argv = ["band", op, draw(_specs)]
+    if op == "hom":
+        argv.append(draw(_specs))
+        for flag in ("--lambda1", "--lambda2"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_lambdas)]
+    elif op != "walk" and draw(st.booleans()):
+        argv += ["--lambda", draw(_lambdas)]
+    if draw(st.booleans()):
+        argv += ["--n", str(draw(st.integers(-2, 8)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestExitContract:
+    @given(_band_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_band_commands_exit_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)

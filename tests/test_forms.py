@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandbrick import forms
+from bandbrick import forms, gentle
 from bandbrick.errors import (
     AllZero,
     BadDimension,
     DimensionMismatch,
+    GenericityViolation,
     NotABrick,
     NotInHyperplane,
 )
@@ -116,12 +117,28 @@ class TestCompatibility:
             forms.compatible((-2, 0, 2), (-1, 1, 0))
 
     def test_hom_difference_on_shared_walks(self):
-        from bandbrick import gentle
-
         z1 = gentle.psi((2,), n=3)
         z2 = gentle.psi((2, 3))
         assert forms.hom_difference_check(z1, z2)
         assert forms.hom_difference_check(z1, z1)
+
+
+class TestGenericityGuard:
+    # a Hom answer that depends on the band parameter must be refused
+
+    def test_end_dimension_depends_on_parameter(self, monkeypatch):
+        monkeypatch.setattr(gentle, "hom_dim", lambda x, y: 1 if x.lam == 1 else 2)
+        with pytest.raises(GenericityViolation, match="End dimension depends"):
+            forms.is_brick_gvector((-1, 1))
+
+    def test_compatibility_depends_on_parameter(self, monkeypatch):
+        # End stays one-dimensional, so both vectors are bricks
+        def hom_dim(x, y):
+            return 1 if x is y else int(x.lam != 1)
+
+        monkeypatch.setattr(gentle, "hom_dim", hom_dim)
+        with pytest.raises(GenericityViolation, match="compatibility depends"):
+            forms.compatible((-2, 1, 0, 1), (-1, 0, 1, 0))
 
 
 class TestMaxCompatible:

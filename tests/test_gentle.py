@@ -1,5 +1,7 @@
 """Band walks and band modules: validity, matrices, Hom spaces, g-vectors."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,80 @@ class TestHom:
         assert gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0
         m = gentle.band_module(gentle.psi((2, 2, 3, 3)), Fraction(5, 3))
         assert gentle.hom_dim(m, m) == 2
+
+
+def _dense_rank(rows):
+    # Gaussian elimination over the rationals, one column at a time
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col] / head[col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
+        rank += 1
+    return rank
+
+
+def _reference_hom_dim(m, w):
+    """Nullity of f_t M_g - W_g f_s = 0 built from the dense arrow matrices."""
+    unknowns = {}
+    for i in range(m.n):
+        for r in range(w.dims[i]):
+            for c in range(m.dims[i]):
+                unknowns[(i, r, c)] = len(unknowns)
+    rows = []
+    for kind, idx in m.arrows:
+        # 0-based vertices: the arrow runs from idx to idx - 1
+        src, tgt = idx, idx - 1
+        mg, wg = m.matrix(kind, idx), w.matrix(kind, idx)
+        for r in range(w.dims[tgt]):
+            for c in range(m.dims[src]):
+                row = [Fraction(0)] * len(unknowns)
+                for k in range(m.dims[tgt]):
+                    row[unknowns[(tgt, r, k)]] += mg[k][c]
+                for k in range(w.dims[src]):
+                    row[unknowns[(src, k, c)]] -= wg[r][k]
+                rows.append(row)
+    return len(unknowns) - _dense_rank(rows)
+
+
+def _small_walks():
+    # band walks with at most 12 steps on at most 4 vertices, each with its
+    # inverse: the letter cycles of short words and the components of
+    # small g-vectors
+    found = set()
+    for length in range(1, 7):
+        for w in itertools.product((2, 3, 4), repeat=length):
+            if words.is_primitive(w):
+                found.add(gentle.psi(w))
+    for n in (2, 3, 4):
+        for g in itertools.product(range(-5, 6), repeat=n):
+            if any(g) and sum(g) == 0 and all(sum(g[: k + 1]) <= 0 for k in range(n)):
+                for comp in dyck.reconstruct_multislalom(g).components:
+                    found.add(gentle.slalom_to_band_walk(comp))
+    small = {gentle.canonical_walk(w) for w in found if len(w) <= 12}
+    small |= {gentle.canonical_walk(_inverse(w)) for w in small}
+    return sorted(small, key=gentle._walk_key)
+
+
+class TestHomAgainstDenseElimination:
+    LAMBDAS = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3, 2), Fraction(-2, 5))
+
+    def test_seeded_pool(self):
+        walks = _small_walks()
+        rng = random.Random(2024)
+        pairs = [(w, w) for w in walks] + [tuple(rng.sample(walks, 2)) for _ in range(400)]
+        for w1, w2 in pairs:
+            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4)))
+            x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
+            y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
+            assert gentle.hom_dim(x, y) == _reference_hom_dim(x, y), (w1, w2)
 
 
 class TestGVector:
