@@ -113,10 +113,7 @@ def brick_pcw(seed: int = 0) -> Result:
                 total += 1
                 pcw = words.is_perfectly_clustering(w)
                 walk = gentle.psi(w, n)
-                brick = all(
-                    gentle.is_brick(gentle.band_module(walk, Fraction(lam), n))
-                    for lam in (1, 2, 3)
-                )
+                brick = all(gentle.is_brick(m) for m in forms.band_family(walk, n))
                 if pcw != brick:
                     mismatches.append(w)
     ok = not mismatches
@@ -418,13 +415,6 @@ SUITES: list[tuple[int, str, "object"]] = [
     (9, "witness", witness),
     (10, "structural", structural),
 ]
-
-
-def run_suite(name: str, seed: int = 0) -> Result:
-    for _, suite_name, fn in SUITES:
-        if suite_name == name:
-            return fn(seed)
-    raise KeyError(name)
 
 
 def suite_names() -> list[str]:

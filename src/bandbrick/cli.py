@@ -205,7 +205,7 @@ def _cmd_band_module(args) -> int:
     mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
     arrows = {
         f"{kind}{idx}": [[str(v) for v in row] for row in mod.matrix(kind, idx)]
-        for kind, idx in sorted(mod.arrows)
+        for kind in ("a", "b") for idx in range(1, mod.n)
     }
     lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, mod.dims))}"]
     for name, rows in arrows.items():
@@ -228,22 +228,11 @@ def _cmd_band_brick(args) -> int:
 
 
 def _cmd_band_hom(args) -> int:
-    n = args.n
-    w1 = _parse_band_spec(args.spec1, n)
-    w2 = _parse_band_spec(args.spec2, n)
-    shared = 1 + max(s.index for s in w1 + w2) if n is None else n
+    w1 = _parse_band_spec(args.spec1, args.n)
+    w2 = _parse_band_spec(args.spec2, args.n)
     lam1 = _parse_lambda(args.lambda1)
-    if args.lambda2 is not None:
-        lam2 = _parse_lambda(args.lambda2)
-    else:
-        lam2 = gentle.distinct_lambda(w1, lam1, w2, 1)
-    x = gentle.band_module(w1, lam1, shared)
-    y = gentle.band_module(w2, lam2, shared)
-    hom_xy = gentle.hom_dim(x, y)
-    hom_yx = gentle.hom_dim(y, x)
-    euler = forms.euler_form(
-        gentle.g_vector_of_band(w1, shared), gentle.g_vector_of_band(w2, shared)
-    )
+    lam2 = None if args.lambda2 is None else _parse_lambda(args.lambda2)
+    hom_xy, hom_yx, euler = forms.band_hom(w1, w2, args.n, lam1, lam2)
     data = {
         "hom_xy": hom_xy,
         "hom_yx": hom_yx,

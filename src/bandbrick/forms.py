@@ -4,13 +4,16 @@ The Euler form on g-vectors is sum(a_i b_i) + 2 sum_{i<j} a_i b_j, skew
 symmetric on the zero-sum hyperplane.  Two brick g-vectors are compatible
 when the bricks admit no morphisms either way; a vanishing Euler form is
 necessary but not sufficient.  Scalar-parameter genericity is guarded by
-sampling the checks at several parameter values.
+sampling the checks at parameters 1, 2, 3, on one family per brick, built
+once: its members share their basis maps and differ only in the scalar.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import dyck, gentle, words
 from .errors import (
@@ -25,6 +28,7 @@ from .errors import (
 )
 
 GVector = tuple[int, ...]
+Family = tuple[gentle.BandModule, ...]
 
 
 def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
@@ -46,42 +50,40 @@ def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
     return euler_form(x, y) == -euler_form(y, x)
 
 
-def _sampled(check: Callable[[int], bool], message: str) -> bool:
-    # genericity guard: the check must give one answer at three parameters
-    results = {check(lam) for lam in (1, 2, 3)}
+def band_family(walk: gentle.Walk, n: int) -> Family:
+    """The band modules of walk at lam = 1, 2, 3: one build, shared maps."""
+    module = gentle.band_module(walk, 1, n=n)
+    return (module,) + tuple(dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3))
+
+
+def _sampled(answers: Iterable[bool], message: str) -> bool:
+    # genericity guard: a check must give one answer at every sampled parameter
+    results = set(answers)
     if len(results) != 1:
         raise GenericityViolation(message)
     return results.pop()
 
 
-def _guarded_end_is_one(walk: gentle.Walk, n: int) -> bool:
-    def end_is_one(lam: int) -> bool:
-        module = gentle.band_module(walk, lam, n=n)
-        return gentle.hom_dim(module, module) == 1
-
-    message = f"End dimension depends on the parameter for {gentle.walk_to_str(walk)}"
-    return _sampled(end_is_one, message)
-
-
-def _brick_walk(g: Sequence[int]) -> gentle.Walk | None:
-    # canonical walk of a brick g-vector, None when g decomposes
+def _brick_family(g: Sequence[int]) -> Family | None:
+    # band family of a brick g-vector, None when g decomposes
     entries = tuple(g)
     ms = dyck.reconstruct_multislalom(entries)  # raises InvalidGVector
     if len(ms.components) != 1:
         return None
-    walk = gentle.canonical_walk(gentle.slalom_to_band_walk(ms.components[0]))
-    if not _guarded_end_is_one(walk, len(entries)):
+    family = band_family(gentle.slalom_to_band_walk(ms.components[0]), len(entries))
+    message = f"End dimension depends on the parameter for {gentle.walk_to_str(family[0].walk)}"
+    if not _sampled((gentle.hom_dim(m, m) == 1 for m in family), message):
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
         )
-    return walk
+    return family
 
 
 def is_brick_gvector(g: Sequence[int]) -> bool:
     """True iff the multislalom of g has one component, whose band module
     is a brick.  A single component with a non-brick module would break
     the correspondence, so it raises instead of returning."""
-    return _brick_walk(g) is not None
+    return _brick_family(g) is not None
 
 
 def is_brick_gvector_n4(g: Sequence[int]) -> bool:
@@ -96,33 +98,47 @@ def is_brick_gvector_n4(g: Sequence[int]) -> bool:
     return a + b != 0 and math.gcd(a + b, b + c) == 1
 
 
-def _compatible_walks(z1: gentle.Walk, z2: gentle.Walk, n: int) -> bool:
-    def no_morphisms(lam: int) -> bool:
-        # walks of one family get two distinct members
-        m1 = gentle.band_module(z1, lam, n=n)
-        m2 = gentle.band_module(z2, gentle.distinct_lambda(z1, lam, z2, lam), n=n)
-        return gentle.hom_dim(m1, m2) == 0 and gentle.hom_dim(m2, m1) == 0
-
-    return _sampled(no_morphisms, "compatibility depends on the parameters")
+def _compatible_families(f1: Family, f2: Family) -> bool:
+    # no morphisms either way between the members at each sampled parameter
+    return _sampled(
+        (gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0 for x, y in zip(f1, f2)),
+        "compatibility depends on the parameters",
+    )
 
 
 def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
     """No morphisms in either direction between the two brick families.
 
     The vanishing of the Euler form is checked first: a non-zero value
-    already forces a morphism, so the modules are only built on the
+    already forces a morphism, so the modules are only compared on the
     zero-form pairs.
     """
     v1, v2 = tuple(g1), tuple(g2)
     if len(v1) != len(v2):
         raise DimensionMismatch(f"lengths differ: {len(v1)} != {len(v2)}")
-    z1, z2 = _brick_walk(v1), _brick_walk(v2)
-    for v, z in ((v1, z1), (v2, z2)):
-        if z is None:
+    f1 = _brick_family(v1)
+    f2 = f1 if v1 == v2 else _brick_family(v2)
+    for v, f in ((v1, f1), (v2, f2)):
+        if f is None:
             raise NotABrick(f"{v} is not a brick g-vector")
     if euler_form(v1, v2) != 0:
         return False
-    return _compatible_walks(z1, z2, len(v1))
+    # one family: pair each member with a distinct member
+    return _compatible_families(f1, f2[1:] + f2[:1] if f1 is f2 else f2)
+
+
+def band_hom(
+    w1: gentle.Walk, w2: gentle.Walk, n: int | None, lam1: Fraction | int, lam2: Fraction | None
+) -> tuple[int, int, int]:
+    """(dim Hom(X, Y), dim Hom(Y, X), <g(X), g(Y)>) for X = M(w1, lam1) and
+    Y = M(w2, lam2) over n vertices.  n None is the smallest quiver holding
+    both walks; lam2 None is 1, or 2 where (w2, 1) would be X itself."""
+    n = 1 + max(s.index for s in w1 + w2) if n is None else n
+    lam2 = gentle.distinct_lambda(w1, lam1, w2, 1) if lam2 is None else lam2
+    x = gentle.band_module(w1, lam1, n)
+    y = gentle.band_module(w2, lam2, n)
+    euler = euler_form(gentle.g_vector_of_band(w1, n), gentle.g_vector_of_band(w2, n))
+    return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
 
 
 def hom_difference_check(z1: Sequence[gentle.Step], z2: Sequence[gentle.Step]) -> bool:
@@ -130,12 +146,8 @@ def hom_difference_check(z1: Sequence[gentle.Step], z2: Sequence[gentle.Step]) -
     w1, w2 = tuple(z1), tuple(z2)
     if not gentle.validate_band_walk(w1) or not gentle.validate_band_walk(w2):
         raise InvalidWalk("both arguments must be band walks")
-    n = 1 + max(s.index for s in w1 + w2)
-    x = gentle.band_module(w1, 1, n=n)
-    y = gentle.band_module(w2, gentle.distinct_lambda(w1, 1, w2, 1), n=n)
-    gx = gentle.g_vector_of_band(w1, n=n)
-    gy = gentle.g_vector_of_band(w2, n=n)
-    return euler_form(gx, gy) == gentle.hom_dim(x, y) - gentle.hom_dim(y, x)
+    hom_xy, hom_yx, euler = band_hom(w1, w2, None, 1, None)
+    return euler == hom_xy - hom_yx
 
 
 def witness_family(n: int) -> tuple[GVector, ...]:
@@ -159,8 +171,8 @@ def witness_family(n: int) -> tuple[GVector, ...]:
     return tuple(family)
 
 
-def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.Walk]:
-    # brick g-vectors with max-norm <= box, each with its canonical walk
+def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, Family]:
+    # brick g-vectors with max-norm <= box, each with its band family
     bricks = {}
 
     def extend(prefix: list[int], partial: int) -> None:
@@ -168,9 +180,9 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.Walk]:
             last = -partial
             if abs(last) <= box:
                 candidate = tuple(prefix) + (last,)
-                walk = _brick_walk(candidate) if any(candidate) else None
-                if walk is not None:
-                    bricks[candidate] = walk
+                family = _brick_family(candidate) if any(candidate) else None
+                if family is not None:
+                    bricks[candidate] = family
             return
         for a in range(-box, box + 1):
             if partial + a <= 0:
@@ -210,8 +222,8 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
         raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
     if box < 1:
         raise BadDimension(f"the box must have max-norm at least 1, got {box}")
-    walks = _enumerate_brick_gvectors(n, box)
-    bricks = list(walks)
+    families = _enumerate_brick_gvectors(n, box)
+    bricks = list(families)
     index = {g: i for i, g in enumerate(bricks)}
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
     for i, g1 in enumerate(bricks):
@@ -219,7 +231,7 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
             g2 = bricks[j]
             if euler_form(g1, g2) != 0:
                 continue
-            if _compatible_walks(walks[g1], walks[g2], n):
+            if _compatible_families(families[g1], families[g2]):
                 adj[i].add(j)
                 adj[j].add(i)
     seed = [g for g in witness_family(n) if g in index]

@@ -6,18 +6,21 @@ sequences of signed steps stored in written (composition) order: the
 rightmost step is traversed first, and consecutive written steps x, y
 compose when from(x) == to(y).
 
-A band module of multiplicity one is its walk with one scalar: each
-arrow is stored sparsely, sending a basis vector to at most one basis
-vector with an exact rational scalar.  The gentle relations are checked
-on every build in one pass over the walk.  Hom dimensions come from the
-nullity of the intertwiner system.  Its equations have at most two terms,
-so the nullity is a count of connected components of unknowns, found in
-one walk over the links without any elimination (the dimension is
-independent of the base field).
+A band module of multiplicity one is its walk with one scalar: only the
+arrows the walk uses are stored, each sending a basis vector to at most
+one basis vector, and the scalar is stored once with its entry, so the
+members of a family share their basis maps.  The gentle relations are
+checked on every build in one pass over the walk.  Hom dimensions come
+from the nullity of the intertwiner system.  Its equations have at most
+two terms, so the nullity is a count of connected components of
+unknowns, found in one walk over the links without any elimination (the
+dimension is independent of the base field).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,7 +176,8 @@ def distinct_lambda(
     return lam2 + 1 if canonical_band(w1, lam1) == canonical_band(w2, lam2) else lam2
 
 
-Arrow = dict[int, tuple[int, Fraction]]
+Arrow = dict[int, int]
+Scalar = Fraction | int
 
 
 @dataclass
@@ -181,22 +185,26 @@ class BandModule:
     """Exact-rational representation attached to a band walk.
 
     dims[i] is the dimension at vertex i+1.  arrows[(kind, index)] maps a
-    basis index at vertex index+1 to (basis index at vertex index, scalar)
-    for every arrow of the quiver.  The scalar lam sits on the wrap-around
-    step of the canonical rotation; every other scalar is 1.
+    basis index at vertex index+1 to a basis index at vertex index, for
+    the arrows the walk uses; an absent arrow is zero.  Every entry is 1
+    except the one at lam_at = (kind, index, source), the wrap-around step
+    of the canonical rotation, which is lam.  So
+    dataclasses.replace(module, lam=mu) is the member mu of the same
+    family, sharing dims, arrows and walk.
     """
 
     n: int
     dims: tuple[int, ...]
     arrows: dict[tuple[str, int], Arrow]
     lam: Fraction
+    lam_at: tuple[str, int, int]
     walk: Walk
 
     def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of one arrow, shape dims[index-1] x dims[index]."""
         rows = [[Fraction(0)] * self.dims[index] for _ in range(self.dims[index - 1])]
-        for col, (row, value) in self.arrows[(kind, index)].items():
-            rows[row][col] = value
+        for col, row in self.arrows.get((kind, index), {}).items():
+            rows[row][col] = self.lam if (kind, index, col) == self.lam_at else Fraction(1)
         return tuple(tuple(row) for row in rows)
 
 
@@ -221,16 +229,15 @@ def band_module(
     for v in visits:
         index_in_vertex.append(dims[v - 1])
         dims[v - 1] += 1
-    arrows: dict[tuple[str, int], Arrow] = {
-        (kind, idx): {} for idx in range(1, n) for kind in ("a", "b")
-    }
+    arrows: dict[tuple[str, int], Arrow] = {}
     for t, s in enumerate(trav):
         here, there = index_in_vertex[t], index_in_vertex[(t + 1) % r]
         if s.exp < 0:
             here, there = there, here
-        arrows[(s.kind, s.index)][here] = (there, lam if t == r - 1 else Fraction(1))
+        arrows.setdefault((s.kind, s.index), {})[here] = there
     _check_relations(arrows, r)
-    return BandModule(n=n, dims=tuple(dims), arrows=arrows, lam=lam, walk=walk)
+    lam_at = (s.kind, s.index, here)  # the loop ends on the wrap-around step
+    return BandModule(n=n, dims=tuple(dims), arrows=arrows, lam=lam, lam_at=lam_at, walk=walk)
 
 
 def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
@@ -241,7 +248,7 @@ def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
         raise InternalInconsistency("two steps send one vector along one arrow")
     for (kind, idx), second in arrows.items():
         first = arrows.get(("b" if kind == "a" else "a", idx - 1))
-        if first and any(row in first for row, _ in second.values()):
+        if first and any(row in first for row in second.values()):
             raise InternalInconsistency(f"a relation through {kind}{idx} does not vanish")
 
 
@@ -251,47 +258,49 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
     for every arrow g: s -> t the equation f_t M_g = W_g f_s must hold.
     M_g has at most one entry per column and W_g at most one per row, so
-    each entry equation reads p x = q y (p, q non-zero integers) or x = 0.
-    Each component of unknowns linked by these equations adds one
-    dimension when it holds no forced zero and its cycles are consistent.
+    each entry equation reads p x = q y (p, q each 1 or a parameter) or
+    x = 0.  Arrows neither module uses give no equation.  Each component
+    of unknowns linked by these equations adds one dimension when it
+    holds no forced zero and its cycles are consistent.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
-    base = [0] * (m.n + 1)
-    for i in range(m.n):
-        base[i + 1] = base[i] + w.dims[i] * m.dims[i]
-    # links[x] holds (y, p, q) for every equation p x = q y; zero[x]
-    # marks an unknown that an equation forces to 0
-    links: list[list[tuple[int, int, int]]] = [[] for _ in range(base[m.n])]
+    base = list(itertools.accumulate(map(operator.mul, w.dims, m.dims), initial=0))
+    # links[x] holds (y, p, q) for every equation p x = q y, each of p, q
+    # 1 or a parameter; zero[x] marks an unknown that an equation forces to 0
+    links: list[list[tuple[int, Scalar, Scalar]]] = [[] for _ in range(base[m.n])]
     zero = [False] * base[m.n]
 
     def var(vertex: int, row: int, col: int) -> int:
         # f at vertex (1-based): row in w basis, col in m basis
         return base[vertex - 1] + row * m.dims[vertex - 1] + col
 
-    for (kind, idx), m_arrow in m.arrows.items():
+    for kind, idx in dict.fromkeys([*m.arrows, *w.arrows]):
         src, tgt = idx + 1, idx
-        w_rows = {u: (k, b) for k, (u, b) in w.arrows[(kind, idx)].items()}
+        m_arrow = m.arrows.get((kind, idx), {})
+        w_rows = {u: k for k, u in w.arrows.get((kind, idx), {}).items()}
+        # the source index holding each module's parameter on this arrow
+        m_lam = m.lam_at[2] if m.lam_at[:2] == (kind, idx) else -1
+        w_lam = w.lam_at[2] if w.lam_at[:2] == (kind, idx) else -1
         for v in range(m.dims[src - 1]):
             image = m_arrow.get(v)
+            p = m.lam if v == m_lam else 1
             for u in range(w.dims[tgt - 1]):
                 preimage = w_rows.get(u)
                 if image is None:
                     if preimage is not None:
-                        zero[var(src, preimage[0], v)] = True
+                        zero[var(src, preimage, v)] = True
                 elif preimage is None:
-                    zero[var(tgt, u, image[0])] = True
+                    zero[var(tgt, u, image)] = True
                 else:
-                    # a x - b y = 0, scaled by the denominators of a and b
-                    (mk, a), (wk, b) = image, preimage
-                    x, y = var(tgt, u, mk), var(src, wk, v)
-                    p, q = a.numerator * b.denominator, b.numerator * a.denominator
+                    x, y = var(tgt, u, image), var(src, preimage, v)
+                    q = w.lam if preimage == w_lam else 1
                     links[x].append((y, p, q))
                     links[y].append((x, q, p))
     return _free_components(links, zero)
 
 
-def _free_components(links: list[list[tuple[int, int, int]]], zero: list[bool]) -> int:
+def _free_components(links: list[list[tuple[int, Scalar, Scalar]]], zero: list[bool]) -> int:
     # one walk per component: start at 1, carry y = x p / q along each
     # link, and count the component unless it meets a forced zero or a
     # link whose far end already holds another value

@@ -1,9 +1,13 @@
 """Acceptance gate: every criterion runs and prints one status line."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bandbrick
 from bandbrick import acceptance
 
 
@@ -27,3 +31,17 @@ def test_criterion(number, name, suite, request):
     status = "PASS" if ok else "FAIL"
     _report(request.config, f"ACCEPTANCE {number} ({name}): {status}")
     assert ok, f"criterion {number} ({name}): {detail}"
+
+
+@pytest.mark.parametrize("name", ["golden", "witness", "hom-euler"])
+def test_suite_passes_under_optimize(name):
+    # python -O strips assert statements; the invariants must still be checked
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bandbrick.cli", "verify", name],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

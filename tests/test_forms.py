@@ -141,6 +141,59 @@ class TestGenericityGuard:
             forms.compatible((-2, 1, 0, 1), (-1, 0, 1, 0))
 
 
+def _reference_compatible(z1, z2, n):
+    # both modules built again for each pair and each parameter, the second
+    # moved to a distinct member of the family when both walks are one band
+    answers = set()
+    for lam in (1, 2, 3):
+        m1 = gentle.band_module(z1, lam, n=n)
+        m2 = gentle.band_module(z2, gentle.distinct_lambda(z1, lam, z2, lam), n=n)
+        answers.add(gentle.hom_dim(m1, m2) == 0 and gentle.hom_dim(m2, m1) == 0)
+    assert len(answers) == 1
+    return answers.pop()
+
+
+class TestCompatibilityAgainstRebuild:
+    @pytest.mark.parametrize("n, box", [(2, 2), (3, 2), (4, 2), (5, 2), (4, 3)])
+    def test_euler_zero_pairs(self, n, box):
+        families = forms._enumerate_brick_gvectors(n, box)
+        bricks = sorted(families)
+        pairs = [
+            (g1, g2)
+            for i, g1 in enumerate(bricks)
+            for g2 in bricks[i:]
+            if forms.euler_form(g1, g2) == 0
+        ]
+        assert pairs
+        for g1, g2 in pairs:
+            want = _reference_compatible(families[g1][0].walk, families[g2][0].walk, n)
+            assert forms.compatible(g1, g2) == want, (g1, g2)
+            if g1 != g2:
+                assert forms._compatible_families(families[g1], families[g2]) == want
+
+
+class TestFamilies:
+    def test_members_share_maps(self):
+        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
+        assert [m.lam for m in family] == [1, 2, 3]
+        for m in family[1:]:
+            assert m.arrows is family[0].arrows and m.dims is family[0].dims
+            assert m.walk is family[0].walk and m.lam_at == family[0].lam_at
+
+    def test_search_builds_each_brick_once(self, monkeypatch):
+        bricks = len(forms._enumerate_brick_gvectors(5, 2))
+        build = gentle.band_module
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gentle, "band_module", counted)
+        forms.max_compatible_search(5, 2)
+        assert len(calls) == bricks
+
+
 class TestMaxCompatible:
     def test_small_searches(self):
         assert forms.max_compatible_search(3, 2) == (1, ((-2, 1, 1),))
