@@ -69,5 +69,9 @@ class InvalidComponent(DomainError):
     """A multislalom component does not convert to a band walk."""
 
 
+class SearchTooLarge(DomainError):
+    """An enumeration would exceed its named size bound."""
+
+
 class AllZero(DomainError):
     """An exponent vector that must have a positive entry is all zero."""

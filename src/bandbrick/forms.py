@@ -11,7 +11,9 @@ once: its members share their basis maps and differ only in the scalar.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,10 +27,17 @@ from .errors import (
     InvalidWalk,
     NotABrick,
     NotInHyperplane,
+    SearchTooLarge,
 )
 
 GVector = tuple[int, ...]
 Family = tuple[gentle.BandModule, ...]
+
+# bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
+# enumerate; time also grows with the walk lengths, so the slowest
+# admitted search is n = 3, box = 70 (about 17 s, Python 3.11, 2 CPUs),
+# while (6, 3) takes 1.3 s and (7, 2) 0.8 s
+MAX_SEARCH_PREFIXES = 20_000
 
 
 def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
@@ -37,7 +46,9 @@ def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
         raise DimensionMismatch(f"lengths differ: {len(x)} != {len(y)}")
     total = 0
     suffix = sum(y)
-    for xi, yi in zip(x, y):
+    # only the entries where x or y is non-zero, picked in C
+    for i in itertools.compress(range(len(x)), map(operator.or_, x, y)):
+        xi, yi = x[i], y[i]
         suffix -= yi
         total += xi * yi + 2 * xi * suffix
     return total
@@ -222,6 +233,13 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
         raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
     if box < 1:
         raise BadDimension(f"the box must have max-norm at least 1, got {box}")
+    prefixes = 1
+    for _ in range(n - 1):
+        prefixes *= 2 * box + 1
+        if prefixes > MAX_SEARCH_PREFIXES:
+            raise SearchTooLarge(
+                f"n = {n}, box = {box} exceeds {MAX_SEARCH_PREFIXES} prefixes (2 box + 1)^(n - 1)"
+            )
     families = _enumerate_brick_gvectors(n, box)
     bricks = list(families)
     index = {g: i for i, g in enumerate(bricks)}

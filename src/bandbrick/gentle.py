@@ -10,17 +10,18 @@ A band module of multiplicity one is its walk with one scalar: only the
 arrows the walk uses are stored, each sending a basis vector to at most
 one basis vector, and the scalar is stored once with its entry, so the
 members of a family share their basis maps.  The gentle relations are
-checked on every build in one pass over the walk.  Hom dimensions come
-from the nullity of the intertwiner system.  Its equations have at most
-two terms, so the nullity is a count of connected components of
-unknowns, found in one walk over the links without any elimination (the
-dimension is independent of the base field).
+checked on every build in one pass over the walk.  Hom dimensions count
+graph maps (Crawley-Boevey 1989, Krause 1991): a top of the source over a
+bottom of the target, a maximal common subwalk of the two walks (one of
+them possibly read backwards) whose ends are admissible, and, when both
+modules lie on one band, the one cycle if its holonomy is 1.  No
+equation is built and the count is independent of the base field.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +155,10 @@ def canonical_walk(steps: Sequence[Step]) -> Walk:
     return walk[k:] + walk[:k]
 
 
+def _inverse(walk: Walk) -> Walk:
+    return tuple(s.inverse() for s in reversed(walk))
+
+
 def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fraction]:
     """Canonical (walk, parameter) of a band module, up to isomorphism.
 
@@ -163,7 +168,7 @@ def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fr
     holonomy twice.
     """
     forward = canonical_walk(steps)
-    backward = canonical_walk(tuple(s.inverse() for s in reversed(forward)))
+    backward = canonical_walk(_inverse(forward))
     return min(forward, backward, key=_walk_key), Fraction(lam)
 
 
@@ -177,7 +182,6 @@ def distinct_lambda(
 
 
 Arrow = dict[int, int]
-Scalar = Fraction | int
 
 
 @dataclass
@@ -188,9 +192,11 @@ class BandModule:
     basis index at vertex index+1 to a basis index at vertex index, for
     the arrows the walk uses; an absent arrow is zero.  Every entry is 1
     except the one at lam_at = (kind, index, source), the wrap-around step
-    of the canonical rotation, which is lam.  So
-    dataclasses.replace(module, lam=mu) is the member mu of the same
-    family, sharing dims, arrows and walk.
+    of the canonical rotation, which is lam.  codes[t] is traversal step t
+    (from basis t to t + 1) as index << 2 | (kind b) << 1 | (inverse), so
+    c ^ 1 is the step read backwards.  dataclasses.replace(module, lam=mu)
+    is the member mu of the same family, sharing dims, arrows, walk and
+    codes.
     """
 
     n: int
@@ -199,6 +205,7 @@ class BandModule:
     lam: Fraction
     lam_at: tuple[str, int, int]
     walk: Walk
+    codes: tuple[int, ...]
 
     def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of one arrow, shape dims[index-1] x dims[index]."""
@@ -237,7 +244,8 @@ def band_module(
         arrows.setdefault((s.kind, s.index), {})[here] = there
     _check_relations(arrows, r)
     lam_at = (s.kind, s.index, here)  # the loop ends on the wrap-around step
-    return BandModule(n=n, dims=tuple(dims), arrows=arrows, lam=lam, lam_at=lam_at, walk=walk)
+    codes = tuple(s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in trav)
+    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, codes)
 
 
 def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
@@ -253,79 +261,71 @@ def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
 
 
 def hom_dim(m: BandModule, w: BandModule) -> int:
-    """Dimension of the space of morphisms m -> w.
+    """Dimension of the space of morphisms m -> w, counted as graph maps.
 
-    Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
-    for every arrow g: s -> t the equation f_t M_g = W_g f_s must hold.
-    M_g has at most one entry per column and W_g at most one per row, so
-    each entry equation reads p x = q y (p, q each 1 or a parameter) or
-    x = 0.  Arrows neither module uses give no equation.  Each component
-    of unknowns linked by these equations adds one dimension when it
-    holds no forced zero and its cycles are consistent.
+    A graph map is a free component of the pair graph: its nodes pair a
+    basis vector of m with one of w at the same vertex, and an edge joins
+    two nodes when both modules move along one arrow, so every component
+    is a path or a cycle.  The free ones are the singletons that pair a
+    top of m with a bottom of w, the maximal common walks of at least one
+    step whose two ends are admissible (m leaves the end by an arrow out
+    of it, w by an arrow into it), with w read forwards or backwards, and
+    the one cycle when m and w lie on one band, free when its holonomy
+    is 1.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
-    base = list(itertools.accumulate(map(operator.mul, w.dims, m.dims), initial=0))
-    # links[x] holds (y, p, q) for every equation p x = q y, each of p, q
-    # 1 or a parameter; zero[x] marks an unknown that an equation forces to 0
-    links: list[list[tuple[int, Scalar, Scalar]]] = [[] for _ in range(base[m.n])]
-    zero = [False] * base[m.n]
-
-    def var(vertex: int, row: int, col: int) -> int:
-        # f at vertex (1-based): row in w basis, col in m basis
-        return base[vertex - 1] + row * m.dims[vertex - 1] + col
-
-    for kind, idx in dict.fromkeys([*m.arrows, *w.arrows]):
-        src, tgt = idx + 1, idx
-        m_arrow = m.arrows.get((kind, idx), {})
-        w_rows = {u: k for k, u in w.arrows.get((kind, idx), {}).items()}
-        # the source index holding each module's parameter on this arrow
-        m_lam = m.lam_at[2] if m.lam_at[:2] == (kind, idx) else -1
-        w_lam = w.lam_at[2] if w.lam_at[:2] == (kind, idx) else -1
-        for v in range(m.dims[src - 1]):
-            image = m_arrow.get(v)
-            p = m.lam if v == m_lam else 1
-            for u in range(w.dims[tgt - 1]):
-                preimage = w_rows.get(u)
-                if image is None:
-                    if preimage is not None:
-                        zero[var(src, preimage, v)] = True
-                elif preimage is None:
-                    zero[var(tgt, u, image)] = True
-                else:
-                    x, y = var(tgt, u, image), var(src, preimage, v)
-                    q = w.lam if preimage == w_lam else 1
-                    links[x].append((y, p, q))
-                    links[y].append((x, q, p))
-    return _free_components(links, zero)
+    x, y = m.codes, w.codes
+    # a top is left along both its steps by arrows out of it, a bottom by
+    # arrows into it; a positive step leaves index + 1, a negative one index
+    x_turns = itertools.pairwise(itertools.chain(x[-1:], x))
+    y_turns = itertools.pairwise(itertools.chain(y[-1:], y))
+    tops = collections.Counter((c >> 2) + 1 for p, c in x_turns if p & 1 > c & 1)
+    free = sum(tops[c >> 2] for p, c in y_turns if p & 1 < c & 1)
+    # scratch sequences are lists: short tuples would pile up in the
+    # interpreter's tuple free lists and raise the peak memory
+    free += _admissible_walks(x, y) + _admissible_walks(x, [c ^ 1 for c in reversed(y)])
+    if x == y or (m.dims == w.dims and canonical_walk(_inverse(w.walk)) == m.walk):
+        # lam sits on traversal step r - 1 of each module (lam_at), whose
+        # equation reads lam_m f(target) = f(source) for m and
+        # f(target) = lam_w f(source) for w; every other edge of the cycle
+        # carries 1.  Following m's traversal, each of the two steps is
+        # crossed along its arrow (e = 1) or against it (e = -1), so the
+        # holonomy is lam_m^-e_m lam_w^e_w.  w's step r - 1 is crossed
+        # forwards when x == y, backwards (its sign flipped) otherwise.
+        e_m = 1 - 2 * (x[-1] & 1)
+        e_w = 1 - 2 * (y[-1] & 1) if x == y else 2 * (y[-1] & 1) - 1
+        free += m.lam**e_m == w.lam**e_w
+    return free
 
 
-def _free_components(links: list[list[tuple[int, Scalar, Scalar]]], zero: list[bool]) -> int:
-    # one walk per component: start at 1, carry y = x p / q along each
-    # link, and count the component unless it meets a forced zero or a
-    # link whose far end already holds another value
-    value: list[int | Fraction | None] = [None] * len(links)
+def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> int:
+    # maximal common walks x[i:i+d] == y[j:j+d], d >= 1, with admissible
+    # ends.  A start node is admissible exactly when x arrives at it by a
+    # negative step and y by a positive one, so the steps before it differ
+    # and each walk is found once, from its first step; an end node when x
+    # goes on by a positive step and y by a negative one.  Fine-Wilf: a
+    # common walk longer than both periods never ends, which only the
+    # cycle of one band does, and no start lies on it.
+    bound = len(x) + len(y)
+    # repeated past any common walk, then a sentinel that matches nothing
+    xs = [*x] * (bound // len(x) + 3) + [-1]
+    ys = [*y] * (bound // len(y) + 3) + [-2]
+    firsts: dict[int, list[int]] = {}
+    for j in range(len(y)):
+        if not y[j - 1] & 1:
+            firsts.setdefault(y[j], []).append(j)
     free = 0
-    for start in range(len(links)):
-        if value[start] is not None:
-            continue
-        value[start] = 1
-        stack = [start]
-        consistent = True
-        while stack:
-            x = stack.pop()
-            if zero[x]:
-                consistent = False
-            vx = value[x]
-            for y, p, q in links[x]:
-                vy = vx if p == q else Fraction(vx * p, q)
-                seen = value[y]
-                if seen is None:
-                    value[y] = vy
-                    stack.append(y)
-                elif seen != vy:
-                    consistent = False
-        free += consistent
+    for i in range(len(x)):
+        if x[i - 1] & 1:
+            for j in firsts.get(x[i], ()):
+                a, b = i + 1, j + 1
+                while xs[a] == ys[b]:
+                    a += 1
+                    b += 1
+                if a - i > bound:
+                    raise InternalInconsistency(f"a common walk outruns its bound {bound}")
+                free += xs[a] & 1 < ys[b] & 1
     return free
 
 

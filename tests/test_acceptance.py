@@ -33,7 +33,7 @@ def test_criterion(number, name, suite, request):
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-@pytest.mark.parametrize("name", ["golden", "witness", "hom-euler"])
+@pytest.mark.parametrize("name", ["golden", "witness", "hom-euler", "brick-pcw", "max-compat"])
 def test_suite_passes_under_optimize(name):
     # python -O strips assert statements; the invariants must still be checked
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,14 @@ class TestFanCommands:
         assert err.startswith("error: BadDimension: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_maxcompat_too_large(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fan", "maxcompat", "--n", "12", "--box", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SearchTooLarge: ")
+        assert err.count("\n") == 1
 
     def test_maxcompat_has_no_seed(self, capsys):
         code, _, _ = run(capsys, "fan", "maxcompat", "--n", "3", "--box", "2", "--seed", "1")

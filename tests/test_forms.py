@@ -14,6 +14,7 @@ from bandbrick.errors import (
     GenericityViolation,
     NotABrick,
     NotInHyperplane,
+    SearchTooLarge,
 )
 
 
@@ -180,6 +181,11 @@ class TestFamilies:
             assert m.arrows is family[0].arrows and m.dims is family[0].dims
             assert m.walk is family[0].walk and m.lam_at == family[0].lam_at
 
+    def test_members_share_step_codes(self):
+        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
+        assert all(m.codes is family[0].codes for m in family)
+        assert len(family[0].codes) == len(family[0].walk)
+
     def test_search_builds_each_brick_once(self, monkeypatch):
         bricks = len(forms._enumerate_brick_gvectors(5, 2))
         build = gentle.band_module
@@ -209,6 +215,22 @@ class TestMaxCompatible:
     def test_bad_size_rejected(self, n, box):
         with pytest.raises(BadDimension):
             forms.max_compatible_search(n, box)
+
+    @pytest.mark.parametrize("n, box", [(12, 3), (8, 2), (7, 3), (5, 6), (3, 71), (10**9, 3)])
+    def test_search_too_large_raises_before_enumerating(self, monkeypatch, n, box):
+        def enumerate_(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(forms, "_enumerate_brick_gvectors", enumerate_)
+        with pytest.raises(SearchTooLarge):
+            forms.max_compatible_search(n, box)
+
+    @pytest.mark.parametrize(
+        "n, box", [(3, 6), (4, 3), (5, 2), (4, 4), (5, 3), (6, 2), (7, 2), (6, 3), (3, 70)]
+    )
+    def test_search_bound_admits(self, monkeypatch, n, box):
+        monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda *args: {})
+        assert forms.max_compatible_search(n, box) == (0, ())
 
 
 class TestNecklaceBound:

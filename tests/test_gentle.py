@@ -1,6 +1,7 @@
 """Band walks and band modules: validity, matrices, Hom spaces, g-vectors."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandbrick import dyck, gentle, words
+from bandbrick import dyck, forms, gentle, words
 from bandbrick.forms import euler_form
+from bandbrick.gentle import BandModule
 from bandbrick.errors import (
+    DimensionMismatch,
     InternalInconsistency,
     InvalidWalk,
     LetterOutOfRange,
+    MultipleCycles,
     NonPrimitive,
     ZeroLambda,
 )
@@ -323,6 +327,162 @@ class TestHomAgainstDenseElimination:
             x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
             y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
             assert gentle.hom_dim(x, y) == _reference_hom_dim(x, y), (w1, w2)
+
+
+# The intertwiner engine that hom_dim replaced, kept as a second engine:
+# it links the unknowns of f_t M_g = W_g f_s and counts the free components.
+Scalar = Fraction | int
+
+
+def _intertwiner_hom_dim(m: BandModule, w: BandModule) -> int:
+    """Dimension of the space of morphisms m -> w.
+
+    Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
+    for every arrow g: s -> t the equation f_t M_g = W_g f_s must hold.
+    M_g has at most one entry per column and W_g at most one per row, so
+    each entry equation reads p x = q y (p, q each 1 or a parameter) or
+    x = 0.  Arrows neither module uses give no equation.  Each component
+    of unknowns linked by these equations adds one dimension when it
+    holds no forced zero and its cycles are consistent.
+    """
+    if m.n != w.n:
+        raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
+    base = list(itertools.accumulate(map(operator.mul, w.dims, m.dims), initial=0))
+    # links[x] holds (y, p, q) for every equation p x = q y, each of p, q
+    # 1 or a parameter; zero[x] marks an unknown that an equation forces to 0
+    links: list[list[tuple[int, Scalar, Scalar]]] = [[] for _ in range(base[m.n])]
+    zero = [False] * base[m.n]
+
+    def var(vertex: int, row: int, col: int) -> int:
+        # f at vertex (1-based): row in w basis, col in m basis
+        return base[vertex - 1] + row * m.dims[vertex - 1] + col
+
+    for kind, idx in dict.fromkeys([*m.arrows, *w.arrows]):
+        src, tgt = idx + 1, idx
+        m_arrow = m.arrows.get((kind, idx), {})
+        w_rows = {u: k for k, u in w.arrows.get((kind, idx), {}).items()}
+        # the source index holding each module's parameter on this arrow
+        m_lam = m.lam_at[2] if m.lam_at[:2] == (kind, idx) else -1
+        w_lam = w.lam_at[2] if w.lam_at[:2] == (kind, idx) else -1
+        for v in range(m.dims[src - 1]):
+            image = m_arrow.get(v)
+            p = m.lam if v == m_lam else 1
+            for u in range(w.dims[tgt - 1]):
+                preimage = w_rows.get(u)
+                if image is None:
+                    if preimage is not None:
+                        zero[var(src, preimage, v)] = True
+                elif preimage is None:
+                    zero[var(tgt, u, image)] = True
+                else:
+                    x, y = var(tgt, u, image), var(src, preimage, v)
+                    q = w.lam if preimage == w_lam else 1
+                    links[x].append((y, p, q))
+                    links[y].append((x, q, p))
+    return _free_components(links, zero)
+
+
+def _free_components(links: list[list[tuple[int, Scalar, Scalar]]], zero: list[bool]) -> int:
+    # one walk per component: start at 1, carry y = x p / q along each
+    # link, and count the component unless it meets a forced zero or a
+    # link whose far end already holds another value
+    value: list[int | Fraction | None] = [None] * len(links)
+    free = 0
+    for start in range(len(links)):
+        if value[start] is not None:
+            continue
+        value[start] = 1
+        stack = [start]
+        consistent = True
+        while stack:
+            x = stack.pop()
+            if zero[x]:
+                consistent = False
+            vx = value[x]
+            for y, p, q in links[x]:
+                vy = vx if p == q else Fraction(vx * p, q)
+                seen = value[y]
+                if seen is None:
+                    value[y] = vy
+                    stack.append(y)
+                elif seen != vy:
+                    consistent = False
+        free += consistent
+    return free
+
+
+class TestHomAgainstIntertwiner:
+    LAMBDAS = (
+        Fraction(1), Fraction(2), Fraction(-1), Fraction(3, 2), Fraction(-2, 5), Fraction(2, 3)
+    )
+
+    @pytest.mark.parametrize(
+        "lam1, lam2",
+        [(1, 1), (Fraction(3, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(2, 3)), (-1, -1),
+         (2, 3)],
+    )
+    def test_same_and_inverse_band(self, lam1, lam2):
+        for walk in _small_walks():
+            n = 1 + max(s.index for s in walk)
+            x = gentle.band_module(walk, lam1, n)
+            for other in (walk, _inverse(walk)):
+                y = gentle.band_module(other, lam2, n)
+                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (walk, other)
+                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(y, x), (walk, other)
+
+    def test_seeded_pairs(self):
+        walks = _small_walks()
+        rng = random.Random(7)
+        for _ in range(2000):
+            w1, w2 = rng.choice(walks), rng.choice(walks)
+            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4, 5)))
+            x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
+            y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
+            assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (w1, w2)
+
+    def test_euler_zero_brick_pairs(self):
+        families = forms._enumerate_brick_gvectors(5, 2)
+        pairs = 0
+        for g1, g2 in itertools.product(families, repeat=2):
+            if euler_form(g1, g2) != 0:
+                continue
+            f1, f2 = families[g1], families[g2]
+            for x, y in zip(f1, f2[1:] + f2[:1] if g1 == g2 else f2):
+                pairs += 1
+                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (g1, g2, x.lam)
+                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(y, x), (g1, g2, x.lam)
+        assert pairs > 100
+
+
+def _perfectly_clustering_words(rng, length, count):
+    # bw_inverse of weakly decreasing words over 2..5 whose standard
+    # permutation is one cycle
+    found = []
+    while len(found) < count:
+        cuts = sorted(rng.sample(range(1, length), 3))
+        runs = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
+        decreasing = [letter for letter, run in zip((5, 4, 3, 2), runs) for _ in range(run)]
+        try:
+            found.append(words.bw_inverse(decreasing))
+        except MultipleCycles:
+            continue
+    return found
+
+
+class TestTheoremAtScale:
+    def test_brick_exactly_when_perfectly_clustering(self):
+        # the paper's theorem on words of about 300 letters (walks of more
+        # than a thousand steps), four of each kind
+        rng = random.Random(300)
+        pool = _perfectly_clustering_words(rng, 300, 4)
+        while len(pool) < 8:
+            w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(300))
+            if words.is_primitive(w) and not words.is_perfectly_clustering(w):
+                pool.append(w)
+        for w in pool:
+            m = gentle.band_module(gentle.psi(w), 1)
+            assert gentle.is_brick(m) == words.is_perfectly_clustering(w), w
+        assert [words.is_perfectly_clustering(w) for w in pool] == [True] * 4 + [False] * 4
 
 
 class TestGVector:
