@@ -145,10 +145,11 @@ def band_hom(
     Y = M(w2, lam2) over n vertices.  n None is the smallest quiver holding
     both walks; lam2 None is 1, or 2 where (w2, 1) would be X itself."""
     n = 1 + max(s.index for s in w1 + w2) if n is None else n
-    lam2 = gentle.distinct_lambda(w1, lam1, w2, 1) if lam2 is None else lam2
     x = gentle.band_module(w1, lam1, n)
-    y = gentle.band_module(w2, lam2, n)
-    euler = euler_form(gentle.g_vector_of_band(w1, n), gentle.g_vector_of_band(w2, n))
+    y = gentle.band_module(w2, 1 if lam2 is None else lam2, n)
+    if lam2 is None:  # both walks are band walks by now
+        y = dataclasses.replace(y, lam=gentle.distinct_lambda(w1, lam1, w2, 1))
+    euler = euler_form(x.g_vector(), y.g_vector())
     return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
 
 

@@ -10,11 +10,13 @@ A band module of multiplicity one is its walk with one scalar: only the
 arrows the walk uses are stored, each sending a basis vector to at most
 one basis vector, and the scalar is stored once with its entry, so the
 members of a family share their basis maps.  The gentle relations are
-checked on every build in one pass over the walk.  Hom dimensions count
-graph maps (Crawley-Boevey 1989, Krause 1991): a top of the source over a
-bottom of the target, a maximal common subwalk of the two walks (one of
-them possibly read backwards) whose ends are admissible, and, when both
-modules lie on one band, the one cycle if its holonomy is 1.  No
+checked on every build in one pass over the walk.  All a-steps of a band
+walk share one sign and all b-steps the other, and a walk and its inverse
+give one module, so every module reads its walk with the a-steps as
+arrows.  Hom dimensions count graph maps (Crawley-Boevey 1989, Krause
+1991): a top of the source over a bottom of the target, a maximal common
+subwalk of the two walks whose ends are admissible, and, when both
+modules lie on one band, the one cycle if the parameters agree.  No
 equation is built and the count is independent of the base field.
 """
 
@@ -25,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import Component
 from .errors import (
@@ -121,29 +123,26 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
     return walk
 
 
+# the two sign patterns of a band walk, a-steps as arrows first
+_ORIENTATIONS = ({("a", 1), ("b", -1)}, {("a", -1), ("b", 1)})
+
+
 def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
-    """All band conditions: composable cycle, reduced, no relation or
-    inverse relation, primitive, at least one letter of each sign."""
+    """All band conditions: a composable primitive cycle whose a-steps
+    share one sign and whose b-steps share the other.
+
+    On a composable cycle the sign rule says the walk is reduced and
+    avoids the relations and their inverses: two composable steps of one
+    sign form a relation exactly when their kinds differ, and at a sign
+    change composability forces equal indices, so the pair backtracks
+    exactly when the kind stays.
+    """
     walk = tuple(steps)
-    r = len(walk)
-    if r == 0:
-        return False
     if n is not None and any(s.index < 1 or s.index >= n for s in walk):
         return False
-    for j in range(r):
-        x, y = walk[j], walk[(j + 1) % r]
-        if step_from(x) != step_to(y):
-            return False
-        if x.kind == y.kind and x.index == y.index and x.exp != y.exp:
-            return False
-        # relations are the alternating length-2 paths going up in index
-        if x.exp > 0 and y.exp > 0:
-            if x.kind != y.kind and y.index == x.index + 1:
-                return False
-        if x.exp < 0 and y.exp < 0:
-            if x.kind != y.kind and x.index == y.index + 1:
-                return False
-    if not any(s.exp > 0 for s in walk) or not any(s.exp < 0 for s in walk):
+    if {(s.kind, s.exp) for s in walk} not in _ORIENTATIONS:
+        return False
+    if any(step_from(x) != step_to(y) for x, y in zip(walk, walk[1:] + walk[:1])):
         return False
     return is_primitive(walk)
 
@@ -162,14 +161,16 @@ def _inverse(walk: Walk) -> Walk:
 def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fraction]:
     """Canonical (walk, parameter) of a band module, up to isomorphism.
 
-    Quotients the walk by rotation and inversion.  lam stays: band_module
-    puts it on an a-step, all a-steps of a band walk share one sign (the
-    arrow kind changes at every turn), so reversing the walk inverts the
-    holonomy twice.
+    The walk is read with its a-steps as arrows, inverted when they are
+    inverse arrows, then rotated by canonical_walk.  lam stays: all a-steps
+    of a band walk share one sign and band_module puts lam on an a-step, so
+    inverting the walk inverts the holonomy twice and M(w^-1, lam) is
+    M(w, lam).
     """
-    forward = canonical_walk(steps)
-    backward = canonical_walk(_inverse(forward))
-    return min(forward, backward, key=_walk_key), Fraction(lam)
+    walk = tuple(steps)
+    if any(s.kind == "a" and s.exp < 0 for s in walk):
+        walk = _inverse(walk)
+    return canonical_walk(walk), Fraction(lam)
 
 
 def distinct_lambda(
@@ -192,11 +193,11 @@ class BandModule:
     basis index at vertex index+1 to a basis index at vertex index, for
     the arrows the walk uses; an absent arrow is zero.  Every entry is 1
     except the one at lam_at = (kind, index, source), the wrap-around step
-    of the canonical rotation, which is lam.  codes[t] is traversal step t
-    (from basis t to t + 1) as index << 2 | (kind b) << 1 | (inverse), so
-    c ^ 1 is the step read backwards.  dataclasses.replace(module, lam=mu)
-    is the member mu of the same family, sharing dims, arrows, walk and
-    codes.
+    of the walk canonical_band picks, an a-step, which is lam.  codes[t] is
+    traversal step t (from basis t to t + 1) as
+    index << 2 | (kind b) << 1 | (inverse).  dataclasses.replace(module,
+    lam=mu) is the member mu of the same family, sharing dims, arrows, walk
+    and codes.
     """
 
     n: int
@@ -206,6 +207,13 @@ class BandModule:
     lam_at: tuple[str, int, int]
     walk: Walk
     codes: tuple[int, ...]
+
+    def g_vector(self) -> tuple[int, ...]:
+        """Top-minus-bottom counts per vertex, the turns of _turns."""
+        g = [0] * self.n
+        for vertex, turn in _turns(self.codes):
+            g[vertex - 1] += turn
+        return tuple(g)
 
     def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of one arrow, shape dims[index-1] x dims[index]."""
@@ -218,16 +226,17 @@ class BandModule:
 def band_module(
     steps: Sequence[Step], lam: Fraction | int, n: int | None = None
 ) -> BandModule:
-    """Band module of a walk with parameter lam (multiplicity 1)."""
+    """Band module of a walk with parameter lam (multiplicity 1), built on
+    canonical_band(steps, lam): the a-steps are arrows, so two modules lie
+    on one band exactly when their codes are equal."""
     walk = tuple(steps)
     if n is None:
         n = 1 + max((s.index for s in walk), default=0)
     if not validate_band_walk(walk, n):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
-    lam = Fraction(lam)
+    walk, lam = canonical_band(walk, lam)
     if lam == 0:
         raise ZeroLambda("the band parameter must be non-zero")
-    walk = canonical_walk(walk)
     trav = walk[::-1]
     r = len(trav)
     visits = [step_from(s) for s in trav]
@@ -263,40 +272,38 @@ def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
 def hom_dim(m: BandModule, w: BandModule) -> int:
     """Dimension of the space of morphisms m -> w, counted as graph maps.
 
-    A graph map is a free component of the pair graph: its nodes pair a
-    basis vector of m with one of w at the same vertex, and an edge joins
-    two nodes when both modules move along one arrow, so every component
-    is a path or a cycle.  The free ones are the singletons that pair a
-    top of m with a bottom of w, the maximal common walks of at least one
-    step whose two ends are admissible (m leaves the end by an arrow out
-    of it, w by an arrow into it), with w read forwards or backwards, and
-    the one cycle when m and w lie on one band, free when its holonomy
-    is 1.
+    Both modules come from band_module, so both walks read their a-steps
+    as arrows.  A graph map is a free component of the pair graph: its
+    nodes pair a basis vector of m with one of w at the same vertex, and
+    an edge joins two nodes when both modules move along one arrow, so
+    every component is a path or a cycle.  The free ones are the
+    singletons that pair a top of m with a bottom of w, the maximal common
+    walks of at least one step whose two ends are admissible (m leaves the
+    end by an arrow out of it, w by an arrow into it), and the one cycle
+    when m and w lie on one band, free when the parameters agree.  A
+    common walk of m and the inverse of w would pair an a-step read as an
+    arrow with one read as an inverse arrow, so there is none.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
     x, y = m.codes, w.codes
-    # a top is left along both its steps by arrows out of it, a bottom by
-    # arrows into it; a positive step leaves index + 1, a negative one index
-    x_turns = itertools.pairwise(itertools.chain(x[-1:], x))
-    y_turns = itertools.pairwise(itertools.chain(y[-1:], y))
-    tops = collections.Counter((c >> 2) + 1 for p, c in x_turns if p & 1 > c & 1)
-    free = sum(tops[c >> 2] for p, c in y_turns if p & 1 < c & 1)
-    # scratch sequences are lists: short tuples would pile up in the
-    # interpreter's tuple free lists and raise the peak memory
-    free += _admissible_walks(x, y) + _admissible_walks(x, [c ^ 1 for c in reversed(y)])
-    if x == y or (m.dims == w.dims and canonical_walk(_inverse(w.walk)) == m.walk):
-        # lam sits on traversal step r - 1 of each module (lam_at), whose
-        # equation reads lam_m f(target) = f(source) for m and
-        # f(target) = lam_w f(source) for w; every other edge of the cycle
-        # carries 1.  Following m's traversal, each of the two steps is
-        # crossed along its arrow (e = 1) or against it (e = -1), so the
-        # holonomy is lam_m^-e_m lam_w^e_w.  w's step r - 1 is crossed
-        # forwards when x == y, backwards (its sign flipped) otherwise.
-        e_m = 1 - 2 * (x[-1] & 1)
-        e_w = 1 - 2 * (y[-1] & 1) if x == y else 2 * (y[-1] & 1) - 1
-        free += m.lam**e_m == w.lam**e_w
+    tops = collections.Counter(v for v, turn in _turns(x) if turn > 0)
+    free = sum(tops[v] for v, turn in _turns(y) if turn < 0)
+    free += _admissible_walks(x, y)
+    # one orientation and one rotation put lam on the same step of both
+    # walks, so the cycle is free exactly when the parameters agree
+    free += x == y and m.lam == w.lam
     return free
+
+
+def _turns(codes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    # (vertex, 1) for each top of a cyclic traversal, (vertex, -1) for each
+    # bottom: a top is left along both its steps by arrows out of it (it
+    # is entered by an inverse step and left by an arrow), a bottom by
+    # arrows into it; a positive step leaves index + 1, a negative one index
+    for p, c in itertools.pairwise(itertools.chain(codes[-1:], codes)):
+        if p & 1 != c & 1:
+            yield (c >> 2) + (p & 1), (p & 1) - (c & 1)
 
 
 def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> int:
@@ -340,26 +347,9 @@ def ext1_dim(x: BandModule, y: BandModule) -> int:
 
 
 def g_vector_of_band(steps: Sequence[Step], n: int | None = None) -> tuple[int, ...]:
-    """Top-minus-bottom vertex counts of the cyclic walk.
-
-    A visited vertex is on top when the incoming traversal step is inverse
-    and the outgoing one direct, at the bottom in the opposite case.
-    """
-    walk = tuple(steps)
-    if n is None:
-        n = 1 + max((s.index for s in walk), default=0)
-    if not validate_band_walk(walk, n):
-        raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
-    trav = walk[::-1]
-    g = [0] * n
-    for t, cur in enumerate(trav):
-        prev = trav[t - 1]
-        vertex = step_from(cur)
-        if prev.exp < 0 and cur.exp > 0:
-            g[vertex - 1] += 1
-        elif prev.exp > 0 and cur.exp < 0:
-            g[vertex - 1] -= 1
-    return tuple(g)
+    """Top-minus-bottom vertex counts of the cyclic walk, read off its
+    band module (see BandModule.g_vector)."""
+    return band_module(steps, 1, n).g_vector()
 
 
 def slalom_to_band_walk(component: Component) -> Walk:

@@ -350,6 +350,16 @@ def _band_argv(draw):
 
 
 class TestExitContract:
+    @pytest.mark.parametrize(
+        "spec1, spec2", [("a1 b1-", "b1 b1-"), ("b1 b2-", "a1 b1-"), ("b1", "a1 b1-")]
+    )
+    def test_hom_rejects_a_non_band_before_choosing_lambda(self, capsys, spec1, spec2):
+        # the second parameter is chosen only once both walks are bands
+        code, out, err = run(capsys, "band", "hom", spec1, spec2)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidWalk: ")
+        assert err.count("\n") == 1
+
     @given(_band_argv())
     @settings(max_examples=300, deadline=None)
     def test_band_commands_exit_cleanly(self, argv):

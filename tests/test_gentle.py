@@ -97,6 +97,62 @@ class TestWalks:
         assert gentle.validate_band_walk(gentle.psi(w))
 
 
+def _reference_validate_band_walk(steps, n=None):
+    """The band conditions checked one by one: composable cycle, reduced,
+    no relation or inverse relation, primitive, both signs."""
+    walk = tuple(steps)
+    r = len(walk)
+    if r == 0:
+        return False
+    if n is not None and any(s.index < 1 or s.index >= n for s in walk):
+        return False
+    for j in range(r):
+        x, y = walk[j], walk[(j + 1) % r]
+        if gentle.step_from(x) != gentle.step_to(y):
+            return False
+        if x.kind == y.kind and x.index == y.index and x.exp != y.exp:
+            return False
+        # relations are the alternating length-2 paths going up in index
+        if x.exp > 0 and y.exp > 0:
+            if x.kind != y.kind and y.index == x.index + 1:
+                return False
+        if x.exp < 0 and y.exp < 0:
+            if x.kind != y.kind and x.index == y.index + 1:
+                return False
+    if not any(s.exp > 0 for s in walk) or not any(s.exp < 0 for s in walk):
+        return False
+    return words.is_primitive(walk)
+
+
+class TestSignRule:
+    @pytest.mark.parametrize("n, longest", [(3, 6), (4, 4)])
+    def test_matches_reference_exhaustively(self, n, longest):
+        # every step sequence over n vertices: the one sign rule accepts
+        # exactly the walks the separate conditions accept
+        steps = [
+            gentle.Step(kind, index, exp)
+            for kind in "ab" for index in range(1, n) for exp in (1, -1)
+        ]
+        accepted = 0
+        for length in range(1, longest + 1):
+            for walk in itertools.product(steps, repeat=length):
+                expected = _reference_validate_band_walk(walk, n)
+                assert gentle.validate_band_walk(walk, n) == expected, walk
+                accepted += expected
+        assert accepted > 0
+
+    def test_index_range_and_empty_walk(self):
+        walk = gentle.walk_from_str("a2 b2-")
+        assert gentle.validate_band_walk(walk, 3)
+        assert not gentle.validate_band_walk(walk, 2)
+        assert not gentle.validate_band_walk((), 3)
+
+    def test_canonical_band_without_a_step(self):
+        # not a band walk, but canonical_band must still answer
+        walk = gentle.walk_from_str("b1 b2-")
+        assert gentle.canonical_band(walk, 1) == (gentle.canonical_walk(walk), 1)
+
+
 def _inverse(walk):
     return tuple(s.inverse() for s in reversed(walk))
 
@@ -452,6 +508,78 @@ class TestHomAgainstIntertwiner:
                 assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (g1, g2, x.lam)
                 assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(y, x), (g1, g2, x.lam)
         assert pairs > 100
+
+
+def _unoriented_module(steps, lam, n=None):
+    """band_module with the walk rotated but not oriented: a walk whose
+    a-steps are inverse arrows keeps them."""
+    walk = tuple(steps)
+    if n is None:
+        n = 1 + max((s.index for s in walk), default=0)
+    if not gentle.validate_band_walk(walk, n):
+        raise InvalidWalk(f"not a band walk: {gentle.walk_to_str(walk)}")
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ZeroLambda("the band parameter must be non-zero")
+    walk = gentle.canonical_walk(walk)
+    trav = walk[::-1]
+    r = len(trav)
+    visits = [gentle.step_from(s) for s in trav]
+    dims = [0] * n
+    index_in_vertex = []
+    for v in visits:
+        index_in_vertex.append(dims[v - 1])
+        dims[v - 1] += 1
+    arrows = {}
+    for t, s in enumerate(trav):
+        here, there = index_in_vertex[t], index_in_vertex[(t + 1) % r]
+        if s.exp < 0:
+            here, there = there, here
+        arrows.setdefault((s.kind, s.index), {})[here] = there
+    gentle._check_relations(arrows, r)
+    lam_at = (s.kind, s.index, here)  # the loop ends on the wrap-around step
+    codes = tuple(s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in trav)
+    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, codes)
+
+
+class TestOrientation:
+    # the intertwiner on modules built from the walk as given, in either
+    # orientation, against hom_dim on the oriented modules
+
+    @pytest.mark.parametrize(
+        "lam1, lam2",
+        [(1, 1), (Fraction(3, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(2, 3)), (-1, -1),
+         (2, 3)],
+    )
+    def test_walk_and_inverse_against_intertwiner(self, lam1, lam2):
+        for walk in _small_walks():
+            n = 1 + max(s.index for s in walk)
+            x, u = gentle.band_module(walk, lam1, n), _unoriented_module(walk, lam1, n)
+            for other in (walk, _inverse(walk)):
+                y, v = gentle.band_module(other, lam2, n), _unoriented_module(other, lam2, n)
+                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(u, v), (walk, other)
+                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(v, u), (walk, other)
+
+    def test_seeded_pairs_against_intertwiner(self):
+        walks = _small_walks()
+        lambdas = TestHomAgainstIntertwiner.LAMBDAS
+        rng = random.Random(7)
+        for _ in range(2000):
+            w1, w2 = rng.choice(walks), rng.choice(walks)
+            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4, 5)))
+            lam1, lam2 = rng.choice(lambdas), rng.choice(lambdas)
+            x, y = gentle.band_module(w1, lam1, n), gentle.band_module(w2, lam2, n)
+            u, v = _unoriented_module(w1, lam1, n), _unoriented_module(w2, lam2, n)
+            assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(u, v), (w1, w2)
+
+    @pytest.mark.parametrize("lam", [1, Fraction(-2, 5)])
+    def test_walk_and_inverse_build_one_module(self, lam):
+        for walk in _small_walks():
+            x, y = gentle.band_module(walk, lam), gentle.band_module(_inverse(walk), lam)
+            assert (x.walk, x.codes, x.arrows, x.lam_at, x.dims) == (
+                y.walk, y.codes, y.arrows, y.lam_at, y.dims
+            ), walk
+            assert not any(s.kind == "a" and s.exp < 0 for s in x.walk)
 
 
 def _perfectly_clustering_words(rng, length, count):
