@@ -4,7 +4,9 @@ For n vertices the quiver has arrows a_i, b_i : i+1 -> i (1 <= i <= n-1)
 with relations b_i a_{i+1} = 0 and a_i b_{i+1} = 0.  Walks are cyclic
 sequences of signed steps stored in written (composition) order: the
 rightmost step is traversed first, and consecutive written steps x, y
-compose when from(x) == to(y).
+compose when from(x) == to(y).  Validation, orientation and rotation
+work on small int step codes, index << 2 | (kind b) << 1 | (inverse), one
+per step, made once from the Step objects of a walk.
 
 A band module of multiplicity one is its walk with one scalar: only the
 arrows the walk uses are stored, each sending a basis vector to at most
@@ -16,18 +18,19 @@ give one module, so every module reads its walk with the a-steps as
 arrows.  Hom dimensions count graph maps (Crawley-Boevey 1989, Krause
 1991): a top of the source over a bottom of the target, a maximal common
 subwalk of the two walks whose ends are admissible, and, when both
-modules lie on one band, the one cycle if the parameters agree.  No
-equation is built and the count is independent of the base field.
+modules lie on one band, the one cycle if the parameters agree.  Each
+module carries what the count reads of it (its tops, its bottoms and an
+index of its start positions), built with it and shared by its family,
+so a Hom call rebuilds nothing.  No equation is built and the count is
+independent of the base field.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .dyck import Component
 from .errors import (
@@ -71,7 +74,14 @@ def step_to(s: Step) -> int:
 
 
 def _walk_key(walk: Walk) -> list[tuple[str, int, int]]:
+    # the canonical order of steps: a before b, then the index, then the
+    # arrow before its inverse; _least_key_rotation orders codes this way
     return [(s.kind, s.index, 0 if s.exp > 0 else 1) for s in walk]
+
+
+def _step_codes(steps: Iterable[Step]) -> list[int]:
+    # each step as index << 2 | (kind b) << 1 | (inverse), in the given order
+    return [s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in steps]
 
 
 _TOKEN = re.compile(r"([ab])(\d+)(-?)$")
@@ -123,8 +133,24 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
     return walk
 
 
-# the two sign patterns of a band walk, a-steps as arrows first
-_ORIENTATIONS = ({("a", 1), ("b", -1)}, {("a", -1), ("b", 1)})
+# the sign patterns (code & 3) of a band walk: a-steps as arrows and
+# b-steps as inverse arrows, or the other way round
+_ORIENTATIONS = ({0, 3}, {1, 2})
+
+
+def _is_band(codes: list[int], n: int | None) -> bool:
+    # the band conditions on written step codes, see validate_band_walk
+    if {c & 3 for c in codes} not in _ORIENTATIONS:
+        return False
+    if n is not None and (min(codes) < 4 or max(codes) >= n << 2):
+        return False
+    # an arrow runs index + 1 -> index, its inverse the other way; the
+    # written step x is traversed right after y when from(x) == to(y)
+    froms = [(c >> 2) + 1 - (c & 1) for c in codes]
+    tos = [(c >> 2) + (c & 1) for c in codes]
+    if froms != tos[1:] + tos[:1]:
+        return False
+    return is_primitive(codes)
 
 
 def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
@@ -137,20 +163,30 @@ def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
     change composability forces equal indices, so the pair backtracks
     exactly when the kind stays.
     """
-    walk = tuple(steps)
-    if n is not None and any(s.index < 1 or s.index >= n for s in walk):
-        return False
-    if {(s.kind, s.exp) for s in walk} not in _ORIENTATIONS:
-        return False
-    if any(step_from(x) != step_to(y) for x, y in zip(walk, walk[1:] + walk[:1])):
-        return False
-    return is_primitive(walk)
+    return _is_band(_step_codes(steps), n)
+
+
+def _least_key_rotation(codes: list[int]) -> int:
+    # the rotation least under _walk_key: shifting the b-codes past every
+    # a-code orders ints as _walk_key orders steps
+    shift = 1 + max(codes, default=0) - min(codes, default=0)
+    return least_rotation([c + shift if c & 2 else c for c in codes])
+
+
+def _canonical(walk: Walk, codes: list[int]) -> tuple[Walk, list[int]]:
+    # the walk and its written codes read with the a-steps as arrows
+    # (inverted when some a-step is an inverse arrow), then rotated least
+    if any(c & 3 == 1 for c in codes):
+        walk = _inverse(walk)
+        codes = [c ^ 1 for c in reversed(codes)]
+    k = _least_key_rotation(codes)
+    return walk[k:] + walk[:k], codes[k:] + codes[:k]
 
 
 def canonical_walk(steps: Sequence[Step]) -> Walk:
     """Minimal rotation under the order a < b, index order, +1 < -1."""
     walk = tuple(steps)
-    k = least_rotation(_walk_key(walk))
+    k = _least_key_rotation(_step_codes(walk))
     return walk[k:] + walk[:k]
 
 
@@ -162,15 +198,13 @@ def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fr
     """Canonical (walk, parameter) of a band module, up to isomorphism.
 
     The walk is read with its a-steps as arrows, inverted when they are
-    inverse arrows, then rotated by canonical_walk.  lam stays: all a-steps
-    of a band walk share one sign and band_module puts lam on an a-step, so
-    inverting the walk inverts the holonomy twice and M(w^-1, lam) is
-    M(w, lam).
+    inverse arrows, then rotated as canonical_walk rotates.  lam stays:
+    all a-steps of a band walk share one sign and band_module puts lam on
+    an a-step, so inverting the walk inverts the holonomy twice and
+    M(w^-1, lam) is M(w, lam).  band_module builds on the same form.
     """
     walk = tuple(steps)
-    if any(s.kind == "a" and s.exp < 0 for s in walk):
-        walk = _inverse(walk)
-    return canonical_walk(walk), Fraction(lam)
+    return _canonical(walk, _step_codes(walk))[0], Fraction(lam)
 
 
 def distinct_lambda(
@@ -195,9 +229,16 @@ class BandModule:
     except the one at lam_at = (kind, index, source), the wrap-around step
     of the walk canonical_band picks, an a-step, which is lam.  codes[t] is
     traversal step t (from basis t to t + 1) as
-    index << 2 | (kind b) << 1 | (inverse).  dataclasses.replace(module,
-    lam=mu) is the member mu of the same family, sharing dims, arrows, walk
-    and codes.
+    index << 2 | (kind b) << 1 | (inverse).
+
+    The Hom tables are read off the traversal once, by band_module:
+    tops[v] counts the basis vectors at vertex v that both their steps
+    leave by arrows out of them, bottoms[v] those that both their steps
+    reach by arrows into them, and starts[c] lists the positions t with
+    codes[t] == c whose previous step is an arrow.  A module built from
+    the first seven fields alone has no tables, and hom_dim cannot read
+    it.  dataclasses.replace(module, lam=mu) is the member mu of the same
+    family, sharing dims, arrows, walk, codes and the tables.
     """
 
     n: int
@@ -207,12 +248,18 @@ class BandModule:
     lam_at: tuple[str, int, int]
     walk: Walk
     codes: tuple[int, ...]
+    # the Hom tables, fixed by codes, so left out of repr and ==
+    tops: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    bottoms: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    starts: dict[int, list[int]] | None = field(default=None, repr=False, compare=False)
 
     def g_vector(self) -> tuple[int, ...]:
-        """Top-minus-bottom counts per vertex, the turns of _turns."""
+        """Tops minus bottoms per vertex."""
         g = [0] * self.n
-        for vertex, turn in _turns(self.codes):
-            g[vertex - 1] += turn
+        for vertex, count in self.tops.items():
+            g[vertex - 1] += count
+        for vertex, count in self.bottoms.items():
+            g[vertex - 1] -= count
         return tuple(g)
 
     def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -226,35 +273,62 @@ class BandModule:
 def band_module(
     steps: Sequence[Step], lam: Fraction | int, n: int | None = None
 ) -> BandModule:
-    """Band module of a walk with parameter lam (multiplicity 1), built on
-    canonical_band(steps, lam): the a-steps are arrows, so two modules lie
-    on one band exactly when their codes are equal."""
+    """Band module of a walk with parameter lam (multiplicity 1).
+
+    The walk becomes step codes once; they are checked as
+    validate_band_walk checks them and put in canonical_band's form, so
+    the a-steps are arrows and two modules lie on one band exactly when
+    their codes are equal.  One pass over the traversal then numbers the
+    basis and fills the Hom tables, and a second sets the arrows.
+    """
     walk = tuple(steps)
+    codes = _step_codes(walk)
     if n is None:
-        n = 1 + max((s.index for s in walk), default=0)
-    if not validate_band_walk(walk, n):
+        n = 1 + (max(codes, default=0) >> 2)
+    if not _is_band(codes, n):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
-    walk, lam = canonical_band(walk, lam)
+    lam = Fraction(lam)
     if lam == 0:
         raise ZeroLambda("the band parameter must be non-zero")
-    trav = walk[::-1]
-    r = len(trav)
-    visits = [step_from(s) for s in trav]
-    dims = [0] * n
-    index_in_vertex = []
-    for v in visits:
-        index_in_vertex.append(dims[v - 1])
-        dims[v - 1] += 1
-    arrows: dict[tuple[str, int], Arrow] = {}
-    for t, s in enumerate(trav):
-        here, there = index_in_vertex[t], index_in_vertex[(t + 1) % r]
-        if s.exp < 0:
+    walk, codes = _canonical(walk, codes)
+    trav = codes[::-1]
+    count = [0] * (n + 1)  # basis vectors numbered so far, by vertex
+    node = []  # basis index of node t, where step t starts
+    tops: dict[int, int] = {}
+    bottoms: dict[int, int] = {}
+    starts: dict[int, list[int]] = {}
+    prev = trav[-1]
+    for t, c in enumerate(trav):
+        # step t leaves vertex index + 1 if it is an arrow, index if not
+        v = (c >> 2) + 1 - (c & 1)
+        node.append(count[v])
+        count[v] += 1
+        if prev & 1:
+            if not c & 1:
+                tops[v] = tops.get(v, 0) + 1
+        else:
+            if c & 1:
+                bottoms[v] = bottoms.get(v, 0) + 1
+            if c in starts:
+                starts[c].append(t)
+            else:
+                starts[c] = [t]
+        prev = c
+    maps: dict[int, Arrow] = {}
+    for c, here, there in zip(trav, node, node[1:] + node[:1]):
+        if c & 1:
             here, there = there, here
-        arrows.setdefault((s.kind, s.index), {})[here] = there
-    _check_relations(arrows, r)
-    lam_at = (s.kind, s.index, here)  # the loop ends on the wrap-around step
-    codes = tuple(s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in trav)
-    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, codes)
+        h = c >> 1  # the arrow: index << 1 | (kind b)
+        if h in maps:
+            maps[h][here] = there
+        else:
+            maps[h] = {here: there}
+    arrows = {("ab"[h & 1], h >> 1): arrow for h, arrow in maps.items()}
+    _check_relations(arrows, len(trav))
+    lam_at = ("ab"[h & 1], h >> 1, here)  # the loop ends on the wrap-around step
+    return BandModule(
+        n, tuple(count[1:]), arrows, lam, lam_at, walk, tuple(trav), tops, bottoms, starts
+    )
 
 
 def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
@@ -273,59 +347,48 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     """Dimension of the space of morphisms m -> w, counted as graph maps.
 
     Both modules come from band_module, so both walks read their a-steps
-    as arrows.  A graph map is a free component of the pair graph: its
-    nodes pair a basis vector of m with one of w at the same vertex, and
-    an edge joins two nodes when both modules move along one arrow, so
-    every component is a path or a cycle.  The free ones are the
-    singletons that pair a top of m with a bottom of w, the maximal common
-    walks of at least one step whose two ends are admissible (m leaves the
-    end by an arrow out of it, w by an arrow into it), and the one cycle
-    when m and w lie on one band, free when the parameters agree.  A
-    common walk of m and the inverse of w would pair an a-step read as an
-    arrow with one read as an inverse arrow, so there is none.
+    as arrows and carry the Hom tables.  A graph map is a free component
+    of the pair graph: its nodes pair a basis vector of m with one of w at
+    the same vertex, and an edge joins two nodes when both modules move
+    along one arrow, so every component is a path or a cycle.  The free
+    ones are the singletons that pair a top of m with a bottom of w, the
+    maximal common walks of at least one step whose two ends are
+    admissible (m leaves the end by an arrow out of it, w by an arrow
+    into it), and the one cycle when m and w lie on one band, free when
+    the parameters agree.  A common walk of m and the inverse of w would
+    pair an a-step read as an arrow with one read as an inverse arrow, so
+    there is none.  The tables are read, never rebuilt: a call costs one
+    pass over m plus the steps of the common walks.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
     x, y = m.codes, w.codes
-    tops = collections.Counter(v for v, turn in _turns(x) if turn > 0)
-    free = sum(tops[v] for v, turn in _turns(y) if turn < 0)
-    free += _admissible_walks(x, y)
+    bottoms = w.bottoms
+    free = sum(count * bottoms.get(v, 0) for v, count in m.tops.items())
+    free += _admissible_walks(x, y, w.starts)
     # one orientation and one rotation put lam on the same step of both
     # walks, so the cycle is free exactly when the parameters agree
     free += x == y and m.lam == w.lam
     return free
 
 
-def _turns(codes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    # (vertex, 1) for each top of a cyclic traversal, (vertex, -1) for each
-    # bottom: a top is left along both its steps by arrows out of it (it
-    # is entered by an inverse step and left by an arrow), a bottom by
-    # arrows into it; a positive step leaves index + 1, a negative one index
-    for p, c in itertools.pairwise(itertools.chain(codes[-1:], codes)):
-        if p & 1 != c & 1:
-            yield (c >> 2) + (p & 1), (p & 1) - (c & 1)
-
-
-def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> int:
+def _admissible_walks(x: Sequence[int], y: Sequence[int], starts: dict[int, list[int]]) -> int:
     # maximal common walks x[i:i+d] == y[j:j+d], d >= 1, with admissible
     # ends.  A start node is admissible exactly when x arrives at it by a
     # negative step and y by a positive one, so the steps before it differ
-    # and each walk is found once, from its first step; an end node when x
-    # goes on by a positive step and y by a negative one.  Fine-Wilf: a
-    # common walk longer than both periods never ends, which only the
-    # cycle of one band does, and no start lies on it.
+    # and each walk is found once, from its first step; starts holds the
+    # positions of y that y arrives at by a positive step.  An end node is
+    # admissible when x goes on by a positive step and y by a negative one.
+    # Fine-Wilf: a common walk longer than both periods never ends, which
+    # only the cycle of one band does, and no start lies on it.
     bound = len(x) + len(y)
     # repeated past any common walk, then a sentinel that matches nothing
     xs = [*x] * (bound // len(x) + 3) + [-1]
     ys = [*y] * (bound // len(y) + 3) + [-2]
-    firsts: dict[int, list[int]] = {}
-    for j in range(len(y)):
-        if not y[j - 1] & 1:
-            firsts.setdefault(y[j], []).append(j)
     free = 0
     for i in range(len(x)):
         if x[i - 1] & 1:
-            for j in firsts.get(x[i], ()):
+            for j in starts.get(x[i], ()):
                 a, b = i + 1, j + 1
                 while xs[a] == ys[b]:
                     a += 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandbrick import acceptance
 from bandbrick.cli import main
 
 
@@ -349,6 +350,71 @@ def _band_argv(draw):
     return argv
 
 
+_gvectors = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda g: ",".join(map(str, g))),
+    _junk,
+)
+_multisets = st.one_of(
+    st.lists(st.lists(st.integers(1, 4), max_size=4), max_size=3).map(json.dumps),
+    st.sampled_from(["", "[]", "[[]]", "[1]", "[[0]]", "[[1.5]]", '[["a"]]', "{}", "[[true]]", "x"]),
+)
+_sizes = st.one_of(st.integers(-2, 7), st.sampled_from([100, 10**9]))
+_boxes = st.one_of(st.integers(-2, 3), st.sampled_from([100, 10**9]))
+_numbers = st.sampled_from(["40", "0.5", "0", "-1", "1e308", "inf", "nan", "x"])
+_SUITE_NAMES = {"all", *acceptance.suite_names(), *(str(num) for num, _, _ in acceptance.SUITES)}
+_suites = st.text("abcx019-_ ", max_size=6).filter(lambda name: name not in _SUITE_NAMES)
+# the slowest admitted search drawn here, (6, 3), takes about 0.4 s
+_TIME_LIMIT_S = 5
+
+
+@st.composite
+def _command_argv(draw, out_dir):
+    cmd = draw(st.sampled_from(
+        ["bw", "bw-inverse", "pcw", "phi", "phi-inverse", "gvec", "euler", "fan", "render",
+         "verify"]
+    ))
+    if cmd in ("bw", "bw-inverse", "phi"):
+        argv = [cmd, draw(st.one_of(_words, _junk))]
+    elif cmd == "pcw":
+        argv = [cmd, draw(st.one_of(_words, _junk))]
+        if draw(st.booleans()):
+            argv += ["--method", draw(st.sampled_from(["bw", "factors", "both", "x"]))]
+    elif cmd == "phi-inverse":
+        argv = [cmd, draw(_multisets)]
+    elif cmd == "gvec":
+        op = draw(st.sampled_from(["check", "dyck", "words", "decompose"]))
+        argv = [cmd, op, draw(_gvectors)]
+    elif cmd == "euler":
+        argv = [cmd, draw(_gvectors), draw(_gvectors)]
+    elif cmd == "fan":
+        if draw(st.booleans()):
+            argv = [cmd, "brick4", draw(_gvectors)]
+        else:
+            argv = [cmd, "maxcompat", "--n", str(draw(_sizes)), "--box", str(draw(_boxes))]
+    elif cmd == "render":
+        argv = [cmd, draw(_gvectors)]
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(["out.svg", "", "missing/out.svg"]))
+            argv += ["-o", str(out_dir / name)]
+        for flag in ("--unit", "--width"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_numbers)]
+        if draw(st.booleans()):
+            argv += ["--palette-seed", str(draw(st.integers(-5, 5)))]
+    else:
+        argv = [cmd, draw(_suites)]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def render_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("render")
+
+
 class TestExitContract:
     @pytest.mark.parametrize(
         "spec1, spec2", [("a1 b1-", "b1 b1-"), ("b1 b2-", "a1 b1-"), ("b1", "a1 b1-")]
@@ -367,3 +433,15 @@ class TestExitContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_command_exits_cleanly(self, render_dir, data):
+        # exit 0, 1 or 2, nothing escaping main, and no unbounded work
+        argv = data.draw(_command_argv(render_dir))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < _TIME_LIMIT_S, argv
+        assert code in (0, 1, 2), argv

@@ -1,6 +1,8 @@
 """Euler form, brick g-vectors, compatibility, and the clique search."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from bandbrick.errors import (
     BadDimension,
     DimensionMismatch,
     GenericityViolation,
+    InvalidWalk,
     NotABrick,
     NotInHyperplane,
     SearchTooLarge,
@@ -52,6 +55,16 @@ class TestEulerForm:
     def test_skew_requires_hyperplane(self):
         with pytest.raises(NotInHyperplane):
             forms.euler_skew_check((1, 0), (0, 0))
+
+
+class TestEulerRows:
+    @pytest.mark.parametrize("n, box", [(5, 2), (4, 3)])
+    def test_rows_give_the_form(self, n, box):
+        bricks = list(forms._enumerate_brick_gvectors(n, box))
+        for g1 in bricks:
+            row = forms._euler_row(g1)
+            for g2 in bricks:
+                assert sum(a * b for a, b in zip(row, g2)) == forms.euler_form(g1, g2)
 
 
 class TestBrickGVectors:
@@ -124,6 +137,37 @@ class TestCompatibility:
         assert forms.hom_difference_check(z1, z1)
 
 
+class TestBandHom:
+    def test_empty_walk_is_invalid(self):
+        for z1, z2 in [((), ()), ((), gentle.psi((2,))), (gentle.psi((2,)), ())]:
+            with pytest.raises(InvalidWalk):
+                forms.hom_difference_check(z1, z2)
+
+    def test_invalid_walk_rejected(self):
+        with pytest.raises(InvalidWalk):
+            forms.hom_difference_check(gentle.psi((2,)), gentle.walk_from_str("a1 a1-"))
+
+    def test_one_build_per_walk(self):
+        # each walk is validated and put in canonical form once, inside its
+        # band_module build; the distinct parameter is read off the codes
+        z1, z2 = gentle.psi((2, 3), n=3), gentle.psi((2, 3, 3))
+        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
+                mock.patch.object(gentle, "canonical_walk", wraps=gentle.canonical_walk) as canon, \
+                mock.patch.object(gentle, "validate_band_walk",
+                                  wraps=gentle.validate_band_walk) as validate:
+            assert forms.hom_difference_check(z1, z2)
+        assert [c.args[0] for c in build.call_args_list] == [z1, z2]
+        assert canon.call_count == 0
+        assert validate.call_count == 0
+
+    def test_same_band_gets_a_distinct_parameter(self):
+        walk = gentle.psi((2, 3))
+        assert forms.band_hom(walk, walk, None, 1, None) == (0, 0, 0)
+        assert forms.band_hom(walk, walk[1:] + walk[:1], None, 1, None) == (0, 0, 0)
+        assert forms.band_hom(walk, walk, None, 2, None) == (0, 0, 0)
+        assert forms.band_hom(walk, walk, None, 2, Fraction(2)) == (1, 1, 0)
+
+
 class TestGenericityGuard:
     # a Hom answer that depends on the band parameter must be refused
 
@@ -185,6 +229,13 @@ class TestFamilies:
         family = forms.band_family(gentle.psi((2, 3, 3)), 3)
         assert all(m.codes is family[0].codes for m in family)
         assert len(family[0].codes) == len(family[0].walk)
+
+    def test_members_share_hom_tables(self):
+        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
+        for m in family[1:]:
+            assert m.tops is family[0].tops
+            assert m.bottoms is family[0].bottoms
+            assert m.starts is family[0].starts
 
     def test_search_builds_each_brick_once(self, monkeypatch):
         bricks = len(forms._enumerate_brick_gvectors(5, 2))

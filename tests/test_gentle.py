@@ -1,5 +1,7 @@
 """Band walks and band modules: validity, matrices, Hom spaces, g-vectors."""
 
+import collections
+import dataclasses
 import itertools
 import operator
 import random
@@ -580,6 +582,64 @@ class TestOrientation:
                 y.walk, y.codes, y.arrows, y.lam_at, y.dims
             ), walk
             assert not any(s.kind == "a" and s.exp < 0 for s in x.walk)
+
+
+def _reference_turns(codes):
+    # (vertex, 1) for each top of a cyclic traversal, (vertex, -1) for each
+    # bottom, as hom_dim and g_vector read them before the tables existed
+    for p, c in itertools.pairwise(itertools.chain(codes[-1:], codes)):
+        if p & 1 != c & 1:
+            yield (c >> 2) + (p & 1), (p & 1) - (c & 1)
+
+
+def _reference_starts(y):
+    # the positions of y that y arrives at by a positive step, by code
+    firsts = {}
+    for j in range(len(y)):
+        if not y[j - 1] & 1:
+            firsts.setdefault(y[j], []).append(j)
+    return firsts
+
+
+def _table_walks():
+    # _small_walks() with their inverses, and psi of every primitive word
+    # of at most 7 letters over 2..4
+    walks = _small_walks()
+    walks += [_inverse(w) for w in walks]
+    for length in range(1, 8):
+        for w in itertools.product((2, 3, 4), repeat=length):
+            if words.is_primitive(w):
+                walks.append(gentle.psi(w))
+    return walks
+
+
+class TestHomTables:
+    def test_tables_match_reference(self):
+        for walk in _table_walks():
+            m = gentle.band_module(walk, 1)
+            turns = list(_reference_turns(m.codes))
+            assert m.tops == dict(collections.Counter(v for v, t in turns if t > 0)), walk
+            assert m.bottoms == dict(collections.Counter(v for v, t in turns if t < 0)), walk
+            assert m.starts == _reference_starts(m.codes), walk
+            g = [0] * m.n
+            for v, t in turns:
+                g[v - 1] += t
+            assert m.g_vector() == tuple(g), walk
+
+    def test_rotation_is_least_under_walk_key(self):
+        # the int rotation key of band_module orders steps as _walk_key does
+        for walk in _table_walks():
+            oriented = _inverse(walk) if any(s.kind == "a" and s.exp < 0 for s in walk) else walk
+            rots = [oriented[k:] + oriented[:k] for k in range(len(oriented))]
+            assert gentle.band_module(walk, 1).walk == min(rots, key=gentle._walk_key), walk
+
+    def test_hom_reads_the_start_index(self):
+        # the second endomorphism is a common walk, found through the
+        # target's start index; with that index emptied only the cycle stays
+        m = gentle.band_module(gentle.psi((2, 2, 3, 3)), 1)
+        assert gentle.hom_dim(m, m) == 2
+        assert sum(c * m.bottoms.get(v, 0) for v, c in m.tops.items()) == 0
+        assert gentle.hom_dim(m, dataclasses.replace(m, starts={})) == 1
 
 
 def _perfectly_clustering_words(rng, length, count):
