@@ -164,9 +164,9 @@ def _random_valid_gvector(
             continue
 
 
-def _walk_pool(rng: random.Random, count: int) -> list[tuple[gentle.Step, ...]]:
+def _walk_pool(rng: random.Random, count: int) -> list[gentle.Walk]:
     # All walks live over n = 4 so their g-vectors share a length.
-    pool: dict[str, tuple[gentle.Step, ...]] = {}
+    pool: dict[str, gentle.Walk] = {}
     while len(pool) < count:
         if rng.random() < 0.5:
             length = rng.randint(1, 5)

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, dyck, forms, gentle, render, words
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, InvalidWalk
 
 
 class UsageError(Exception):
@@ -37,7 +37,6 @@ class _Parser(argparse.ArgumentParser):
 _ALPHA = re.compile(r"^[a-z]+$")
 _DIGITS = re.compile(r"^[0-9]+$")
 _CSV = re.compile(r"^-?\d+(?:,-?\d+)*$")
-_WALK_TOKEN = re.compile(r"^[ab]\d+-?$")
 
 
 def _parse_word(text: str) -> tuple[tuple[int, ...], str]:
@@ -87,11 +86,12 @@ def _parse_lambda(text: str) -> Fraction:
         raise UsageError(f"cannot read scalar {text!r}: use an integer or p/q") from exc
 
 
-def _parse_band_spec(text: str, n: int | None) -> tuple[gentle.Step, ...]:
-    tokens = text.split()
-    if tokens and all(_WALK_TOKEN.fullmatch(t) for t in tokens):
+def _parse_band_spec(text: str, n: int | None) -> gentle.Walk:
+    # a serialized walk, or else a word
+    try:
         return gentle.walk_from_str(text)
-    word, _ = _parse_word(text)
+    except InvalidWalk:
+        word, _ = _parse_word(text)
     return gentle.psi(word, n)
 
 

@@ -73,5 +73,9 @@ class SearchTooLarge(DomainError):
     """An enumeration would exceed its named size bound."""
 
 
+class QuiverTooLarge(DomainError):
+    """A quiver has more vertices than a per-vertex table may hold."""
+
+
 class AllZero(DomainError):
     """An exponent vector that must have a positive entry is all zero."""

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dyck, gentle, words
 from .errors import (
@@ -71,11 +71,12 @@ def band_family(walk: gentle.Walk, n: int) -> Family:
     return (module,) + tuple(dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3))
 
 
-def _sampled(answers: Iterable[bool], message: str) -> bool:
-    # genericity guard: a check must give one answer at every sampled parameter
+def _sampled(answers: Iterable[bool], message: Callable[[], str]) -> bool:
+    # genericity guard: a check must give one answer at every sampled
+    # parameter; the message is formatted only when it does not
     results = set(answers)
     if len(results) != 1:
-        raise GenericityViolation(message)
+        raise GenericityViolation(message())
     return results.pop()
 
 
@@ -86,8 +87,10 @@ def _brick_family(g: Sequence[int]) -> Family | None:
     if len(ms.components) != 1:
         return None
     family = band_family(gentle.slalom_to_band_walk(ms.components[0]), len(entries))
-    message = f"End dimension depends on the parameter for {gentle.walk_to_str(family[0].walk)}"
-    if not _sampled((gentle.hom_dim(m, m) == 1 for m in family), message):
+    if not _sampled(
+        (gentle.hom_dim(m, m) == 1 for m in family),
+        lambda: f"End dimension depends on the parameter for {gentle.walk_to_str(family[0].walk)}",
+    ):
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
         )
@@ -117,7 +120,7 @@ def _compatible_families(f1: Family, f2: Family) -> bool:
     # no morphisms either way between the members at each sampled parameter
     return _sampled(
         (gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0 for x, y in zip(f1, f2)),
-        "compatibility depends on the parameters",
+        lambda: "compatibility depends on the parameters",
     )
 
 
@@ -148,7 +151,7 @@ def band_hom(
     """(dim Hom(X, Y), dim Hom(Y, X), <g(X), g(Y)>) for X = M(w1, lam1) and
     Y = M(w2, lam2) over n vertices.  n None is the smallest quiver holding
     both walks; lam2 None is 1, or 2 where (w2, 1) would be X itself."""
-    n = 1 + max((s.index for s in w1 + w2), default=0) if n is None else n
+    n = 1 + (max(w1 + w2, default=0) >> 2) if n is None else n
     x = gentle.band_module(w1, lam1, n)
     y = gentle.band_module(w2, 1 if lam2 is None else lam2, n)
     if lam2 is None and x.codes == y.codes and x.lam == 1:
@@ -158,7 +161,7 @@ def band_hom(
     return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
 
 
-def hom_difference_check(z1: Sequence[gentle.Step], z2: Sequence[gentle.Step]) -> bool:
+def hom_difference_check(z1: Sequence[int], z2: Sequence[int]) -> bool:
     """Assert <g(X), g(Y)> = dim Hom(X, Y) - dim Hom(Y, X); band_module
     raises InvalidWalk unless both are band walks."""
     hom_xy, hom_yx, euler = band_hom(tuple(z1), tuple(z2), None, 1, None)

@@ -1,12 +1,12 @@
 """Band walks and band modules over the gentle algebras on a double line.
 
 For n vertices the quiver has arrows a_i, b_i : i+1 -> i (1 <= i <= n-1)
-with relations b_i a_{i+1} = 0 and a_i b_{i+1} = 0.  Walks are cyclic
-sequences of signed steps stored in written (composition) order: the
-rightmost step is traversed first, and consecutive written steps x, y
-compose when from(x) == to(y).  Validation, orientation and rotation
-work on small int step codes, index << 2 | (kind b) << 1 | (inverse), one
-per step, made once from the Step objects of a walk.
+with relations b_i a_{i+1} = 0 and a_i b_{i+1} = 0.  A walk is a tuple of
+int step codes, index << 2 | (kind b) << 1 | (inverse), one per signed
+step, stored in written (composition) order: the rightmost step is
+traversed first, and consecutive written steps x, y compose when
+from(x) == to(y).  walk_from_str and walk_to_str are the only code that
+reads or writes the text form, such as 'a1 b1-'.
 
 A band module of multiplicity one is its walk with one scalar: only the
 arrows the walk uses are stored, each sending a basis vector to at most
@@ -15,18 +15,20 @@ members of a family share their basis maps.  The gentle relations are
 checked on every build in one pass over the walk.  All a-steps of a band
 walk share one sign and all b-steps the other, and a walk and its inverse
 give one module, so every module reads its walk with the a-steps as
-arrows.  Hom dimensions count graph maps (Crawley-Boevey 1989, Krause
-1991): a top of the source over a bottom of the target, a maximal common
-subwalk of the two walks whose ends are admissible, and, when both
-modules lie on one band, the one cycle if the parameters agree.  Each
-module carries what the count reads of it (its tops, its bottoms and an
-index of its start positions), built with it and shared by its family,
-so a Hom call rebuilds nothing.  No equation is built and the count is
-independent of the base field.
+arrows; two modules lie on one band exactly when their codes are equal.
+Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991): a
+top of the source over a bottom of the target, a maximal common subwalk
+of the two walks whose ends are admissible, and, when both modules lie on
+one band, the one cycle if the parameters agree.  Each module carries
+what the count reads of it (its tops, its bottoms and an index of its
+start positions), built with it and shared by its family, so a Hom call
+rebuilds nothing.  No equation is built and the count is independent of
+the base field.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,79 +42,45 @@ from .errors import (
     InvalidWalk,
     LetterOutOfRange,
     NonPrimitive,
+    QuiverTooLarge,
     ZeroLambda,
 )
 from .words import is_primitive, least_rotation
 
+# written step codes, index << 2 | (kind b) << 1 | (inverse)
+Walk = tuple[int, ...]
 
-@dataclass(frozen=True)
-class Step:
-    """One signed letter of a walk: arrow kind 'a' or 'b', its index and
-    exponent +1 (the arrow) or -1 (its formal inverse)."""
-
-    kind: str
-    index: int
-    exp: int
-
-    def inverse(self) -> "Step":
-        return Step(self.kind, self.index, -self.exp)
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}{'-' if self.exp < 0 else ''}"
-
-
-Walk = tuple[Step, ...]
-
-# traversal endpoints: the arrow runs index+1 -> index, its inverse the
-# other way
-def step_from(s: Step) -> int:
-    return s.index + 1 if s.exp > 0 else s.index
-
-
-def step_to(s: Step) -> int:
-    return s.index if s.exp > 0 else s.index + 1
-
-
-def _walk_key(walk: Walk) -> list[tuple[str, int, int]]:
-    # the canonical order of steps: a before b, then the index, then the
-    # arrow before its inverse; _least_key_rotation orders codes this way
-    return [(s.kind, s.index, 0 if s.exp > 0 else 1) for s in walk]
-
-
-def _step_codes(steps: Iterable[Step]) -> list[int]:
-    # each step as index << 2 | (kind b) << 1 | (inverse), in the given order
-    return [s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in steps]
-
+# the largest quiver band_module builds: arrow indices up to 10^6, where
+# band hom takes about 0.3 s; its per-vertex tables grow with n
+MAX_VERTICES = 10**6 + 1
 
 _TOKEN = re.compile(r"([ab])(\d+)(-?)$")
 
 
-def walk_to_str(steps: Iterable[Step]) -> str:
+def walk_to_str(walk: Iterable[int]) -> str:
     """Serialize a walk, written order, e.g. 'a1 b1- a1 a2 b2- b1-'."""
-    return " ".join(str(s) for s in steps)
+    return " ".join(f"{'ab'[c >> 1 & 1]}{c >> 2}{'-' * (c & 1)}" for c in walk)
 
 
 def walk_from_str(text: str) -> Walk:
     """Parse the serialization produced by walk_to_str."""
-    steps = []
+    codes = []
     for token in text.split():
         m = _TOKEN.match(token)
         if not m:
             raise InvalidWalk(f"bad step token {token!r}")
         kind, index, minus = m.groups()
-        steps.append(Step(kind, int(index), -1 if minus else 1))
-    if not steps:
+        codes.append(int(index) << 2 | (kind == "b") << 1 | (minus == "-"))
+    if not codes:
         raise InvalidWalk("empty walk")
-    return tuple(steps)
+    return tuple(codes)
 
 
 def letter_cycle(i: int) -> Walk:
     """Open walk a_1 ... a_{i-1} b_{i-1}^- ... b_1^- for a letter i >= 2."""
     if i < 2:
         raise LetterOutOfRange(f"letter {i} has no cycle; letters start at 2")
-    ups = [Step("a", k, 1) for k in range(1, i)]
-    downs = [Step("b", k, -1) for k in range(i - 1, 0, -1)]
-    return tuple(ups + downs)
+    return tuple(k << 2 for k in range(1, i)) + tuple(k << 2 | 3 for k in range(i - 1, 0, -1))
 
 
 def psi(w: Sequence[int], n: int | None = None) -> Walk:
@@ -124,10 +92,7 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
         raise LetterOutOfRange(f"letters of {word} must lie in 2..{n}")
     if not is_primitive(word):
         raise NonPrimitive(f"{word} is a proper power")
-    steps: list[Step] = []
-    for letter in word:
-        steps.extend(letter_cycle(letter))
-    walk = tuple(steps)
+    walk = tuple(itertools.chain.from_iterable(map(letter_cycle, word)))
     if not validate_band_walk(walk):
         raise InternalInconsistency(f"psi{word} is not a band walk")
     return walk
@@ -138,24 +103,10 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
 _ORIENTATIONS = ({0, 3}, {1, 2})
 
 
-def _is_band(codes: list[int], n: int | None) -> bool:
-    # the band conditions on written step codes, see validate_band_walk
-    if {c & 3 for c in codes} not in _ORIENTATIONS:
-        return False
-    if n is not None and (min(codes) < 4 or max(codes) >= n << 2):
-        return False
-    # an arrow runs index + 1 -> index, its inverse the other way; the
-    # written step x is traversed right after y when from(x) == to(y)
-    froms = [(c >> 2) + 1 - (c & 1) for c in codes]
-    tos = [(c >> 2) + (c & 1) for c in codes]
-    if froms != tos[1:] + tos[:1]:
-        return False
-    return is_primitive(codes)
-
-
-def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
-    """All band conditions: a composable primitive cycle whose a-steps
-    share one sign and whose b-steps share the other.
+def validate_band_walk(walk: Sequence[int], n: int | None = None) -> bool:
+    """All band conditions: a composable primitive cycle of arrows with
+    indices at least 1 (and below n, when n is given) whose a-steps share
+    one sign and whose b-steps share the other.
 
     On a composable cycle the sign rule says the walk is reduced and
     avoids the relations and their inverses: two composable steps of one
@@ -163,57 +114,26 @@ def validate_band_walk(steps: Sequence[Step], n: int | None = None) -> bool:
     change composability forces equal indices, so the pair backtracks
     exactly when the kind stays.
     """
-    return _is_band(_step_codes(steps), n)
+    if {c & 3 for c in walk} not in _ORIENTATIONS:
+        return False
+    if min(walk) < 4 or (n is not None and max(walk) >= n << 2):
+        return False
+    # an arrow runs index + 1 -> index, its inverse the other way; the
+    # written step x is traversed right after y when from(x) == to(y)
+    froms = [(c >> 2) + 1 - (c & 1) for c in walk]
+    tos = [(c >> 2) + (c & 1) for c in walk]
+    if froms != tos[1:] + tos[:1]:
+        return False
+    return is_primitive(walk)
 
 
-def _least_key_rotation(codes: list[int]) -> int:
-    # the rotation least under _walk_key: shifting the b-codes past every
-    # a-code orders ints as _walk_key orders steps
-    shift = 1 + max(codes, default=0) - min(codes, default=0)
-    return least_rotation([c + shift if c & 2 else c for c in codes])
-
-
-def _canonical(walk: Walk, codes: list[int]) -> tuple[Walk, list[int]]:
-    # the walk and its written codes read with the a-steps as arrows
-    # (inverted when some a-step is an inverse arrow), then rotated least
-    if any(c & 3 == 1 for c in codes):
-        walk = _inverse(walk)
-        codes = [c ^ 1 for c in reversed(codes)]
-    k = _least_key_rotation(codes)
-    return walk[k:] + walk[:k], codes[k:] + codes[:k]
-
-
-def canonical_walk(steps: Sequence[Step]) -> Walk:
+def canonical_walk(walk: Sequence[int]) -> Walk:
     """Minimal rotation under the order a < b, index order, +1 < -1."""
-    walk = tuple(steps)
-    k = _least_key_rotation(_step_codes(walk))
+    walk = tuple(walk)
+    # shifting the b-codes past every a-code orders the ints this way
+    shift = 1 + max(walk, default=0) - min(walk, default=0)
+    k = least_rotation([c + shift if c & 2 else c for c in walk])
     return walk[k:] + walk[:k]
-
-
-def _inverse(walk: Walk) -> Walk:
-    return tuple(s.inverse() for s in reversed(walk))
-
-
-def canonical_band(steps: Sequence[Step], lam: Fraction | int) -> tuple[Walk, Fraction]:
-    """Canonical (walk, parameter) of a band module, up to isomorphism.
-
-    The walk is read with its a-steps as arrows, inverted when they are
-    inverse arrows, then rotated as canonical_walk rotates.  lam stays:
-    all a-steps of a band walk share one sign and band_module puts lam on
-    an a-step, so inverting the walk inverts the holonomy twice and
-    M(w^-1, lam) is M(w, lam).  band_module builds on the same form.
-    """
-    walk = tuple(steps)
-    return _canonical(walk, _step_codes(walk))[0], Fraction(lam)
-
-
-def distinct_lambda(
-    w1: Sequence[Step], lam1: Fraction | int, w2: Sequence[Step], lam2: Fraction | int
-) -> Fraction:
-    """lam2, or lam2 + 1 where (w2, lam2) would be the same band module as
-    (w1, lam1), so that the two are distinct members of one family."""
-    lam2 = Fraction(lam2)
-    return lam2 + 1 if canonical_band(w1, lam1) == canonical_band(w2, lam2) else lam2
 
 
 Arrow = dict[int, int]
@@ -227,9 +147,10 @@ class BandModule:
     basis index at vertex index+1 to a basis index at vertex index, for
     the arrows the walk uses; an absent arrow is zero.  Every entry is 1
     except the one at lam_at = (kind, index, source), the wrap-around step
-    of the walk canonical_band picks, an a-step, which is lam.  codes[t] is
-    traversal step t (from basis t to t + 1) as
-    index << 2 | (kind b) << 1 | (inverse).
+    of the walk, an a-step, which is lam.  walk is the canonical walk in
+    written order: a-steps as arrows, least rotation under canonical_walk's
+    order.  codes is the same walk in traversal order, so codes[t] is step
+    t, from basis t to t + 1.
 
     The Hom tables are read off the traversal once, by band_module:
     tops[v] counts the basis vectors at vertex v that both their steps
@@ -271,27 +192,33 @@ class BandModule:
 
 
 def band_module(
-    steps: Sequence[Step], lam: Fraction | int, n: int | None = None
+    walk: Sequence[int], lam: Fraction | int, n: int | None = None
 ) -> BandModule:
     """Band module of a walk with parameter lam (multiplicity 1).
 
-    The walk becomes step codes once; they are checked as
-    validate_band_walk checks them and put in canonical_band's form, so
-    the a-steps are arrows and two modules lie on one band exactly when
-    their codes are equal.  One pass over the traversal then numbers the
-    basis and fills the Hom tables, and a second sets the arrows.
+    n defaults to the smallest quiver holding the walk and may not exceed
+    MAX_VERTICES.  The walk is checked with validate_band_walk, inverted
+    when its a-steps are inverse arrows (a walk and its inverse with one
+    parameter give isomorphic modules, and lam sits on an a-step either
+    way) and rotated as canonical_walk rotates, so two modules lie on one
+    band exactly when their codes are equal.  One pass over the traversal
+    then numbers the basis and fills the Hom tables, and a second sets
+    the arrows.
     """
-    walk = tuple(steps)
-    codes = _step_codes(walk)
+    walk = tuple(walk)
     if n is None:
-        n = 1 + (max(codes, default=0) >> 2)
-    if not _is_band(codes, n):
+        n = 1 + (max(walk, default=0) >> 2)
+    if n > MAX_VERTICES:
+        raise QuiverTooLarge(f"n = {n} exceeds the {MAX_VERTICES} vertices a module may have")
+    if not validate_band_walk(walk, n):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
     lam = Fraction(lam)
     if lam == 0:
         raise ZeroLambda("the band parameter must be non-zero")
-    walk, codes = _canonical(walk, codes)
-    trav = codes[::-1]
+    if any(c & 3 == 1 for c in walk):
+        walk = tuple(c ^ 1 for c in reversed(walk))
+    walk = canonical_walk(walk)
+    trav = walk[::-1]
     count = [0] * (n + 1)  # basis vectors numbered so far, by vertex
     node = []  # basis index of node t, where step t starts
     tops: dict[int, int] = {}
@@ -327,7 +254,7 @@ def band_module(
     _check_relations(arrows, len(trav))
     lam_at = ("ab"[h & 1], h >> 1, here)  # the loop ends on the wrap-around step
     return BandModule(
-        n, tuple(count[1:]), arrows, lam, lam_at, walk, tuple(trav), tops, bottoms, starts
+        n, tuple(count[1:]), arrows, lam, lam_at, walk, trav, tops, bottoms, starts
     )
 
 
@@ -409,10 +336,10 @@ def ext1_dim(x: BandModule, y: BandModule) -> int:
     return hom_dim(y, x)
 
 
-def g_vector_of_band(steps: Sequence[Step], n: int | None = None) -> tuple[int, ...]:
+def g_vector_of_band(walk: Sequence[int], n: int | None = None) -> tuple[int, ...]:
     """Top-minus-bottom vertex counts of the cyclic walk, read off its
     band module (see BandModule.g_vector)."""
-    return band_module(steps, 1, n).g_vector()
+    return band_module(walk, 1, n).g_vector()
 
 
 def slalom_to_band_walk(component: Component) -> Walk:
@@ -421,20 +348,20 @@ def slalom_to_band_walk(component: Component) -> Walk:
     Copy-1 segments from edge i up to edge j contribute b_i^- ... b_{j-1}^-;
     copy-2 segments from edge j down to edge i contribute a_{j-1} ... a_i.
     """
-    trav: list[Step] = []
+    trav: list[int] = []
     for copy, start, end in component.segments:
         if copy == 1:
             if start >= end:
                 raise InvalidComponent(
                     f"copy-1 segment must ascend, got {start} -> {end}"
                 )
-            trav.extend(Step("b", k, -1) for k in range(start, end))
+            trav.extend(k << 2 | 3 for k in range(start, end))
         else:
             if start <= end:
                 raise InvalidComponent(
                     f"copy-2 segment must descend, got {start} -> {end}"
                 )
-            trav.extend(Step("a", k, 1) for k in range(start - 1, end - 1, -1))
+            trav.extend(k << 2 for k in range(start - 1, end - 1, -1))
     walk = tuple(reversed(trav))
     if not validate_band_walk(walk):
         raise InvalidComponent(f"segments do not close into a band walk")

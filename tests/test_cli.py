@@ -322,7 +322,10 @@ _words = st.one_of(
 )
 _walks = st.lists(
     st.builds(
-        "{}{}{}".format, st.sampled_from("ab"), st.integers(1, 4), st.sampled_from(["", "-"])
+        "{}{}{}".format,
+        st.sampled_from("ab"),
+        st.one_of(st.integers(1, 4), st.just(10**9)),
+        st.sampled_from(["", "-"]),
     ),
     min_size=1,
     max_size=8,
@@ -344,7 +347,7 @@ def _band_argv(draw):
     elif op != "walk" and draw(st.booleans()):
         argv += ["--lambda", draw(_lambdas)]
     if draw(st.booleans()):
-        argv += ["--n", str(draw(st.integers(-2, 8)))]
+        argv += ["--n", str(draw(st.one_of(st.integers(-2, 8), st.sampled_from([100, 10**9]))))]
     if draw(st.booleans()):
         argv.append("--json")
     return argv
@@ -426,13 +429,26 @@ class TestExitContract:
         assert err.startswith("error: InvalidWalk: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["band", "brick", "2", "--n", "1000000000"],
+         ["band", "hom", "a1000000000 b1000000000-", "a1 b1-"]],
+    )
+    def test_huge_quiver_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: QuiverTooLarge: ")
+        assert err.count("\n") == 1
+
     @given(_band_argv())
     @settings(max_examples=300, deadline=None)
     def test_band_commands_exit_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (0, 1, 2)
+        assert time.perf_counter() - start < _TIME_LIMIT_S, argv
+        assert code in (0, 1, 2), argv
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -21,6 +21,7 @@ from bandbrick.errors import (
     LetterOutOfRange,
     MultipleCycles,
     NonPrimitive,
+    QuiverTooLarge,
     ZeroLambda,
 )
 
@@ -30,6 +31,43 @@ primitive_words = (
     .map(tuple)
     .filter(words.is_primitive)
 )
+
+
+# The references that decode a step code, index << 2 | (kind b) << 1 |
+# (inverse), into its kind, index and exponent.
+def _step(c):
+    return "ab"[c >> 1 & 1], c >> 2, -1 if c & 1 else 1
+
+
+# traversal endpoints: the arrow runs index+1 -> index, its inverse the
+# other way
+def step_from(c):
+    _, index, exp = _step(c)
+    return index + 1 if exp > 0 else index
+
+
+def step_to(c):
+    _, index, exp = _step(c)
+    return index if exp > 0 else index + 1
+
+
+def _walk_key(walk):
+    # the canonical order of steps: a before b, then the index, then the
+    # arrow before its inverse
+    return [(kind, index, 0 if exp > 0 else 1) for kind, index, exp in map(_step, walk)]
+
+
+def _inverse(walk):
+    return tuple(c ^ 1 for c in reversed(walk))
+
+
+def _has_inverse_a_step(walk):
+    return any(kind == "a" and exp < 0 for kind, _, exp in map(_step, walk))
+
+
+def _quiver(*walks):
+    # the smallest quiver holding the walks
+    return 1 + max(index for walk in walks for _, index, _ in map(_step, walk))
 
 
 class TestWalks:
@@ -88,7 +126,7 @@ class TestWalks:
         k %= len(walk)
         rot = walk[k:] + walk[:k]
         rots = [rot[j:] + rot[:j] for j in range(len(rot))]
-        least = min(rots, key=gentle._walk_key)
+        least = min(rots, key=_walk_key)
         assert gentle.canonical_walk(rot) == least
         assert gentle.validate_band_walk(rot)
         assert not gentle.validate_band_walk(rot * 2)
@@ -98,50 +136,79 @@ class TestWalks:
     def test_psi_always_valid(self, w):
         assert gentle.validate_band_walk(gentle.psi(w))
 
+    def test_walks_are_step_codes(self):
+        assert gentle.psi((2, 3)) == gentle.walk_from_str("a1 b1- a1 a2 b2- b1-")
+        assert [_step(c) for c in gentle.walk_from_str("a1 b2- a3-")] == [
+            ("a", 1, 1), ("b", 2, -1), ("a", 3, -1)
+        ]
 
-def _reference_validate_band_walk(steps, n=None):
-    """The band conditions checked one by one: composable cycle, reduced,
-    no relation or inverse relation, primitive, both signs."""
-    walk = tuple(steps)
+    def test_round_trip_over_table_walks(self):
+        for walk in _table_walks():
+            assert gentle.walk_from_str(gentle.walk_to_str(walk)) == walk
+
+
+def _reference_validate_band_walk(codes, n=None):
+    """The band conditions checked one by one: arrows of index at least 1
+    (and below n), composable cycle, reduced, no relation or inverse
+    relation, primitive, both signs."""
+    walk = [_step(c) for c in codes]
     r = len(walk)
     if r == 0:
         return False
-    if n is not None and any(s.index < 1 or s.index >= n for s in walk):
+    if any(index < 1 for _, index, _ in walk):
+        return False
+    if n is not None and any(index >= n for _, index, _ in walk):
         return False
     for j in range(r):
-        x, y = walk[j], walk[(j + 1) % r]
-        if gentle.step_from(x) != gentle.step_to(y):
+        if step_from(codes[j]) != step_to(codes[(j + 1) % r]):
             return False
-        if x.kind == y.kind and x.index == y.index and x.exp != y.exp:
+        (xkind, xindex, xexp), (ykind, yindex, yexp) = walk[j], walk[(j + 1) % r]
+        if xkind == ykind and xindex == yindex and xexp != yexp:
             return False
         # relations are the alternating length-2 paths going up in index
-        if x.exp > 0 and y.exp > 0:
-            if x.kind != y.kind and y.index == x.index + 1:
+        if xexp > 0 and yexp > 0:
+            if xkind != ykind and yindex == xindex + 1:
                 return False
-        if x.exp < 0 and y.exp < 0:
-            if x.kind != y.kind and x.index == y.index + 1:
+        if xexp < 0 and yexp < 0:
+            if xkind != ykind and xindex == yindex + 1:
                 return False
-    if not any(s.exp > 0 for s in walk) or not any(s.exp < 0 for s in walk):
+    if not any(exp > 0 for *_, exp in walk) or not any(exp < 0 for *_, exp in walk):
         return False
     return words.is_primitive(walk)
+
+
+def _check_sign_rule_exhaustively(n, lowest, longest, omit_n):
+    # every step sequence of at most longest steps with indices from lowest
+    # up to n - 1: the one sign rule accepts exactly the walks the separate
+    # conditions accept, with n given and, if omit_n, with n omitted (no
+    # index reaches n, so both answers agree)
+    codes = range(lowest << 2, n << 2)
+    accepted = 0
+    for length in range(1, longest + 1):
+        for walk in itertools.product(codes, repeat=length):
+            expected = _reference_validate_band_walk(walk, n)
+            assert gentle.validate_band_walk(walk, n) == expected, walk
+            if omit_n:
+                assert gentle.validate_band_walk(walk) == expected, walk
+            accepted += expected
+    assert accepted > 0
 
 
 class TestSignRule:
     @pytest.mark.parametrize("n, longest", [(3, 6), (4, 4)])
     def test_matches_reference_exhaustively(self, n, longest):
-        # every step sequence over n vertices: the one sign rule accepts
-        # exactly the walks the separate conditions accept
-        steps = [
-            gentle.Step(kind, index, exp)
-            for kind in "ab" for index in range(1, n) for exp in (1, -1)
-        ]
-        accepted = 0
-        for length in range(1, longest + 1):
-            for walk in itertools.product(steps, repeat=length):
-                expected = _reference_validate_band_walk(walk, n)
-                assert gentle.validate_band_walk(walk, n) == expected, walk
-                accepted += expected
-        assert accepted > 0
+        _check_sign_rule_exhaustively(n, 1, longest, omit_n=False)
+
+    @pytest.mark.parametrize("n, longest", [(3, 5), (4, 4)])
+    def test_index_zero_matches_reference_exhaustively(self, n, longest):
+        _check_sign_rule_exhaustively(n, 0, longest, omit_n=True)
+
+    def test_index_zero_is_not_an_arrow(self):
+        walk = gentle.walk_from_str("a0 b0-")
+        assert not gentle.validate_band_walk(walk)
+        assert not gentle.validate_band_walk(walk, 2)
+        with pytest.raises(InvalidWalk):
+            gentle.band_module(walk, 1)
 
     def test_index_range_and_empty_walk(self):
         walk = gentle.walk_from_str("a2 b2-")
@@ -149,23 +216,16 @@ class TestSignRule:
         assert not gentle.validate_band_walk(walk, 2)
         assert not gentle.validate_band_walk((), 3)
 
-    def test_canonical_band_without_a_step(self):
-        # not a band walk, but canonical_band must still answer
-        walk = gentle.walk_from_str("b1 b2-")
-        assert gentle.canonical_band(walk, 1) == (gentle.canonical_walk(walk), 1)
-
-
-def _inverse(walk):
-    return tuple(s.inverse() for s in reversed(walk))
 
 
 class TestCanonicalBand:
     def test_rotation_and_inversion_invariant(self):
         walk = gentle.psi((2, 3, 2, 2, 3))
-        canon = gentle.canonical_band(walk, 2)
+        canon = gentle.band_module(walk, 2)
         for w in (walk, _inverse(walk)):
             for k in range(len(w)):
-                assert gentle.canonical_band(w[k:] + w[:k], 2) == canon
+                m = gentle.band_module(w[k:] + w[:k], 2)
+                assert (m.walk, m.codes, m.lam) == (canon.walk, canon.codes, canon.lam)
 
     @pytest.mark.parametrize("spec", ["a1 b1-", "a1 a2 b2- b1- a1 b1-"])
     def test_same_band_exactly_when_isomorphic(self, spec):
@@ -176,16 +236,8 @@ class TestCanonicalBand:
         for w in (walk, _inverse(walk)):
             for mu in (Fraction(2), Fraction(1, 2), Fraction(3)):
                 y = gentle.band_module(w, mu)
-                same = gentle.canonical_band(w, mu) == gentle.canonical_band(walk, 2)
+                same = y.codes == x.codes and y.lam == x.lam
                 assert gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == int(same)
-
-    def test_distinct_lambda(self):
-        walk = gentle.walk_from_str("a1 b1-")
-        assert gentle.distinct_lambda(walk, 1, _inverse(walk), 1) == 2
-        assert gentle.distinct_lambda(walk, 1, walk[1:] + walk[:1], 1) == 2
-        assert gentle.distinct_lambda(walk, 2, walk, 1) == 1
-        other = gentle.psi((2, 3))
-        assert gentle.distinct_lambda(walk, 1, other, 1) == 1
 
 
 class TestBandModule:
@@ -264,6 +316,14 @@ class TestBandModule:
         assert m.n == 100001
         assert len(m.arrows) <= len(walk)
         assert gentle.hom_dim(m, m) == 1
+
+    def test_quiver_size_bound(self):
+        top = gentle.MAX_VERTICES - 1
+        m = gentle.band_module(gentle.walk_from_str(f"a{top} b{top}-"), 1)
+        assert m.n == gentle.MAX_VERTICES
+        for walk, n in [((4, 7), gentle.MAX_VERTICES + 1), (((top + 1) << 2, (top + 1) << 2 | 3), None)]:
+            with pytest.raises(QuiverTooLarge):
+                gentle.band_module(walk, 1, n)
 
     @given(primitive_words, st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -370,7 +430,7 @@ def _small_walks():
                     found.add(gentle.slalom_to_band_walk(comp))
     small = {gentle.canonical_walk(w) for w in found if len(w) <= 12}
     small |= {gentle.canonical_walk(_inverse(w)) for w in small}
-    return sorted(small, key=gentle._walk_key)
+    return sorted(small, key=_walk_key)
 
 
 class TestHomAgainstDenseElimination:
@@ -381,7 +441,7 @@ class TestHomAgainstDenseElimination:
         rng = random.Random(2024)
         pairs = [(w, w) for w in walks] + [tuple(rng.sample(walks, 2)) for _ in range(400)]
         for w1, w2 in pairs:
-            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4)))
+            n = max(_quiver(w1, w2), rng.choice((3, 4)))
             x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
             y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
             assert gentle.hom_dim(x, y) == _reference_hom_dim(x, y), (w1, w2)
@@ -481,7 +541,7 @@ class TestHomAgainstIntertwiner:
     )
     def test_same_and_inverse_band(self, lam1, lam2):
         for walk in _small_walks():
-            n = 1 + max(s.index for s in walk)
+            n = _quiver(walk)
             x = gentle.band_module(walk, lam1, n)
             for other in (walk, _inverse(walk)):
                 y = gentle.band_module(other, lam2, n)
@@ -493,7 +553,7 @@ class TestHomAgainstIntertwiner:
         rng = random.Random(7)
         for _ in range(2000):
             w1, w2 = rng.choice(walks), rng.choice(walks)
-            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4, 5)))
+            n = max(_quiver(w1, w2), rng.choice((3, 4, 5)))
             x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
             y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
             assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (w1, w2)
@@ -512,12 +572,12 @@ class TestHomAgainstIntertwiner:
         assert pairs > 100
 
 
-def _unoriented_module(steps, lam, n=None):
+def _unoriented_module(codes, lam, n=None):
     """band_module with the walk rotated but not oriented: a walk whose
     a-steps are inverse arrows keeps them."""
-    walk = tuple(steps)
+    walk = tuple(codes)
     if n is None:
-        n = 1 + max((s.index for s in walk), default=0)
+        n = _quiver(walk)
     if not gentle.validate_band_walk(walk, n):
         raise InvalidWalk(f"not a band walk: {gentle.walk_to_str(walk)}")
     lam = Fraction(lam)
@@ -526,22 +586,22 @@ def _unoriented_module(steps, lam, n=None):
     walk = gentle.canonical_walk(walk)
     trav = walk[::-1]
     r = len(trav)
-    visits = [gentle.step_from(s) for s in trav]
+    visits = [step_from(c) for c in trav]
     dims = [0] * n
     index_in_vertex = []
     for v in visits:
         index_in_vertex.append(dims[v - 1])
         dims[v - 1] += 1
     arrows = {}
-    for t, s in enumerate(trav):
+    for t, c in enumerate(trav):
+        kind, index, exp = _step(c)
         here, there = index_in_vertex[t], index_in_vertex[(t + 1) % r]
-        if s.exp < 0:
+        if exp < 0:
             here, there = there, here
-        arrows.setdefault((s.kind, s.index), {})[here] = there
+        arrows.setdefault((kind, index), {})[here] = there
     gentle._check_relations(arrows, r)
-    lam_at = (s.kind, s.index, here)  # the loop ends on the wrap-around step
-    codes = tuple(s.index << 2 | (s.kind == "b") << 1 | (s.exp < 0) for s in trav)
-    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, codes)
+    lam_at = (kind, index, here)  # the loop ends on the wrap-around step
+    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, trav)
 
 
 class TestOrientation:
@@ -555,7 +615,7 @@ class TestOrientation:
     )
     def test_walk_and_inverse_against_intertwiner(self, lam1, lam2):
         for walk in _small_walks():
-            n = 1 + max(s.index for s in walk)
+            n = _quiver(walk)
             x, u = gentle.band_module(walk, lam1, n), _unoriented_module(walk, lam1, n)
             for other in (walk, _inverse(walk)):
                 y, v = gentle.band_module(other, lam2, n), _unoriented_module(other, lam2, n)
@@ -568,7 +628,7 @@ class TestOrientation:
         rng = random.Random(7)
         for _ in range(2000):
             w1, w2 = rng.choice(walks), rng.choice(walks)
-            n = max(1 + max(s.index for s in w1 + w2), rng.choice((3, 4, 5)))
+            n = max(_quiver(w1, w2), rng.choice((3, 4, 5)))
             lam1, lam2 = rng.choice(lambdas), rng.choice(lambdas)
             x, y = gentle.band_module(w1, lam1, n), gentle.band_module(w2, lam2, n)
             u, v = _unoriented_module(w1, lam1, n), _unoriented_module(w2, lam2, n)
@@ -581,7 +641,7 @@ class TestOrientation:
             assert (x.walk, x.codes, x.arrows, x.lam_at, x.dims) == (
                 y.walk, y.codes, y.arrows, y.lam_at, y.dims
             ), walk
-            assert not any(s.kind == "a" and s.exp < 0 for s in x.walk)
+            assert not _has_inverse_a_step(x.walk)
 
 
 def _reference_turns(codes):
@@ -629,9 +689,9 @@ class TestHomTables:
     def test_rotation_is_least_under_walk_key(self):
         # the int rotation key of band_module orders steps as _walk_key does
         for walk in _table_walks():
-            oriented = _inverse(walk) if any(s.kind == "a" and s.exp < 0 for s in walk) else walk
+            oriented = _inverse(walk) if _has_inverse_a_step(walk) else walk
             rots = [oriented[k:] + oriented[:k] for k in range(len(oriented))]
-            assert gentle.band_module(walk, 1).walk == min(rots, key=gentle._walk_key), walk
+            assert gentle.band_module(walk, 1).walk == min(rots, key=_walk_key), walk
 
     def test_hom_reads_the_start_index(self):
         # the second endomorphism is a common walk, found through the
