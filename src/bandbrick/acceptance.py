@@ -7,6 +7,7 @@ the CLI and the test run cannot drift apart.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -112,8 +113,11 @@ def brick_pcw(seed: int = 0) -> Result:
                     continue
                 total += 1
                 pcw = words.is_perfectly_clustering(w)
-                walk = gentle.psi(w, n)
-                brick = all(gentle.is_brick(m) for m in forms.band_family(walk, n))
+                module = gentle.band_module(gentle.psi(w, n), 1, n)
+                brick = all(
+                    gentle.is_brick(dataclasses.replace(module, lam=Fraction(lam)))
+                    for lam in (1, 2, 3)
+                )
                 if pcw != brick:
                     mismatches.append(w)
     ok = not mismatches

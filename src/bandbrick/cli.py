@@ -39,6 +39,16 @@ _DIGITS = re.compile(r"^[0-9]+$")
 _CSV = re.compile(r"^-?\d+(?:,-?\d+)*$")
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    # text matches _CSV, so int() fails only past Python's int-string limit
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise UsageError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
 def _parse_word(text: str) -> tuple[tuple[int, ...], str]:
     if _ALPHA.fullmatch(text):
         return tuple(ord(c) - ord("a") + 1 for c in text), "alpha"
@@ -47,7 +57,7 @@ def _parse_word(text: str) -> tuple[tuple[int, ...], str]:
             raise UsageError("digit-string words use digits 1-9")
         return tuple(int(c) for c in text), "digits"
     if _CSV.fullmatch(text):
-        vals = tuple(int(p) for p in text.split(","))
+        vals = _parse_ints(text)
         if any(v < 1 for v in vals):
             raise UsageError("word letters must be positive integers")
         return vals, "csv"
@@ -76,7 +86,7 @@ def _infer_style(word: tuple[int, ...]) -> str:
 def _parse_gvector(text: str) -> tuple[int, ...]:
     if not _CSV.fullmatch(text):
         raise UsageError(f"cannot read g-vector {text!r}: use comma-separated integers")
-    return tuple(int(p) for p in text.split(","))
+    return _parse_ints(text)
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -148,7 +158,7 @@ def _cmd_phi(args) -> int:
 def _cmd_phi_inverse(args) -> int:
     try:
         raw = json.loads(args.multiset)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
         raise UsageError(f"multiset must be a JSON array of integer arrays: {exc}") from exc
     if not isinstance(raw, list) or not all(
         isinstance(w, list) and all(isinstance(v, int) and v >= 1 for v in w) for w in raw
@@ -271,8 +281,11 @@ def _cmd_verify(args) -> int:
         selected = acceptance.SUITES
     else:
         wanted = args.suite
-        if wanted.isdigit():
-            selected = [s for s in acceptance.SUITES if s[0] == int(wanted)]
+        # a criterion number has at most two digits past its leading zeros,
+        # so int() never meets a digit string past Python's int-string limit
+        number = wanted.lstrip("0")
+        if wanted.isdecimal() and len(number) <= 2:
+            selected = [s for s in acceptance.SUITES if s[0] == int(number or "0")]
         else:
             selected = [s for s in acceptance.SUITES if s[1] == wanted]
         if not selected:

@@ -57,10 +57,6 @@ class NotABrick(DomainError):
     """A g-vector that must belong to a band brick does not."""
 
 
-class GenericityViolation(DomainError):
-    """A dimension count changed with the sampled scalar parameter."""
-
-
 class InternalInconsistency(DomainError):
     """Two computations that must agree disagreed; indicates a bug."""
 

@@ -1,11 +1,13 @@
-"""Euler form, compatibility of brick families, and brick tests.
+"""Euler form, compatibility of band bricks, and brick tests.
 
 The Euler form on g-vectors is sum(a_i b_i) + 2 sum_{i<j} a_i b_j, skew
 symmetric on the zero-sum hyperplane.  Two brick g-vectors are compatible
 when the bricks admit no morphisms either way; a vanishing Euler form is
-necessary but not sufficient.  Scalar-parameter genericity is guarded by
-sampling the checks at parameters 1, 2, 3, on one family per brick, built
-once: its members share their basis maps and differ only in the scalar.
+necessary but not sufficient.  Each brick is one band module at
+parameter 1: gentle.hom_dim reads the parameter only on the cycle two
+modules of one band share, so every other count is the same at every
+parameter, and a brick compared with itself is compared with its member
+at parameter 2.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import dyck, gentle, words
 from .errors import (
     AllZero,
     BadDimension,
     DimensionMismatch,
-    GenericityViolation,
     InternalInconsistency,
     NotABrick,
     NotInHyperplane,
@@ -30,12 +31,11 @@ from .errors import (
 )
 
 GVector = tuple[int, ...]
-Family = tuple[gentle.BandModule, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (about 8.4 s, Python 3.11, 2 CPUs),
-# while (6, 3) takes 0.4 s and (7, 2) 0.3 s
+# admitted search is n = 3, box = 70 (about 5.6 s, Python 3.11, 2 CPUs),
+# while (6, 3) takes 0.3 s and (7, 2) 0.2 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -65,43 +65,25 @@ def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
     return euler_form(x, y) == -euler_form(y, x)
 
 
-def band_family(walk: gentle.Walk, n: int) -> Family:
-    """The band modules of walk at lam = 1, 2, 3: one build, shared maps."""
-    module = gentle.band_module(walk, 1, n=n)
-    return (module,) + tuple(dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3))
-
-
-def _sampled(answers: Iterable[bool], message: Callable[[], str]) -> bool:
-    # genericity guard: a check must give one answer at every sampled
-    # parameter; the message is formatted only when it does not
-    results = set(answers)
-    if len(results) != 1:
-        raise GenericityViolation(message())
-    return results.pop()
-
-
-def _brick_family(g: Sequence[int]) -> Family | None:
-    # band family of a brick g-vector, None when g decomposes
+def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
+    # band module of a brick g-vector at parameter 1, None when g decomposes
     entries = tuple(g)
     ms = dyck.reconstruct_multislalom(entries)  # raises InvalidGVector
     if len(ms.components) != 1:
         return None
-    family = band_family(gentle.slalom_to_band_walk(ms.components[0]), len(entries))
-    if not _sampled(
-        (gentle.hom_dim(m, m) == 1 for m in family),
-        lambda: f"End dimension depends on the parameter for {gentle.walk_to_str(family[0].walk)}",
-    ):
+    module = gentle.band_module(gentle.slalom_to_band_walk(ms.components[0]), 1, len(entries))
+    if gentle.hom_dim(module, module) != 1:
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
         )
-    return family
+    return module
 
 
 def is_brick_gvector(g: Sequence[int]) -> bool:
     """True iff the multislalom of g has one component, whose band module
     is a brick.  A single component with a non-brick module would break
     the correspondence, so it raises instead of returning."""
-    return _brick_family(g) is not None
+    return _brick_module(g) is not None
 
 
 def is_brick_gvector_n4(g: Sequence[int]) -> bool:
@@ -116,33 +98,27 @@ def is_brick_gvector_n4(g: Sequence[int]) -> bool:
     return a + b != 0 and math.gcd(a + b, b + c) == 1
 
 
-def _compatible_families(f1: Family, f2: Family) -> bool:
-    # no morphisms either way between the members at each sampled parameter
-    return _sampled(
-        (gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0 for x, y in zip(f1, f2)),
-        lambda: "compatibility depends on the parameters",
-    )
-
-
 def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
-    """No morphisms in either direction between the two brick families.
+    """No morphisms in either direction between the two band bricks.
 
     The vanishing of the Euler form is checked first: a non-zero value
     already forces a morphism, so the modules are only compared on the
-    zero-form pairs.
+    zero-form pairs.  A brick compared with itself is compared with its
+    member at parameter 2, which shares its walk but not its parameter.
     """
     v1, v2 = tuple(g1), tuple(g2)
     if len(v1) != len(v2):
         raise DimensionMismatch(f"lengths differ: {len(v1)} != {len(v2)}")
-    f1 = _brick_family(v1)
-    f2 = f1 if v1 == v2 else _brick_family(v2)
-    for v, f in ((v1, f1), (v2, f2)):
-        if f is None:
+    x = _brick_module(v1)
+    y = x if v1 == v2 else _brick_module(v2)
+    for v, m in ((v1, x), (v2, y)):
+        if m is None:
             raise NotABrick(f"{v} is not a brick g-vector")
     if euler_form(v1, v2) != 0:
         return False
-    # one family: pair each member with a distinct member
-    return _compatible_families(f1, f2[1:] + f2[:1] if f1 is f2 else f2)
+    if y is x:
+        y = dataclasses.replace(x, lam=Fraction(2))
+    return gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0
 
 
 def band_hom(
@@ -189,8 +165,8 @@ def witness_family(n: int) -> tuple[GVector, ...]:
     return tuple(family)
 
 
-def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, Family]:
-    # brick g-vectors with max-norm <= box, each with its band family
+def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModule]:
+    # brick g-vectors with max-norm <= box, each with its band module
     bricks = {}
 
     def extend(prefix: list[int], partial: int) -> None:
@@ -198,9 +174,9 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, Family]:
             last = -partial
             if abs(last) <= box:
                 candidate = tuple(prefix) + (last,)
-                family = _brick_family(candidate) if any(candidate) else None
-                if family is not None:
-                    bricks[candidate] = family
+                module = _brick_module(candidate) if any(candidate) else None
+                if module is not None:
+                    bricks[candidate] = module
             return
         for a in range(-box, box + 1):
             if partial + a <= 0:
@@ -247,8 +223,8 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
             raise SearchTooLarge(
                 f"n = {n}, box = {box} exceeds {MAX_SEARCH_PREFIXES} prefixes (2 box + 1)^(n - 1)"
             )
-    families = _enumerate_brick_gvectors(n, box)
-    bricks = list(families)
+    modules = _enumerate_brick_gvectors(n, box)
+    bricks = list(modules)
     index = {g: i for i, g in enumerate(bricks)}
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
     for i, g1 in enumerate(bricks):
@@ -257,7 +233,8 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
             g2 = bricks[j]
             if sum(map(operator.mul, row, g2)) != 0:
                 continue
-            if _compatible_families(families[g1], families[g2]):
+            # a zero Euler form makes Hom equally large both ways
+            if gentle.hom_dim(modules[g1], modules[g2]) == 0:
                 adj[i].add(j)
                 adj[j].add(i)
     seed = [g for g in witness_family(n) if g in index]

@@ -63,14 +63,22 @@ def walk_to_str(walk: Iterable[int]) -> str:
 
 
 def walk_from_str(text: str) -> Walk:
-    """Parse the serialization produced by walk_to_str."""
+    """Parse the serialization produced by walk_to_str.  An index longer
+    than MAX_VERTICES, leading zeros aside, raises QuiverTooLarge."""
     codes = []
     for token in text.split():
         m = _TOKEN.match(token)
         if not m:
             raise InvalidWalk(f"bad step token {token!r}")
         kind, index, minus = m.groups()
-        codes.append(int(index) << 2 | (kind == "b") << 1 | (minus == "-"))
+        # bounded before int(), which refuses digit strings past a limit
+        digits = index.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_VERTICES)):
+            raise QuiverTooLarge(
+                f"a step index of {len(digits)} digits exceeds the {MAX_VERTICES} vertices "
+                "a module may have"
+            )
+        codes.append(int(digits) << 2 | (kind == "b") << 1 | (minus == "-"))
     if not codes:
         raise InvalidWalk("empty walk")
     return tuple(codes)

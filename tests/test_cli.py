@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandbrick
 from bandbrick import acceptance
 from bandbrick.cli import main
 
@@ -370,6 +375,10 @@ _suites = st.text("abcx019-_ ", max_size=6).filter(lambda name: name not in _SUI
 _TIME_LIMIT_S = 5
 
 
+# a number of 5,000 digits, past Python's int-string conversion limit
+_LONG = "1" * 5000
+
+
 @st.composite
 def _command_argv(draw, out_dir):
     cmd = draw(st.sampled_from(
@@ -440,6 +449,18 @@ class TestExitContract:
         assert err.startswith("error: QuiverTooLarge: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", _LONG], ["phi-inverse", f"[[{_LONG}]]"], ["band", "hom", f"a{_LONG}", "a1"],
+         ["gvec", "check", f"{_LONG},-1"], ["euler", f"{_LONG},-{_LONG}", "1,-1"],
+         ["pcw", f"2,{_LONG}"], ["band", "walk", f"2,{_LONG}"]],
+        ids=["verify", "phi-inverse", "band-hom", "gvec-check", "euler", "pcw", "band-walk"],
+    )
+    def test_number_past_the_int_string_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2) and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @given(_band_argv())
     @settings(max_examples=300, deadline=None)
     def test_band_commands_exit_cleanly(self, argv):
@@ -461,3 +482,16 @@ class TestExitContract:
             code = main(argv)
         assert time.perf_counter() - start < _TIME_LIMIT_S, argv
         assert code in (0, 1, 2), argv
+
+
+def test_python_m_bandbrick():
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bandbrick", "verify", "golden"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("criterion 1 (golden): PASS")

@@ -13,7 +13,6 @@ from bandbrick.errors import (
     AllZero,
     BadDimension,
     DimensionMismatch,
-    GenericityViolation,
     InvalidWalk,
     NotABrick,
     NotInHyperplane,
@@ -87,6 +86,12 @@ class TestBrickGVectors:
     def test_closed_form_matches_module_test(self):
         for g in [(-2, -1, -3, 6), (-2, -3, 1, 4), (-4, 3, -2, 3), (-2, 0, 0, 2)]:
             assert forms.is_brick_gvector_n4(g) == forms.is_brick_gvector(g)
+
+    def test_one_end_count_per_brick(self):
+        # one module per brick, so its End is counted once
+        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as count:
+            assert forms.is_brick_gvector((-21, 8, 13))
+        assert count.call_count == 1
 
     def test_christoffel_slopes(self):
         for a in range(7):
@@ -168,30 +173,6 @@ class TestBandHom:
         assert forms.band_hom(walk, walk, None, 2, Fraction(2)) == (1, 1, 0)
 
 
-class TestGenericityGuard:
-    # a Hom answer that depends on the band parameter must be refused
-
-    def test_end_dimension_depends_on_parameter(self, monkeypatch):
-        monkeypatch.setattr(gentle, "hom_dim", lambda x, y: 1 if x.lam == 1 else 2)
-        with pytest.raises(GenericityViolation, match="End dimension depends") as raised:
-            forms.is_brick_gvector((-1, 1))
-        assert str(raised.value).endswith(" for a1 b1-")
-
-    def test_message_formatted_only_when_the_guard_fires(self):
-        with mock.patch.object(gentle, "walk_to_str", wraps=gentle.walk_to_str) as to_str:
-            assert forms.is_brick_gvector((-2, 1, 1))
-        assert to_str.call_count == 0
-
-    def test_compatibility_depends_on_parameter(self, monkeypatch):
-        # End stays one-dimensional, so both vectors are bricks
-        def hom_dim(x, y):
-            return 1 if x is y else int(x.lam != 1)
-
-        monkeypatch.setattr(gentle, "hom_dim", hom_dim)
-        with pytest.raises(GenericityViolation, match="compatibility depends"):
-            forms.compatible((-2, 1, 0, 1), (-1, 0, 1, 0))
-
-
 def _same_band(z1, z2):
     # one band: z2 is a rotation of z1 or of its inverse
     inverse = tuple(c ^ 1 for c in reversed(z1))
@@ -213,8 +194,8 @@ def _reference_compatible(z1, z2, n):
 class TestCompatibilityAgainstRebuild:
     @pytest.mark.parametrize("n, box", [(2, 2), (3, 2), (4, 2), (5, 2), (4, 3)])
     def test_euler_zero_pairs(self, n, box):
-        families = forms._enumerate_brick_gvectors(n, box)
-        bricks = sorted(families)
+        modules = forms._enumerate_brick_gvectors(n, box)
+        bricks = sorted(modules)
         pairs = [
             (g1, g2)
             for i, g1 in enumerate(bricks)
@@ -223,31 +204,12 @@ class TestCompatibilityAgainstRebuild:
         ]
         assert pairs
         for g1, g2 in pairs:
-            want = _reference_compatible(families[g1][0].walk, families[g2][0].walk, n)
+            want = _reference_compatible(modules[g1].walk, modules[g2].walk, n)
             assert forms.compatible(g1, g2) == want, (g1, g2)
-            if g1 != g2:
-                assert forms._compatible_families(families[g1], families[g2]) == want
 
 
 class TestFamilies:
-    def test_members_share_maps(self):
-        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
-        assert [m.lam for m in family] == [1, 2, 3]
-        for m in family[1:]:
-            assert m.arrows is family[0].arrows and m.dims is family[0].dims
-            assert m.walk is family[0].walk and m.lam_at == family[0].lam_at
-
-    def test_members_share_step_codes(self):
-        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
-        assert all(m.codes is family[0].codes for m in family)
-        assert len(family[0].codes) == len(family[0].walk)
-
-    def test_members_share_hom_tables(self):
-        family = forms.band_family(gentle.psi((2, 3, 3)), 3)
-        for m in family[1:]:
-            assert m.tops is family[0].tops
-            assert m.bottoms is family[0].bottoms
-            assert m.starts is family[0].starts
+    # the compatible-family search holds one module per brick
 
     def test_search_builds_each_brick_once(self, monkeypatch):
         bricks = len(forms._enumerate_brick_gvectors(5, 2))

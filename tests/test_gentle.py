@@ -97,6 +97,16 @@ class TestWalks:
         text = "a1 b1- a1 a2 b2- b1-"
         assert gentle.walk_to_str(gentle.walk_from_str(text)) == text
 
+    def test_index_digits_bounded_before_parsing(self):
+        # leading zeros are read as before; a longer index than any module
+        # may have is refused before int() sees it
+        assert gentle.walk_from_str("a" + "0" * 5000 + "1 b01-") == gentle.walk_from_str("a1 b1-")
+        top = gentle.MAX_VERTICES
+        assert gentle.walk_from_str(f"a{top}") == (top << 2,)
+        for index in (f"1{top}", "1" * 5000):
+            with pytest.raises(QuiverTooLarge):
+                gentle.walk_from_str(f"a1 b{index}-")
+
     def test_validate_accepts_psi(self):
         assert gentle.validate_band_walk(gentle.psi((2, 3, 2, 2, 3)))
 
@@ -433,6 +443,10 @@ def _small_walks():
     return sorted(small, key=_walk_key)
 
 
+# the parameters both sides of a Hom count are swept over
+SWEEP = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2))
+
+
 class TestHomAgainstDenseElimination:
     LAMBDAS = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3, 2), Fraction(-2, 5))
 
@@ -445,6 +459,19 @@ class TestHomAgainstDenseElimination:
             x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
             y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
             assert gentle.hom_dim(x, y) == _reference_hom_dim(x, y), (w1, w2)
+
+    def test_parameter_sweep(self):
+        # one build per walk, then every pair of swept parameters; the walks
+        # of at most 8 steps keep the dense systems small
+        walks = [w for w in _small_walks() if len(w) <= 8]
+        rng = random.Random(11)
+        pairs = [(w, w) for w in walks] + [tuple(rng.sample(walks, 2)) for _ in range(24)]
+        for w1, w2 in pairs:
+            n = _quiver(w1, w2)
+            x, y = gentle.band_module(w1, 1, n), gentle.band_module(w2, 1, n)
+            for lam1, lam2 in itertools.product(SWEEP, repeat=2):
+                xl, yl = dataclasses.replace(x, lam=lam1), dataclasses.replace(y, lam=lam2)
+                assert gentle.hom_dim(xl, yl) == _reference_hom_dim(xl, yl), (w1, w2, lam1, lam2)
 
 
 # The intertwiner engine that hom_dim replaced, kept as a second engine:
@@ -559,16 +586,26 @@ class TestHomAgainstIntertwiner:
             assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (w1, w2)
 
     def test_euler_zero_brick_pairs(self):
-        families = forms._enumerate_brick_gvectors(5, 2)
+        # one module per brick, swept over both parameters, distinct ones
+        # when a brick meets itself; a zero Euler form makes Hom equally
+        # large both ways, which lets the search test one direction
+        modules = forms._enumerate_brick_gvectors(5, 2)
+        bricks = list(modules)
         pairs = 0
-        for g1, g2 in itertools.product(families, repeat=2):
-            if euler_form(g1, g2) != 0:
-                continue
-            f1, f2 = families[g1], families[g2]
-            for x, y in zip(f1, f2[1:] + f2[:1] if g1 == g2 else f2):
-                pairs += 1
-                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (g1, g2, x.lam)
-                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(y, x), (g1, g2, x.lam)
+        for i, g1 in enumerate(bricks):
+            for g2 in bricks[i:]:
+                if euler_form(g1, g2) != 0:
+                    continue
+                for lam1, lam2 in itertools.product(SWEEP, repeat=2):
+                    if g1 == g2 and lam1 == lam2:
+                        continue
+                    x = dataclasses.replace(modules[g1], lam=lam1)
+                    y = dataclasses.replace(modules[g2], lam=lam2)
+                    pairs += 1
+                    hom_xy, hom_yx = gentle.hom_dim(x, y), gentle.hom_dim(y, x)
+                    assert hom_xy == _intertwiner_hom_dim(x, y), (g1, g2, lam1, lam2)
+                    assert hom_yx == _intertwiner_hom_dim(y, x), (g1, g2, lam1, lam2)
+                    assert hom_xy == hom_yx, (g1, g2, lam1, lam2)
         assert pairs > 100
 
 
@@ -671,6 +708,34 @@ def _table_walks():
             if words.is_primitive(w):
                 walks.append(gentle.psi(w))
     return walks
+
+
+class TestParameterMembers:
+    # dataclasses.replace(module, lam=mu) is the member mu of the same band:
+    # one build, and everything but the parameter shared
+
+    def _members(self):
+        module = gentle.band_module(gentle.psi((2, 3, 3)), 1, 3)
+        return [module] + [dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3)]
+
+    def test_members_share_maps(self):
+        members = self._members()
+        assert [m.lam for m in members] == [1, 2, 3]
+        for m in members[1:]:
+            assert m.arrows is members[0].arrows and m.dims is members[0].dims
+            assert m.walk is members[0].walk and m.lam_at == members[0].lam_at
+
+    def test_members_share_step_codes(self):
+        members = self._members()
+        assert all(m.codes is members[0].codes for m in members)
+        assert len(members[0].codes) == len(members[0].walk)
+
+    def test_members_share_hom_tables(self):
+        members = self._members()
+        for m in members[1:]:
+            assert m.tops is members[0].tops
+            assert m.bottoms is members[0].bottoms
+            assert m.starts is members[0].starts
 
 
 class TestHomTables:

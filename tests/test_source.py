@@ -45,3 +45,20 @@ def test_no_rotation_copies_in_package():
             if "cmp_to_key" in _names(node):
                 found.append(f"{name}:{node.lineno} uses cmp_to_key")
     assert found == []
+
+
+def test_every_error_is_raised():
+    # an error class that no raise names is dead code
+    trees = dict(package_trees())
+    errors = {
+        node.name
+        for node in ast.walk(trees["errors.py"])
+        if isinstance(node, ast.ClassDef) and node.name != "DomainError"
+    }
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= _names(exc)
+    assert sorted(errors - raised) == []
