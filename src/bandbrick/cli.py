@@ -25,7 +25,7 @@ class UsageError(Exception):
 
 
 # Lets tokens like "-3,-1,3" pass as positional values instead of flags.
-_NEG_CSV = re.compile(r"^-\d+(?:,-?\d+)*$")
+_NEG_CSV = re.compile(r"^-[0-9]+(?:,-?[0-9]+)*$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 _ALPHA = re.compile(r"^[a-z]+$")
 _DIGITS = re.compile(r"^[0-9]+$")
-_CSV = re.compile(r"^-?\d+(?:,-?\d+)*$")
+# numbers are ASCII: \d, int(), float() and Fraction() would also read other
+# scripts' digits
+_CSV = re.compile(r"^-?[0-9]+(?:,-?[0-9]+)*$")
+_INT = re.compile(r"^-?[0-9]+$")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -91,16 +94,21 @@ def _parse_gvector(text: str) -> tuple[int, ...]:
 
 def _parse_lambda(text: str) -> Fraction:
     try:
+        if not text.isascii():
+            raise ValueError("non-ASCII characters")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read scalar {text!r}: use an integer or p/q") from exc
 
 
 def _parse_band_spec(text: str, n: int | None) -> gentle.Walk:
-    # a serialized walk, or else a word
+    # a serialized walk, or else a word; a word is one token, so a spec of
+    # several tokens that is not a walk stays an InvalidWalk
     try:
         return gentle.walk_from_str(text)
     except InvalidWalk:
+        if len(text.split()) > 1:
+            raise
         word, _ = _parse_word(text)
     return gentle.psi(word, n)
 
@@ -284,7 +292,7 @@ def _cmd_verify(args) -> int:
         # a criterion number has at most two digits past its leading zeros,
         # so int() never meets a digit string past Python's int-string limit
         number = wanted.lstrip("0")
-        if wanted.isdecimal() and len(number) <= 2:
+        if _DIGITS.fullmatch(wanted) and len(number) <= 2:
             selected = [s for s in acceptance.SUITES if s[0] == int(number or "0")]
         else:
             selected = [s for s in acceptance.SUITES if s[1] == wanted]
@@ -321,8 +329,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be an integer: {text!r}")
+    return int(text)  # a ValueError past the int-string limit is a usage error too
+
+
 def _positive(text: str) -> float:
-    value = float(text)
+    value = float(text) if text.isascii() else 0.0
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive number: {text!r}")
     return value
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = bsub.add_parser(name, help=help_text)
         p.add_argument("word")
-        p.add_argument("--n", type=int, default=None, help="number of vertices")
+        p.add_argument("--n", type=_integer, default=None, help="number of vertices")
         if name != "walk":
             p.add_argument("--lambda", dest="lam", default="1", metavar="P/Q")
         _add_json(p)
@@ -392,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("hom", help="Hom, Ext and Euler data for two bands")
     p.add_argument("spec1", help="word or walk string such as 'a1 b1-'")
     p.add_argument("spec2")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_integer, default=None)
     p.add_argument("--lambda1", default="1", metavar="P/Q")
     p.add_argument("--lambda2", default=None, metavar="P/Q")
     _add_json(p)
@@ -411,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     p.set_defaults(fn=_cmd_fan_brick4)
     p = fsub.add_parser("maxcompat", help="maximum pairwise-compatible brick set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--box", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--box", type=_integer, required=True)
     _add_json(p)
     p.set_defaults(fn=_cmd_fan_maxcompat)
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("suite", help="suite name, criterion number, or 'all'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_json(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.add_argument("--unit", type=_positive, default=40.0)
     p.add_argument("--width", type=_positive, default=None)
-    p.add_argument("--palette-seed", type=int, default=0)
+    p.add_argument("--palette-seed", type=_integer, default=0)
     _add_json(p)
     p.set_defaults(fn=_cmd_render)
 

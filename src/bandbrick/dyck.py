@@ -7,17 +7,30 @@ copies of the diagram glued along label blocks in opposite orientation,
 decomposes into closed components.  Following each component alternately
 through both copies yields a circular word over the labels; erasing the
 letter 1 relates these words to the necklace bijection of `words`.
+
+The matching and the trace run on flat int lists over the step positions
+(labels, chord partners, glued steps) with a bytearray of traced steps;
+the public DyckDiagram, Component and Multislalom values are built from
+them.  A diagram holds at most MAX_STEPS steps: larger g-vectors raise
+GVectorTooLarge before any step is built, while validate_gvector stays
+unbounded.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadDimension, InternalInconsistency, InvalidGVector
+from .errors import BadDimension, GVectorTooLarge, InternalInconsistency, InvalidGVector
 from .words import necklace
 
 GVector = tuple[int, ...]
+
+# the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
+# steps: at the bound, render takes about 1.9 s on (-75000, 75000), its
+# slowest shape, and gvec words 1.0 s (Python 3.11, 2 CPUs)
+MAX_STEPS = 150_000
 
 
 def validate_gvector(g: Sequence[int]) -> bool:
@@ -58,10 +71,8 @@ class DyckDiagram:
     @property
     def heights(self) -> tuple[int, ...]:
         """Path heights before each step, plus the final height."""
-        out = [0]
-        for direction, _ in self.steps:
-            out.append(out[-1] + (1 if direction == "u" else -1))
-        return tuple(out)
+        rises = (1 if direction == "u" else -1 for direction, _ in self.steps)
+        return tuple(itertools.accumulate(rises, initial=0))
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,13 @@ class Multislalom:
 
 
 def to_dyck_diagram(g: Sequence[int]) -> DyckDiagram:
-    """Labeled runs of the diagram; entries a_i = 0 contribute no steps."""
+    """Labeled runs of the diagram; entries a_i = 0 contribute no steps.
+    Every diagram build passes here, and more than MAX_STEPS steps raise
+    GVectorTooLarge before any step is built."""
     entries = _check_gvector(g)
+    size = sum(map(abs, entries))
+    if size > MAX_STEPS:
+        raise GVectorTooLarge(f"{size} Dyck steps exceed the bound of {MAX_STEPS}")
     steps = []
     for label, a in enumerate(entries, start=1):
         direction = "u" if a < 0 else "d"
@@ -99,72 +115,66 @@ def to_dyck_diagram(g: Sequence[int]) -> DyckDiagram:
     return DyckDiagram(steps=tuple(steps), n=len(entries))
 
 
-def _nested_matching(diagram: DyckDiagram) -> list[tuple[int, int]]:
-    # stack matching: each down-step closes the most recent open up-step
-    stack: list[int] = []
-    pairs = []
-    for pos, (direction, _) in enumerate(diagram.steps):
-        if direction == "u":
-            stack.append(pos)
+def _int_diagram(entries: GVector) -> tuple[list[int], list[int], list[int]]:
+    # flat int lists over the step positions: the label of each step, its
+    # partner in the nested matching (a down-step closes the most recent
+    # open up-step), and the glued step on the other copy (the k-th step of
+    # a label block meets the (block size + 1 - k)-th step of that block)
+    labels: list[int] = []
+    partner: list[int] = []
+    glued: list[int] = []
+    opened: list[int] = []
+    for label, a in enumerate(entries, start=1):
+        start, size = len(labels), abs(a)
+        labels += [label] * size
+        glued += range(start + size - 1, start - 1, -1)
+        if a < 0:
+            opened += range(start, start + size)
+            partner += [0] * size  # filled when the down-step closes it
         else:
-            pairs.append((stack.pop(), pos))
-    if stack:
-        raise InternalInconsistency(f"{len(stack)} up-steps left unmatched")
-    return sorted(pairs)
-
-
-def _cross_copy_map(diagram: DyckDiagram) -> list[int]:
-    # the k-th step of a label block on one copy is glued to the
-    # (block size + 1 - k)-th step of the same block on the other copy
-    ident = [0] * len(diagram.steps)
-    start = 0
-    labels = diagram.labels
-    while start < len(labels):
-        end = start
-        while end + 1 < len(labels) and labels[end + 1] == labels[start]:
-            end += 1
-        for pos in range(start, end + 1):
-            ident[pos] = start + end - pos
-        start = end + 1
-    return ident
+            for pos in range(start, start + size):
+                up = opened.pop()
+                partner[up] = pos
+                partner.append(up)
+    if opened:
+        raise InternalInconsistency(f"{len(opened)} up-steps left unmatched")
+    return labels, partner, glued
 
 
 def _trace_components(
-    diagram: DyckDiagram, matching: Sequence[tuple[int, int]], signs: Sequence[int]
+    entries: GVector, labels: list[int], partner: list[int], glued: list[int]
 ) -> tuple[Component, ...]:
-    partner: dict[int, int] = {}
-    for up, down in matching:
-        partner[up] = down
-        partner[down] = up
-    ident = _cross_copy_map(diagram)
-    labels = diagram.labels
-    visited: set[tuple[int, int]] = set()
+    # each round enters copy 1 at pos, leaves along its chord, crosses to
+    # the glued step on copy 2, leaves along that chord and crosses back
+    signs = [-1 if a < 0 else 1 for a in entries]
+    visited = bytearray(len(labels))  # copy-1 entries already traced
     components = []
-    for start in sorted(partner):
-        if diagram.steps[start][0] != "u" or (1, start) in visited:
+    for start, end in enumerate(partner):
+        if end < start or visited[start]:  # a down-step, or traced
             continue
         word: list[int] = []
-        segments: list[tuple[int, int, int]] = []
         chords: list[int] = []
-        copy, pos = 1, start
+        pos = start
         while True:
-            visited.add((copy, pos))
-            exit_pos = partner[pos]
-            if copy == 1:
-                chords.append(min(pos, exit_pos))
-            segments.append((copy, labels[pos], labels[exit_pos]))
-            word.append(labels[exit_pos])
-            copy, pos = 3 - copy, ident[exit_pos]
-            if (copy, pos) == (1, start):
+            visited[pos] = 1
+            out = partner[pos]
+            chords.append(pos if pos < out else out)
+            back = partner[glued[out]]
+            word.append(labels[out])
+            word.append(labels[back])
+            pos = glued[back]
+            if pos == start:
                 break
-        gvec = [0] * diagram.n
+        gvec = [0] * len(entries)
         for label in word:
             gvec[label - 1] += signs[label - 1]
         components.append(
             Component(
                 word=tuple(word),
                 gvector=tuple(gvec),
-                segments=tuple(segments),
+                # a segment runs from the label entered (the previous exit,
+                # since glued steps share a label) to the label left
+                segments=tuple(zip(itertools.cycle((1, 2)), word[-1:] + word[:-1], word)),
                 chords=tuple(sorted(chords)),
             )
         )
@@ -173,13 +183,13 @@ def _trace_components(
 
 def reconstruct_multislalom(g: Sequence[int]) -> Multislalom:
     """Nested matching of the diagram of g and its closed components."""
-    entries = _check_gvector(g)
-    diagram = to_dyck_diagram(entries)
-    matching = _nested_matching(diagram)
-    signs = [-1 if a < 0 else 1 for a in entries]
-    components = _trace_components(diagram, matching, signs)
+    entries = tuple(g)
+    diagram = to_dyck_diagram(entries)  # validates and bounds g
+    labels, partner, glued = _int_diagram(entries)
     return Multislalom(
-        diagram=diagram, matching=tuple(matching), components=components
+        diagram=diagram,
+        matching=tuple((up, down) for up, down in enumerate(partner) if up < down),
+        components=_trace_components(entries, labels, partner, glued),
     )
 
 

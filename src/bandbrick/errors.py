@@ -69,6 +69,10 @@ class SearchTooLarge(DomainError):
     """An enumeration would exceed its named size bound."""
 
 
+class GVectorTooLarge(DomainError):
+    """A g-vector has more Dyck steps than a diagram build may hold."""
+
+
 class QuiverTooLarge(DomainError):
     """A quiver has more vertices than a per-vertex table may hold."""
 

@@ -54,7 +54,7 @@ Walk = tuple[int, ...]
 # band hom takes about 0.3 s; its per-vertex tables grow with n
 MAX_VERTICES = 10**6 + 1
 
-_TOKEN = re.compile(r"([ab])(\d+)(-?)$")
+_TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
 
 
 def walk_to_str(walk: Iterable[int]) -> str:

@@ -3,7 +3,9 @@
 The drawing shows a light grid, the labeled Dyck path of a g-vector, and
 one horizontal chord per matched up/down pair at height nesting depth
 plus one half, in a distinct color per multislalom component.  Output is
-byte-identical for equal input and options.
+byte-identical for equal input and options.  Each distinct coordinate is
+formatted once, per column, half column and height level, and the strings
+are shared by the grid, the path, the labels and the chords.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ def render_dyck(
 ) -> str:
     """Standalone SVG document for the Dyck diagram and multislalom of g."""
     ms = reconstruct_multislalom(g)
-    diagram = ms.diagram
-    steps = diagram.steps
-    heights = diagram.heights
+    steps = ms.diagram.steps
+    heights = ms.diagram.heights
     count = len(steps)
     top = max(heights)
     if width is not None:
@@ -51,18 +52,19 @@ def render_dyck(
     w = margin * 2 + count * unit
     h = margin * 2 + (top + 1) * unit
 
-    def x(pos: float) -> float:
-        return margin + pos * unit
+    # every coordinate is formatted once: x of each column and half column,
+    # y of each level, of each chord level (half a level up) and of each
+    # label baseline (0.45 below the middle of the step it names)
+    xs = [_fmt(margin + k * unit) for k in range(count + 1)]
+    half_xs = [_fmt(margin + (k + 0.5) * unit) for k in range(count)]
+    ys = [_fmt(h - margin - level * unit) for level in range(top + 1)]
+    chord_ys = [_fmt(h - margin - (level + 0.5) * unit) for level in range(top)]
+    label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
 
-    def y(height: float) -> float:
-        return h - margin - height * unit
-
-    chord_color: dict[tuple[int, int], str] = {}
-    colors = _palette(len(ms.components), palette_seed)
-    pair_by_up = dict(ms.matching)
-    for comp, color in zip(ms.components, colors):
+    chord_color: dict[int, str] = {}
+    for comp, color in zip(ms.components, _palette(len(ms.components), palette_seed)):
         for up in comp.chords:
-            chord_color[(up, pair_by_up[up])] = color
+            chord_color[up] = color
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" '
@@ -70,21 +72,11 @@ def render_dyck(
         f'<rect width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>',
         '<g stroke="#dddddd" stroke-width="1">',
     ]
-    for k in range(count + 1):
-        parts.append(
-            f'<line x1="{_fmt(x(k))}" y1="{_fmt(y(0))}" '
-            f'x2="{_fmt(x(k))}" y2="{_fmt(y(top))}"/>'
-        )
-    for level in range(top + 1):
-        parts.append(
-            f'<line x1="{_fmt(x(0))}" y1="{_fmt(y(level))}" '
-            f'x2="{_fmt(x(count))}" y2="{_fmt(y(level))}"/>'
-        )
+    parts += [f'<line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[top]}"/>' for x in xs]
+    parts += [f'<line x1="{xs[0]}" y1="{y}" x2="{xs[count]}" y2="{y}"/>' for y in ys]
     parts.append("</g>")
 
-    points = " ".join(
-        f"{_fmt(x(k))},{_fmt(y(hh))}" for k, hh in enumerate(heights)
-    )
+    points = " ".join(f"{x},{ys[hh]}" for x, hh in zip(xs, heights))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#222222" '
         'stroke-width="2"/>'
@@ -94,22 +86,19 @@ def render_dyck(
         f'<g font-family="monospace" font-size="{_fmt(unit * 0.35)}" '
         'fill="#222222" text-anchor="middle">'
     )
-    for k, (_, label) in enumerate(steps):
-        mid = (heights[k] + heights[k + 1]) / 2
-        parts.append(
-            f'<text x="{_fmt(x(k + 0.5))}" y="{_fmt(y(mid - 0.45))}">'
-            f"{label}</text>"
-        )
+    lows = map(min, heights, heights[1:])
+    parts += [
+        f'<text x="{x}" y="{label_ys[low]}">{label}</text>'
+        for x, low, (_, label) in zip(half_xs, lows, steps)
+    ]
     parts.append("</g>")
 
     parts.append('<g stroke-width="2.5" fill="none">')
-    for up, down in ms.matching:
-        level = heights[up] + 0.5
-        parts.append(
-            f'<line x1="{_fmt(x(up + 0.5))}" y1="{_fmt(y(level))}" '
-            f'x2="{_fmt(x(down + 0.5))}" y2="{_fmt(y(level))}" '
-            f'stroke="{chord_color[(up, down)]}"/>'
-        )
+    parts += [
+        f'<line x1="{half_xs[up]}" y1="{chord_ys[heights[up]]}" '
+        f'x2="{half_xs[down]}" y2="{chord_ys[heights[up]]}" stroke="{chord_color[up]}"/>'
+        for up, down in ms.matching
+    ]
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

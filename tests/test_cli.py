@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandbrick
-from bandbrick import acceptance
+from bandbrick import acceptance, dyck
 from bandbrick.cli import main
 
 
@@ -460,6 +460,48 @@ class TestExitContract:
         code, out, err = run(capsys, *argv)
         assert code in (1, 2) and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bw", "\u0662\u0663"], ["pcw", "\u0662,\u0663"], ["verify", "\u0663"],
+         ["fan", "maxcompat", "--n", "\u0663", "--box", "2"],
+         ["render", "--unit", "\u0663", "-1,1"], ["band", "module", "2", "--lambda", "\u0663"]],
+        ids=["bw", "pcw", "verify", "maxcompat-n", "render-unit", "band-lambda"],
+    )
+    def test_non_ascii_digits_are_usage_errors(self, capsys, argv):
+        # Arabic-Indic digits, which \d, int(), float() and Fraction() would read
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+
+    def test_non_ascii_walk_index_is_an_invalid_walk(self, capsys):
+        code, out, err = run(capsys, "band", "hom", "a\u0661 b\u0661-", "a1 b1-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidWalk: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gvec", "dyck"], ["gvec", "words"], ["gvec", "decompose"], ["render"]],
+        ids=["gvec-dyck", "gvec-words", "gvec-decompose", "render"],
+    )
+    def test_gvector_past_the_step_bound(self, capsys, argv):
+        half = dyck.MAX_STEPS // 2 + 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, f"-{half},{half}")
+        assert time.perf_counter() - start < _TIME_LIMIT_S
+        assert (code, out) == (1, "")
+        assert err.startswith("error: GVectorTooLarge: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["gvec", "check", "-1000000000,1000000000"], "true\n"),
+         (["euler", "-1000000000,1000000000", "-1,1"], "0\n"),
+         (["fan", "brick4", "-1000000000,1,0,999999999"], "true\n")],
+        ids=["gvec-check", "euler", "fan-brick4"],
+    )
+    def test_gvector_commands_without_a_diagram_stay_unbounded(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
     @given(_band_argv())
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 """Dyck-path model: validation, matching, components, circular words."""
 
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandbrick import dyck, words
-from bandbrick.errors import BadDimension, InvalidGVector
+from bandbrick.errors import BadDimension, GVectorTooLarge, InternalInconsistency, InvalidGVector
 
 
 def _safe_valid(g):
@@ -136,3 +138,143 @@ class TestComponents:
     def test_component_count_matches_words(self, g):
         ms = dyck.reconstruct_multislalom(g)
         assert len(ms.components) == len(dyck.circular_words(g))
+
+
+# The tuple-keyed trace the int-coded layer replaced, kept as the reference:
+# steps keyed by position, a partner dict and a visited set of (copy, step).
+
+
+def _nested_matching(diagram):
+    # stack matching: each down-step closes the most recent open up-step
+    stack = []
+    pairs = []
+    for pos, (direction, _) in enumerate(diagram.steps):
+        if direction == "u":
+            stack.append(pos)
+        else:
+            pairs.append((stack.pop(), pos))
+    if stack:
+        raise InternalInconsistency(f"{len(stack)} up-steps left unmatched")
+    return sorted(pairs)
+
+
+def _cross_copy_map(diagram):
+    # the k-th step of a label block on one copy is glued to the
+    # (block size + 1 - k)-th step of the same block on the other copy
+    ident = [0] * len(diagram.steps)
+    start = 0
+    labels = diagram.labels
+    while start < len(labels):
+        end = start
+        while end + 1 < len(labels) and labels[end + 1] == labels[start]:
+            end += 1
+        for pos in range(start, end + 1):
+            ident[pos] = start + end - pos
+        start = end + 1
+    return ident
+
+
+def _trace_components(diagram, matching, signs):
+    partner = {}
+    for up, down in matching:
+        partner[up] = down
+        partner[down] = up
+    ident = _cross_copy_map(diagram)
+    labels = diagram.labels
+    visited = set()
+    components = []
+    for start in sorted(partner):
+        if diagram.steps[start][0] != "u" or (1, start) in visited:
+            continue
+        word, segments, chords = [], [], []
+        copy, pos = 1, start
+        while True:
+            visited.add((copy, pos))
+            exit_pos = partner[pos]
+            if copy == 1:
+                chords.append(min(pos, exit_pos))
+            segments.append((copy, labels[pos], labels[exit_pos]))
+            word.append(labels[exit_pos])
+            copy, pos = 3 - copy, ident[exit_pos]
+            if (copy, pos) == (1, start):
+                break
+        gvec = [0] * diagram.n
+        for label in word:
+            gvec[label - 1] += signs[label - 1]
+        components.append(
+            dyck.Component(
+                word=tuple(word),
+                gvector=tuple(gvec),
+                segments=tuple(segments),
+                chords=tuple(sorted(chords)),
+            )
+        )
+    return tuple(components)
+
+
+def _reference_multislalom(g):
+    diagram = dyck.to_dyck_diagram(g)
+    matching = _nested_matching(diagram)
+    signs = [-1 if a < 0 else 1 for a in g]
+    return dyck.Multislalom(
+        diagram=diagram,
+        matching=tuple(matching),
+        components=_trace_components(diagram, matching, signs),
+    )
+
+
+def _long_gvectors(seed, count, min_steps=2000):
+    # prefix sums P_1..P_{n-1} <= 0 with P_1 <= -1000, so the path reaches
+    # depth 1000 and back: at least 2000 steps; equal sums give zero entries
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 8)
+        sums = [-rng.randint(1000, 2000)]
+        for _ in range(n - 2):
+            sums.append(sums[-1] if rng.random() < 0.15 else -rng.randint(0, 2000))
+        sums.append(0)
+        g = tuple(b - a for a, b in zip([0] + sums, sums))
+        if sum(map(abs, g)) >= min_steps:
+            out.append(g)
+    return out
+
+
+class TestAgainstTupleTrace:
+    def test_every_small_gvector(self):
+        checked = 0
+        for n in range(2, 6):
+            for g in itertools.product(range(-3, 4), repeat=n):
+                if dyck.validate_gvector(g):
+                    assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
+                    checked += 1
+        assert checked == 498
+
+    def test_seeded_long_gvectors(self):
+        gs = _long_gvectors(seed=12, count=20)
+        assert all(sum(map(abs, g)) >= 2000 for g in gs)
+        for g in gs:
+            assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
+
+
+class TestStepBound:
+    def test_bound_admits_the_largest_suite_input(self):
+        assert sum(map(abs, (-6765, 2584, 4181))) <= dyck.MAX_STEPS
+
+    def test_at_the_bound(self):
+        half = dyck.MAX_STEPS // 2
+        assert len(dyck.to_dyck_diagram((-half, half)).steps) == 2 * half
+
+    @pytest.mark.parametrize(
+        "build", [dyck.to_dyck_diagram, dyck.reconstruct_multislalom, dyck.circular_words,
+                  dyck.component_gvectors],
+    )
+    def test_past_the_bound(self, build):
+        half = dyck.MAX_STEPS // 2 + 1
+        with pytest.raises(GVectorTooLarge):
+            build((-half, half))
+
+    def test_validation_stays_unbounded(self):
+        assert dyck.validate_gvector((-10**12, 10**12))
+        with pytest.raises(InvalidGVector):
+            dyck.to_dyck_diagram((10**12, -10**12))

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandbrick import forms, gentle
+from bandbrick import dyck, forms, gentle
 from bandbrick.errors import (
     AllZero,
     BadDimension,
     DimensionMismatch,
+    GVectorTooLarge,
     InvalidWalk,
     NotABrick,
     NotInHyperplane,
@@ -86,6 +87,15 @@ class TestBrickGVectors:
     def test_closed_form_matches_module_test(self):
         for g in [(-2, -1, -3, 6), (-2, -3, 1, 4), (-4, 3, -2, 3), (-2, 0, 0, 2)]:
             assert forms.is_brick_gvector_n4(g) == forms.is_brick_gvector(g)
+
+    def test_step_bound(self):
+        half = dyck.MAX_STEPS // 2 + 1
+        big = (-half, 1, half - 1)
+        for test in (forms.is_brick_gvector, lambda g: forms.compatible(g, (-1, 0, 1))):
+            with pytest.raises(GVectorTooLarge):
+                test(big)
+        # the closed form builds no diagram
+        assert forms.is_brick_gvector_n4((-half, 1, 0, half - 1))
 
     def test_one_end_count_per_brick(self):
         # one module per brick, so its End is counted once

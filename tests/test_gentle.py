@@ -107,6 +107,11 @@ class TestWalks:
             with pytest.raises(QuiverTooLarge):
                 gentle.walk_from_str(f"a1 b{index}-")
 
+    def test_index_digits_are_ascii(self):
+        # Arabic-Indic one: int() would read it as 1
+        with pytest.raises(InvalidWalk):
+            gentle.walk_from_str("a\u0661 b\u0661-")
+
     def test_validate_accepts_psi(self):
         assert gentle.validate_band_walk(gentle.psi((2, 3, 2, 2, 3)))
 
