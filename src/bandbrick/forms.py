@@ -34,8 +34,8 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (about 5.6 s, Python 3.11, 2 CPUs),
-# while (6, 3) takes 0.3 s and (7, 2) 0.2 s
+# admitted search is n = 3, box = 70 (about 2 s, Python 3.11, 2 CPUs),
+# while (6, 3) takes 0.2 s and (7, 2) 0.1 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -68,10 +68,10 @@ def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
 def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
     # band module of a brick g-vector at parameter 1, None when g decomposes
     entries = tuple(g)
-    ms = dyck.reconstruct_multislalom(entries)  # raises InvalidGVector
-    if len(ms.components) != 1:
+    component = dyck.single_component(entries)  # raises InvalidGVector
+    if component is None:
         return None
-    module = gentle.band_module(gentle.slalom_to_band_walk(ms.components[0]), 1, len(entries))
+    module = gentle.band_module(gentle.slalom_to_band_walk(component), 1, len(entries))
     if gentle.hom_dim(module, module) != 1:
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
@@ -186,6 +186,35 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
     return bricks
 
 
+def _euler_zero_pairs(bricks: Sequence[GVector]) -> list[list[int]]:
+    # later[i] lists, ascending, the j > i with euler_form(bricks[i],
+    # bricks[j]) == 0.  Every g2 sums to zero, so with c = _euler_row(g1)
+    # the form is sum_{j<n} (c_j - c_n) g2_j; once the first n - 2 entries
+    # of g2 are fixed, one linear equation in g2_{n-1} is left, whose
+    # solution is looked up among the bricks with that prefix.  When its
+    # coefficient is 0, all of them qualify or none does.
+    buckets: dict[GVector, dict[int, int]] = {}  # prefix -> {g2_{n-1}: j}
+    later: list[list[int]] = [[] for _ in bricks]
+    for i in range(len(bricks) - 1, -1, -1):  # buckets hold the j > i
+        g1 = bricks[i]
+        row = _euler_row(g1)
+        cn = row[-1]
+        coeffs = [c - cn for c in row[:-2]]
+        lead = row[-2] - cn
+        found = later[i]
+        for prefix, bucket in buckets.items():
+            rest = sum(map(operator.mul, coeffs, prefix))
+            if lead:
+                last, remainder = divmod(-rest, lead)
+                if not remainder and last in bucket:
+                    found.append(bucket[last])
+            elif not rest:
+                found.extend(bucket.values())
+        found.sort()
+        buckets.setdefault(g1[:-2], {})[g1[-2]] = i
+    return later
+
+
 def _max_clique(vertices: Sequence[int], adj: dict[int, set[int]]) -> list[int]:
     # Bron-Kerbosch with pivoting, tracking the largest clique
     best: list[int] = []
@@ -227,14 +256,10 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     bricks = list(modules)
     index = {g: i for i, g in enumerate(bricks)}
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
-    for i, g1 in enumerate(bricks):
-        row = _euler_row(g1)
-        for j in range(i + 1, len(bricks)):
-            g2 = bricks[j]
-            if sum(map(operator.mul, row, g2)) != 0:
-                continue
+    for i, later in enumerate(_euler_zero_pairs(bricks)):
+        for j in later:
             # a zero Euler form makes Hom equally large both ways
-            if gentle.hom_dim(modules[g1], modules[g2]) == 0:
+            if gentle.hom_dim(modules[bricks[i]], modules[bricks[j]]) == 0:
                 adj[i].add(j)
                 adj[j].add(i)
     seed = [g for g in witness_family(n) if g in index]

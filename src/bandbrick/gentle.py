@@ -20,7 +20,7 @@ Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991): a
 top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
 one band, the one cycle if the parameters agree.  Each module carries
-what the count reads of it (its tops, its bottoms and an index of its
+what the count reads of it (its tops, its bottoms and indexes of its
 start positions), built with it and shared by its family, so a Hom call
 rebuilds nothing.  No equation is built and the count is independent of
 the base field.
@@ -163,11 +163,13 @@ class BandModule:
     The Hom tables are read off the traversal once, by band_module:
     tops[v] counts the basis vectors at vertex v that both their steps
     leave by arrows out of them, bottoms[v] those that both their steps
-    reach by arrows into them, and starts[c] lists the positions t with
-    codes[t] == c whose previous step is an arrow.  A module built from
-    the first seven fields alone has no tables, and hom_dim cannot read
-    it.  dataclasses.replace(module, lam=mu) is the member mu of the same
-    family, sharing dims, arrows, walk, codes and the tables.
+    reach by arrows into them, starts[c] lists the positions t with
+    codes[t] == c whose previous step is an arrow, and source_starts the
+    positions t whose previous step is an inverse arrow, ascending.  A
+    module built from the first seven fields alone has no tables, and
+    hom_dim cannot read it.  dataclasses.replace(module, lam=mu) is the
+    member mu of the same family, sharing dims, arrows, walk, codes and
+    the tables.
     """
 
     n: int
@@ -181,6 +183,7 @@ class BandModule:
     tops: dict[int, int] | None = field(default=None, repr=False, compare=False)
     bottoms: dict[int, int] | None = field(default=None, repr=False, compare=False)
     starts: dict[int, list[int]] | None = field(default=None, repr=False, compare=False)
+    source_starts: list[int] | None = field(default=None, repr=False, compare=False)
 
     def g_vector(self) -> tuple[int, ...]:
         """Tops minus bottoms per vertex."""
@@ -232,6 +235,7 @@ def band_module(
     tops: dict[int, int] = {}
     bottoms: dict[int, int] = {}
     starts: dict[int, list[int]] = {}
+    source_starts: list[int] = []
     prev = trav[-1]
     for t, c in enumerate(trav):
         # step t leaves vertex index + 1 if it is an arrow, index if not
@@ -239,6 +243,7 @@ def band_module(
         node.append(count[v])
         count[v] += 1
         if prev & 1:
+            source_starts.append(t)
             if not c & 1:
                 tops[v] = tops.get(v, 0) + 1
         else:
@@ -262,7 +267,8 @@ def band_module(
     _check_relations(arrows, len(trav))
     lam_at = ("ab"[h & 1], h >> 1, here)  # the loop ends on the wrap-around step
     return BandModule(
-        n, tuple(count[1:]), arrows, lam, lam_at, walk, trav, tops, bottoms, starts
+        n, tuple(count[1:]), arrows, lam, lam_at, walk, trav, tops, bottoms, starts,
+        source_starts,
     )
 
 
@@ -293,26 +299,29 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     the parameters agree.  A common walk of m and the inverse of w would
     pair an a-step read as an arrow with one read as an inverse arrow, so
     there is none.  The tables are read, never rebuilt: a call costs one
-    pass over m plus the steps of the common walks.
+    pass over the source starts of m plus the steps of the common walks.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
     x, y = m.codes, w.codes
     bottoms = w.bottoms
     free = sum(count * bottoms.get(v, 0) for v, count in m.tops.items())
-    free += _admissible_walks(x, y, w.starts)
+    free += _admissible_walks(x, y, m.source_starts, w.starts)
     # one orientation and one rotation put lam on the same step of both
     # walks, so the cycle is free exactly when the parameters agree
     free += x == y and m.lam == w.lam
     return free
 
 
-def _admissible_walks(x: Sequence[int], y: Sequence[int], starts: dict[int, list[int]]) -> int:
+def _admissible_walks(
+    x: Sequence[int], y: Sequence[int], source_starts: list[int], starts: dict[int, list[int]]
+) -> int:
     # maximal common walks x[i:i+d] == y[j:j+d], d >= 1, with admissible
     # ends.  A start node is admissible exactly when x arrives at it by a
     # negative step and y by a positive one, so the steps before it differ
-    # and each walk is found once, from its first step; starts holds the
-    # positions of y that y arrives at by a positive step.  An end node is
+    # and each walk is found once, from its first step; source_starts holds
+    # the positions of x that x arrives at by a negative step, and starts
+    # the positions of y that y arrives at by a positive one.  An end node is
     # admissible when x goes on by a positive step and y by a negative one.
     # Fine-Wilf: a common walk longer than both periods never ends, which
     # only the cycle of one band does, and no start lies on it.
@@ -321,16 +330,15 @@ def _admissible_walks(x: Sequence[int], y: Sequence[int], starts: dict[int, list
     xs = [*x] * (bound // len(x) + 3) + [-1]
     ys = [*y] * (bound // len(y) + 3) + [-2]
     free = 0
-    for i in range(len(x)):
-        if x[i - 1] & 1:
-            for j in starts.get(x[i], ()):
-                a, b = i + 1, j + 1
-                while xs[a] == ys[b]:
-                    a += 1
-                    b += 1
-                if a - i > bound:
-                    raise InternalInconsistency(f"a common walk outruns its bound {bound}")
-                free += xs[a] & 1 < ys[b] & 1
+    for i in source_starts:
+        for j in starts.get(x[i], ()):
+            a, b = i + 1, j + 1
+            while xs[a] == ys[b]:
+                a += 1
+                b += 1
+            if a - i > bound:
+                raise InternalInconsistency(f"a common walk outruns its bound {bound}")
+            free += xs[a] & 1 < ys[b] & 1
     return free
 
 

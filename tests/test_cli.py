@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandbrick
-from bandbrick import acceptance, dyck
+from bandbrick import acceptance, cli, dyck
 from bandbrick.cli import main
 
 
@@ -537,3 +537,42 @@ def test_python_m_bandbrick():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("criterion 1 (golden): PASS")
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    # main builds its parser on the first call and reuses it: each call
+    # still prints what the first call of a fresh process prints
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser()
+    per_tree = len(built)
+    built.clear()
+    cli._shared_parser.cache_clear()
+
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    for argv in (
+        ["fan", "maxcompat", "--n", "4", "--box", "2", "--json"],
+        ["fan", "maxcompat", "--n", "3", "--box", "2"],
+        ["bw", "acab"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bandbrick", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+    assert per_tree > 1 and len(built) == per_tree
+    assert built.count("bandbrick") == 1

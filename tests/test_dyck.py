@@ -257,6 +257,43 @@ class TestAgainstTupleTrace:
             assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
 
 
+class TestSingleComponent:
+    # single_component traces only the curve through step 0
+
+    @staticmethod
+    def _check(g):
+        components = dyck.reconstruct_multislalom(g).components
+        got = dyck.single_component(g)
+        if len(components) == 1:
+            assert got == components[0], g
+        else:
+            assert got is None, g
+        return len(components) == 1
+
+    def test_every_small_gvector(self):
+        single = split = 0
+        for n in range(2, 6):
+            for g in itertools.product(range(-3, 4), repeat=n):
+                if dyck.validate_gvector(g):
+                    if self._check(g):
+                        single += 1
+                    else:
+                        split += 1
+        assert single + split == 498
+        assert single and split
+
+    def test_seeded_long_gvectors(self):
+        for g in _long_gvectors(seed=13, count=20):
+            self._check(g)
+
+    def test_invalid_rejected(self):
+        for g in [(1, -1), (-1, 2), (0, 0), (-1, 1, 1, -1)]:
+            with pytest.raises(InvalidGVector):
+                dyck.single_component(g)
+        with pytest.raises(BadDimension):
+            dyck.single_component((0,))
+
+
 class TestStepBound:
     def test_bound_admits_the_largest_suite_input(self):
         assert sum(map(abs, (-6765, 2584, 4181))) <= dyck.MAX_STEPS
@@ -267,7 +304,7 @@ class TestStepBound:
 
     @pytest.mark.parametrize(
         "build", [dyck.to_dyck_diagram, dyck.reconstruct_multislalom, dyck.circular_words,
-                  dyck.component_gvectors],
+                  dyck.component_gvectors, dyck.single_component],
     )
     def test_past_the_bound(self, build):
         half = dyck.MAX_STEPS // 2 + 1

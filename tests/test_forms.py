@@ -1,6 +1,8 @@
 """Euler form, brick g-vectors, compatibility, and the clique search."""
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -65,6 +67,40 @@ class TestEulerRows:
             row = forms._euler_row(g1)
             for g2 in bricks:
                 assert sum(a * b for a, b in zip(row, g2)) == forms.euler_form(g1, g2)
+
+
+def _pairwise_euler_zero(bricks):
+    # the pairwise loop the search ran before the buckets: one Euler row
+    # per brick, applied to every later brick
+    later = [[] for _ in bricks]
+    for i, g1 in enumerate(bricks):
+        row = forms._euler_row(g1)
+        for j in range(i + 1, len(bricks)):
+            if sum(map(operator.mul, row, bricks[j])) == 0:
+                later[i].append(j)
+    return later
+
+
+class TestEulerPairsByBucket:
+    @pytest.mark.parametrize(
+        "n, box",
+        [(n, 2) for n in range(2, 8)] + [(n, 3) for n in range(3, 7)] + [(3, 6), (4, 4)],
+    )
+    def test_matches_pairwise_loop(self, n, box):
+        bricks = list(forms._enumerate_brick_gvectors(n, box))
+        assert forms._euler_zero_pairs(bricks) == _pairwise_euler_zero(bricks)
+
+    @pytest.mark.parametrize("n, box", [(2, 4), (3, 2), (4, 2)])
+    def test_matches_on_every_valid_gvector(self, n, box):
+        # not only bricks: n = 2 has an empty prefix, and every pair of
+        # (-a, a) and (-b, b) has a zero form, so a whole bucket qualifies
+        gs = [
+            g for g in itertools.product(range(-box, box + 1), repeat=n)
+            if dyck.validate_gvector(g)
+        ]
+        pairs = forms._euler_zero_pairs(gs)
+        assert pairs == _pairwise_euler_zero(gs)
+        assert any(pairs)
 
 
 class TestBrickGVectors:

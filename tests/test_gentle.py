@@ -703,6 +703,11 @@ def _reference_starts(y):
     return firsts
 
 
+def _reference_source_starts(x):
+    # the positions of x that x arrives at by a negative step
+    return [i for i in range(len(x)) if x[i - 1] & 1]
+
+
 def _table_walks():
     # _small_walks() with their inverses, and psi of every primitive word
     # of at most 7 letters over 2..4
@@ -741,6 +746,7 @@ class TestParameterMembers:
             assert m.tops is members[0].tops
             assert m.bottoms is members[0].bottoms
             assert m.starts is members[0].starts
+            assert m.source_starts is members[0].source_starts
 
 
 class TestHomTables:
@@ -751,6 +757,7 @@ class TestHomTables:
             assert m.tops == dict(collections.Counter(v for v, t in turns if t > 0)), walk
             assert m.bottoms == dict(collections.Counter(v for v, t in turns if t < 0)), walk
             assert m.starts == _reference_starts(m.codes), walk
+            assert m.source_starts == _reference_source_starts(m.codes), walk
             g = [0] * m.n
             for v, t in turns:
                 g[v - 1] += t
@@ -770,6 +777,13 @@ class TestHomTables:
         assert gentle.hom_dim(m, m) == 2
         assert sum(c * m.bottoms.get(v, 0) for v, c in m.tops.items()) == 0
         assert gentle.hom_dim(m, dataclasses.replace(m, starts={})) == 1
+        # the source side of that walk comes from the source's own table
+        assert gentle.hom_dim(dataclasses.replace(m, source_starts=[]), m) == 1
+
+    def test_tables_stay_out_of_repr_and_equality(self):
+        m = gentle.band_module(gentle.psi((2, 2, 3)), 1)
+        assert "source_starts" not in repr(m)
+        assert dataclasses.replace(m, source_starts=None) == m
 
 
 def _perfectly_clustering_words(rng, length, count):
