@@ -12,13 +12,23 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import re
 import sys
 from fractions import Fraction
 
 from . import acceptance, dyck, forms, gentle, render, words
-from .errors import DomainError, InternalInconsistency, InvalidWalk
+from .errors import (
+    DomainError, InternalInconsistency, InvalidWalk, ListingTooLarge, QuiverTooLarge
+)
+
+
+# band module prints every arrow of the quiver as a dense matrix, so its
+# cost grows with n and with the products of adjacent dimensions.  At the
+# two bounds together it takes about 2.5 s and 260 MB (Python 3.11, 2 CPUs)
+MAX_LISTED_VERTICES = 100_001
+MAX_LISTED_ENTRIES = 2_000_000
 
 
 class UsageError(Exception):
@@ -222,6 +232,15 @@ def _cmd_band_module(args) -> int:
     word, _ = _parse_word(args.word)
     walk = gentle.psi(word, args.n)
     mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
+    if mod.n > MAX_LISTED_VERTICES:
+        raise QuiverTooLarge(
+            f"n = {mod.n} exceeds the {MAX_LISTED_VERTICES} vertices a dense listing may have"
+        )
+    entries = 2 * sum(map(operator.mul, mod.dims, mod.dims[1:]))
+    if entries > MAX_LISTED_ENTRIES:
+        raise ListingTooLarge(
+            f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
+        )
     arrows = {
         f"{kind}{idx}": [[str(v) for v in row] for row in mod.matrix(kind, idx)]
         for kind in ("a", "b") for idx in range(1, mod.n)

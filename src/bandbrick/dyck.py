@@ -11,17 +11,20 @@ letter 1 relates these words to the necklace bijection of `words`.
 The matching and the trace run on flat int lists over the step positions
 (labels, chord partners, glued steps) with a bytearray of traced steps;
 the public DyckDiagram, Component and Multislalom values are built from
-them.  single_component traces only the curve through the first step and
-builds no diagram or matching, which is all a brick test reads: on the
-119 valid g-vectors with n = 5 and entries in [-2, 2] it takes 14-17 us
-a call against 38-43 us for reconstruct_multislalom (Python 3.11, 2
-CPUs).  A diagram holds at most MAX_STEPS steps: larger g-vectors raise
-GVectorTooLarge before any step is built, while validate_gvector stays
-unbounded.
+them.  A Component is its word and its chords: component_gvectors counts
+the labels of the word, and gentle.slalom_to_band_walk reads the
+segments of the curve off it.  single_component traces only the curve
+through the first step and builds no diagram or matching, which is all a
+brick test reads: on the 119 valid g-vectors with n = 5 and entries in
+[-2, 2] it takes 14-17 us a call against 38-43 us for
+reconstruct_multislalom (Python 3.11, 2 CPUs).  A diagram holds at most
+MAX_STEPS steps: larger g-vectors raise GVectorTooLarge before any step
+is built, while validate_gvector stays unbounded.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,8 +35,8 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes about 1.9 s on (-75000, 75000), its
-# slowest shape, and gvec words 1.0 s (Python 3.11, 2 CPUs)
+# steps: at the bound, render takes about 1.5 s on (-75000, 75000), its
+# slowest shape, and gvec words 0.65 s (Python 3.11, 2 CPUs)
 MAX_STEPS = 150_000
 
 
@@ -81,17 +84,17 @@ class DyckDiagram:
 
 @dataclass(frozen=True)
 class Component:
-    """One closed curve of a multislalom.
+    """One closed curve of a multislalom: its word and its chords.
 
     word      labels written at each chord exit, in traversal order
-    gvector   per-label counts of the word, signed like the source entries
-    segments  (copy, from_label, to_label) per chord traversal
     chords    up-step positions of the chords this curve uses on copy 1
+
+    The rest is read off the word: exit k alternates copies, starting on
+    copy 1, and the label entered is the previous exit's, because glued
+    steps share a label.
     """
 
     word: tuple[int, ...]
-    gvector: GVector
-    segments: tuple[tuple[int, int, int], ...]
     chords: tuple[int, ...]
 
 
@@ -154,10 +157,10 @@ def _int_diagram(entries: GVector) -> tuple[list[int], list[int], list[int]]:
 
 def _trace(
     start: int, labels: list[int], partner: list[int], glued: list[int], visited: bytearray
-) -> tuple[list[int], list[int]]:
+) -> Component:
     # the closed curve through the up-step start: each round enters copy 1
     # at pos, leaves along its chord, crosses to the glued step on copy 2,
-    # leaves along that chord and crosses back.  Returns the labels of the
+    # leaves along that chord and crosses back.  Collects the labels of the
     # exits and the copy-1 chords used, and marks each copy-1 entry visited
     word: list[int] = []
     chords: list[int] = []
@@ -171,29 +174,15 @@ def _trace(
         word.append(labels[back])
         pos = glued[back]
         if pos == start:
-            return word, chords
-
-
-def _component(entries: GVector, word: list[int], chords: list[int]) -> Component:
-    gvec = [0] * len(entries)
-    for label in word:
-        gvec[label - 1] += 1
-    return Component(
-        word=tuple(word),
-        gvector=tuple(-count if a < 0 else count for a, count in zip(entries, gvec)),
-        # a segment runs from the label entered (the previous exit, since
-        # glued steps share a label) to the label left
-        segments=tuple(zip(itertools.cycle((1, 2)), word[-1:] + word[:-1], word)),
-        chords=tuple(sorted(chords)),
-    )
+            return Component(tuple(word), tuple(sorted(chords)))
 
 
 def _trace_components(
-    entries: GVector, labels: list[int], partner: list[int], glued: list[int]
+    labels: list[int], partner: list[int], glued: list[int]
 ) -> tuple[Component, ...]:
     visited = bytearray(len(labels))  # copy-1 entries already traced
     return tuple(
-        _component(entries, *_trace(start, labels, partner, glued, visited))
+        _trace(start, labels, partner, glued, visited)
         for start, end in enumerate(partner)
         if start < end and not visited[start]  # an up-step not yet traced
     )
@@ -207,7 +196,7 @@ def reconstruct_multislalom(g: Sequence[int]) -> Multislalom:
     return Multislalom(
         diagram=diagram,
         matching=tuple((up, down) for up, down in enumerate(partner) if up < down),
-        components=_trace_components(entries, labels, partner, glued),
+        components=_trace_components(labels, partner, glued),
     )
 
 
@@ -219,10 +208,8 @@ def single_component(g: Sequence[int]) -> Component | None:
     component exactly when that curve uses every chord."""
     entries = _bounded(g)
     labels, partner, glued = _int_diagram(entries)
-    word, chords = _trace(0, labels, partner, glued, bytearray(len(labels)))
-    if 2 * len(chords) != len(labels):
-        return None
-    return _component(entries, word, chords)
+    component = _trace(0, labels, partner, glued, bytearray(len(labels)))
+    return component if 2 * len(component.chords) == len(labels) else None
 
 
 def circular_words(g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -241,6 +228,11 @@ def erase_ones(ms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def component_gvectors(g: Sequence[int]) -> tuple[GVector, ...]:
-    """Signed per-label crossing counts of each component; they sum to g."""
-    ms = reconstruct_multislalom(g)
-    return tuple(c.gvector for c in ms.components)
+    """Per-label counts of each component's word, signed like the entries
+    of g; they sum to g."""
+    entries = tuple(g)
+    out = []
+    for c in reconstruct_multislalom(entries).components:
+        counts = collections.Counter(c.word)
+        out.append(tuple(-counts[i] if a < 0 else counts[i] for i, a in enumerate(entries, 1)))
+    return tuple(out)

@@ -77,5 +77,13 @@ class QuiverTooLarge(DomainError):
     """A quiver has more vertices than a per-vertex table may hold."""
 
 
+class WalkTooLarge(DomainError):
+    """A word's band walk would have more steps than a build may hold."""
+
+
+class ListingTooLarge(DomainError):
+    """A dense listing would print more matrix entries than its bound."""
+
+
 class AllZero(DomainError):
     """An exponent vector that must have a positive entry is all zero."""

@@ -72,7 +72,7 @@ def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
     if component is None:
         return None
     module = gentle.band_module(gentle.slalom_to_band_walk(component), 1, len(entries))
-    if gentle.hom_dim(module, module) != 1:
+    if not gentle.is_brick(module):
         raise InternalInconsistency(
             f"single component of {entries} is not a brick"
         )

@@ -15,6 +15,13 @@ rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
 dividing |w|, O(|w| log |w|).  ``bw_transform`` and ``phi_inverse`` rank
 rotation start positions by prefix doubling, O(|w| log^2 |w|): each round
 sorts the rank pairs (rank[p], rank[p + span]) and doubles span.
+
+The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
+positions stably sorted by letter are the inverse standard permutation,
+so ``phi`` walks its cycles straight off that order and
+``standard_permutation`` derives its ranks from it.  ``bw_inverse`` is
+``phi``'s case of one cycle (the extended BWT of Mantaci, Restivo,
+Rosone and Sciortino, TCS 2007).
 """
 
 from __future__ import annotations
@@ -176,6 +183,12 @@ def is_perfectly_clustering_by_factors(w: Sequence[int]) -> bool:
     return True
 
 
+def _letter_order(word: Word) -> list[int]:
+    # positions sorted by letter, ties left to right (sort is stable): the
+    # inverse of the standard permutation, 0-based
+    return sorted(range(len(word)), key=word.__getitem__)
+
+
 def standard_permutation(w: Sequence[int]) -> tuple[int, ...]:
     """Rank each position by letter value, ties broken left to right.
 
@@ -183,45 +196,38 @@ def standard_permutation(w: Sequence[int]) -> tuple[int, ...]:
     (6, 1, 2, 3, 8, 4, 7, 5)
     """
     word = _as_word(w)
-    order = sorted(range(len(word)), key=lambda p: (word[p], p))
     st = [0] * len(word)
-    for rank, p in enumerate(order, start=1):
+    for rank, p in enumerate(_letter_order(word), start=1):
         st[p] = rank
     return tuple(st)
-
-
-def _inverse_cycles(st: Sequence[int]) -> list[list[int]]:
-    # cycles of the inverse permutation, 0-based positions, each cycle
-    # starting at its smallest element, cycles sorted by first element
-    r = len(st)
-    tau = [0] * r  # tau[rank-1] = position
-    for pos, rank in enumerate(st):
-        tau[rank - 1] = pos
-    seen = [False] * r
-    cycles = []
-    for start in range(r):
-        if seen[start]:
-            continue
-        cyc = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            cyc.append(p)
-            p = tau[p]
-        cycles.append(cyc)
-    return cycles
 
 
 def phi(w: Sequence[int]) -> tuple[Word, ...]:
     """Multiset of primitive necklaces read off the cycles of st(w)^-1.
 
+    The letter order is st(w)^-1 itself (order[k] is the position of rank
+    k + 1), so each cycle steps from p to order[p], starting at its
+    smallest position.
+
     >>> phi((1, 1, 1))
     ((1,), (1,), (1,))
+    >>> phi((2, 1, 1, 3, 2, 3, 1, 2))
+    ((1, 1, 1, 3, 2), (2,), (2, 3))
     """
     word = _as_word(w)
+    order = _letter_order(word)
+    seen = bytearray(len(word))
     out = []
-    for cyc in _inverse_cycles(standard_permutation(word)):
-        cycle_word = tuple(word[p] for p in cyc)
+    for start in range(len(word)):
+        if seen[start]:
+            continue
+        cycle = []
+        p = start
+        while not seen[p]:
+            seen[p] = 1
+            cycle.append(word[p])
+            p = order[p]
+        cycle_word = tuple(cycle)
         # cycles of the inverse standard permutation always give primitive
         # necklaces, so a failure here is a construction bug
         if not is_primitive(cycle_word):
@@ -261,14 +267,12 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
 
 
 def bw_inverse(w: Sequence[int]) -> Word:
-    """Necklace whose transform is w, via the single cycle of st(w)^-1."""
-    word = _as_word(w)
-    cycles = _inverse_cycles(standard_permutation(word))
-    if len(cycles) != 1:
-        raise MultipleCycles(
-            f"inverse standard permutation has {len(cycles)} cycles"
-        )
-    preimage = tuple(word[p] for p in cycles[0])
-    if not is_primitive(preimage):
-        raise InternalInconsistency(f"preimage {preimage} is a proper power")
-    return necklace(preimage)
+    """Necklace whose transform is w: phi's case of a single cycle.
+
+    >>> bw_inverse((2, 3, 3, 1, 1))
+    (1, 3, 1, 3, 2)
+    """
+    necklaces = phi(w)
+    if len(necklaces) != 1:
+        raise MultipleCycles(f"inverse standard permutation has {len(necklaces)} cycles")
+    return necklaces[0]

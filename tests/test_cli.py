@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandbrick
-from bandbrick import acceptance, cli, dyck
+from bandbrick import acceptance, cli, dyck, gentle
 from bandbrick.cli import main
 
 
@@ -448,6 +448,63 @@ class TestExitContract:
         assert (code, out) == (1, "")
         assert err.startswith("error: QuiverTooLarge: ")
         assert err.count("\n") == 1
+
+    def test_walk_step_bound(self, capsys, monkeypatch):
+        # 2332 has 12 steps: admitted at a bound of 12, refused at 11
+        monkeypatch.setattr(gentle, "MAX_WALK_STEPS", 12)
+        for op in ("walk", "brick", "module"):
+            code, _, _ = run(capsys, "band", op, "2332")
+            assert code == 0
+        code, _, _ = run(capsys, "band", "hom", "2332", "2332")
+        assert code == 0
+        monkeypatch.setattr(gentle, "MAX_WALK_STEPS", 11)
+        for argv in [["band", "walk", "2332"], ["band", "brick", "2332"],
+                     ["band", "module", "2332"], ["band", "hom", "2", "2332"]]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: WalkTooLarge: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["band", "walk", "3000000,2"], ["band", "brick", "2,1000001"],
+         ["band", "hom", "2", "3000000,2"]],
+    )
+    def test_huge_walk_is_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: WalkTooLarge: ") and err.count("\n") == 1
+
+    def test_listing_vertex_bound(self, capsys, monkeypatch):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "band", "module", "2", "--n", "1000001", "--json")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: QuiverTooLarge: ") and err.count("\n") == 1
+        monkeypatch.setattr(cli, "MAX_LISTED_VERTICES", 5)
+        code, out, _ = run(capsys, "band", "module", "2", "--n", "5")
+        assert code == 0 and out.startswith("n: 5\n")
+        code, out, err = run(capsys, "band", "module", "2", "--n", "6")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: QuiverTooLarge: ")
+        # brick and hom keep gentle.MAX_VERTICES
+        code, out, _ = run(capsys, "band", "brick", "2", "--n", "6")
+        assert (code, out) == (0, "true\n")
+
+    def test_listing_entry_bound(self, capsys, monkeypatch):
+        # 2 followed by 1000 threes: dims 1001, 2001, 1000, 8,008,002 entries
+        code, out, err = run(capsys, "band", "module", ",".join(["2"] + ["3"] * 1000))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ListingTooLarge: ") and err.count("\n") == 1
+        # 2332 lists 2 * (4 * 6 + 6 * 2) = 72 entries
+        monkeypatch.setattr(cli, "MAX_LISTED_ENTRIES", 72)
+        code, out, _ = run(capsys, "band", "module", "2332", "--lambda", "3/2")
+        assert (code, out) == (0, MODULE_2332_TEXT)
+        monkeypatch.setattr(cli, "MAX_LISTED_ENTRIES", 71)
+        code, out, err = run(capsys, "band", "module", "2332", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ListingTooLarge: ")
 
     @pytest.mark.parametrize(
         "argv",

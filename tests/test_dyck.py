@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandbrick import dyck, words
-from bandbrick.errors import BadDimension, GVectorTooLarge, InternalInconsistency, InvalidGVector
+from bandbrick import dyck, gentle, words
+from bandbrick.errors import (
+    BadDimension, GVectorTooLarge, InternalInconsistency, InvalidComponent, InvalidGVector
+)
 
 
 def _safe_valid(g):
@@ -175,6 +177,8 @@ def _cross_copy_map(diagram):
 
 
 def _trace_components(diagram, matching, signs):
+    # each component with the facts the parent Component also stored: its
+    # signed label counts and its (copy, from_label, to_label) segments
     partner = {}
     for up, down in matching:
         partner[up] = down
@@ -182,7 +186,7 @@ def _trace_components(diagram, matching, signs):
     ident = _cross_copy_map(diagram)
     labels = diagram.labels
     visited = set()
-    components = []
+    traces = []
     for start in sorted(partner):
         if diagram.steps[start][0] != "u" or (1, start) in visited:
             continue
@@ -201,26 +205,43 @@ def _trace_components(diagram, matching, signs):
         gvec = [0] * diagram.n
         for label in word:
             gvec[label - 1] += signs[label - 1]
-        components.append(
-            dyck.Component(
-                word=tuple(word),
-                gvector=tuple(gvec),
-                segments=tuple(segments),
-                chords=tuple(sorted(chords)),
-            )
-        )
-    return tuple(components)
+        component = dyck.Component(word=tuple(word), chords=tuple(sorted(chords)))
+        traces.append((component, tuple(gvec), tuple(segments)))
+    return traces
 
 
-def _reference_multislalom(g):
+def _reference_traces(g):
     diagram = dyck.to_dyck_diagram(g)
     matching = _nested_matching(diagram)
     signs = [-1 if a < 0 else 1 for a in g]
+    return diagram, matching, _trace_components(diagram, matching, signs)
+
+
+def _reference_multislalom(g):
+    diagram, matching, traces = _reference_traces(g)
     return dyck.Multislalom(
         diagram=diagram,
         matching=tuple(matching),
-        components=_trace_components(diagram, matching, signs),
+        components=tuple(component for component, _, _ in traces),
     )
+
+
+def _reference_band_walk(segments):
+    # the segment loop slalom_to_band_walk ran over a stored segments tuple
+    trav = []
+    for copy, start, end in segments:
+        if copy == 1:
+            if start >= end:
+                raise InvalidComponent(f"copy-1 segment must ascend, got {start} -> {end}")
+            trav.extend(k << 2 | 3 for k in range(start, end))
+        else:
+            if start <= end:
+                raise InvalidComponent(f"copy-2 segment must descend, got {start} -> {end}")
+            trav.extend(k << 2 for k in range(start - 1, end - 1, -1))
+    walk = tuple(reversed(trav))
+    if not gentle.validate_band_walk(walk):
+        raise InvalidComponent("segments do not close into a band walk")
+    return walk
 
 
 def _long_gvectors(seed, count, min_steps=2000):
@@ -240,14 +261,20 @@ def _long_gvectors(seed, count, min_steps=2000):
     return out
 
 
+def _small_valid_gvectors():
+    # all 498 valid g-vectors with n <= 5 and entries in [-3, 3]
+    for n in range(2, 6):
+        for g in itertools.product(range(-3, 4), repeat=n):
+            if dyck.validate_gvector(g):
+                yield g
+
+
 class TestAgainstTupleTrace:
     def test_every_small_gvector(self):
         checked = 0
-        for n in range(2, 6):
-            for g in itertools.product(range(-3, 4), repeat=n):
-                if dyck.validate_gvector(g):
-                    assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
-                    checked += 1
+        for g in _small_valid_gvectors():
+            assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
+            checked += 1
         assert checked == 498
 
     def test_seeded_long_gvectors(self):
@@ -255,6 +282,35 @@ class TestAgainstTupleTrace:
         assert all(sum(map(abs, g)) >= 2000 for g in gs)
         for g in gs:
             assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
+
+
+class TestReadOffTheWord:
+    # Component equality covers the word and the chords only, so the facts
+    # read off the word are held to the reference trace directly
+
+    @staticmethod
+    def _check(g):
+        _, _, traces = _reference_traces(g)
+        assert dyck.component_gvectors(g) == tuple(gvec for _, gvec, _ in traces), g
+        for component, _, segments in traces:
+            walk = gentle.slalom_to_band_walk(component)
+            assert walk == _reference_band_walk(segments), g
+
+    def test_every_small_gvector(self):
+        assert sum(1 for g in _small_valid_gvectors() if self._check(g) is None) == 498
+
+    def test_seeded_long_gvectors(self):
+        for g in _long_gvectors(seed=12, count=20):
+            self._check(g)
+
+    def test_invalid_components_keep_their_errors(self):
+        for word, message in (
+            ((1, 2), "copy-1 segment must ascend, got 2 -> 1"),
+            ((2, 3, 1), "copy-2 segment must descend, got 2 -> 3"),
+            ((), "segments do not close into a band walk"),
+        ):
+            with pytest.raises(InvalidComponent, match=message):
+                gentle.slalom_to_band_walk(dyck.Component(word=word, chords=()))
 
 
 class TestSingleComponent:

@@ -22,6 +22,7 @@ from bandbrick.errors import (
     MultipleCycles,
     NonPrimitive,
     QuiverTooLarge,
+    WalkTooLarge,
     ZeroLambda,
 )
 
@@ -92,6 +93,25 @@ class TestWalks:
     def test_psi_rejects_small_n(self):
         with pytest.raises(LetterOutOfRange):
             gentle.psi((2, 3), n=2)
+
+    def test_psi_step_bound(self):
+        # sum 2 (w_i - 1) steps: (75000, 2) sits at the bound, (75001, 2) past it
+        assert 2 * (75000 - 1) + 2 == gentle.MAX_WALK_STEPS
+        assert len(gentle.psi((75000, 2))) == gentle.MAX_WALK_STEPS
+        with pytest.raises(WalkTooLarge):
+            gentle.psi((75001, 2))
+
+    def test_psi_bound_admits_long_words(self):
+        # 10^4-letter words over 2..5 stay inside the bound
+        word = (2,) + (5,) * 9999
+        assert len(gentle.psi(word)) == 2 * (sum(word) - len(word))
+
+    def test_psi_refuses_before_building(self):
+        # one huge letter (2 * 10^12 steps would not fit in memory) or many
+        # letters: refused before any step is built
+        for word in [(10**12, 2), (5,) * 20000 + (2,)]:
+            with pytest.raises(WalkTooLarge):
+                gentle.psi(word)
 
     def test_round_trip_serialization(self):
         text = "a1 b1- a1 a2 b2- b1-"
@@ -769,6 +789,15 @@ class TestHomTables:
             oriented = _inverse(walk) if _has_inverse_a_step(walk) else walk
             rots = [oriented[k:] + oriented[:k] for k in range(len(oriented))]
             assert gentle.band_module(walk, 1).walk == min(rots, key=_walk_key), walk
+
+    def test_orientation_matches_a_scan(self):
+        # band_module orients a walk by its first step; the reference scans
+        # the whole walk for an inverse a-step (the rotation is held to
+        # _walk_key above)
+        walks = _table_walks()
+        for walk in walks + [_inverse(w) for w in walks]:
+            oriented = _inverse(walk) if _has_inverse_a_step(walk) else walk
+            assert gentle.band_module(walk, 1).codes == gentle.canonical_walk(oriented)[::-1], walk
 
     def test_hom_reads_the_start_index(self):
         # the second endomorphism is a common walk, found through the

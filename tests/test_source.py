@@ -1,6 +1,8 @@
 """Source-level rules for the package."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import bandbrick
@@ -62,3 +64,14 @@ def test_every_error_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised |= _names(exc)
     assert sorted(errors - raised) == []
+
+
+def test_doctests_pass():
+    # the docstring examples of every module run here and must hold
+    results = {}
+    for path in sorted(Path(bandbrick.__file__).parent.glob("*.py")):
+        name = "bandbrick" if path.stem == "__init__" else f"bandbrick.{path.stem}"
+        module = importlib.import_module(name)
+        results[path.stem] = doctest.testmod(module)
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    assert results["words"].attempted >= 1

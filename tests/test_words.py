@@ -52,6 +52,57 @@ def ref_phi_inverse(ms):
     return tuple(row[-1] for row in rows)
 
 
+# The two-pass cycle reading phi and bw_inverse used before both read the
+# letter order directly: ranks from a (letter, position) sort, then the
+# cycles of the inverted ranks.
+def ref_standard_permutation(w):
+    order = sorted(range(len(w)), key=lambda p: (w[p], p))
+    st = [0] * len(w)
+    for rank, p in enumerate(order, start=1):
+        st[p] = rank
+    return tuple(st)
+
+
+def ref_inverse_cycles(st):
+    # cycles of the inverse permutation, 0-based positions, each cycle
+    # starting at its smallest element, cycles sorted by first element
+    r = len(st)
+    tau = [0] * r  # tau[rank-1] = position
+    for pos, rank in enumerate(st):
+        tau[rank - 1] = pos
+    seen = [False] * r
+    cycles = []
+    for start in range(r):
+        if seen[start]:
+            continue
+        cyc = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cyc.append(p)
+            p = tau[p]
+        cycles.append(cyc)
+    return cycles
+
+
+def ref_cycle_words(w):
+    return [tuple(w[p] for p in cyc) for cyc in ref_inverse_cycles(ref_standard_permutation(w))]
+
+
+def check_cycle_reading(w, canonical):
+    # standard_permutation, phi and bw_inverse against the two-pass reading
+    assert words.standard_permutation(w) == ref_standard_permutation(w), w
+    cycle_words = ref_cycle_words(w)
+    assert words.phi(w) == tuple(sorted(map(canonical, cycle_words))), w
+    if len(cycle_words) == 1:
+        assert words.bw_inverse(w) == canonical(cycle_words[0]), w
+    else:
+        message = f"inverse standard permutation has {len(cycle_words)} cycles"
+        with pytest.raises(MultipleCycles, match=f"^{message}$"):
+            words.bw_inverse(w)
+    return len(cycle_words)
+
+
 def all_short_words():
     for alphabet in ((1, 2), (1, 2, 3)):
         for length in range(1, 9):
@@ -179,8 +230,10 @@ class TestBWInverse:
     def test_non_image_word_rejected(self):
         # cba is not in the image of the transform; the standard
         # permutation splits into two cycles
-        with pytest.raises(MultipleCycles):
+        with pytest.raises(MultipleCycles, match="^inverse standard permutation has 2 cycles$"):
             words.bw_inverse(alpha("cba"))
+        with pytest.raises(MultipleCycles, match="^inverse standard permutation has 2 cycles$"):
+            words.bw_inverse(alpha("aa"))
 
     @given(primitive_st)
     @settings(max_examples=80, deadline=None)
@@ -219,6 +272,22 @@ class TestAgainstDefinitions:
             assert words.bw_transform(w) == ref_bw_transform(w), w
             ms = words.phi(w)
             assert words.phi_inverse(ms) == ref_phi_inverse(ms) == w, w
+
+    def test_cycle_reading_on_short_words(self):
+        # every word of length <= 8 on {1,2} and {1,2,3}, both sides of
+        # bw_inverse's one-cycle case
+        counts = [
+            check_cycle_reading(w, lambda u: min(ref_rotations(u))) for w in all_short_words()
+        ]
+        assert 1 in counts and max(counts) > 1
+
+    def test_cycle_reading_on_long_words(self):
+        rng = random.Random(1000)
+        for _ in range(10):
+            w = tuple(rng.randint(1, 4) for _ in range(1000))
+            assert check_cycle_reading(w, words.necklace) > 1
+            if words.is_primitive(w):
+                assert check_cycle_reading(words.bw_transform(w), words.necklace) == 1
 
     def test_least_rotation_of_tuples(self):
         keys = [("b", 1, 0), ("a", 2, 1), ("a", 1, 0), ("a", 2, 1), ("a", 1, 0)]
