@@ -17,9 +17,11 @@ segments of the curve off it.  single_component traces only the curve
 through the first step and builds no diagram or matching, which is all a
 brick test reads: on the 119 valid g-vectors with n = 5 and entries in
 [-2, 2] it takes 14-17 us a call against 38-43 us for
-reconstruct_multislalom (Python 3.11, 2 CPUs).  A diagram holds at most
-MAX_STEPS steps: larger g-vectors raise GVectorTooLarge before any step
-is built, while validate_gvector stays unbounded.
+reconstruct_multislalom (Python 3.11, 2 CPUs).  circular_words and
+component_gvectors trace every component and build no diagram or
+matching either.  A diagram holds at most MAX_STEPS steps: larger
+g-vectors raise GVectorTooLarge before any step is built, while
+validate_gvector stays unbounded.
 """
 
 from __future__ import annotations
@@ -214,8 +216,8 @@ def single_component(g: Sequence[int]) -> Component | None:
 
 def circular_words(g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Multiset of circular label words, one per component, canonicalized."""
-    ms = reconstruct_multislalom(g)
-    return tuple(sorted(necklace(c.word) for c in ms.components))
+    components = _trace_components(*_int_diagram(_bounded(g)))
+    return tuple(sorted(necklace(c.word) for c in components))
 
 
 def erase_ones(ms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -230,9 +232,9 @@ def erase_ones(ms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def component_gvectors(g: Sequence[int]) -> tuple[GVector, ...]:
     """Per-label counts of each component's word, signed like the entries
     of g; they sum to g."""
-    entries = tuple(g)
+    entries = _bounded(g)
     out = []
-    for c in reconstruct_multislalom(entries).components:
+    for c in _trace_components(*_int_diagram(entries)):
         counts = collections.Counter(c.word)
         out.append(tuple(-counts[i] if a < 0 else counts[i] for i, a in enumerate(entries, 1)))
     return tuple(out)

@@ -17,10 +17,6 @@ from typing import Sequence
 from .dyck import reconstruct_multislalom
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _palette(count: int, seed: int) -> list[str]:
     # well-spaced hues; the seed only rotates the starting point
     rng = random.Random(seed)
@@ -55,35 +51,40 @@ def render_dyck(
     # every coordinate is formatted once: x of each column and half column,
     # y of each level, of each chord level (half a level up) and of each
     # label baseline (0.45 below the middle of the step it names)
-    xs = [_fmt(margin + k * unit) for k in range(count + 1)]
-    half_xs = [_fmt(margin + (k + 0.5) * unit) for k in range(count)]
-    ys = [_fmt(h - margin - level * unit) for level in range(top + 1)]
-    chord_ys = [_fmt(h - margin - (level + 0.5) * unit) for level in range(top)]
-    label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
+    xs = [f"{margin + k * unit:.2f}" for k in range(count + 1)]
+    half_xs = [f"{margin + (k + 0.5) * unit:.2f}" for k in range(count)]
+    ys = [f"{h - margin - level * unit:.2f}" for level in range(top + 1)]
+    chord_ys = [f"{h - margin - (level + 0.5) * unit:.2f}" for level in range(top)]
+    label_ys = [
+        f"{h - margin - ((2 * level + 1) / 2 - 0.45) * unit:.2f}" for level in range(top)
+    ]
 
     chord_color: dict[int, str] = {}
     for comp, color in zip(ms.components, _palette(len(ms.components), palette_seed)):
         for up in comp.chords:
             chord_color[up] = color
 
+    w_text, h_text = f"{w:.2f}", f"{h:.2f}"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" '
-        f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        f'<rect width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_text}" '
+        f'height="{h_text}" viewBox="0 0 {w_text} {h_text}">',
+        f'<rect width="{w_text}" height="{h_text}" fill="#ffffff"/>',
         '<g stroke="#dddddd" stroke-width="1">',
     ]
-    parts += [f'<line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[top]}"/>' for x in xs]
-    parts += [f'<line x1="{xs[0]}" y1="{y}" x2="{xs[count]}" y2="{y}"/>' for y in ys]
+    bottom, ceiling = ys[0], ys[top]
+    parts += [f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{ceiling}"/>' for x in xs]
+    left, right = xs[0], xs[count]
+    parts += [f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}"/>' for y in ys]
     parts.append("</g>")
 
-    points = " ".join(f"{x},{ys[hh]}" for x, hh in zip(xs, heights))
+    points = " ".join([f"{x},{ys[hh]}" for x, hh in zip(xs, heights)])
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#222222" '
         'stroke-width="2"/>'
     )
 
     parts.append(
-        f'<g font-family="monospace" font-size="{_fmt(unit * 0.35)}" '
+        f'<g font-family="monospace" font-size="{unit * 0.35:.2f}" '
         'fill="#222222" text-anchor="middle">'
     )
     lows = map(min, heights, heights[1:])

@@ -12,9 +12,13 @@ No function here copies the rotations of its input (``rotations`` exists
 for callers that want them).  ``least_rotation`` finds the minimal
 rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
 ``is_primitive`` compares w with its shifts by |w|/p for the primes p
-dividing |w|, O(|w| log |w|).  ``bw_transform`` and ``phi_inverse`` rank
+dividing |w|, O(|w| log |w|).  ``bw_transform`` and ``phi_inverse`` order
 rotation start positions by prefix doubling, O(|w| log^2 |w|): each round
-sorts the rank pairs (rank[p], rank[p + span]) and doubles span.
+is one pass that packs the key pair of p and p + span into one int,
+key[p] * base + key[p + span], and doubles span.  A sort runs only to
+re-rank the keys densely once base passes 2**64, and once at the end.
+``phi_inverse`` lays each distinct necklace out once and emits the letter
+of each sorted row once per copy.
 
 The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
 positions stably sorted by letter are the inverse standard permutation,
@@ -26,6 +30,7 @@ Rosone and Sciortino, TCS 2007).
 
 from __future__ import annotations
 
+import collections
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -120,26 +125,32 @@ def necklace(w: Sequence[int]) -> Word:
 def _rotation_order(letters: Sequence, succ: Sequence[int], bound: int) -> list[int]:
     """Positions sorted by the first ``bound`` letters read along ``succ``.
 
-    Prefix doubling: rank[p] orders the first ``span`` letters from p and
-    jump[p] is p moved ``span`` steps, so ranking the pairs
-    (rank[p], rank[jump[p]]) orders 2 * span letters.  Stops once span
-    reaches bound or every rank is distinct; ties keep position order.
+    Prefix doubling: key[p] orders the first ``span`` letters from p, every
+    key is below ``base``, and jump[p] is p moved ``span`` steps, so the
+    packed key[p] * base + key[jump[p]] orders 2 * span letters and base
+    squares.  Keys are re-ranked densely only when base passes 2**64.
+    Stops once span reaches bound or every key is distinct; one stable
+    sort then orders the positions, so ties keep position order.
     """
     n = len(letters)
     alphabet = {a: i for i, a in enumerate(sorted(set(letters)))}
-    rank = [alphabet[a] for a in letters]
-    distinct = len(alphabet)
+    key = [alphabet[a] for a in letters]
+    base = len(alphabet)
     jump = list(succ)
     span = 1
-    while span < bound and distinct < n:
-        # ranks are below n, so a * n + b orders the pairs
-        keys = [a * n + b for a, b in zip(rank, map(rank.__getitem__, jump))]
-        levels = {key: i for i, key in enumerate(sorted(set(keys)))}
-        rank = list(map(levels.__getitem__, keys))
-        distinct = len(levels)
+    while span < bound:
+        distinct = set(key)
+        if len(distinct) == n:
+            break
+        if base > 1 << 64:
+            levels = {k: i for i, k in enumerate(sorted(distinct))}
+            key = list(map(levels.__getitem__, key))
+            base = len(levels)
+        key = [a * base + b for a, b in zip(key, map(key.__getitem__, jump))]
+        base *= base
         jump = list(map(jump.__getitem__, jump))
         span *= 2
-    return sorted(range(n), key=rank.__getitem__)
+    return sorted(range(n), key=key.__getitem__)
 
 
 def bw_transform(w: Sequence[int]) -> Word:
@@ -147,7 +158,8 @@ def bw_transform(w: Sequence[int]) -> Word:
     word = _as_word(w)
     r = len(word)
     succ = [*range(1, r), 0]
-    return tuple(word[p - 1] for p in _rotation_order(word, succ, r))
+    before = word[-1:] + word[:-1]  # the letter before each start
+    return tuple(map(before.__getitem__, _rotation_order(word, succ, r)))
 
 
 def _weakly_decreasing(w: Sequence[int]) -> bool:
@@ -239,17 +251,23 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
 def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
     """Word whose necklace multiset is ms; inverts phi.
 
-    Lays the necklaces end to end, sorts every rotation start by the
-    infinite power read from it and takes the letter before each start.
-    Two rotations u, v of primitive necklaces with u^inf = v^inf on the
-    first |u| + |v| letters are equal (Fine-Wilf), so 2 * longest letters
-    decide the order and tied rows end in the same letter.
+    Lays each distinct necklace out once, sorts every rotation start by
+    the infinite power read from it and emits the letter before each
+    start once per copy of its necklace.  Two rotations u, v of primitive
+    necklaces with u^inf = v^inf on the first |u| + |v| letters are equal
+    (Fine-Wilf), so 2 * longest letters decide the order, and repeating a
+    row's letter gives what sorting every copy would: tied rows end in the
+    same letter.
     """
+    # a Counter keeps first occurrences in input order, so the entries are
+    # still checked in the order given
+    counts = collections.Counter(map(tuple, ms))
     letters: list[int] = []
     succ: list[int] = []
-    pred: list[int] = []
+    before: list[int] = []  # the letter before each start
+    copies: list[int] = []
     longest = 0
-    for entry in ms:
+    for entry, k in counts.items():
         word = _as_word(entry)
         if not is_primitive(word):
             raise NonPrimitiveNecklace(f"{word} is a proper power")
@@ -257,13 +275,14 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
         letters.extend(word)
         succ.extend(range(start + 1, end))
         succ.append(start)
-        pred.append(end - 1)
-        pred.extend(range(start, end - 1))
+        before.append(word[-1])
+        before.extend(word[:-1])
+        copies += [k] * len(word)
         longest = max(longest, len(word))
     if not letters:
         raise EmptyWord("multiset must contain at least one necklace")
     order = _rotation_order(letters, succ, 2 * longest)
-    return tuple(letters[pred[p]] for p in order)
+    return tuple([before[p] for p in order for _ in range(copies[p])])
 
 
 def bw_inverse(w: Sequence[int]) -> Word:

@@ -282,6 +282,13 @@ class TestErrorsAndFormats:
         assert code == 1
         assert "MultipleCycles" in err
 
+    def test_phi_inverse_checks_entries_in_order(self, capsys):
+        for multiset, line in (
+            ("[[1,1],[]]", "error: NonPrimitiveNecklace: (1, 1) is a proper power\n"),
+            ("[[],[1,1]]", "error: EmptyWord: word must be non-empty\n"),
+        ):
+            assert run(capsys, "phi-inverse", multiset) == (1, "", line)
+
     def test_non_primitive_factors_method(self, capsys):
         code, _, err = run(capsys, "pcw", "2323", "--method", "factors")
         assert code == 1

@@ -292,6 +292,8 @@ class TestReadOffTheWord:
     def _check(g):
         _, _, traces = _reference_traces(g)
         assert dyck.component_gvectors(g) == tuple(gvec for _, gvec, _ in traces), g
+        necklaces = sorted(words.necklace(component.word) for component, _, _ in traces)
+        assert dyck.circular_words(g) == tuple(necklaces), g
         for component, _, segments in traces:
             walk = gentle.slalom_to_band_walk(component)
             assert walk == _reference_band_walk(segments), g

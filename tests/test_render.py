@@ -1,6 +1,7 @@
 """SVG rendering of the Dyck path model."""
 
 import hashlib
+import itertools
 import random
 import xml.etree.ElementTree as ET
 
@@ -70,6 +71,114 @@ def _long_gvector(seed: int = 1000) -> tuple[int, ...]:
     w = [rng.randint(1, 5) for _ in range(1000)]
     counts = [w.count(letter) for letter in range(2, 6)]
     return (-sum(counts),) + tuple(counts)
+
+
+def _fmt(x):
+    return f"{x:.2f}"
+
+
+def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
+    # the renderer as it was before it formatted coordinates inline: one
+    # _fmt call per coordinate, and w, h and the grid ends looked up anew
+    ms = dyck.reconstruct_multislalom(g)
+    steps = ms.diagram.steps
+    heights = ms.diagram.heights
+    count = len(steps)
+    top = max(heights)
+    if width is not None:
+        unit = width / (count + 2)
+    margin = unit
+    w = margin * 2 + count * unit
+    h = margin * 2 + (top + 1) * unit
+    xs = [_fmt(margin + k * unit) for k in range(count + 1)]
+    half_xs = [_fmt(margin + (k + 0.5) * unit) for k in range(count)]
+    ys = [_fmt(h - margin - level * unit) for level in range(top + 1)]
+    chord_ys = [_fmt(h - margin - (level + 0.5) * unit) for level in range(top)]
+    label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
+    chord_color = {}
+    for comp, color in zip(ms.components, render._palette(len(ms.components), palette_seed)):
+        for up in comp.chords:
+            chord_color[up] = color
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" '
+        f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
+        f'<rect width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>',
+        '<g stroke="#dddddd" stroke-width="1">',
+    ]
+    parts += [f'<line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[top]}"/>' for x in xs]
+    parts += [f'<line x1="{xs[0]}" y1="{y}" x2="{xs[count]}" y2="{y}"/>' for y in ys]
+    parts.append("</g>")
+    points = " ".join(f"{x},{ys[hh]}" for x, hh in zip(xs, heights))
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="#222222" '
+        'stroke-width="2"/>'
+    )
+    parts.append(
+        f'<g font-family="monospace" font-size="{_fmt(unit * 0.35)}" '
+        'fill="#222222" text-anchor="middle">'
+    )
+    lows = map(min, heights, heights[1:])
+    parts += [
+        f'<text x="{x}" y="{label_ys[low]}">{label}</text>'
+        for x, low, (_, label) in zip(half_xs, lows, steps)
+    ]
+    parts.append("</g>")
+    parts.append('<g stroke-width="2.5" fill="none">')
+    parts += [
+        f'<line x1="{half_xs[up]}" y1="{chord_ys[heights[up]]}" '
+        f'x2="{half_xs[down]}" y2="{chord_ys[heights[up]]}" stroke="{chord_color[up]}"/>'
+        for up, down in ms.matching
+    ]
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _small_valid_gvectors():
+    # all 498 valid g-vectors with n <= 5 and entries in [-3, 3]
+    for n in range(2, 6):
+        for g in itertools.product(range(-3, 4), repeat=n):
+            if dyck.validate_gvector(g):
+                yield g
+
+
+def _long_words_gvectors(count=20):
+    # letter counts of seeded 1000-letter words over {1..k}, k from 2 to 6
+    rng = random.Random(1100)
+    out = []
+    for i in range(count):
+        letters = range(1, 2 + i % 5 + 1)
+        w = rng.choices(letters, k=1000)
+        counts = [w.count(letter) for letter in range(2, max(letters) + 1)]
+        out.append((-sum(counts),) + tuple(counts))
+    return out
+
+
+RENDER_OPTIONS = (
+    {},
+    {"width": 480.0},
+    {"width": 777.3},
+    {"unit": 7},
+    {"unit": 7.3, "palette_seed": 3},
+)
+
+
+class TestAgainstReference:
+    """Inline formatting writes the bytes the one-call-per-coordinate
+    renderer wrote."""
+
+    @pytest.mark.parametrize("options", RENDER_OPTIONS, ids=repr)
+    def test_every_small_gvector(self, options):
+        checked = 0
+        for g in _small_valid_gvectors():
+            assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
+            checked += 1
+        assert checked == 498
+
+    @pytest.mark.parametrize("options", RENDER_OPTIONS, ids=repr)
+    def test_long_words_gvectors(self, options):
+        for g in _long_words_gvectors():
+            assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
 
 
 class TestGoldenBytes:

@@ -103,6 +103,49 @@ def check_cycle_reading(w, canonical):
     return len(cycle_words)
 
 
+# The prefix doubling _rotation_order used before it packed its keys:
+# every round sorts the distinct rank pairs and re-ranks them densely.
+def _reranked_rotation_order(letters, succ, bound):
+    n = len(letters)
+    alphabet = {a: i for i, a in enumerate(sorted(set(letters)))}
+    rank = [alphabet[a] for a in letters]
+    distinct = len(alphabet)
+    jump = list(succ)
+    span = 1
+    while span < bound and distinct < n:
+        keys = [a * n + b for a, b in zip(rank, map(rank.__getitem__, jump))]
+        levels = {key: i for i, key in enumerate(sorted(set(keys)))}
+        rank = list(map(levels.__getitem__, keys))
+        distinct = len(levels)
+        jump = list(map(jump.__getitem__, jump))
+        span *= 2
+    return sorted(range(n), key=rank.__getitem__)
+
+
+def necklace_layout(ms):
+    # every entry laid end to end, repeats included, with the successor of
+    # each position along its own entry
+    letters, succ = [], []
+    for u in ms:
+        start = len(letters)
+        letters += u
+        succ += range(start + 1, start + len(u))
+        succ.append(start)
+    return letters, succ
+
+
+def fibonacci_word(length):
+    a, b = (1,), (1, 2)
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
+def christoffel_word(p, q):
+    # lower Christoffel word of slope q/p: p ones and q twos
+    return tuple(2 if (k + 1) * q // (p + q) > k * q // (p + q) else 1 for k in range(p + q))
+
+
 def all_short_words():
     for alphabet in ((1, 2), (1, 2, 3)):
         for length in range(1, 9):
@@ -321,3 +364,71 @@ class TestAgainstDefinitions:
         assert words.phi_inverse(words.phi(w)) == w
         assert words.is_primitive(w)
         assert words.bw_inverse(words.bw_transform(w)) == words.necklace(w)
+
+
+class TestRotationOrder:
+    """Packed keys order rotations exactly as the re-ranking rounds did."""
+
+    @staticmethod
+    def check_word(w):
+        r = len(w)
+        succ = [*range(1, r), 0]
+        assert words._rotation_order(w, succ, r) == _reranked_rotation_order(w, succ, r), w
+
+    @staticmethod
+    def check_layout(ms):
+        letters, succ = necklace_layout(ms)
+        bound = 2 * max(map(len, ms))
+        assert words._rotation_order(letters, succ, bound) == _reranked_rotation_order(
+            letters, succ, bound
+        ), ms
+
+    def test_short_words_and_their_layouts(self):
+        for w in all_short_words():
+            self.check_word(w)
+            self.check_layout(words.phi(w))
+
+    def test_one_letter_alphabet(self):
+        self.check_word((2, 2, 2))
+        self.check_layout(((2,), (2,), (2,)))
+
+    def test_long_words(self):
+        rng = random.Random(1500)
+        for length, k in ((1000, 2), (3000, 4), (10000, 2), (10000, 6)):
+            w = tuple(rng.randint(1, k) for _ in range(length))
+            self.check_word(w)
+            self.check_layout(words.phi(w))
+        self.check_word((1, 2) * 2000 + (2,))
+
+    def test_span_reaches_the_length(self):
+        # every rotation shares a prefix of 128 letters with another, so the
+        # binary keys pass base 2**128 and are re-ranked before they differ
+        for w in (fibonacci_word(4181), christoffel_word(600, 401)):
+            doubled = w + w
+            assert len({doubled[p : p + 128] for p in range(len(w))}) < len(w)
+            self.check_word(w)
+            self.check_layout(words.phi(w))
+
+
+class TestPhiInverseCopies:
+    """One row per distinct entry gives the word every copy's rows gave."""
+
+    def test_error_precedence_follows_input_order(self):
+        with pytest.raises(NonPrimitiveNecklace):
+            words.phi_inverse([(1, 1), ()])
+        with pytest.raises(EmptyWord, match="^word must be non-empty$"):
+            words.phi_inverse([(), (1, 1)])
+
+    def test_repeated_non_canonical_rotations(self):
+        for ms in ([(1, 2), (2, 1)], [(2, 1), (1, 2), (2, 1)], [(1, 3, 2), (2, 1, 3), (1, 3, 2)]):
+            assert words.phi_inverse(ms) == ref_phi_inverse(ms)
+
+    def test_repeated_one_letter_necklace(self):
+        assert words.phi_inverse(((1,),) * 3) == (1, 1, 1)
+        assert words.phi_inverse(((2,),) * 4 + ((1, 2),)) == ref_phi_inverse(
+            ((2,),) * 4 + ((1, 2),)
+        )
+
+    def test_many_copies_of_one_necklace(self):
+        ms = [(1, 2)] * 500 + [(1,)] * 3 + [(1, 1, 2)]
+        assert words.phi_inverse(ms) == ref_phi_inverse(ms)
