@@ -51,6 +51,7 @@ _DIGITS = re.compile(r"^[0-9]+$")
 # scripts' digits
 _CSV = re.compile(r"^-?[0-9]+(?:,-?[0-9]+)*$")
 _INT = re.compile(r"^-?[0-9]+$")
+_SCALAR = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -104,12 +105,13 @@ def _parse_gvector(text: str) -> tuple[int, ...]:
 
 
 def _parse_lambda(text: str) -> Fraction:
-    try:
-        if not text.isascii():
-            raise ValueError("non-ASCII characters")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot read scalar {text!r}: use an integer or p/q") from exc
+    # not Fraction(text), which reads exponents such as 1e10000000 at any size
+    if _SCALAR.fullmatch(text):
+        num, _, den = text.partition("/")
+        p, q = _parse_ints(f"{num},{den or 1}")
+        if q:
+            return Fraction(p, q)
+    raise UsageError(f"cannot read scalar {text!r}: use an integer or p/q")
 
 
 def _parse_band_spec(text: str, n: int | None) -> gentle.Walk:
@@ -242,8 +244,8 @@ def _cmd_band_module(args) -> int:
             f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
         )
     arrows = {
-        f"{kind}{idx}": [[str(v) for v in row] for row in mod.matrix(kind, idx)]
-        for kind in ("a", "b") for idx in range(1, mod.n)
+        f"{kind}{idx}": [[str(v) for v in row] for row in rows]
+        for (kind, idx), rows in mod.matrices()
     }
     lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, mod.dims))}"]
     for name, rows in arrows.items():

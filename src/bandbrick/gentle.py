@@ -8,14 +8,14 @@ traversed first, and consecutive written steps x, y compose when
 from(x) == to(y).  walk_from_str and walk_to_str are the only code that
 reads or writes the text form, such as 'a1 b1-'.
 
-A band module of multiplicity one is its walk with one scalar: only the
-arrows the walk uses are stored, each sending a basis vector to at most
-one basis vector, and the scalar is stored once with its entry, so the
-members of a family share their basis maps.  The gentle relations are
-checked on every build in one pass over the walk.  All a-steps of a band
-walk share one sign and all b-steps the other, and a walk and its inverse
-give one module, so every module reads its walk with the a-steps as
-arrows; two modules lie on one band exactly when their codes are equal.
+A band module of multiplicity one is its walk with one scalar.  A build
+stores the walk, its dimensions and what the Hom count reads of it, and
+BandModule.matrices() derives the arrows from the walk, each sending a
+basis vector to at most one basis vector, and checks the gentle relations
+on them before it yields any matrix.  All a-steps of a band walk share
+one sign and all b-steps the other, and a walk and its inverse give one
+module, so every module reads its walk with the a-steps as arrows; two
+modules lie on one band exactly when their codes are equal.
 Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991): a
 top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
@@ -32,7 +32,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import Component
 from .errors import (
@@ -57,7 +57,7 @@ MAX_VERTICES = 10**6 + 1
 
 # the most steps psi builds, sum 2 (w_i - 1) over the letters: a word of
 # 10^4 letters over 2..5 has at most 80,000.  band walk, band brick and
-# band hom on 75000,2 take 1.0-1.4 s (Python 3.11, 2 CPUs)
+# band hom on 75000,2 take 0.5-0.8 s (Python 3.11, 2 CPUs)
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
@@ -155,46 +155,37 @@ def canonical_walk(walk: Sequence[int]) -> Walk:
     return walk[k:] + walk[:k]
 
 
-Arrow = dict[int, int]
-
-
 @dataclass
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
-    dims[i] is the dimension at vertex i+1.  arrows[(kind, index)] maps a
-    basis index at vertex index+1 to a basis index at vertex index, for
-    the arrows the walk uses; an absent arrow is zero.  Every entry is 1
-    except the one at lam_at = (kind, index, source), the wrap-around step
-    of the walk, an a-step, which is lam.  walk is the canonical walk in
+    dims[i] is the dimension at vertex i+1.  walk is the canonical walk in
     written order: a-steps as arrows, least rotation under canonical_walk's
     order.  codes is the same walk in traversal order, so codes[t] is step
-    t, from basis t to t + 1.
+    t, from basis t to t + 1.  The arrows are not stored: matrices()
+    derives them from codes, with lam on the wrap-around step, an a-step,
+    and 1 on every other step.
 
     The Hom tables are read off the traversal once, by band_module:
     tops[v] counts the basis vectors at vertex v that both their steps
     leave by arrows out of them, bottoms[v] those that both their steps
     reach by arrows into them, starts[c] lists the positions t with
     codes[t] == c whose previous step is an arrow, and source_starts the
-    positions t whose previous step is an inverse arrow, ascending.  A
-    module built from the first seven fields alone has no tables, and
-    hom_dim cannot read it.  dataclasses.replace(module, lam=mu) is the
-    member mu of the same family, sharing dims, arrows, walk, codes and
-    the tables.
+    positions t whose previous step is an inverse arrow, ascending.
+    dataclasses.replace(module, lam=mu) is the member mu of the same
+    family, sharing dims, walk, codes and the tables.
     """
 
     n: int
     dims: tuple[int, ...]
-    arrows: dict[tuple[str, int], Arrow]
     lam: Fraction
-    lam_at: tuple[str, int, int]
     walk: Walk
     codes: tuple[int, ...]
     # the Hom tables, fixed by codes, so left out of repr and ==
-    tops: dict[int, int] | None = field(default=None, repr=False, compare=False)
-    bottoms: dict[int, int] | None = field(default=None, repr=False, compare=False)
-    starts: dict[int, list[int]] | None = field(default=None, repr=False, compare=False)
-    source_starts: list[int] | None = field(default=None, repr=False, compare=False)
+    tops: dict[int, int] = field(repr=False, compare=False)
+    bottoms: dict[int, int] = field(repr=False, compare=False)
+    starts: dict[int, list[int]] = field(repr=False, compare=False)
+    source_starts: list[int] = field(repr=False, compare=False)
 
     def g_vector(self) -> tuple[int, ...]:
         """Tops minus bottoms per vertex."""
@@ -205,12 +196,34 @@ class BandModule:
             g[vertex - 1] -= count
         return tuple(g)
 
-    def matrix(self, kind: str, index: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense matrix of one arrow, shape dims[index-1] x dims[index]."""
-        rows = [[Fraction(0)] * self.dims[index] for _ in range(self.dims[index - 1])]
-        for col, row in self.arrows.get((kind, index), {}).items():
-            rows[row][col] = self.lam if (kind, index, col) == self.lam_at else Fraction(1)
-        return tuple(tuple(row) for row in rows)
+    def matrices(self) -> Iterator[tuple[tuple[str, int], tuple[tuple[Fraction, ...], ...]]]:
+        """Dense matrix of every arrow, a_1 .. a_{n-1} then b_1 .. b_{n-1},
+        each of shape dims[index-1] x dims[index] and keyed by (kind, index).
+
+        The basis maps of all arrows come from two passes over codes, not
+        from one per arrow, and meet the gentle relation check before the
+        first matrix is yielded.
+        """
+        count = [0] * (self.n + 1)
+        node = []  # basis index of node t, where step t starts
+        for c in self.codes:
+            v = (c >> 2) + 1 - (c & 1)
+            node.append(count[v])
+            count[v] += 1
+        arrows: dict[tuple[str, int], dict[int, int]] = {}
+        for c, here, there in zip(self.codes, node, node[1:] + node[:1]):
+            if c & 1:
+                here, there = there, here
+            arrows.setdefault(("ab"[c >> 1 & 1], c >> 2), {})[here] = there
+        _check_relations(arrows, len(node))
+        lam_key = ("ab"[c >> 1 & 1], c >> 2)  # the loop ends on the wrap-around step
+        for kind, index in itertools.product("ab", range(1, self.n)):
+            rows = [[Fraction(0)] * self.dims[index] for _ in range(self.dims[index - 1])]
+            for col, row in arrows.get((kind, index), {}).items():
+                rows[row][col] = Fraction(1)
+            if (kind, index) == lam_key:
+                rows[there][here] = self.lam
+            yield (kind, index), tuple(map(tuple, rows))
 
 
 def band_module(
@@ -224,8 +237,8 @@ def band_module(
     parameter give isomorphic modules, and lam sits on an a-step either
     way) and rotated as canonical_walk rotates, so two modules lie on one
     band exactly when their codes are equal.  One pass over the traversal
-    then numbers the basis and fills the Hom tables, and a second sets
-    the arrows.
+    then counts the basis and fills the Hom tables; no arrow is built
+    (BandModule.matrices() derives them and checks the relations there).
     """
     walk = tuple(walk)
     if n is None:
@@ -243,8 +256,7 @@ def band_module(
         walk = tuple(c ^ 1 for c in reversed(walk))
     walk = canonical_walk(walk)
     trav = walk[::-1]
-    count = [0] * (n + 1)  # basis vectors numbered so far, by vertex
-    node = []  # basis index of node t, where step t starts
+    count = [0] * (n + 1)  # basis vectors at each vertex
     tops: dict[int, int] = {}
     bottoms: dict[int, int] = {}
     starts: dict[int, list[int]] = {}
@@ -253,7 +265,6 @@ def band_module(
     for t, c in enumerate(trav):
         # step t leaves vertex index + 1 if it is an arrow, index if not
         v = (c >> 2) + 1 - (c & 1)
-        node.append(count[v])
         count[v] += 1
         if prev & 1:
             source_starts.append(t)
@@ -267,25 +278,10 @@ def band_module(
             else:
                 starts[c] = [t]
         prev = c
-    maps: dict[int, Arrow] = {}
-    for c, here, there in zip(trav, node, node[1:] + node[:1]):
-        if c & 1:
-            here, there = there, here
-        h = c >> 1  # the arrow: index << 1 | (kind b)
-        if h in maps:
-            maps[h][here] = there
-        else:
-            maps[h] = {here: there}
-    arrows = {("ab"[h & 1], h >> 1): arrow for h, arrow in maps.items()}
-    _check_relations(arrows, len(trav))
-    lam_at = ("ab"[h & 1], h >> 1, here)  # the loop ends on the wrap-around step
-    return BandModule(
-        n, tuple(count[1:]), arrows, lam, lam_at, walk, trav, tops, bottoms, starts,
-        source_starts,
-    )
+    return BandModule(n, tuple(count[1:]), lam, walk, trav, tops, bottoms, starts, source_starts)
 
 
-def _check_relations(arrows: dict[tuple[str, int], Arrow], r: int) -> None:
+def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:
     # each step writes one entry, so a lost one means two steps share a
     # source; b_i a_{i+1} and a_i b_{i+1} vanish when no image of the
     # second arrow is a source of the first

@@ -324,6 +324,22 @@ class TestErrorsAndFormats:
         assert code == 1
         assert "ZeroLambda" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["module", "2", "--lambda", "1e5000"], ["brick", "2", "--lambda", "1e10000000"],
+         ["module", "2", "--lambda", "1.5"], ["brick", "2", "--lambda", "1_0"],
+         ["module", "2", "--lambda", "+3"], ["module", "2", "--lambda", " 3/2"],
+         ["hom", "2", "2", "--lambda1", "3/-2"]],
+    )
+    def test_lambda_is_an_integer_or_p_over_q(self, capsys, argv):
+        # Fraction() reads exponents, and 1e10000000 would build 10**10000000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "band", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 _words = st.one_of(
     st.text("abcdef", min_size=1, max_size=6),
@@ -344,7 +360,11 @@ _walks = st.lists(
 ).map(" ".join)
 _junk = st.sampled_from(["", " ", "-", "0", "a0", "a1 c2", "1,,2", "-3,1", "ab-", "--", "x"])
 _specs = st.one_of(_words, _walks, _junk)
-_lambdas = st.sampled_from(["0", "1", "-1", "3/2", "1/0", "x", "nan"])
+# a number of 5,000 digits, past Python's int-string conversion limit
+_LONG = "1" * 5000
+_lambdas = st.sampled_from(
+    ["0", "1", "-1", "3/2", "1/0", "x", "nan", "1e5000", "1e10000000", _LONG, "1.5"]
+)
 
 
 @st.composite
@@ -380,10 +400,6 @@ _SUITE_NAMES = {"all", *acceptance.suite_names(), *(str(num) for num, _, _ in ac
 _suites = st.text("abcx019-_ ", max_size=6).filter(lambda name: name not in _SUITE_NAMES)
 # the slowest admitted search drawn here, (6, 3), takes about 0.4 s
 _TIME_LIMIT_S = 5
-
-
-# a number of 5,000 digits, past Python's int-string conversion limit
-_LONG = "1" * 5000
 
 
 @st.composite

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from bandbrick import dyck, forms, gentle, words
 from bandbrick.forms import euler_form
-from bandbrick.gentle import BandModule
 from bandbrick.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -279,32 +278,19 @@ class TestBandModule:
     def test_minimal_module(self):
         m = gentle.band_module(gentle.psi((2,)), Fraction(5))
         assert m.dims == (1, 1)
-        assert m.matrix("a", 1) == ((Fraction(5),),)
-        assert m.matrix("b", 1) == ((Fraction(1),),)
+        assert dict(m.matrices()) == {("a", 1): ((Fraction(5),),), ("b", 1): ((Fraction(1),),)}
 
     def test_multi_visit_module(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(1), n=3)
         assert m.dims == (1, 3, 2)
-        entries = [
-            v
-            for kind, idx in m.arrows
-            for row in m.matrix(kind, idx)
-            for v in row
-            if v not in (0, 1)
-        ]
+        entries = [v for _, rows in m.matrices() for row in rows for v in row if v not in (0, 1)]
         assert entries == []  # lambda = 1 leaves only 0/1 entries
 
     def test_lambda_appears_once(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(7), n=3)
-        entries = [
-            v
-            for kind, idx in m.arrows
-            for row in m.matrix(kind, idx)
-            for v in row
-            if v not in (0, 1)
-        ]
+        entries = [v for _, rows in m.matrices() for row in rows for v in row if v not in (0, 1)]
         assert entries == [Fraction(7)]
 
     def test_zero_lambda_rejected(self):
@@ -318,23 +304,20 @@ class TestBandModule:
     def test_arrows_are_sparse_basis_maps(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(7), n=3)
-        assert sum(len(arrow) for arrow in m.arrows.values()) == len(walk)
-        for (kind, idx), arrow in m.arrows.items():
-            dense = m.matrix(kind, idx)
+        nonzero = []
+        for (kind, idx), dense in m.matrices():
             assert len(dense) == m.dims[idx - 1]
-            nonzero = {
-                col: (row, v)
-                for row, values in enumerate(dense)
-                for col, v in enumerate(values)
-                if v
-            }
-            # lambda sits only at its entry, every other entry is 1
-            assert nonzero == {
-                col: (row, m.lam if (kind, idx, col) == m.lam_at else 1)
-                for col, row in arrow.items()
-            }
-        kind, idx, col = m.lam_at
-        assert col in m.arrows[(kind, idx)]
+            assert all(len(row) == m.dims[idx] for row in dense)
+            entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+            # a basis map: at most one non-zero per row and per column
+            rows, cols = {r for r, _, _ in entries}, {c for _, c, _ in entries}
+            assert len(rows) == len(cols) == len(entries)
+            nonzero += [(kind, v) for _, _, v in entries]
+        # one entry per step, lambda exactly once and on an a-arrow, every
+        # other entry 1
+        assert len(nonzero) == len(walk)
+        assert [kind for kind, v in nonzero if v == m.lam] == ["a"]
+        assert all(v in (1, m.lam) for _, v in nonzero)
 
     def test_relation_check_raises(self):
         # a1 after b2 is the relation a_1 b_2, which must vanish
@@ -347,10 +330,18 @@ class TestBandModule:
 
     def test_large_index_stores_used_arrows_only(self):
         walk = gentle.walk_from_str("a100000 b100000-")
-        m = gentle.band_module(walk, 1)
+        m = gentle.band_module(walk, 3)
         assert m.n == 100001
-        assert len(m.arrows) <= len(walk)
+        # nothing is stored per arrow: past the dimensions, which are per
+        # vertex, every field is as long as the walk at most
+        stored = (m.walk, m.codes, m.tops, m.bottoms, m.starts, m.source_starts)
+        assert max(map(len, stored)) <= len(walk)
         assert gentle.hom_dim(m, m) == 1
+        mats = dict(m.matrices())
+        assert len(mats) == 2 * (m.n - 1)
+        assert mats.pop(("a", 100000)) == ((3,),)
+        assert mats.pop(("b", 100000)) == ((1,),)
+        assert not any(mats.values())
 
     def test_quiver_size_bound(self):
         top = gentle.MAX_VERTICES - 1
@@ -428,6 +419,7 @@ def _dense_rank(rows):
 
 def _reference_hom_dim(m, w):
     """Nullity of f_t M_g - W_g f_s = 0 built from the dense arrow matrices."""
+    mm, wm = dict(m.matrices()), dict(w.matrices())
     unknowns = {}
     for i in range(m.n):
         for r in range(w.dims[i]):
@@ -437,7 +429,7 @@ def _reference_hom_dim(m, w):
     for kind, idx in itertools.product("ab", range(1, m.n)):
         # 0-based vertices: the arrow runs from idx to idx - 1
         src, tgt = idx, idx - 1
-        mg, wg = m.matrix(kind, idx), w.matrix(kind, idx)
+        mg, wg = mm[(kind, idx)], wm[(kind, idx)]
         for r in range(w.dims[tgt]):
             for c in range(m.dims[src]):
                 row = [Fraction(0)] * len(unknowns)
@@ -503,8 +495,14 @@ class TestHomAgainstDenseElimination:
 # it links the unknowns of f_t M_g = W_g f_s and counts the free components.
 Scalar = Fraction | int
 
+# A module as _unoriented_module builds it: arrows[(kind, index)] maps a
+# basis index at vertex index+1 to one at vertex index, for the arrows the
+# walk uses, and every entry is 1 except the one at lam_at = (kind, index,
+# source), which is lam.
+SparseModule = collections.namedtuple("SparseModule", "n dims arrows lam lam_at")
 
-def _intertwiner_hom_dim(m: BandModule, w: BandModule) -> int:
+
+def _intertwiner_hom_dim(m: SparseModule, w: SparseModule) -> int:
     """Dimension of the space of morphisms m -> w.
 
     Unknowns are per-vertex matrices f_i of shape w.dims[i] x m.dims[i];
@@ -595,10 +593,12 @@ class TestHomAgainstIntertwiner:
         for walk in _small_walks():
             n = _quiver(walk)
             x = gentle.band_module(walk, lam1, n)
+            u = _unoriented_module(x.walk, lam1, n)
             for other in (walk, _inverse(walk)):
                 y = gentle.band_module(other, lam2, n)
-                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (walk, other)
-                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(y, x), (walk, other)
+                v = _unoriented_module(y.walk, lam2, n)
+                assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(u, v), (walk, other)
+                assert gentle.hom_dim(y, x) == _intertwiner_hom_dim(v, u), (walk, other)
 
     def test_seeded_pairs(self):
         walks = _small_walks()
@@ -606,9 +606,10 @@ class TestHomAgainstIntertwiner:
         for _ in range(2000):
             w1, w2 = rng.choice(walks), rng.choice(walks)
             n = max(_quiver(w1, w2), rng.choice((3, 4, 5)))
-            x = gentle.band_module(w1, rng.choice(self.LAMBDAS), n)
-            y = gentle.band_module(w2, rng.choice(self.LAMBDAS), n)
-            assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(x, y), (w1, w2)
+            lam1, lam2 = rng.choice(self.LAMBDAS), rng.choice(self.LAMBDAS)
+            x, y = gentle.band_module(w1, lam1, n), gentle.band_module(w2, lam2, n)
+            u, v = _unoriented_module(x.walk, lam1, n), _unoriented_module(y.walk, lam2, n)
+            assert gentle.hom_dim(x, y) == _intertwiner_hom_dim(u, v), (w1, w2)
 
     def test_euler_zero_brick_pairs(self):
         # one module per brick, swept over both parameters, distinct ones
@@ -626,17 +627,20 @@ class TestHomAgainstIntertwiner:
                         continue
                     x = dataclasses.replace(modules[g1], lam=lam1)
                     y = dataclasses.replace(modules[g2], lam=lam2)
+                    u = _unoriented_module(x.walk, lam1, x.n)
+                    v = _unoriented_module(y.walk, lam2, y.n)
                     pairs += 1
                     hom_xy, hom_yx = gentle.hom_dim(x, y), gentle.hom_dim(y, x)
-                    assert hom_xy == _intertwiner_hom_dim(x, y), (g1, g2, lam1, lam2)
-                    assert hom_yx == _intertwiner_hom_dim(y, x), (g1, g2, lam1, lam2)
+                    assert hom_xy == _intertwiner_hom_dim(u, v), (g1, g2, lam1, lam2)
+                    assert hom_yx == _intertwiner_hom_dim(v, u), (g1, g2, lam1, lam2)
                     assert hom_xy == hom_yx, (g1, g2, lam1, lam2)
         assert pairs > 100
 
 
 def _unoriented_module(codes, lam, n=None):
-    """band_module with the walk rotated but not oriented: a walk whose
-    a-steps are inverse arrows keeps them."""
+    """The module of a walk as a SparseModule, with the walk rotated as
+    band_module rotates it but not oriented: a walk whose a-steps are
+    inverse arrows keeps them."""
     walk = tuple(codes)
     if n is None:
         n = _quiver(walk)
@@ -663,7 +667,16 @@ def _unoriented_module(codes, lam, n=None):
         arrows.setdefault((kind, index), {})[here] = there
     gentle._check_relations(arrows, r)
     lam_at = (kind, index, here)  # the loop ends on the wrap-around step
-    return BandModule(n, tuple(dims), arrows, lam, lam_at, walk, trav)
+    return SparseModule(n, tuple(dims), arrows, lam, lam_at)
+
+
+def _dense(u):
+    # the matrices of a SparseModule in the order and form of matrices()
+    for kind, idx in itertools.product("ab", range(1, u.n)):
+        rows = [[0] * u.dims[idx] for _ in range(u.dims[idx - 1])]
+        for col, row in u.arrows.get((kind, idx), {}).items():
+            rows[row][col] = u.lam if (kind, idx, col) == u.lam_at else 1
+        yield (kind, idx), tuple(map(tuple, rows))
 
 
 class TestOrientation:
@@ -700,10 +713,21 @@ class TestOrientation:
     def test_walk_and_inverse_build_one_module(self, lam):
         for walk in _small_walks():
             x, y = gentle.band_module(walk, lam), gentle.band_module(_inverse(walk), lam)
-            assert (x.walk, x.codes, x.arrows, x.lam_at, x.dims) == (
-                y.walk, y.codes, y.arrows, y.lam_at, y.dims
+            assert (x.walk, x.codes, x.dims, list(x.matrices())) == (
+                y.walk, y.codes, y.dims, list(y.matrices())
             ), walk
             assert not _has_inverse_a_step(x.walk)
+
+    @pytest.mark.parametrize("lam", [1, 7, Fraction(-2, 5)])
+    def test_matrices_match_the_reference(self, lam):
+        # matrices() derives the arrows, and checks the relations on them,
+        # from the stored walk; the reference reads the same walk afresh
+        for walk in _small_walks():
+            for w in (walk, _inverse(walk)):
+                for n in (None, _quiver(w) + 1):
+                    m = gentle.band_module(w, lam, n)
+                    expected = list(_dense(_unoriented_module(m.walk, lam, m.n)))
+                    assert list(m.matrices()) == expected, (w, n)
 
 
 def _reference_turns(codes):
@@ -751,9 +775,18 @@ class TestParameterMembers:
     def test_members_share_maps(self):
         members = self._members()
         assert [m.lam for m in members] == [1, 2, 3]
+        first = dict(members[0].matrices())
         for m in members[1:]:
-            assert m.arrows is members[0].arrows and m.dims is members[0].dims
-            assert m.walk is members[0].walk and m.lam_at == members[0].lam_at
+            assert m.dims is members[0].dims and m.walk is members[0].walk
+            # the derived arrows differ in the one entry that holds lam
+            changed = [
+                (before, after)
+                for key, rows in m.matrices()
+                for row, old_row in zip(rows, first[key])
+                for after, before in zip(row, old_row)
+                if after != before
+            ]
+            assert changed == [(1, m.lam)]
 
     def test_members_share_step_codes(self):
         members = self._members()
