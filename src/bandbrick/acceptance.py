@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from . import dyck, forms, gentle, render, words
-from .errors import BadDimension, MultipleCycles
+from .errors import MultipleCycles
 
 Result = tuple[bool, str]
 
@@ -162,11 +162,8 @@ def _random_valid_gvector(
         g = tuple(head) + (-sum(head),)
         if sum(abs(a) for a in g) > weight:
             continue
-        try:
-            if dyck.validate_gvector(g):
-                return g
-        except BadDimension:
-            continue
+        if dyck.validate_gvector(g):
+            return g
 
 
 def _walk_pool(rng: random.Random, count: int) -> list[gentle.Walk]:
@@ -182,10 +179,6 @@ def _walk_pool(rng: random.Random, count: int) -> list[gentle.Walk]:
         else:
             g = _random_valid_gvector(rng, nmax=4, entry=3, weight=10)
             g = g + (0,) * (4 - len(g))
-            try:
-                dyck.validate_gvector(g)
-            except BadDimension:
-                continue
             comps = dyck.reconstruct_multislalom(g).components
             walks = [gentle.slalom_to_band_walk(c) for c in comps]
         for walk in walks:
@@ -224,10 +217,7 @@ def bricks_n4(seed: int = 0) -> Result:
 
     wide = 0
     for g in itertools.product(range(-8, 9), repeat=4):
-        try:
-            if not dyck.validate_gvector(g):
-                continue
-        except BadDimension:
+        if not dyck.validate_gvector(g):
             continue
         wide += 1
         single = len(dyck.reconstruct_multislalom(g).components) == 1
@@ -236,10 +226,7 @@ def bricks_n4(seed: int = 0) -> Result:
 
     narrow = 0
     for g in itertools.product(range(-5, 6), repeat=4):
-        try:
-            if not dyck.validate_gvector(g):
-                continue
-        except BadDimension:
+        if not dyck.validate_gvector(g):
             continue
         narrow += 1
         if forms.is_brick_gvector_n4(g) != forms.is_brick_gvector(g):

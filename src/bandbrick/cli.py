@@ -182,7 +182,8 @@ def _cmd_phi_inverse(args) -> int:
     except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
         raise UsageError(f"multiset must be a JSON array of integer arrays: {exc}") from exc
     if not isinstance(raw, list) or not all(
-        isinstance(w, list) and all(isinstance(v, int) and v >= 1 for v in w) for w in raw
+        # type, not isinstance: JSON true is a bool, which is an int subclass
+        isinstance(w, list) and all(type(v) is int and v >= 1 for v in w) for w in raw
     ):
         raise UsageError("multiset must be a JSON array of arrays of positive integers")
     ms = tuple(tuple(w) for w in raw)

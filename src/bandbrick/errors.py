@@ -81,6 +81,10 @@ class WalkTooLarge(DomainError):
     """A word's band walk would have more steps than a build may hold."""
 
 
+class DrawingTooLarge(DomainError):
+    """A drawing's width or height is not a finite number."""
+
+
 class ListingTooLarge(DomainError):
     """A dense listing would print more matrix entries than its bound."""
 

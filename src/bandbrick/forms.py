@@ -6,8 +6,8 @@ when the bricks admit no morphisms either way; a vanishing Euler form is
 necessary but not sufficient.  Each brick is one band module at
 parameter 1: gentle.hom_dim reads the parameter only on the cycle two
 modules of one band share, so every other count is the same at every
-parameter, and a brick compared with itself is compared with its member
-at parameter 2.
+parameter.  A brick is compatible with itself: Hom between two members
+of its family counts End minus 1, which the brick test has found to be 0.
 """
 
 from __future__ import annotations
@@ -43,18 +43,11 @@ def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
     """sum(x_i y_i) + 2 sum_{i<j} x_i y_j."""
     if len(x) != len(y):
         raise DimensionMismatch(f"lengths differ: {len(x)} != {len(y)}")
-    total = 0
-    suffix = sum(y)
-    # only the entries where x or y is non-zero, picked in C
-    for i in itertools.compress(range(len(x)), map(operator.or_, x, y)):
-        xi, yi = x[i], y[i]
-        suffix -= yi
-        total += xi * yi + 2 * xi * suffix
-    return total
+    return sum(map(operator.mul, _euler_row(x), y))
 
 
 def _euler_row(x: Sequence[int]) -> list[int]:
-    # c with euler_form(x, y) == sum(c_j y_j): c_j = x_j + 2 sum_{i<j} x_i
+    # c_j = x_j + 2 sum_{i<j} x_i, so euler_form(x, y) == sum(c_j y_j)
     return [2 * prefix - xj for prefix, xj in zip(itertools.accumulate(x), x)]
 
 
@@ -103,8 +96,9 @@ def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
 
     The vanishing of the Euler form is checked first: a non-zero value
     already forces a morphism, so the modules are only compared on the
-    zero-form pairs.  A brick compared with itself is compared with its
-    member at parameter 2, which shares its walk but not its parameter.
+    zero-form pairs.  A brick is compatible with itself: between two
+    members of its family Hom has dimension End - 1 each way, and the
+    brick test has found End = 1.
     """
     v1, v2 = tuple(g1), tuple(g2)
     if len(v1) != len(v2):
@@ -114,10 +108,10 @@ def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
     for v, m in ((v1, x), (v2, y)):
         if m is None:
             raise NotABrick(f"{v} is not a brick g-vector")
+    if y is x:
+        return True  # Hom to another member is End - 1 = 0 each way
     if euler_form(v1, v2) != 0:
         return False
-    if y is x:
-        y = dataclasses.replace(x, lam=Fraction(2))
     return gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0
 
 
@@ -130,8 +124,8 @@ def band_hom(
     n = 1 + (max(w1 + w2, default=0) >> 2) if n is None else n
     x = gentle.band_module(w1, lam1, n)
     y = gentle.band_module(w2, 1 if lam2 is None else lam2, n)
-    if lam2 is None and x.codes == y.codes and x.lam == 1:
-        # (w2, 1) is X itself: equal codes are one band
+    if lam2 is None and y == x:
+        # (w2, 1) is X itself: move Y to another member of the family
         y = dataclasses.replace(y, lam=Fraction(2))
     euler = euler_form(x.g_vector(), y.g_vector())
     return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
@@ -215,9 +209,11 @@ def _euler_zero_pairs(bricks: Sequence[GVector]) -> list[list[int]]:
     return later
 
 
-def _max_clique(vertices: Sequence[int], adj: dict[int, set[int]]) -> list[int]:
-    # Bron-Kerbosch with pivoting, tracking the largest clique
-    best: list[int] = []
+def _max_clique(adj: dict[int, set[int]], best: list[int]) -> list[int]:
+    # Bron-Kerbosch with pivoting over adj's keys, starting from the clique
+    # best and replacing it only by a strictly larger one; a branch is cut
+    # only when it cannot beat best, so a larger maximum is still the first
+    # one in search order
 
     def expand(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
         nonlocal best
@@ -233,7 +229,7 @@ def _max_clique(vertices: Sequence[int], adj: dict[int, set[int]]) -> list[int]:
             candidates = candidates - {v}
             excluded = excluded | {v}
 
-    expand([], set(vertices), set())
+    expand([], set(adj), set())
     return best
 
 
@@ -262,16 +258,10 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
             if gentle.hom_dim(modules[bricks[i]], modules[bricks[j]]) == 0:
                 adj[i].add(j)
                 adj[j].add(i)
-    seed = [g for g in witness_family(n) if g in index]
-    if not all(
-        index[h] in adj[index[g]] for g in seed for h in seed if h != g
-    ):
+    seed = [index[g] for g in witness_family(n) if g in index]
+    if not all(j in adj[i] for i in seed for j in seed if j != i):
         seed = []
-    clique = _max_clique(list(index.values()), adj)
-    if len(clique) > len(seed):
-        witness = tuple(sorted(bricks[i] for i in clique))
-    else:
-        witness = tuple(sorted(seed))
+    witness = tuple(sorted(bricks[i] for i in _max_clique(adj, seed)))
     return len(witness), witness
 
 

@@ -11,10 +11,12 @@ are shared by the grid, the path, the labels and the chords.
 from __future__ import annotations
 
 import colorsys
+import math
 import random
 from typing import Sequence
 
 from .dyck import reconstruct_multislalom
+from .errors import DrawingTooLarge
 
 
 def _palette(count: int, seed: int) -> list[str]:
@@ -47,6 +49,8 @@ def render_dyck(
     margin = unit
     w = margin * 2 + count * unit
     h = margin * 2 + (top + 1) * unit
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise DrawingTooLarge(f"a drawing of {count} steps at unit {unit} overflows a float")
 
     # every coordinate is formatted once: x of each column and half column,
     # y of each level, of each chord level (half a level up) and of each

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -262,6 +263,22 @@ class TestRender:
         assert err.startswith("usage error: cannot write")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["-o", "out.svg"]])
+    def test_overflowing_unit_refused(self, capsys, tmp_path, extra):
+        # 4 units of 5e307 overflow a float; nothing is written
+        extra = [str(tmp_path / a) if a == "out.svg" else a for a in extra]
+        code, out, err = run(capsys, "render", "-1,1", "--unit", "5e307", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DrawingTooLarge: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_unit_admitted(self, capsys):
+        code, out, err = run(capsys, "render", "-1,1", "--unit", "4e307")
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg")
+        assert "inf" not in out and "nan" not in out
+
     @pytest.mark.parametrize(
         "flag, value", [("--unit", "0"), ("--unit", "-1"), ("--width", "-5"), ("--width", "0")]
     )
@@ -288,6 +305,14 @@ class TestErrorsAndFormats:
             ("[[],[1,1]]", "error: EmptyWord: word must be non-empty\n"),
         ):
             assert run(capsys, "phi-inverse", multiset) == (1, "", line)
+
+    @pytest.mark.parametrize("multiset", ["[[true]]", "[[true,2]]", "[[2],[true]]"])
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_phi_inverse_rejects_booleans(self, capsys, multiset, extra):
+        # JSON true is a Python bool, an int subclass, but not a letter
+        code, out, err = run(capsys, "phi-inverse", multiset, *extra)
+        assert (code, out) == (2, "")
+        assert err == "usage error: multiset must be a JSON array of arrays of positive integers\n"
 
     def test_non_primitive_factors_method(self, capsys):
         code, _, err = run(capsys, "pcw", "2323", "--method", "factors")
@@ -443,6 +468,19 @@ def _command_argv(draw, out_dir):
     if draw(st.booleans()):
         argv.append("--json")
     return argv
+
+
+def _check_accepted_output(argv, out):
+    # what an accepted render or phi-inverse prints is well formed
+    if argv[0] == "render":
+        svg = Path(argv[argv.index("-o") + 1]).read_text() if "-o" in argv else out
+        assert "inf" not in svg and "nan" not in svg, argv
+    elif argv[0] == "phi-inverse":
+        if "--json" in argv:
+            letters = json.loads(out)
+            assert all(type(v) is int and v >= 1 for v in letters), argv
+        else:
+            assert re.fullmatch(r"[A-Za-z0-9,]+\n", out), argv
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +642,8 @@ class TestExitContract:
             code = main(argv)
         assert time.perf_counter() - start < _TIME_LIMIT_S, argv
         assert code in (0, 1, 2), argv
+        if code == 0:
+            _check_accepted_output(argv, out.getvalue())
 
 
 def test_python_m_bandbrick():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -30,10 +31,31 @@ hyperplane_vectors = (
 )
 
 
+def _euler_by_definition(x, y):
+    # sum(x_i y_i) + 2 sum_{i<j} x_i y_j, term by term
+    n = len(x)
+    return sum(x[i] * y[i] for i in range(n)) + 2 * sum(
+        x[i] * y[j] for i in range(n) for j in range(i + 1, n)
+    )
+
+
 class TestEulerForm:
     def test_definition(self):
         # sum of squares plus twice the upper cross terms
         assert forms.euler_form((1, 2), (3, 4)) == 3 + 8 + 2 * 4
+
+    def test_seeded_vectors_against_definition(self):
+        # any entries, so most pairs do not sum to zero
+        rng = random.Random(17)
+        off_hyperplane = 0
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            x = tuple(rng.randint(-9, 9) for _ in range(n))
+            y = tuple(rng.randint(-9, 9) for _ in range(n))
+            off_hyperplane += sum(x) != 0 or sum(y) != 0
+            assert forms.euler_form(x, y) == _euler_by_definition(x, y), (x, y)
+        assert off_hyperplane > 400
+        assert forms.euler_form((), ()) == 0
 
     def test_mismatched_lengths(self):
         with pytest.raises(DimensionMismatch):
@@ -66,7 +88,7 @@ class TestEulerRows:
         for g1 in bricks:
             row = forms._euler_row(g1)
             for g2 in bricks:
-                assert sum(a * b for a, b in zip(row, g2)) == forms.euler_form(g1, g2)
+                assert sum(a * b for a, b in zip(row, g2)) == _euler_by_definition(g1, g2)
 
 
 def _pairwise_euler_zero(bricks):
@@ -165,6 +187,15 @@ class TestCompatibility:
     def test_self_compatible(self):
         assert forms.compatible((-1, 1), (-1, 1))
         assert forms.compatible((-2, -1, -3, 6), (-2, -1, -3, 6))
+
+    def test_self_compatibility_is_the_end_check(self):
+        # the brick test counts End once; no second member is built or compared
+        g = (-2, -1, -3, 6)
+        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as count, \
+                mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
+            assert forms.compatible(g, g)
+        assert count.call_count == 1
+        assert build.call_count == 1
 
     def test_witness_family_pairwise(self):
         fam = forms.witness_family(5)
@@ -269,6 +300,121 @@ class TestFamilies:
         monkeypatch.setattr(gentle, "band_module", counted)
         forms.max_compatible_search(5, 2)
         assert len(calls) == bricks
+
+
+def _reference_max_clique(vertices, adj):
+    # the search before it was seeded: Bron-Kerbosch from an empty clique
+    best = []
+
+    def expand(clique, candidates, excluded):
+        nonlocal best
+        if not candidates and not excluded:
+            if len(clique) > len(best):
+                best = clique[:]
+            return
+        if len(clique) + len(candidates) <= len(best):
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(adj[u] & candidates))
+        for v in sorted(candidates - adj[pivot]):
+            expand(clique + [v], candidates & adj[v], excluded & adj[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand([], set(vertices), set())
+    return best
+
+
+def _reference_selection(adj, seed):
+    # the post-selection that followed it: the seed unless strictly beaten
+    clique = _reference_max_clique(list(adj), adj)
+    return clique if len(clique) > len(seed) else seed
+
+
+def _reference_search(n, box, adj):
+    # the witness the search returned before it was seeded, on its graph
+    bricks = list(forms._enumerate_brick_gvectors(n, box))
+    index = {g: i for i, g in enumerate(bricks)}
+    seed = [g for g in forms.witness_family(n) if g in index]
+    if not all(index[h] in adj[index[g]] for g in seed for h in seed if h != g):
+        seed = []
+    clique = _reference_max_clique(list(index.values()), adj)
+    if len(clique) > len(seed):
+        witness = tuple(sorted(bricks[i] for i in clique))
+    else:
+        witness = tuple(sorted(seed))
+    return len(witness), witness
+
+
+def _random_graph(rng, size, density):
+    adj = {v: set() for v in range(size)}
+    for u, v in itertools.combinations(range(size), 2):
+        if rng.random() < density:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def _greedy_clique(rng, adj):
+    # a maximal clique grown from a random vertex, often not a maximum one
+    order = list(adj)
+    rng.shuffle(order)
+    clique = []
+    for v in order:
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
+class TestSeededClique:
+    @pytest.mark.parametrize(
+        "n, box",
+        [(n, box) for n in range(2, 6) for box in (1, 2, 3)]
+        + [(3, 6), (4, 4), (6, 2)],
+    )
+    def test_search_matches_reference(self, monkeypatch, n, box):
+        # n = 2..5 at box 1..3 and the fan-search boxes, on the same graph
+        graphs = []
+        search = forms._max_clique
+
+        def recorded(adj, best):
+            graphs.append(adj)
+            return search(adj, best)
+
+        monkeypatch.setattr(forms, "_max_clique", recorded)
+        assert forms.max_compatible_search(n, box) == _reference_search(n, box, graphs[0])
+
+    def test_seed_smaller_than_maximum(self):
+        # the triangle {0, 1, 2} beats the seeded edge {3, 4}
+        adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2, 4}, 4: {3}}
+        found = forms._max_clique(adj, [3, 4])
+        assert sorted(found) == [0, 1, 2]
+        assert found == _reference_selection(adj, [3, 4])
+
+    def test_seed_that_is_a_maximum(self):
+        # two triangles: the seed is kept though the search finds {0, 1, 2} first
+        adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
+        assert _reference_max_clique(list(adj), adj) == [0, 1, 2]
+        seed = [5, 3, 4]
+        assert forms._max_clique(adj, seed) == [5, 3, 4]
+        assert seed == [5, 3, 4]
+
+    def test_empty_seed(self):
+        adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
+        assert forms._max_clique(adj, []) == [0, 1, 2]
+        assert forms._max_clique({}, []) == []
+        assert forms._max_clique({0: set(), 1: set()}, []) == [0]
+
+    def test_random_graphs_and_seeds(self):
+        rng = random.Random(5)
+        beaten = kept = 0
+        for _ in range(300):
+            adj = _random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
+            seed = rng.choice([[], _greedy_clique(rng, adj)])
+            want = _reference_selection(adj, seed)
+            assert forms._max_clique(adj, list(seed)) == want, (adj, seed)
+            beaten += want is not seed
+            kept += bool(seed) and want is seed
+        assert beaten > 50 and kept > 50
 
 
 class TestMaxCompatible:

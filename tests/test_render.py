@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bandbrick import dyck, render
-from bandbrick.errors import InvalidGVector
+from bandbrick.errors import DrawingTooLarge, InvalidGVector
 
 
 def chord_elements(svg):
@@ -58,6 +58,20 @@ class TestRender:
     def test_invalid_input(self):
         with pytest.raises(InvalidGVector):
             render.render_dyck((1, -1))
+
+    @pytest.mark.parametrize(
+        "g, unit", [((-1, 1), 5e307), ((-1000, 1000), 1e305), ((-1, 1), 1.7e308)]
+    )
+    def test_overflowing_size_refused(self, g, unit):
+        # width is (steps + 2) units, so the step count takes part
+        with pytest.raises(DrawingTooLarge):
+            render.render_dyck(g, unit=unit)
+
+    @pytest.mark.parametrize("g, unit", [((-1, 1), 4e307), ((-1000, 1000), 8e304)])
+    def test_largest_sizes_format_finite(self, g, unit):
+        svg = render.render_dyck(g, unit=unit)
+        assert "inf" not in svg and "nan" not in svg
+        ET.fromstring(svg)
 
     def test_chord_count_is_up_steps(self):
         for g in [(-1, 1), (-1, -1, 2), (-3, -1, 3, -2, 3), (-8, 2, 2, 4)]:
