@@ -245,7 +245,7 @@ def bricks_n4(seed: int = 0) -> Result:
 def max_compat(seed: int = 0) -> Result:
     """Maximum pairwise-compatible brick sets match the ceiling bound."""
     checks: list[tuple[str, bool]] = []
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         size, found = forms.max_compatible_search(n, 2)
         expected = math.ceil((n - 1) / 2)
         checks.append((f"n={n} box=2 size", size == expected))
@@ -257,7 +257,7 @@ def max_compat(seed: int = 0) -> Result:
     size4, _ = forms.max_compatible_search(3, 4)
     checks.append(("n=3 box=4 size", size4 == 1))
     fl = _fails(checks)
-    detail = "boxes for n in {3,4,5}; sizes match ceil((n-1)/2), witnesses match"
+    detail = "boxes for n in {3,4,5,6,7}; sizes match ceil((n-1)/2), witnesses match"
     if fl:
         detail += f"; failed: {fl[:5]}"
     return (not fl, detail)

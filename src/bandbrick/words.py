@@ -18,7 +18,11 @@ is one pass that packs the key pair of p and p + span into one int,
 key[p] * base + key[p + span], and doubles span.  A sort runs only to
 re-rank the keys densely once base passes 2**64, and once at the end.
 ``phi_inverse`` lays each distinct necklace out once and emits the letter
-of each sorted row once per copy.
+of each sorted row once per copy.  The circular-factor test reads the same
+sorted rows: the first two neighbours whose letters before them ascend
+give a crossing aub, a'ub' (u their common prefix), and there is a
+crossing only if some neighbours ascend, so it costs one sort plus one
+common-prefix scan.
 
 The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
 positions stably sorted by letter are the inverse standard permutation,
@@ -172,27 +176,42 @@ def is_perfectly_clustering(w: Sequence[int]) -> bool:
     return is_primitive(word) and _weakly_decreasing(bw_transform(word))
 
 
+def _crossing(word: Word) -> tuple[int, Word, int, int, int] | None:
+    """A crossing (a, u, b, a2, b2) of the primitive word, or None.
+
+    aub and a2ub2 are circular factors with a < a2 and b < b2.  With the
+    rotations sorted, such a pair puts ub... before ub2..., so the letters
+    before the rows ascend somewhere between them; conversely two
+    neighbouring rows p, q with word[p - 1] < word[q - 1] share a prefix
+    u and then differ, b < b2.  Distinct rotations of one word hold the
+    same letters, so they differ before their last one: |u| <= |w| - 2.
+    """
+    r = len(word)
+    order = _rotation_order(word, [*range(1, r), 0], r)
+    for p, q in zip(order, order[1:]):
+        if word[p - 1] < word[q - 1]:
+            break
+    else:
+        return None
+    doubled = word + word
+    k = 0
+    while k < r and doubled[p + k] == doubled[q + k]:
+        k += 1
+    if k > r - 2 or doubled[p + k] >= doubled[q + k]:
+        raise InternalInconsistency(f"rows {p} and {q} of {word} are not a crossing")
+    return word[p - 1], doubled[p : p + k], doubled[p + k], word[q - 1], doubled[q + k]
+
+
 def is_perfectly_clustering_by_factors(w: Sequence[int]) -> bool:
     """Circular-factor criterion, equivalent to the transform test.
 
     A primitive word fails iff it has circular factors aub and a'ub' with
-    the same middle u, a < a' and b < b'.
+    the same middle u, a < a' and b < b' (see ``_crossing``).
     """
     word = _as_word(w)
     if not is_primitive(word):
         raise NonPrimitive(f"{word} is a proper power")
-    r = len(word)
-    doubled = word + word
-    for length in range(2, r + 1):
-        by_middle: dict[Word, list[tuple[int, int]]] = {}
-        for p in range(r):
-            factor = doubled[p : p + length]
-            by_middle.setdefault(factor[1:-1], []).append((factor[0], factor[-1]))
-        for ends in by_middle.values():
-            for a, b in ends:
-                if any(a < a2 and b < b2 for a2, b2 in ends):
-                    return False
-    return True
+    return _crossing(word) is None
 
 
 def _letter_order(word: Word) -> list[int]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandbrick
-from bandbrick import acceptance, cli, dyck, gentle
+from bandbrick import acceptance, cli, dyck, gentle, words
 from bandbrick.cli import main
 
 
@@ -71,6 +71,17 @@ class TestWordCommands:
         for method in ["bw", "factors", "both"]:
             code, out, _ = run(capsys, "pcw", "acacacbbbc", "--method", method)
             assert (code, out) == (0, "true\n")
+
+    def test_pcw_both_on_a_long_word(self, capsys):
+        # 2,000 letters, perfectly clustering: bw_inverse of 501 fives, 500
+        # fours, 500 threes and 499 twos, whose standard permutation is one
+        # cycle; the cubic factor loop took over 120 s on such a word
+        runs = ((5, 501), (4, 500), (3, 500), (2, 499))
+        word = words.bw_inverse([letter for letter, run in runs for _ in range(run)])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pcw", "".join(map(str, word)), "--method", "both")
+        assert time.perf_counter() - start < _TIME_LIMIT_S
+        assert (code, out) == (0, "true\n")
 
     def test_phi(self, capsys):
         code, out, _ = run(capsys, "phi", "baacbcab")
@@ -410,8 +421,12 @@ def _band_argv(draw):
     return argv
 
 
+_huge_entries = st.sampled_from(["1000000000", "-1000000000", _LONG, f"-{_LONG}"])
 _gvectors = st.one_of(
     st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda g: ",".join(map(str, g))),
+    st.lists(st.one_of(st.integers(-6, 6).map(str), _huge_entries), min_size=1, max_size=6).map(
+        ",".join
+    ),
     _junk,
 )
 _multisets = st.one_of(

@@ -212,6 +212,10 @@ class TestCompatibility:
         with pytest.raises(NotABrick):
             forms.compatible((-2, 0, 2), (-1, 1, 0))
 
+    def test_lengths_must_match(self):
+        with pytest.raises(DimensionMismatch, match="^lengths differ: 2 != 3$"):
+            forms.compatible((-1, 1), (-1, 0, 1))
+
     def test_hom_difference_on_shared_walks(self):
         z1 = gentle.psi((2,), n=3)
         z2 = gentle.psi((2, 3))
@@ -268,21 +272,34 @@ def _reference_compatible(z1, z2, n):
     return answers.pop()
 
 
+def _compatible_against_rebuild(n, box, euler_zero):
+    # every brick pair of the box on one side of the Euler test, both orders
+    modules = forms._enumerate_brick_gvectors(n, box)
+    bricks = sorted(modules)
+    pairs = [
+        (g1, g2)
+        for i, g1 in enumerate(bricks)
+        for g2 in bricks[i:]
+        if (forms.euler_form(g1, g2) == 0) == euler_zero
+    ]
+    assert pairs
+    answers = []
+    for g1, g2 in pairs:
+        want = _reference_compatible(modules[g1].walk, modules[g2].walk, n)
+        assert forms.compatible(g1, g2) == forms.compatible(g2, g1) == want, (g1, g2)
+        answers.append(want)
+    return answers
+
+
 class TestCompatibilityAgainstRebuild:
     @pytest.mark.parametrize("n, box", [(2, 2), (3, 2), (4, 2), (5, 2), (4, 3)])
     def test_euler_zero_pairs(self, n, box):
-        modules = forms._enumerate_brick_gvectors(n, box)
-        bricks = sorted(modules)
-        pairs = [
-            (g1, g2)
-            for i, g1 in enumerate(bricks)
-            for g2 in bricks[i:]
-            if forms.euler_form(g1, g2) == 0
-        ]
-        assert pairs
-        for g1, g2 in pairs:
-            want = _reference_compatible(modules[g1].walk, modules[g2].walk, n)
-            assert forms.compatible(g1, g2) == want, (g1, g2)
+        _compatible_against_rebuild(n, box, euler_zero=True)
+
+    @pytest.mark.parametrize("n, box", [(3, 2), (4, 2), (5, 2), (4, 3)])
+    def test_euler_nonzero_pairs(self, n, box):
+        # a non-zero Euler form forces a morphism, so no such pair is compatible
+        assert not any(_compatible_against_rebuild(n, box, euler_zero=False))
 
 
 class TestFamilies:

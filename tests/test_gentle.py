@@ -381,6 +381,12 @@ class TestHom:
         y = gentle.band_module(gentle.psi((2, 3)), Fraction(2))
         assert gentle.ext1_dim(x, y) == gentle.hom_dim(y, x)
 
+    def test_quivers_must_match(self):
+        x = gentle.band_module(gentle.psi((2,)), 1)
+        y = gentle.band_module(gentle.psi((2,), n=3), 1, n=3)
+        with pytest.raises(DimensionMismatch, match="^modules over different quivers: 2 != 3$"):
+            gentle.hom_dim(x, y)
+
     def test_distinct_lambda_no_hom(self):
         walk = gentle.psi((2,))
         x = gentle.band_module(walk, Fraction(1))

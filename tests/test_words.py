@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandbrick import words
-from bandbrick.errors import EmptyWord, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
+from bandbrick.errors import (
+    EmptyWord, InternalInconsistency, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
+)
 
 
 def alpha(s):
@@ -37,6 +40,23 @@ def ref_least_rotation(w):
 
 def ref_bw_transform(w):
     return tuple(rot[-1] for rot in sorted(ref_rotations(w)))
+
+
+def ref_by_factors(w):
+    # the circular-factor criterion by definition: every circular factor of
+    # every length grouped by its middle, cubic in |w|
+    r = len(w)
+    doubled = w + w
+    for length in range(2, r + 1):
+        by_middle = {}
+        for p in range(r):
+            factor = doubled[p : p + length]
+            by_middle.setdefault(factor[1:-1], []).append((factor[0], factor[-1]))
+        for ends in by_middle.values():
+            for a, b in ends:
+                if any(a < a2 and b < b2 for a2, b2 in ends):
+                    return False
+    return True
 
 
 def _ref_power_cmp(u, v):
@@ -152,6 +172,34 @@ def all_short_words():
             yield from itertools.product(alphabet, repeat=length)
 
 
+def perfectly_clustering_word(rng, length):
+    # bw_inverse of a weakly decreasing word over 2..5 whose standard
+    # permutation is one cycle (none is when length < 6)
+    while True:
+        cuts = sorted(rng.sample(range(1, length), 3))
+        runs = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
+        decreasing = [letter for letter, run in zip((5, 4, 3, 2), runs) for _ in range(run)]
+        try:
+            return words.bw_inverse(decreasing)
+        except MultipleCycles:
+            continue
+
+
+def check_crossing(w):
+    # the sorted-rotation witness against the cubic reference; a witness
+    # must be a real crossing of two circular factors
+    crossing = words._crossing(w)
+    assert (crossing is None) == ref_by_factors(w), w
+    if crossing is not None:
+        a, u, b, a2, b2 = crossing
+        assert a < a2 and b < b2, (w, crossing)
+        assert len(u) <= len(w) - 2, (w, crossing)
+        doubled = w + w
+        factors = {doubled[p : p + len(u) + 2] for p in range(len(w))}
+        assert (a, *u, b) in factors and (a2, *u, b2) in factors, (w, crossing)
+    return crossing is None
+
+
 necklace_st = primitive_st.map(words.necklace)
 repeated_multiset_st = st.lists(
     st.tuples(necklace_st, st.integers(1, 3)), min_size=1, max_size=5
@@ -212,6 +260,55 @@ class TestPerfectlyClustering:
     def test_factors_method_requires_primitive(self):
         with pytest.raises(NonPrimitive):
             words.is_perfectly_clustering_by_factors((1, 2, 1, 2))
+
+
+class TestCrossing:
+    """The first ascent of the sorted rotations is the factor test."""
+
+    def test_golden(self):
+        # aabbab: the circular factors abaa and bbab cross on the middle ba
+        assert words._crossing(alpha("aabbab")) == (1, alpha("ba"), 1, 2, 2)
+        assert words._crossing((3, 2, 1)) == (2, (), 1, 3, 2)
+        assert words._crossing(alpha("acacacbbbc")) is None
+        assert words._crossing((7,)) is None
+
+    def test_exhaustive_short_words(self):
+        # every primitive word of length <= 8 on {1,2} and {1,2,3}, and of
+        # length <= 6 on {1..4}
+        short = itertools.chain(
+            all_short_words(),
+            (w for length in range(1, 7) for w in itertools.product((1, 2, 3, 4), repeat=length)),
+        )
+        primitive = [w for w in short if words.is_primitive(w)]
+        clustering = sum(map(check_crossing, primitive))
+        assert len(primitive) == 15533 and 0 < clustering < len(primitive)
+
+    def test_seeded_words(self):
+        # 2 to 60 letters, and as many perfectly clustering words of 8 to 60
+        # letters by construction
+        rng = random.Random(1800)
+        clustering = 0
+        for _ in range(150):
+            length = rng.randint(2, 60)
+            w = tuple(rng.randint(1, 4) for _ in range(length))
+            if words.is_primitive(w):
+                clustering += check_crossing(w)
+            assert check_crossing(perfectly_clustering_word(rng, max(length, 8)))
+        assert clustering < 150
+
+    def test_long_clustering_word(self):
+        w = perfectly_clustering_word(random.Random(10000), 10000)
+        start = time.perf_counter()
+        assert words.is_perfectly_clustering_by_factors(w)
+        assert time.perf_counter() - start < 1
+
+    def test_unsorted_rows_are_caught(self, monkeypatch):
+        # rows that are not in rotation order fail the self-check
+        monkeypatch.setattr(
+            words, "_rotation_order", lambda letters, succ, bound: list(range(len(letters)))[::-1]
+        )
+        with pytest.raises(InternalInconsistency):
+            words._crossing((1, 2, 1, 2, 2))
 
 
 class TestStandardPermutation:
