@@ -6,7 +6,10 @@ int step codes, index << 2 | (kind b) << 1 | (inverse), one per signed
 step, stored in written (composition) order: the rightmost step is
 traversed first, and consecutive written steps x, y compose when
 from(x) == to(y).  walk_from_str and walk_to_str are the only code that
-reads or writes the text form, such as 'a1 b1-'.
+reads or writes the text form, such as 'a1 b1-'.  The codes of a letter
+cycle or of a multislalom segment step by 4 in index, so psi and
+slalom_to_band_walk build them as ranges, and psi builds one cycle per
+distinct letter.
 
 A band module of multiplicity one is its walk with one scalar.  A build
 stores the walk, its dimensions and what the Hom count reads of it, and
@@ -94,24 +97,26 @@ def letter_cycle(i: int) -> Walk:
     """Open walk a_1 ... a_{i-1} b_{i-1}^- ... b_1^- for a letter i >= 2."""
     if i < 2:
         raise LetterOutOfRange(f"letter {i} has no cycle; letters start at 2")
-    return tuple(k << 2 for k in range(1, i)) + tuple(k << 2 | 3 for k in range(i - 1, 0, -1))
+    return (*range(4, i << 2, 4), *range((i << 2) - 1, 3, -4))
 
 
 def psi(w: Sequence[int], n: int | None = None) -> Walk:
-    """Concatenated letter cycles of a primitive word over {2..n}.  A walk
-    of more than MAX_WALK_STEPS steps raises WalkTooLarge before any step
-    is built."""
+    """Concatenated letter cycles of a primitive word over {2..n}, one
+    cycle built per distinct letter.  A walk of more than MAX_WALK_STEPS
+    steps raises WalkTooLarge before any step is built."""
     word = tuple(w)
     if n is None:
         n = max(word, default=0)
-    if any(letter < 2 or letter > n for letter in word):
+    letters = set(word)
+    if any(letter < 2 or letter > n for letter in letters):
         raise LetterOutOfRange(f"letters of {word} must lie in 2..{n}")
     steps = 2 * (sum(word) - len(word))
     if steps > MAX_WALK_STEPS:
         raise WalkTooLarge(f"{steps} walk steps exceed the bound of {MAX_WALK_STEPS}")
     if not is_primitive(word):
         raise NonPrimitive(f"{word} is a proper power")
-    walk = tuple(itertools.chain.from_iterable(map(letter_cycle, word)))
+    cycles = {letter: letter_cycle(letter) for letter in letters}
+    walk = tuple(itertools.chain.from_iterable(map(cycles.__getitem__, word)))
     if not validate_band_walk(walk):
         raise InternalInconsistency(f"psi{word} is not a band walk")
     return walk
@@ -247,8 +252,9 @@ def band_module(
         raise QuiverTooLarge(f"n = {n} exceeds the {MAX_VERTICES} vertices a module may have")
     if not validate_band_walk(walk, n):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
-    lam = Fraction(lam)
-    if lam == 0:
+    if type(lam) is not Fraction:
+        lam = Fraction(lam)
+    if not lam:
         raise ZeroLambda("the band parameter must be non-zero")
     # by the sign rule just checked, the a-steps are inverse arrows exactly
     # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2)
@@ -384,13 +390,13 @@ def slalom_to_band_walk(component: Component) -> Walk:
                 raise InvalidComponent(
                     f"copy-1 segment must ascend, got {start} -> {end}"
                 )
-            trav.extend(i << 2 | 3 for i in range(start, end))
+            trav.extend(range(start << 2 | 3, end << 2 | 3, 4))
         else:
             if start <= end:
                 raise InvalidComponent(
                     f"copy-2 segment must descend, got {start} -> {end}"
                 )
-            trav.extend(i << 2 for i in range(start - 1, end - 1, -1))
+            trav.extend(range((start - 1) << 2, (end - 1) << 2, -4))
     walk = tuple(reversed(trav))
     if not validate_band_walk(walk):
         raise InvalidComponent(f"segments do not close into a band walk")

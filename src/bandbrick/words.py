@@ -12,17 +12,18 @@ No function here copies the rotations of its input (``rotations`` exists
 for callers that want them).  ``least_rotation`` finds the minimal
 rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
 ``is_primitive`` compares w with its shifts by |w|/p for the primes p
-dividing |w|, O(|w| log |w|).  ``bw_transform`` and ``phi_inverse`` order
-rotation start positions by prefix doubling, O(|w| log^2 |w|): each round
-is one pass that packs the key pair of p and p + span into one int,
-key[p] * base + key[p + span], and doubles span.  A sort runs only to
-re-rank the keys densely once base passes 2**64, and once at the end.
-``phi_inverse`` lays each distinct necklace out once and emits the letter
-of each sorted row once per copy.  The circular-factor test reads the same
-sorted rows: the first two neighbours whose letters before them ascend
-give a crossing aub, a'ub' (u their common prefix), and there is a
-crossing only if some neighbours ascend, so it costs one sort plus one
-common-prefix scan.
+dividing |w|, O(|w| log |w|), and factors each length once: the primes
+of the last few thousand lengths are kept.  ``bw_transform`` and
+``phi_inverse`` order rotation start positions by prefix doubling,
+O(|w| log^2 |w|): each round is one pass that packs the key pair of p and
+p + span into one int, key[p] * base + key[p + span], and doubles span.
+A sort runs only to re-rank the keys densely once base passes 2**64, and
+once at the end.  ``phi_inverse`` lays each distinct necklace out once
+and emits the letter of each sorted row once per copy.  The
+circular-factor test reads the same sorted rows: the first two
+neighbours whose letters before them ascend give a crossing aub, a'ub'
+(u their common prefix), and there is a crossing only if some neighbours
+ascend, so it costs one sort plus one common-prefix scan.
 
 The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
 positions stably sorted by letter are the inverse standard permutation,
@@ -35,6 +36,7 @@ Rosone and Sciortino, TCS 2007).
 from __future__ import annotations
 
 import collections
+import functools
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -61,7 +63,10 @@ def rotations(w: Sequence[int]) -> list[Word]:
     return [word[k:] + word[:k] for k in range(len(word))]
 
 
-def _prime_factors(r: int) -> list[int]:
+# is_primitive meets the same lengths again and again, so each length is
+# factored once; the bound holds every length up to a few thousand letters
+@functools.lru_cache(maxsize=4096)
+def _prime_factors(r: int) -> tuple[int, ...]:
     primes = []
     p = 2
     while p * p <= r:
@@ -72,7 +77,7 @@ def _prime_factors(r: int) -> list[int]:
         p += 1
     if r > 1:
         primes.append(r)
-    return primes
+    return tuple(primes)
 
 
 def is_primitive(w: Sequence[int]) -> bool:

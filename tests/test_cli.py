@@ -253,6 +253,20 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
+    def test_json_times_every_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--json")
+        results = json.loads(out)["results"]
+        assert code == 0 and len(results) == len(acceptance.SUITES)
+        assert all(type(r["seconds"]) is float and r["seconds"] >= 0 for r in results)
+
+    def test_text_carries_no_time(self, capsys):
+        code, out, _ = run(capsys, "verify", "witness")
+        assert (code, out) == (
+            0,
+            "criterion 9 (witness): PASS "
+            "(orthogonal pair rejected by Hom test; midpoint is a brick)\n",
+        )
+
 
 class TestRender:
     def test_stdout(self, capsys):
@@ -672,6 +686,24 @@ def test_python_m_bandbrick():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("criterion 1 (golden): PASS")
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # only verify needs the acceptance suites and the xml parser they use
+    script = (
+        "import sys\n"
+        "import bandbrick.cli\n"
+        "print([m for m in ('bandbrick.acceptance', 'xml.etree.ElementTree') if m in sys.modules])\n"
+        "sys.exit(bandbrick.cli.main(['verify', 'golden']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded, verdict = proc.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert verdict.startswith("criterion 1 (golden): PASS")
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

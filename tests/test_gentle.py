@@ -937,3 +937,75 @@ class TestSlalom:
             gv = gentle.g_vector_of_band(walk, len(g))
             total = [a + b for a, b in zip(total, gv)]
         assert tuple(total) == g
+
+
+# The generator forms of the walk builders, kept as references for the
+# range forms: one generator per letter cycle and per slalom segment.
+def _ref_letter_cycle(i):
+    return tuple(k << 2 for k in range(1, i)) + tuple(k << 2 | 3 for k in range(i - 1, 0, -1))
+
+
+def _ref_psi(word):
+    return tuple(itertools.chain.from_iterable(map(_ref_letter_cycle, word)))
+
+
+def _ref_slalom_walk(component):
+    word = component.word
+    trav = []
+    for k, end in enumerate(word):
+        start = word[k - 1]
+        if k % 2 == 0:
+            trav.extend(i << 2 | 3 for i in range(start, end))
+        else:
+            trav.extend(i << 2 for i in range(start - 1, end - 1, -1))
+    return tuple(reversed(trav))
+
+
+class TestBuildersAgainstGenerators:
+    def test_letter_cycle(self):
+        for i in range(2, 301):
+            assert gentle.letter_cycle(i) == _ref_letter_cycle(i), i
+
+    def test_psi_short_primitive_words(self):
+        checked = 0
+        for length in range(1, 7):
+            for w in itertools.product((2, 3, 4, 5), repeat=length):
+                if words.is_primitive(w):
+                    expected = _ref_psi(w)
+                    assert gentle.psi(w) == expected, w
+                    assert gentle.psi(w, n=6) == expected, w
+                    checked += 1
+        assert checked > 5000
+
+    def test_psi_seeded_long_words(self):
+        rng = random.Random(19)
+        for _ in range(4):
+            w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(10**4))
+            expected = _ref_psi(w)
+            assert gentle.psi(w) == expected
+            assert gentle.psi(w, n=7) == expected
+
+    def test_slalom_walks_of_small_gvectors(self):
+        single = 0
+        for n in range(2, 6):
+            for g in itertools.product(range(-3, 4), repeat=n):
+                if dyck.validate_gvector(g):
+                    component = dyck.single_component(g)
+                    if component is not None:
+                        assert gentle.slalom_to_band_walk(component) == _ref_slalom_walk(
+                            component
+                        ), g
+                        single += 1
+        assert single > 100
+
+    def test_slalom_walk_of_the_largest_suite_input(self):
+        component = dyck.single_component((-6765, 2584, 4181))
+        assert gentle.slalom_to_band_walk(component) == _ref_slalom_walk(component)
+
+    def test_lambda_kept_as_given(self):
+        walk = gentle.psi((2, 3))
+        for lam in (Fraction(3, 2), 1):
+            m = gentle.band_module(walk, lam)
+            assert m.lam == lam and type(m.lam) is Fraction
+        with pytest.raises(ZeroLambda):
+            gentle.band_module(walk, Fraction(0))

@@ -1,6 +1,7 @@
 """Word transforms: Burrows-Wheeler, clustering tests, necklace bijection."""
 
 import itertools
+import math
 import random
 import time
 from functools import cmp_to_key
@@ -529,3 +530,37 @@ class TestPhiInverseCopies:
     def test_many_copies_of_one_necklace(self):
         ms = [(1, 2)] * 500 + [(1,)] * 3 + [(1, 1, 2)]
         assert words.phi_inverse(ms) == ref_phi_inverse(ms)
+
+
+def ref_prime_factors(r):
+    # the prime divisors of r, each found by trial division
+    divisors = {d for k in range(1, math.isqrt(r) + 1) if r % k == 0 for d in (k, r // k)}
+    return sorted(p for p in divisors if p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def ref_divisor_scan_primitive(w):
+    r = len(w)
+    return all(w[d:] + w[:d] != w for d in range(1, r) if r % d == 0)
+
+
+class TestPrimeFactorsOfLengths:
+    def test_tuple_against_trial_division(self):
+        for r in range(1, 5001):
+            got = words._prime_factors(r)
+            assert type(got) is tuple
+            assert list(got) == ref_prime_factors(r), r
+
+    def test_is_primitive_twice_per_word(self):
+        # each length is met twice, the second time from the factor cache
+        rng = random.Random(19)
+        for length in range(1, 301):
+            cases = [tuple(rng.choice((1, 2)) for _ in range(length))]
+            for d in (d for d in range(1, length) if length % d == 0):
+                base = tuple(rng.choice((1, 2, 3)) for _ in range(d))
+                power = base * (length // d)
+                # a power, and the power with its last letter changed
+                cases += [power, power[:-1] + (power[-1] % 3 + 1,)]
+            for w in cases:
+                expected = ref_divisor_scan_primitive(w)
+                assert words.is_primitive(w) == expected, w
+                assert words.is_primitive(w) == expected, w
