@@ -19,7 +19,11 @@ brick test reads: on the 119 valid g-vectors with n = 5 and entries in
 [-2, 2] it takes 14-17 us a call against 38-43 us for
 reconstruct_multislalom (Python 3.11, 2 CPUs).  circular_words and
 component_gvectors trace every component and build no diagram or
-matching either.  A diagram holds at most MAX_STEPS steps: larger
+matching either, and render.render_dyck reads the same int lists one
+label run at a time.  The curves of a diagram are mostly copies of a few
+words (on 100 seeded 1000-letter words, 107 curves of 1.3 distinct words
+on average), so circular_words and erase_ones canonicalize each distinct
+word once per call.  A diagram holds at most MAX_STEPS steps: larger
 g-vectors raise GVectorTooLarge before any step is built, while
 validate_gvector stays unbounded.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadDimension, GVectorTooLarge, InternalInconsistency, InvalidGVector
 from .words import necklace
@@ -37,8 +41,9 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes about 1.5 s on (-75000, 75000), its
-# slowest shape, and gvec words 0.65 s (Python 3.11, 2 CPUs)
+# steps: at the bound, render takes 1.0-1.2 s and 150 MB on
+# (-75000, 75000), its slowest shape, and gvec words 0.4-0.5 s (as
+# subprocesses, Python 3.11, 2 CPUs)
 MAX_STEPS = 150_000
 
 
@@ -214,19 +219,35 @@ def single_component(g: Sequence[int]) -> Component | None:
     return component if 2 * len(component.chords) == len(labels) else None
 
 
+def _sorted_canonical(
+    words: Iterable[tuple[int, ...]], canonical: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    # canonical(word) of every word, sorted; the curves of a diagram are
+    # mostly copies of a few words, so each distinct word is canonicalized once
+    done: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = []
+    for word in words:
+        if word not in done:
+            done[word] = canonical(word)
+        out.append(done[word])
+    return tuple(sorted(out))
+
+
 def circular_words(g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Multiset of circular label words, one per component, canonicalized."""
     components = _trace_components(*_int_diagram(_bounded(g)))
-    return tuple(sorted(necklace(c.word) for c in components))
+    return _sorted_canonical((c.word for c in components), necklace)
+
+
+def _erased_necklace(word: tuple[int, ...]) -> tuple[int, ...]:
+    kept = tuple(letter for letter in word if letter != 1)
+    return necklace(kept) if kept else ()
 
 
 def erase_ones(ms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Erase the letter 1 from every circular word and re-canonicalize."""
-    erased = []
-    for word in ms:
-        kept = tuple(letter for letter in word if letter != 1)
-        erased.append(necklace(kept) if kept else ())
-    return tuple(sorted(erased))
+    """Erase the letter 1 from every circular word and re-canonicalize.
+    The words may be tuples or lists."""
+    return _sorted_canonical(map(tuple, ms), _erased_necklace)
 
 
 def component_gvectors(g: Sequence[int]) -> tuple[GVector, ...]:

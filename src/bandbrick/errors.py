@@ -85,6 +85,10 @@ class DrawingTooLarge(DomainError):
     """A drawing's width or height is not a finite number."""
 
 
+class DrawingTooSmall(DomainError):
+    """A drawing's unit is too small for two decimals to tell columns apart."""
+
+
 class ListingTooLarge(DomainError):
     """A dense listing would print more matrix entries than its bound."""
 

@@ -3,32 +3,86 @@
 The drawing shows a light grid, the labeled Dyck path of a g-vector, and
 one horizontal chord per matched up/down pair at height nesting depth
 plus one half, in a distinct color per multislalom component.  Output is
-byte-identical for equal input and options.  Each distinct coordinate is
-formatted once, per column, half column and height level, and the strings
-are shared by the grid, the path, the labels and the chords.
+byte-identical for equal input and options.
+
+The picture is read off dyck's flat int diagram one label run at a time:
+a run climbs or falls one level a step, so the path heights, the label
+baselines and the chord levels of a run are one forward or reversed slice
+of the per-level strings.  Each of the five coordinate lists (columns,
+half columns, levels, chord levels, label baselines) is formatted by one
+"%.2f" operation over the whole list, and the strings are shared by the
+grid, the path, the labels and the chords.
 """
 
 from __future__ import annotations
 
-import colorsys
+import itertools
 import math
+import operator
 import random
 from typing import Sequence
 
-from .dyck import reconstruct_multislalom
-from .errors import DrawingTooLarge
+from .dyck import _bounded, _int_diagram, _trace_components
+from .errors import DrawingTooLarge, DrawingTooSmall
+
+# coordinates print with two decimals, so a smaller unit merges columns
+_MIN_UNIT = 0.01
+
+# colorsys.hsv_to_rgb(hue, _S, _V) returns, in an order set by its hue
+# sector, the value v, p = v * (1 - s) and one more channel: q in the odd
+# sectors, t in the even ones.  v and p are fixed, so each sector is one
+# "#rrggbb" pattern with a slot for the third channel
+_S, _V = 0.70, 0.72
+_v, _p = f"{int(_V * 255):02x}", f"{int(_V * (1.0 - _S) * 255):02x}"
+_SECTORS = (
+    f"#{_v}%s{_p}", f"#%s{_v}{_p}", f"#{_p}{_v}%s", f"#{_p}%s{_v}", f"#%s{_p}{_v}", f"#{_v}{_p}%s"
+)
 
 
 def _palette(count: int, seed: int) -> list[str]:
-    # well-spaced hues; the seed only rotates the starting point
+    # well-spaced hues; the seed only rotates the starting point.  The
+    # float operations are colorsys.hsv_to_rgb's, so the colors are too
     rng = random.Random(seed)
     hue = rng.random()
     colors = []
     for _ in range(count):
-        r, g, b = colorsys.hsv_to_rgb(hue, 0.70, 0.72)
-        colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
+        sector = int(hue * 6.0)
+        f = hue * 6.0 - sector
+        sector %= 6
+        if sector % 2:
+            channel = _V * (1.0 - _S * f)
+        else:
+            channel = _V * (1.0 - _S * (1.0 - f))
+        colors.append(_SECTORS[sector] % f"{int(channel * 255):02x}")
         hue = (hue + 0.618033988749895) % 1.0
     return colors
+
+
+def _formatted(values: list[float]) -> list[str]:
+    # "%.2f" of every value, as one string operation over the list
+    return ("%.2f " * len(values) % tuple(values)).split()
+
+
+def _smallest_width(count: int) -> str:
+    # the least width of two decimals whose unit width / (count + 2) is
+    # at least _MIN_UNIT; (count + 2) / 100 itself falls short for some counts
+    cents = count + 2
+    while cents / 100 / (count + 2) < _MIN_UNIT:
+        cents += 1
+    return f"{cents / 100:.2f}"
+
+
+def _chord_strokes(entries: tuple[int, ...], palette_seed: int) -> tuple[list[int], list[str]]:
+    # each step's partner in the matching, and the color of the chord at
+    # each up-step: one palette color per component.  The components die
+    # here, before any element string is built
+    labels, partner, glued = _int_diagram(entries)
+    components = _trace_components(labels, partner, glued)
+    stroke = [""] * len(labels)
+    for comp, color in zip(components, _palette(len(components), palette_seed)):
+        for up in comp.chords:
+            stroke[up] = color
+    return partner, stroke
 
 
 def render_dyck(
@@ -39,34 +93,70 @@ def render_dyck(
     palette_seed: int = 0,
 ) -> str:
     """Standalone SVG document for the Dyck diagram and multislalom of g."""
-    ms = reconstruct_multislalom(g)
-    steps = ms.diagram.steps
-    heights = ms.diagram.heights
-    count = len(steps)
-    top = max(heights)
+    entries = _bounded(g)
+    count = sum(map(abs, entries))
     if width is not None:
         unit = width / (count + 2)
+    if unit < _MIN_UNIT:
+        raise DrawingTooSmall(
+            f"a unit of {unit:.3g} sets {count} steps in columns under {_MIN_UNIT} apart, "
+            f"which two decimals merge; use --unit {_MIN_UNIT} or --width "
+            f"{_smallest_width(count)} or more"
+        )
+    # the path's heights peak at the end of a run
+    top = max(itertools.accumulate(entries, operator.sub, initial=0))
     margin = unit
     w = margin * 2 + count * unit
     h = margin * 2 + (top + 1) * unit
     if not (math.isfinite(w) and math.isfinite(h)):
         raise DrawingTooLarge(f"a drawing of {count} steps at unit {unit} overflows a float")
 
-    # every coordinate is formatted once: x of each column and half column,
-    # y of each level, of each chord level (half a level up) and of each
-    # label baseline (0.45 below the middle of the step it names)
-    xs = [f"{margin + k * unit:.2f}" for k in range(count + 1)]
-    half_xs = [f"{margin + (k + 0.5) * unit:.2f}" for k in range(count)]
-    ys = [f"{h - margin - level * unit:.2f}" for level in range(top + 1)]
-    chord_ys = [f"{h - margin - (level + 0.5) * unit:.2f}" for level in range(top)]
-    label_ys = [
-        f"{h - margin - ((2 * level + 1) / 2 - 0.45) * unit:.2f}" for level in range(top)
-    ]
+    # x of each column and half column, y of each level, of each chord
+    # level (half a level up) and of each label baseline (0.45 below the
+    # middle of the step it names)
+    xs = _formatted([margin + k * unit for k in range(count + 1)])
+    half_xs = _formatted([margin + (k + 0.5) * unit for k in range(count)])
+    ys = _formatted([h - margin - level * unit for level in range(top + 1)])
+    chord_ys = _formatted([h - margin - (level + 0.5) * unit for level in range(top)])
+    label_ys = _formatted(
+        [h - margin - ((2 * level + 1) / 2 - 0.45) * unit for level in range(top)]
+    )
 
-    chord_color: dict[int, str] = {}
-    for comp, color in zip(ms.components, _palette(len(ms.components), palette_seed)):
-        for up in comp.chords:
-            chord_color[up] = color
+    partner, stroke = _chord_strokes(entries, palette_seed)
+
+    # one pass over the label runs: a run of a < 0 climbs from level
+    # height, a run of a > 0 falls from it; a label names its step at the
+    # lower of the step's two levels, and a chord sits at its up-step's.
+    # The elements of a run, like the grid columns below, are joined into
+    # one string at once, so that no per-element string outlives its run:
+    # at the bound, render -- -75000,75000 then peaks at about 150 MB,
+    # against about 190 MB when every element string is kept to the end
+    path_ys: list[str] = []
+    texts: list[str] = []
+    chords: list[str] = []
+    start = height = 0
+    for label, a in enumerate(entries, start=1):
+        if not a:
+            continue
+        end = start + abs(a)
+        run_xs = half_xs[start:end]
+        if a < 0:
+            path_ys += ys[height : height - a]
+            lows = label_ys[height : height - a]
+            run_chords = [
+                f'<line x1="{x}" y1="{y}" x2="{half_xs[down]}" y2="{y}" stroke="{color}"/>'
+                for x, y, down, color in zip(
+                    run_xs, chord_ys[height : height - a], partner[start:end], stroke[start:end]
+                )
+            ]
+            chords.append("\n".join(run_chords))
+        else:
+            path_ys += ys[height - a + 1 : height + 1][::-1]
+            lows = label_ys[height - a : height][::-1]
+        text = f'<text x="%s" y="%s">{label}</text>'
+        texts.append("\n".join(map(text.__mod__, zip(run_xs, lows))))
+        start, height = end, height - a
+    path_ys.append(ys[0])
 
     w_text, h_text = f"{w:.2f}", f"{h:.2f}"
     parts = [
@@ -76,12 +166,14 @@ def render_dyck(
         '<g stroke="#dddddd" stroke-width="1">',
     ]
     bottom, ceiling = ys[0], ys[top]
-    parts += [f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{ceiling}"/>' for x in xs]
+    parts.append(
+        "\n".join([f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{ceiling}"/>' for x in xs])
+    )
     left, right = xs[0], xs[count]
     parts += [f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}"/>' for y in ys]
     parts.append("</g>")
 
-    points = " ".join([f"{x},{ys[hh]}" for x, hh in zip(xs, heights)])
+    points = " ".join([f"{x},{y}" for x, y in zip(xs, path_ys)])
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#222222" '
         'stroke-width="2"/>'
@@ -91,19 +183,11 @@ def render_dyck(
         f'<g font-family="monospace" font-size="{unit * 0.35:.2f}" '
         'fill="#222222" text-anchor="middle">'
     )
-    lows = map(min, heights, heights[1:])
-    parts += [
-        f'<text x="{x}" y="{label_ys[low]}">{label}</text>'
-        for x, low, (_, label) in zip(half_xs, lows, steps)
-    ]
+    parts += texts
     parts.append("</g>")
 
     parts.append('<g stroke-width="2.5" fill="none">')
-    parts += [
-        f'<line x1="{half_xs[up]}" y1="{chord_ys[heights[up]]}" '
-        f'x2="{half_xs[down]}" y2="{chord_ys[heights[up]]}" stroke="{chord_color[up]}"/>'
-        for up, down in ms.matching
-    ]
+    parts += chords
     parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # the newline ends the document without a copy of it
+    return "\n".join(parts)

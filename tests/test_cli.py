@@ -305,6 +305,28 @@ class TestRender:
         assert "inf" not in out and "nan" not in out
 
     @pytest.mark.parametrize(
+        "argv, width",
+        [(["-1,1", "--unit", "0.001"], "0.04"), (["-1,1", "--width", "1e-300"], "0.04"),
+         (["--width", "480", "--", "-75000,75000"], "1500.02")],
+        ids=["unit", "width", "bound"],
+    )
+    def test_too_small_unit_refused(self, capsys, argv, width):
+        # two decimals would print every column at one x
+        code, out, err = run(capsys, "render", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DrawingTooSmall: ")
+        assert err.endswith(f"use --unit 0.01 or --width {width} or more\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["-1,1", "--unit", "0.01"], ["-1,1", "--width", "0.04"]], ids=["unit", "width"]
+    )
+    def test_smallest_unit_admitted(self, capsys, argv):
+        code, out, err = run(capsys, "render", *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="0.04" height="0.04"')
+
+    @pytest.mark.parametrize(
         "flag, value", [("--unit", "0"), ("--unit", "-1"), ("--width", "-5"), ("--width", "0")]
     )
     def test_non_positive_size(self, capsys, flag, value):
@@ -504,6 +526,8 @@ def _check_accepted_output(argv, out):
     if argv[0] == "render":
         svg = Path(argv[argv.index("-o") + 1]).read_text() if "-o" in argv else out
         assert "inf" not in svg and "nan" not in svg, argv
+        size = re.match(r'<svg xmlns="[^"]*" width="([^"]*)" height="([^"]*)"', svg)
+        assert "0.00" not in size.groups(), argv
     elif argv[0] == "phi-inverse":
         if "--json" in argv:
             letters = json.loads(out)

@@ -111,6 +111,15 @@ class TestEraseOnes:
     def test_recanonicalizes(self):
         assert dyck.erase_ones(((2, 1, 3),)) == ((2, 3),)
 
+    def test_list_entries(self):
+        assert dyck.erase_ones([[3, 1, 2], (1, 1), [1, 2, 3, 1]]) == ((), (2, 3), (2, 3))
+
+    def test_repeated_entries(self):
+        # equal words, and distinct words with one erased necklace
+        ms = ((1, 2, 1, 4, 1, 3, 1, 4),) * 3 + ((1, 3, 4, 2),) + ((1, 1),) * 2
+        assert dyck.erase_ones(ms) == ((), (), (2, 3, 4), (2, 4, 3, 4), (2, 4, 3, 4), (2, 4, 3, 4))
+        assert dyck.erase_ones(list(ms)) == dyck.erase_ones(ms)
+
 
 class TestComponents:
     def test_decompose_golden(self):
@@ -313,6 +322,53 @@ class TestReadOffTheWord:
         ):
             with pytest.raises(InvalidComponent, match=message):
                 gentle.slalom_to_band_walk(dyck.Component(word=word, chords=()))
+
+
+def _reference_erase_ones(ms):
+    # every word erased and canonicalized on its own
+    erased = []
+    for word in ms:
+        kept = tuple(letter for letter in word if letter != 1)
+        erased.append(words.necklace(kept) if kept else ())
+    return tuple(sorted(erased))
+
+
+def _long_words_gvectors(count=20):
+    # the long-word g-vectors of tests/test_render.py: letter counts of
+    # seeded 1000-letter words over {1..k}, k from 2 to 6
+    rng = random.Random(1100)
+    out = []
+    for i in range(count):
+        letters = range(1, 2 + i % 5 + 1)
+        w = rng.choices(letters, k=1000)
+        counts = [w.count(letter) for letter in range(2, max(letters) + 1)]
+        out.append((-sum(counts),) + tuple(counts))
+    return out
+
+
+class TestCanonicalizedOnce:
+    # circular_words and erase_ones canonicalize each distinct word once;
+    # the reference takes one necklace per component of the tuple trace
+
+    @staticmethod
+    def _check(g):
+        _, _, traces = _reference_traces(g)
+        expected = tuple(sorted(words.necklace(component.word) for component, _, _ in traces))
+        got = dyck.circular_words(g)
+        assert got == expected, g
+        assert dyck.erase_ones(got) == _reference_erase_ones(expected), g
+        return len(traces) > len(set(expected))  # some word repeats
+
+    def test_every_small_gvector(self):
+        repeats = [self._check(g) for g in _small_valid_gvectors()]
+        assert len(repeats) == 498 and any(repeats)
+
+    def test_long_words_gvectors(self):
+        repeats = [self._check(g) for g in _long_words_gvectors()]
+        assert len(repeats) == 20 and any(repeats)
+
+    def test_fibonacci_gvector(self):
+        self._check((-6765, 2584, 4181))
 
 
 class TestSingleComponent:

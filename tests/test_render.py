@@ -1,5 +1,6 @@
 """SVG rendering of the Dyck path model."""
 
+import colorsys
 import hashlib
 import itertools
 import random
@@ -8,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bandbrick import dyck, render
-from bandbrick.errors import DrawingTooLarge, InvalidGVector
+from bandbrick.errors import DrawingTooLarge, DrawingTooSmall, InvalidGVector
 
 
 def chord_elements(svg):
@@ -73,6 +74,30 @@ class TestRender:
         assert "inf" not in svg and "nan" not in svg
         ET.fromstring(svg)
 
+    @pytest.mark.parametrize(
+        "g, options",
+        [((-1, 1), {"unit": 0.001}), ((-1, 1), {"width": 1e-300}),
+         ((-75000, 75000), {"width": 480.0}), ((-1, 1), {"unit": 0.0099})],
+    )
+    def test_too_small_unit_refused(self, g, options):
+        # two decimals would print every column at one x
+        with pytest.raises(DrawingTooSmall, match=r"use --unit 0\.01 or --width [0-9.]+ or more$"):
+            render.render_dyck(g, **options)
+
+    def test_smallest_unit_admitted(self):
+        root = ET.fromstring(render.render_dyck((-1, 1), unit=0.01))
+        assert (root.get("width"), root.get("height")) == ("0.04", "0.04")
+
+    def test_named_width_is_the_smallest(self):
+        # the width the message names is admitted and 0.01 less is not
+        for count in [*range(2, 400), 75000, 150_000]:
+            named = render._smallest_width(count)
+            assert float(named) / (count + 2) >= render._MIN_UNIT, count
+            one_less = float(f"{float(named) - 0.01:.2f}")
+            assert one_less / (count + 2) < render._MIN_UNIT, count
+        with pytest.raises(DrawingTooSmall, match=r"--width 1500\.02 or more$"):
+            render.render_dyck((-75000, 75000), width=480.0)
+
     def test_chord_count_is_up_steps(self):
         for g in [(-1, 1), (-1, -1, 2), (-3, -1, 3, -2, 3), (-8, 2, 2, 4)]:
             ups = dyck.to_dyck_diagram(g).word.count("u")
@@ -89,6 +114,19 @@ def _long_gvector(seed: int = 1000) -> tuple[int, ...]:
 
 def _fmt(x):
     return f"{x:.2f}"
+
+
+def _reference_palette(count, seed):
+    # the palette as it was before it inlined colorsys: one hsv_to_rgb
+    # call per component
+    rng = random.Random(seed)
+    hue = rng.random()
+    colors = []
+    for _ in range(count):
+        r, g, b = colorsys.hsv_to_rgb(hue, 0.70, 0.72)
+        colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
+        hue = (hue + 0.618033988749895) % 1.0
+    return colors
 
 
 def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
@@ -110,7 +148,7 @@ def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     chord_ys = [_fmt(h - margin - (level + 0.5) * unit) for level in range(top)]
     label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
     chord_color = {}
-    for comp, color in zip(ms.components, render._palette(len(ms.components), palette_seed)):
+    for comp, color in zip(ms.components, _reference_palette(len(ms.components), palette_seed)):
         for up in comp.chords:
             chord_color[up] = color
     parts = [
@@ -193,6 +231,22 @@ class TestAgainstReference:
     def test_long_words_gvectors(self, options):
         for g in _long_words_gvectors():
             assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
+
+
+class TestPalette:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_against_colorsys(self, seed):
+        assert render._palette(5000, seed) == _reference_palette(5000, seed)
+
+    def test_seeds_cover_every_hue_sector(self):
+        # hsv_to_rgb orders the channels by the sector int(6 * hue) % 6
+        sectors = set()
+        for seed in range(10):
+            hue = random.Random(seed).random()
+            for _ in range(5000):
+                sectors.add(int(hue * 6.0) % 6)
+                hue = (hue + 0.618033988749895) % 1.0
+        assert sectors == set(range(6))
 
 
 class TestGoldenBytes:
