@@ -24,13 +24,16 @@ top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
 one band, the one cycle if the parameters agree.  Each module carries
 what the count reads of it (its tops, its bottoms and indexes of its
-start positions), built with it and shared by its family, so a Hom call
-rebuilds nothing.  No equation is built and the count is independent of
-the base field.
+start positions), built once per family and shared by its members, so
+neither a Hom call nor the next member of a family rebuilds anything.
+No equation is built and the count is independent of the base field.
+The brick test reads End from the same tables and answers at the first
+graph map past the identity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -177,8 +180,9 @@ class BandModule:
     reach by arrows into them, starts[c] lists the positions t with
     codes[t] == c whose previous step is an arrow, and source_starts the
     positions t whose previous step is an inverse arrow, ascending.
-    dataclasses.replace(module, lam=mu) is the member mu of the same
-    family, sharing dims, walk, codes and the tables.
+    band_module(walk, mu, n) is the member mu of the same family; it
+    builds the family once, so its members share the tables (and dims,
+    walk and codes), and no caller may mutate them.
     """
 
     n: int
@@ -244,18 +248,37 @@ def band_module(
     band exactly when their codes are equal.  One pass over the traversal
     then counts the basis and fills the Hom tables; no arrow is built
     (BandModule.matrices() derives them and checks the relations there).
+    That work depends on (walk, n) alone, so consecutive calls for one
+    family share it, and each member of a family is got by calling this
+    again with its parameter.
     """
     walk = tuple(walk)
     if n is None:
         n = 1 + (max(walk, default=0) >> 2)
     if n > MAX_VERTICES:
         raise QuiverTooLarge(f"n = {n} exceeds the {MAX_VERTICES} vertices a module may have")
-    if not validate_band_walk(walk, n):
-        raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
+    canon, trav, dims, tops, bottoms, starts, source_starts = _band_family(walk, n)
     if type(lam) is not Fraction:
         lam = Fraction(lam)
     if not lam:
         raise ZeroLambda("the band parameter must be non-zero")
+    return BandModule(n, dims, lam, canon, trav, tops, bottoms, starts, source_starts)
+
+
+# The reuse seen is back to back: brick-pcw's sweep over three parameters,
+# and band_hom's pair with its second member of one family; two entries
+# keep both walks of a pair, and a 256-entry cache gained nothing on the
+# compatible-family search.  An entry at MAX_WALK_STEPS holds at most
+# about 19 MB (psi of the one letter 75001: its tuples, its start tables
+# and the key's walk) and 26 MB at n = MAX_VERTICES, so the cache holds at
+# most about 52 MB (tracemalloc, Python 3.11).  typed keeps an n of
+# another type, which validation refuses, from reading an int n's entry.
+@functools.lru_cache(maxsize=2, typed=True)
+def _band_family(walk: Walk, n: int) -> tuple:
+    # the parameter-free part of band_module; exceptions are not cached,
+    # so an invalid walk raises on every call
+    if not validate_band_walk(walk, n):
+        raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
     # by the sign rule just checked, the a-steps are inverse arrows exactly
     # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2)
     if walk[0] & 3 in (1, 2):
@@ -284,7 +307,7 @@ def band_module(
             else:
                 starts[c] = [t]
         prev = c
-    return BandModule(n, tuple(count[1:]), lam, walk, trav, tops, bottoms, starts, source_starts)
+    return walk, trav, tuple(count[1:]), tops, bottoms, starts, source_starts
 
 
 def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:
@@ -321,7 +344,8 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     x, y = m.codes, w.codes
     bottoms = w.bottoms
     free = sum(count * bottoms.get(v, 0) for v, count in m.tops.items())
-    free += _admissible_walks(x, y, m.source_starts, w.starts)
+    for _ in _admissible_walks(x, y, m.source_starts, w.starts):
+        free += 1
     # one orientation and one rotation put lam on the same step of both
     # walks, so the cycle is free exactly when the parameters agree
     free += x == y and m.lam == w.lam
@@ -330,9 +354,10 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
 
 def _admissible_walks(
     x: Sequence[int], y: Sequence[int], source_starts: list[int], starts: dict[int, list[int]]
-) -> int:
-    # maximal common walks x[i:i+d] == y[j:j+d], d >= 1, with admissible
-    # ends.  A start node is admissible exactly when x arrives at it by a
+) -> Iterator[tuple[int, int, int]]:
+    # yields (i, j, d) for each maximal common walk x[i:i+d] == y[j:j+d],
+    # d >= 1, with admissible ends, so a caller may stop at the first one.
+    # A start node is admissible exactly when x arrives at it by a
     # negative step and y by a positive one, so the steps before it differ
     # and each walk is found once, from its first step; source_starts holds
     # the positions of x that x arrives at by a negative step, and starts
@@ -344,7 +369,6 @@ def _admissible_walks(
     # repeated past any common walk, then a sentinel that matches nothing
     xs = [*x] * (bound // len(x) + 3) + [-1]
     ys = [*y] * (bound // len(y) + 3) + [-2]
-    free = 0
     for i in source_starts:
         for j in starts.get(x[i], ()):
             a, b = i + 1, j + 1
@@ -353,13 +377,21 @@ def _admissible_walks(
                 b += 1
             if a - i > bound:
                 raise InternalInconsistency(f"a common walk outruns its bound {bound}")
-            free += xs[a] & 1 < ys[b] & 1
-    return free
+            if xs[a] & 1 < ys[b] & 1:
+                yield i, j, a - i
 
 
 def is_brick(m: BandModule) -> bool:
-    """True iff the endomorphism space of m is one-dimensional."""
-    return hom_dim(m, m) == 1
+    """True iff the endomorphism space of m is one-dimensional.
+
+    End counts the identity cycle, each top over a bottom at one vertex
+    and each admissible common walk of m with itself (see hom_dim), so
+    the test returns False at the first top over a bottom or the first
+    such walk; only a brick runs the whole scan.
+    """
+    if any(v in m.bottoms for v in m.tops):
+        return False
+    return next(_admissible_walks(m.codes, m.codes, m.source_starts, m.starts), None) is None
 
 
 def ext1_dim(x: BandModule, y: BandModule) -> int:

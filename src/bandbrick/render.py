@@ -25,8 +25,9 @@ from typing import Sequence
 from .dyck import _bounded, _int_diagram, _trace_components
 from .errors import DrawingTooLarge, DrawingTooSmall
 
-# coordinates print with two decimals, so a smaller unit merges columns
-_MIN_UNIT = 0.01
+# coordinates print with two decimals, so a smaller unit merges half
+# columns with whole ones; at 0.02 the font size still prints as 0.01
+_MIN_UNIT = 0.02
 
 # colorsys.hsv_to_rgb(hue, _S, _V) returns, in an order set by its hue
 # sector, the value v, p = v * (1 - s) and one more channel: q in the odd
@@ -100,7 +101,7 @@ def render_dyck(
     if unit < _MIN_UNIT:
         raise DrawingTooSmall(
             f"a unit of {unit:.3g} sets {count} steps in columns under {_MIN_UNIT} apart, "
-            f"which two decimals merge; use --unit {_MIN_UNIT} or --width "
+            f"whose half columns two decimals merge; use --unit {_MIN_UNIT} or --width "
             f"{_smallest_width(count)} or more"
         )
     # the path's heights peak at the end of a run

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -306,8 +307,8 @@ class TestRender:
 
     @pytest.mark.parametrize(
         "argv, width",
-        [(["-1,1", "--unit", "0.001"], "0.04"), (["-1,1", "--width", "1e-300"], "0.04"),
-         (["--width", "480", "--", "-75000,75000"], "1500.02")],
+        [(["-1,1", "--unit", "0.001"], "0.08"), (["-1,1", "--width", "1e-300"], "0.08"),
+         (["--width", "480", "--", "-75000,75000"], "3000.04")],
         ids=["unit", "width", "bound"],
     )
     def test_too_small_unit_refused(self, capsys, argv, width):
@@ -315,16 +316,16 @@ class TestRender:
         code, out, err = run(capsys, "render", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: DrawingTooSmall: ")
-        assert err.endswith(f"use --unit 0.01 or --width {width} or more\n")
+        assert err.endswith(f"use --unit 0.02 or --width {width} or more\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv", [["-1,1", "--unit", "0.01"], ["-1,1", "--width", "0.04"]], ids=["unit", "width"]
+        "argv", [["-1,1", "--unit", "0.02"], ["-1,1", "--width", "0.08"]], ids=["unit", "width"]
     )
     def test_smallest_unit_admitted(self, capsys, argv):
         code, out, err = run(capsys, "render", *argv)
         assert (code, err) == (0, "")
-        assert out.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="0.04" height="0.04"')
+        assert out.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="0.08" height="0.08"')
 
     @pytest.mark.parametrize(
         "flag, value", [("--unit", "0"), ("--unit", "-1"), ("--width", "-5"), ("--width", "0")]
@@ -710,6 +711,24 @@ def test_python_m_bandbrick():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("criterion 1 (golden): PASS")
+
+
+def test_band_brick_on_a_long_random_word():
+    # the brick test answers at the first endomorphism past the identity;
+    # the full End count of this word took about 20 s
+    rng = random.Random(10_000)
+    word = "".join(rng.choice("2345") for _ in range(10_000))
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bandbrick", "band", "brick", word],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < _TIME_LIMIT_S
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
 
 
 def test_cli_import_leaves_the_suites_unloaded():

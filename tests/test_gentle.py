@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -771,12 +772,12 @@ def _table_walks():
 
 
 class TestParameterMembers:
-    # dataclasses.replace(module, lam=mu) is the member mu of the same band:
-    # one build, and everything but the parameter shared
+    # band_module(walk, mu, n) is the member mu of the same band: one
+    # build, and everything but the parameter shared
 
     def _members(self):
-        module = gentle.band_module(gentle.psi((2, 3, 3)), 1, 3)
-        return [module] + [dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3)]
+        walk = gentle.psi((2, 3, 3))
+        return [gentle.band_module(walk, lam, 3) for lam in (1, 2, 3)]
 
     def test_members_share_maps(self):
         members = self._members()
@@ -883,6 +884,119 @@ class TestTheoremAtScale:
             m = gentle.band_module(gentle.psi(w), 1)
             assert gentle.is_brick(m) == words.is_perfectly_clustering(w), w
         assert [words.is_perfectly_clustering(w) for w in pool] == [True] * 4 + [False] * 4
+
+
+def _up_down_walks(longest, n):
+    # every band walk of at most longest steps over n vertices, once per
+    # band: a b-step climbs from vertex h to h + 1, an a-step descends
+    found = set()
+    for length in range(2, longest + 1, 2):
+        for moves in itertools.product((1, -1), repeat=length):
+            if sum(moves) or moves[0] < 0:
+                continue
+            heights = list(itertools.accumulate(moves, initial=0))
+            for base in range(1 - min(heights), n - max(heights) + 1):
+                trav = [(base + h) << 2 | 3 if up > 0 else (base + h - 1) << 2
+                        for h, up in zip(heights, moves)]
+                walk = tuple(reversed(trav))
+                if gentle.validate_band_walk(walk):
+                    found.add(gentle.canonical_walk(walk))
+    return sorted(found, key=_walk_key)
+
+
+def _end_cases(rng, length):
+    # one perfectly clustering word and one random primitive word
+    pool = _perfectly_clustering_words(rng, length, 1)
+    while len(pool) < 2:
+        w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(length))
+        if words.is_primitive(w):
+            pool.append(w)
+    return pool
+
+
+class TestBrickTestAgainstEnd:
+    # is_brick stops at the first graph map past the identity; the full
+    # count of End is the reference
+
+    def _check(self, m):
+        assert gentle.is_brick(m) == (gentle.hom_dim(m, m) == 1), m.walk
+
+    def test_every_short_word(self):
+        for length in range(1, 7):
+            for w in itertools.product((2, 3, 4, 5), repeat=length):
+                if words.is_primitive(w):
+                    walk = gentle.psi(w, 5)
+                    for lam in (1, 2, 3):
+                        self._check(gentle.band_module(walk, lam, 5))
+
+    def test_every_short_walk(self):
+        # a band walk climbs by its b-steps and descends by its a-steps, so
+        # these are the closed up-down paths; unlike psi walks and slalom
+        # components, some have a top and a bottom at one vertex
+        shared = 0
+        for walk in _up_down_walks(12, 5):
+            m = gentle.band_module(walk, 1)
+            shared += any(v in m.bottoms for v in m.tops)
+            self._check(m)
+        assert shared
+
+    @pytest.mark.parametrize("n, box", [(5, 2), (4, 3), (3, 6), (6, 2)])
+    def test_enumerated_bricks(self, n, box):
+        modules = forms._enumerate_brick_gvectors(n, box)
+        assert modules
+        for m in modules.values():
+            self._check(m)
+
+    def test_seeded_long_words(self):
+        rng = random.Random(21)
+        pool = [w for length in (40, 150, 400, 1000) for w in _end_cases(rng, length)]
+        assert [words.is_perfectly_clustering(w) for w in pool] == [True, False] * 4
+        for w in pool:
+            self._check(gentle.band_module(gentle.psi(w), 1))
+
+    @pytest.mark.parametrize("length", [1000, 3000, 10_000])
+    def test_random_long_words_stop_early(self, length):
+        # the full End count of these took 0.22 s, 1.9 s and 21.7 s
+        rng = random.Random(length)
+        w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(length))
+        assert words.is_primitive(w) and not words.is_perfectly_clustering(w)
+        m = gentle.band_module(gentle.psi(w), 1)
+        start = time.perf_counter()
+        assert not gentle.is_brick(m)
+        assert time.perf_counter() - start < 0.5
+
+
+class TestFamilyBuilds:
+    # band_module builds the parameter-free part once per (walk, n)
+
+    def test_members_equal_fresh_builds(self):
+        walk = gentle.psi((2, 3, 2, 3, 3), 4)
+        for lam in (1, 2, 3, Fraction(1, 2), -1):
+            shared = gentle.band_module(walk, lam, 4)
+            again = gentle.band_module(walk, lam, 4)
+            gentle._band_family.cache_clear()
+            fresh = gentle.band_module(walk, lam, 4)
+            assert shared is not again
+            assert shared == again == fresh
+            assert shared.lam == Fraction(lam)
+            for name in ("tops", "bottoms", "starts", "source_starts"):
+                assert getattr(shared, name) == getattr(fresh, name), name
+            assert dict(shared.matrices()) == dict(fresh.matrices())
+
+    def test_repeated_calls_raise_again(self):
+        walk = gentle.psi((2, 3))
+        for _ in range(2):
+            with pytest.raises(InvalidWalk):
+                gentle.band_module(walk[1:], 1)
+            with pytest.raises(ZeroLambda):
+                gentle.band_module(walk, 0)
+            with pytest.raises(QuiverTooLarge):
+                gentle.band_module(walk, 1, gentle.MAX_VERTICES + 1)
+        # a walk valid on its own quiver is refused on a smaller one each time
+        gentle.band_module(walk, 1, 3)
+        for _ in range(2):
+            with pytest.raises(InvalidWalk):
+                gentle.band_module(walk, 1, 2)
 
 
 class TestGVector:

@@ -81,12 +81,21 @@ class TestRender:
     )
     def test_too_small_unit_refused(self, g, options):
         # two decimals would print every column at one x
-        with pytest.raises(DrawingTooSmall, match=r"use --unit 0\.01 or --width [0-9.]+ or more$"):
+        with pytest.raises(DrawingTooSmall, match=r"use --unit 0\.02 or --width [0-9.]+ or more$"):
             render.render_dyck(g, **options)
 
     def test_smallest_unit_admitted(self):
-        root = ET.fromstring(render.render_dyck((-1, 1), unit=0.01))
-        assert (root.get("width"), root.get("height")) == ("0.04", "0.04")
+        root = ET.fromstring(render.render_dyck((-1, 1), unit=0.02))
+        assert (root.get("width"), root.get("height")) == ("0.08", "0.08")
+
+    def test_floor_keeps_half_columns_apart(self):
+        # labels sit on half columns, grid lines on whole ones
+        root = ET.fromstring(render.render_dyck((-1, 1), unit=render._MIN_UNIT))
+        ns = "{http://www.w3.org/2000/svg}"
+        grid = {line.get("x1") for line in root.iter(f"{ns}line") if line.get("x1") == line.get("x2")}
+        labels = {text.get("x") for text in root.iter(f"{ns}text")}
+        assert len(grid) == 3 and len(labels) == 2 and not grid & labels
+        assert [g.get("font-size") for g in root.iter(f"{ns}g") if g.get("font-size")] == ["0.01"]
 
     def test_named_width_is_the_smallest(self):
         # the width the message names is admitted and 0.01 less is not
@@ -95,7 +104,7 @@ class TestRender:
             assert float(named) / (count + 2) >= render._MIN_UNIT, count
             one_less = float(f"{float(named) - 0.01:.2f}")
             assert one_less / (count + 2) < render._MIN_UNIT, count
-        with pytest.raises(DrawingTooSmall, match=r"--width 1500\.02 or more$"):
+        with pytest.raises(DrawingTooSmall, match=r"--width 3000\.04 or more$"):
             render.render_dyck((-75000, 75000), width=480.0)
 
     def test_chord_count_is_up_steps(self):
