@@ -12,6 +12,7 @@ of its family counts End minus 1, which the brick test has found to be 0.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -125,7 +126,7 @@ def band_hom(
     y = gentle.band_module(w2, 1 if lam2 is None else lam2, n)
     if lam2 is None and y == x:
         # (w2, 1) is X itself: move Y to another member of the family
-        y = gentle.band_module(w2, 2, n)
+        y = dataclasses.replace(y, lam=Fraction(2))
     euler = euler_form(x.g_vector(), y.g_vector())
     return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
 

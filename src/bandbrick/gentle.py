@@ -24,16 +24,14 @@ top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
 one band, the one cycle if the parameters agree.  Each module carries
 what the count reads of it (its tops, its bottoms and indexes of its
-start positions), built once per family and shared by its members, so
-neither a Hom call nor the next member of a family rebuilds anything.
-No equation is built and the count is independent of the base field.
-The brick test reads End from the same tables and answers at the first
-graph map past the identity.
+start positions), built with it and shared by its family, so a Hom call
+rebuilds nothing.  No equation is built and the count is independent of
+the base field.  The brick test reads End from the same tables and
+answers at the first graph map past the identity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -180,9 +178,8 @@ class BandModule:
     reach by arrows into them, starts[c] lists the positions t with
     codes[t] == c whose previous step is an arrow, and source_starts the
     positions t whose previous step is an inverse arrow, ascending.
-    band_module(walk, mu, n) is the member mu of the same family; it
-    builds the family once, so its members share the tables (and dims,
-    walk and codes), and no caller may mutate them.
+    dataclasses.replace(module, lam=mu) is the member mu of the same
+    family, sharing dims, walk, codes and the tables.
     """
 
     n: int
@@ -248,37 +245,18 @@ def band_module(
     band exactly when their codes are equal.  One pass over the traversal
     then counts the basis and fills the Hom tables; no arrow is built
     (BandModule.matrices() derives them and checks the relations there).
-    That work depends on (walk, n) alone, so consecutive calls for one
-    family share it, and each member of a family is got by calling this
-    again with its parameter.
     """
     walk = tuple(walk)
     if n is None:
         n = 1 + (max(walk, default=0) >> 2)
     if n > MAX_VERTICES:
         raise QuiverTooLarge(f"n = {n} exceeds the {MAX_VERTICES} vertices a module may have")
-    canon, trav, dims, tops, bottoms, starts, source_starts = _band_family(walk, n)
+    if not validate_band_walk(walk, n):
+        raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
     if type(lam) is not Fraction:
         lam = Fraction(lam)
     if not lam:
         raise ZeroLambda("the band parameter must be non-zero")
-    return BandModule(n, dims, lam, canon, trav, tops, bottoms, starts, source_starts)
-
-
-# The reuse seen is back to back: brick-pcw's sweep over three parameters,
-# and band_hom's pair with its second member of one family; two entries
-# keep both walks of a pair, and a 256-entry cache gained nothing on the
-# compatible-family search.  An entry at MAX_WALK_STEPS holds at most
-# about 19 MB (psi of the one letter 75001: its tuples, its start tables
-# and the key's walk) and 26 MB at n = MAX_VERTICES, so the cache holds at
-# most about 52 MB (tracemalloc, Python 3.11).  typed keeps an n of
-# another type, which validation refuses, from reading an int n's entry.
-@functools.lru_cache(maxsize=2, typed=True)
-def _band_family(walk: Walk, n: int) -> tuple:
-    # the parameter-free part of band_module; exceptions are not cached,
-    # so an invalid walk raises on every call
-    if not validate_band_walk(walk, n):
-        raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
     # by the sign rule just checked, the a-steps are inverse arrows exactly
     # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2)
     if walk[0] & 3 in (1, 2):
@@ -307,7 +285,7 @@ def _band_family(walk: Walk, n: int) -> tuple:
             else:
                 starts[c] = [t]
         prev = c
-    return walk, trav, tuple(count[1:]), tops, bottoms, starts, source_starts
+    return BandModule(n, tuple(count[1:]), lam, walk, trav, tops, bottoms, starts, source_starts)
 
 
 def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:

@@ -156,10 +156,13 @@ class TestBrickGVectors:
         assert forms.is_brick_gvector_n4((-half, 1, 0, half - 1))
 
     def test_one_end_count_per_brick(self):
-        # one module per brick, so its End is checked once
-        with mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as count:
+        # one module per brick, so its End is checked once, by the brick
+        # test alone, with no Hom count beside it
+        with mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as count, \
+                mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
             assert forms.is_brick_gvector((-21, 8, 13))
         assert count.call_count == 1
+        assert hom.call_count == 0
 
     def test_christoffel_slopes(self):
         for a in range(7):
@@ -189,12 +192,15 @@ class TestCompatibility:
         assert forms.compatible((-2, -1, -3, 6), (-2, -1, -3, 6))
 
     def test_self_compatibility_is_the_end_check(self):
-        # the brick test checks End once; no second member is built or compared
+        # the brick test checks End once; no second member is built or
+        # compared, and no Hom is counted
         g = (-2, -1, -3, 6)
         with mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as count, \
+                mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom, \
                 mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
             assert forms.compatible(g, g)
         assert count.call_count == 1
+        assert hom.call_count == 0
         assert build.call_count == 1
 
     def test_witness_family_pairwise(self):
@@ -235,10 +241,8 @@ class TestBandHom:
 
     def test_one_build_per_walk(self):
         # each walk is validated and put in canonical form once, inside its
-        # band_module build; the distinct parameter is read off the codes.
-        # Builds of one family are shared, so none may be cached beforehand
+        # band_module build; the distinct parameter is read off the codes
         z1, z2 = gentle.psi((2, 3), n=3), gentle.psi((2, 3, 3))
-        gentle._band_family.cache_clear()
         with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
                 mock.patch.object(gentle, "canonical_walk", wraps=gentle.canonical_walk) as canon, \
                 mock.patch.object(gentle, "validate_band_walk",

@@ -772,12 +772,12 @@ def _table_walks():
 
 
 class TestParameterMembers:
-    # band_module(walk, mu, n) is the member mu of the same band: one
-    # build, and everything but the parameter shared
+    # dataclasses.replace(module, lam=mu) is the member mu of the same band:
+    # one build, and everything but the parameter shared
 
     def _members(self):
-        walk = gentle.psi((2, 3, 3))
-        return [gentle.band_module(walk, lam, 3) for lam in (1, 2, 3)]
+        module = gentle.band_module(gentle.psi((2, 3, 3)), 1, 3)
+        return [module] + [dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3)]
 
     def test_members_share_maps(self):
         members = self._members()
@@ -966,37 +966,22 @@ class TestBrickTestAgainstEnd:
         assert time.perf_counter() - start < 0.5
 
 
-class TestFamilyBuilds:
-    # band_module builds the parameter-free part once per (walk, n)
+class TestFamilyMembers:
+    # a member made by dataclasses.replace is the module a fresh build at
+    # its parameter gives, down to the Hom tables
 
     def test_members_equal_fresh_builds(self):
         walk = gentle.psi((2, 3, 2, 3, 3), 4)
+        module = gentle.band_module(walk, 1, 4)
         for lam in (1, 2, 3, Fraction(1, 2), -1):
-            shared = gentle.band_module(walk, lam, 4)
-            again = gentle.band_module(walk, lam, 4)
-            gentle._band_family.cache_clear()
+            member = dataclasses.replace(module, lam=Fraction(lam))
             fresh = gentle.band_module(walk, lam, 4)
-            assert shared is not again
-            assert shared == again == fresh
-            assert shared.lam == Fraction(lam)
+            assert member == fresh and member.lam == Fraction(lam)
             for name in ("tops", "bottoms", "starts", "source_starts"):
-                assert getattr(shared, name) == getattr(fresh, name), name
-            assert dict(shared.matrices()) == dict(fresh.matrices())
-
-    def test_repeated_calls_raise_again(self):
-        walk = gentle.psi((2, 3))
-        for _ in range(2):
-            with pytest.raises(InvalidWalk):
-                gentle.band_module(walk[1:], 1)
-            with pytest.raises(ZeroLambda):
-                gentle.band_module(walk, 0)
-            with pytest.raises(QuiverTooLarge):
-                gentle.band_module(walk, 1, gentle.MAX_VERTICES + 1)
-        # a walk valid on its own quiver is refused on a smaller one each time
-        gentle.band_module(walk, 1, 3)
-        for _ in range(2):
-            with pytest.raises(InvalidWalk):
-                gentle.band_module(walk, 1, 2)
+                assert getattr(member, name) == getattr(fresh, name), name
+            assert dict(member.matrices()) == dict(fresh.matrices())
+            assert gentle.is_brick(member) == gentle.is_brick(fresh)
+            assert gentle.hom_dim(member, fresh) == gentle.hom_dim(module, module)
 
 
 class TestGVector:
