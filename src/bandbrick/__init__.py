@@ -1,9 +1,9 @@
 """Perfectly clustering words and band bricks over gentle algebras.
 
 Word transforms (Burrows-Wheeler and the necklace bijection), the
-Dyck-path multislalom model for g-vectors, exact band-module linear
-algebra, Euler-form compatibility, and the closed-form brick test for
-four vertices, with a CLI exposing every operation.
+Dyck-path multislalom model for g-vectors, band modules with Hom
+counted by graph maps, Euler-form compatibility, and the closed-form
+brick test for four vertices, with a CLI exposing every operation.
 """
 
 from .dyck import (
@@ -11,7 +11,6 @@ from .dyck import (
     component_gvectors,
     erase_ones,
     reconstruct_multislalom,
-    to_dyck_diagram,
     validate_gvector,
 )
 from .forms import (
@@ -81,7 +80,6 @@ __all__ = [
     "rotations",
     "slalom_to_band_walk",
     "standard_permutation",
-    "to_dyck_diagram",
     "validate_band_walk",
     "validate_gvector",
 ]

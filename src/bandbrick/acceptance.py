@@ -179,7 +179,7 @@ def _walk_pool(rng: random.Random, count: int) -> list[gentle.Walk]:
         else:
             g = _random_valid_gvector(rng, nmax=4, entry=3, weight=10)
             g = g + (0,) * (4 - len(g))
-            comps = dyck.reconstruct_multislalom(g).components
+            comps = dyck.reconstruct_multislalom(g)
             walks = [gentle.slalom_to_band_walk(c) for c in comps]
         for walk in walks:
             if len(walk) <= 16:
@@ -220,7 +220,7 @@ def bricks_n4(seed: int = 0) -> Result:
         if not dyck.validate_gvector(g):
             continue
         wide += 1
-        single = len(dyck.reconstruct_multislalom(g).components) == 1
+        single = len(dyck.reconstruct_multislalom(g)) == 1
         if forms.is_brick_gvector_n4(g) != single:
             checks.append((f"component {g}", False))
 

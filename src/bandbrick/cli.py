@@ -199,11 +199,12 @@ def _cmd_gvec_check(args) -> int:
 
 
 def _cmd_gvec_dyck(args) -> int:
-    g = _parse_gvector(args.gvector)
-    diagram = dyck.to_dyck_diagram(g)
-    labels = list(diagram.labels)
-    human = f"steps: {diagram.word}\nlabels: {','.join(map(str, labels))}"
-    _emit(args, human, {"steps": diagram.word, "labels": labels})
+    g = dyck._bounded(_parse_gvector(args.gvector))  # validates and bounds g
+    # the runs of g: |a_i| steps labeled i, up when a_i < 0, else down
+    steps = "".join(("u" if a < 0 else "d") * abs(a) for a in g)
+    labels = [label for label, a in enumerate(g, 1) for _ in range(abs(a))]
+    human = f"steps: {steps}\nlabels: {','.join(map(str, labels))}"
+    _emit(args, human, {"steps": steps, "labels": labels})
     return 0
 
 

@@ -9,29 +9,27 @@ through both copies yields a circular word over the labels; erasing the
 letter 1 relates these words to the necklace bijection of `words`.
 
 The matching and the trace run on flat int lists over the step positions
-(labels, chord partners, glued steps) with a bytearray of traced steps;
-the public DyckDiagram, Component and Multislalom values are built from
-them.  A Component is its word and its chords: component_gvectors counts
-the labels of the word, and gentle.slalom_to_band_walk reads the
-segments of the curve off it.  single_component traces only the curve
-through the first step and builds no diagram or matching, which is all a
-brick test reads: on the 119 valid g-vectors with n = 5 and entries in
-[-2, 2] it takes 14-17 us a call against 38-43 us for
-reconstruct_multislalom (Python 3.11, 2 CPUs).  circular_words and
-component_gvectors trace every component and build no diagram or
-matching either, and render.render_dyck reads the same int lists one
-label run at a time.  The curves of a diagram are mostly copies of a few
-words (on 100 seeded 1000-letter words, 107 curves of 1.3 distinct words
-on average), so circular_words and erase_ones canonicalize each distinct
-word once per call.  A diagram holds at most MAX_STEPS steps: larger
-g-vectors raise GVectorTooLarge before any step is built, while
+(labels, chord partners, glued steps) with a bytearray of traced steps.
+The one public trace is reconstruct_multislalom, which returns the
+components; circular_words and component_gvectors read them through it.
+A Component is its word and its chords: component_gvectors counts the
+labels of the word, and gentle.slalom_to_band_walk reads the segments of
+the curve off it.  single_component traces only the curve through the
+first step, which is all a brick test reads: on the 160 valid g-vectors
+with n <= 5 and entries in [-2, 2] it takes 10.8 us a call against
+14.5 us for reconstruct_multislalom (Python 3.11, 2 CPUs).
+render.render_dyck reads the same int lists, with the chord partners,
+one label run at a time.  The curves of a diagram are mostly copies of a
+few words (on 100 seeded 1000-letter words, 107 curves of 1.3 distinct
+words on average), so circular_words and erase_ones canonicalize each
+distinct word once per call.  A diagram holds at most MAX_STEPS steps:
+larger g-vectors raise GVectorTooLarge before any step is built, while
 validate_gvector stays unbounded.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -68,28 +66,6 @@ def _check_gvector(g: Sequence[int]) -> GVector:
 
 
 @dataclass(frozen=True)
-class DyckDiagram:
-    """Labeled Dyck path: one ('u'|'d', label) pair per step."""
-
-    steps: tuple[tuple[str, int], ...]
-    n: int
-
-    @property
-    def word(self) -> str:
-        return "".join(direction for direction, _ in self.steps)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(label for _, label in self.steps)
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        """Path heights before each step, plus the final height."""
-        rises = (1 if direction == "u" else -1 for direction, _ in self.steps)
-        return tuple(itertools.accumulate(rises, initial=0))
-
-
-@dataclass(frozen=True)
 class Component:
     """One closed curve of a multislalom: its word and its chords.
 
@@ -105,15 +81,6 @@ class Component:
     chords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Multislalom:
-    """Canonical nested matching of a Dyck diagram plus its components."""
-
-    diagram: DyckDiagram
-    matching: tuple[tuple[int, int], ...]
-    components: tuple[Component, ...]
-
-
 def _bounded(g: Sequence[int]) -> GVector:
     # every diagram build passes here: validates g, and more than MAX_STEPS
     # steps raise GVectorTooLarge before any step is built
@@ -122,18 +89,6 @@ def _bounded(g: Sequence[int]) -> GVector:
     if size > MAX_STEPS:
         raise GVectorTooLarge(f"{size} Dyck steps exceed the bound of {MAX_STEPS}")
     return entries
-
-
-def to_dyck_diagram(g: Sequence[int]) -> DyckDiagram:
-    """Labeled runs of the diagram; entries a_i = 0 contribute no steps.
-    More than MAX_STEPS steps raise GVectorTooLarge before any step is
-    built."""
-    entries = _bounded(g)
-    steps = []
-    for label, a in enumerate(entries, start=1):
-        direction = "u" if a < 0 else "d"
-        steps.extend([(direction, label)] * abs(a))
-    return DyckDiagram(steps=tuple(steps), n=len(entries))
 
 
 def _int_diagram(entries: GVector) -> tuple[list[int], list[int], list[int]]:
@@ -195,24 +150,19 @@ def _trace_components(
     )
 
 
-def reconstruct_multislalom(g: Sequence[int]) -> Multislalom:
-    """Nested matching of the diagram of g and its closed components."""
-    entries = tuple(g)
-    diagram = to_dyck_diagram(entries)  # validates and bounds g
-    labels, partner, glued = _int_diagram(entries)
-    return Multislalom(
-        diagram=diagram,
-        matching=tuple((up, down) for up, down in enumerate(partner) if up < down),
-        components=_trace_components(labels, partner, glued),
-    )
+def reconstruct_multislalom(g: Sequence[int]) -> tuple[Component, ...]:
+    """The closed components of the multislalom of g, in the order of
+    their first up-steps.  More than MAX_STEPS steps raise
+    GVectorTooLarge before any step is built."""
+    return _trace_components(*_int_diagram(_bounded(g)))
 
 
 def single_component(g: Sequence[int]) -> Component | None:
     """The component of g when its multislalom has exactly one, else None.
 
     Traces only the curve through step 0, the first component of
-    reconstruct_multislalom, and builds no diagram or matching: g has one
-    component exactly when that curve uses every chord."""
+    reconstruct_multislalom: g has one component exactly when that curve
+    uses every chord."""
     entries = _bounded(g)
     labels, partner, glued = _int_diagram(entries)
     component = _trace(0, labels, partner, glued, bytearray(len(labels)))
@@ -235,8 +185,7 @@ def _sorted_canonical(
 
 def circular_words(g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Multiset of circular label words, one per component, canonicalized."""
-    components = _trace_components(*_int_diagram(_bounded(g)))
-    return _sorted_canonical((c.word for c in components), necklace)
+    return _sorted_canonical((c.word for c in reconstruct_multislalom(g)), necklace)
 
 
 def _erased_necklace(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -253,9 +202,9 @@ def erase_ones(ms: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def component_gvectors(g: Sequence[int]) -> tuple[GVector, ...]:
     """Per-label counts of each component's word, signed like the entries
     of g; they sum to g."""
-    entries = _bounded(g)
+    entries = tuple(g)
     out = []
-    for c in _trace_components(*_int_diagram(entries)):
+    for c in reconstruct_multislalom(entries):  # validates and bounds g
         counts = collections.Counter(c.word)
         out.append(tuple(-counts[i] if a < 0 else counts[i] for i, a in enumerate(entries, 1)))
     return tuple(out)

@@ -111,10 +111,15 @@ class TestGVecCommands:
         assert json.loads(out) == [[1, 3, 1, 5, 4, 5, 4, 5], [1, 3, 2, 3]]
 
     def test_dyck(self, capsys):
-        code, out, _ = run(capsys, "gvec", "dyck", "-1,-1,2")
-        assert code == 0
-        assert "steps: uudd" in out
-        assert "labels: 1,2,3,3" in out
+        assert run(capsys, "gvec", "dyck", "-1,-1,2") == (0, "steps: uudd\nlabels: 1,2,3,3\n", "")
+        assert run(capsys, "gvec", "dyck", "-1,-1,2", "--json") == (
+            0, '{"steps": "uudd", "labels": [1, 2, 3, 3]}\n', ""
+        )
+        # zero entries add no steps
+        assert run(capsys, "gvec", "dyck", "-2,0,0,2") == (0, "steps: uudd\nlabels: 1,1,4,4\n", "")
+        assert run(capsys, "gvec", "dyck", "-2,0,0,2", "--json") == (
+            0, '{"steps": "uudd", "labels": [1, 1, 4, 4]}\n', ""
+        )
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "gvec", "decompose", "-3,-1,3,-2,3")

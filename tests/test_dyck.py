@@ -1,6 +1,9 @@
 """Dyck-path model: validation, matching, components, circular words."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandbrick import dyck, gentle, words
+from bandbrick.cli import main
 from bandbrick.errors import (
     BadDimension, GVectorTooLarge, InternalInconsistency, InvalidComponent, InvalidGVector
 )
@@ -42,26 +46,34 @@ class TestValidate:
 
     def test_invalid_rejected_downstream(self):
         with pytest.raises(InvalidGVector):
-            dyck.to_dyck_diagram((1, -1))
+            dyck.reconstruct_multislalom((1, -1))
+
+
+def _gvec_dyck(g):
+    # the labeled Dyck path as `gvec dyck --json` prints it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gvec", "dyck", "--json", "--", ",".join(map(str, g))])
+    assert code == 0
+    data = json.loads(out.getvalue())
+    return data["steps"], data["labels"]
 
 
 class TestDiagram:
     def test_path_golden(self):
-        d = dyck.to_dyck_diagram((-3, -1, 3, -2, 3))
-        assert d.word == "uuuuddduuddd"
-        assert d.labels == (1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5)
+        steps, labels = _gvec_dyck((-3, -1, 3, -2, 3))
+        assert steps == "uuuuddduuddd"
+        assert labels == [1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5]
 
     def test_minimal(self):
-        d = dyck.to_dyck_diagram((-1, 1))
-        assert d.word == "ud"
-        assert d.labels == (1, 2)
+        assert _gvec_dyck((-1, 1)) == ("ud", [1, 2])
 
     @given(valid_gvectors)
     @settings(max_examples=60, deadline=None)
     def test_balanced_and_nonnegative(self, g):
-        d = dyck.to_dyck_diagram(g)
+        steps, _ = _gvec_dyck(g)
         h = 0
-        for c in d.word:
+        for c in steps:
             h += 1 if c == "u" else -1
             assert h >= 0
         assert h == 0
@@ -69,8 +81,8 @@ class TestDiagram:
     @given(valid_gvectors)
     @settings(max_examples=60, deadline=None)
     def test_label_counts(self, g):
-        d = dyck.to_dyck_diagram(g)
-        assert Counter(d.labels) == {i + 1: abs(a) for i, a in enumerate(g) if a}
+        _, labels = _gvec_dyck(g)
+        assert Counter(labels) == {i + 1: abs(a) for i, a in enumerate(g) if a}
 
 
 class TestCircularWords:
@@ -147,19 +159,24 @@ class TestComponents:
     @given(valid_gvectors)
     @settings(max_examples=40, deadline=None)
     def test_component_count_matches_words(self, g):
-        ms = dyck.reconstruct_multislalom(g)
-        assert len(ms.components) == len(dyck.circular_words(g))
+        assert len(dyck.reconstruct_multislalom(g)) == len(dyck.circular_words(g))
 
 
 # The tuple-keyed trace the int-coded layer replaced, kept as the reference:
 # steps keyed by position, a partner dict and a visited set of (copy, step).
 
 
-def _nested_matching(diagram):
+def _steps(g):
+    # one ('u'|'d', label) pair per step: |a_i| steps labeled i, up when
+    # a_i < 0, else down
+    return [("u" if a < 0 else "d", label) for label, a in enumerate(g, 1) for _ in range(abs(a))]
+
+
+def _nested_matching(steps):
     # stack matching: each down-step closes the most recent open up-step
     stack = []
     pairs = []
-    for pos, (direction, _) in enumerate(diagram.steps):
+    for pos, (direction, _) in enumerate(steps):
         if direction == "u":
             stack.append(pos)
         else:
@@ -169,12 +186,11 @@ def _nested_matching(diagram):
     return sorted(pairs)
 
 
-def _cross_copy_map(diagram):
+def _cross_copy_map(labels):
     # the k-th step of a label block on one copy is glued to the
     # (block size + 1 - k)-th step of the same block on the other copy
-    ident = [0] * len(diagram.steps)
+    ident = [0] * len(labels)
     start = 0
-    labels = diagram.labels
     while start < len(labels):
         end = start
         while end + 1 < len(labels) and labels[end + 1] == labels[start]:
@@ -185,19 +201,19 @@ def _cross_copy_map(diagram):
     return ident
 
 
-def _trace_components(diagram, matching, signs):
+def _trace_components(steps, matching, signs):
     # each component with the facts the parent Component also stored: its
     # signed label counts and its (copy, from_label, to_label) segments
     partner = {}
     for up, down in matching:
         partner[up] = down
         partner[down] = up
-    ident = _cross_copy_map(diagram)
-    labels = diagram.labels
+    labels = [label for _, label in steps]
+    ident = _cross_copy_map(labels)
     visited = set()
     traces = []
     for start in sorted(partner):
-        if diagram.steps[start][0] != "u" or (1, start) in visited:
+        if steps[start][0] != "u" or (1, start) in visited:
             continue
         word, segments, chords = [], [], []
         copy, pos = 1, start
@@ -211,7 +227,7 @@ def _trace_components(diagram, matching, signs):
             copy, pos = 3 - copy, ident[exit_pos]
             if (copy, pos) == (1, start):
                 break
-        gvec = [0] * diagram.n
+        gvec = [0] * len(signs)
         for label in word:
             gvec[label - 1] += signs[label - 1]
         component = dyck.Component(word=tuple(word), chords=tuple(sorted(chords)))
@@ -220,19 +236,9 @@ def _trace_components(diagram, matching, signs):
 
 
 def _reference_traces(g):
-    diagram = dyck.to_dyck_diagram(g)
-    matching = _nested_matching(diagram)
+    steps = _steps(g)
     signs = [-1 if a < 0 else 1 for a in g]
-    return diagram, matching, _trace_components(diagram, matching, signs)
-
-
-def _reference_multislalom(g):
-    diagram, matching, traces = _reference_traces(g)
-    return dyck.Multislalom(
-        diagram=diagram,
-        matching=tuple(matching),
-        components=tuple(component for component, _, _ in traces),
-    )
+    return _trace_components(steps, _nested_matching(steps), signs)
 
 
 def _reference_band_walk(segments):
@@ -279,18 +285,30 @@ def _small_valid_gvectors():
 
 
 class TestAgainstTupleTrace:
+    # the components against the reference trace, and the int diagram's
+    # labels, partners and glued steps against the stack matching and the
+    # block map
+
+    @staticmethod
+    def _check(g):
+        expected = tuple(component for component, _, _ in _reference_traces(g))
+        assert dyck.reconstruct_multislalom(g) == expected, g
+        steps = _steps(g)
+        labels, partner, glued = dyck._int_diagram(g)
+        assert labels == [label for _, label in steps], g
+        matching = [(up, down) for up, down in enumerate(partner) if up < down]
+        assert matching == _nested_matching(steps), g
+        assert all(partner[partner[pos]] == pos for pos in range(len(partner))), g
+        assert glued == _cross_copy_map(labels), g
+
     def test_every_small_gvector(self):
-        checked = 0
-        for g in _small_valid_gvectors():
-            assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
-            checked += 1
-        assert checked == 498
+        assert sum(1 for g in _small_valid_gvectors() if self._check(g) is None) == 498
 
     def test_seeded_long_gvectors(self):
         gs = _long_gvectors(seed=12, count=20)
         assert all(sum(map(abs, g)) >= 2000 for g in gs)
         for g in gs:
-            assert dyck.reconstruct_multislalom(g) == _reference_multislalom(g), g
+            self._check(g)
 
 
 class TestReadOffTheWord:
@@ -299,7 +317,7 @@ class TestReadOffTheWord:
 
     @staticmethod
     def _check(g):
-        _, _, traces = _reference_traces(g)
+        traces = _reference_traces(g)
         assert dyck.component_gvectors(g) == tuple(gvec for _, gvec, _ in traces), g
         necklaces = sorted(words.necklace(component.word) for component, _, _ in traces)
         assert dyck.circular_words(g) == tuple(necklaces), g
@@ -352,7 +370,7 @@ class TestCanonicalizedOnce:
 
     @staticmethod
     def _check(g):
-        _, _, traces = _reference_traces(g)
+        traces = _reference_traces(g)
         expected = tuple(sorted(words.necklace(component.word) for component, _, _ in traces))
         got = dyck.circular_words(g)
         assert got == expected, g
@@ -376,7 +394,7 @@ class TestSingleComponent:
 
     @staticmethod
     def _check(g):
-        components = dyck.reconstruct_multislalom(g).components
+        components = dyck.reconstruct_multislalom(g)
         got = dyck.single_component(g)
         if len(components) == 1:
             assert got == components[0], g
@@ -414,10 +432,13 @@ class TestStepBound:
 
     def test_at_the_bound(self):
         half = dyck.MAX_STEPS // 2
-        assert len(dyck.to_dyck_diagram((-half, half)).steps) == 2 * half
+        steps, labels = _gvec_dyck((-half, half))
+        assert steps == "u" * half + "d" * half
+        assert labels == [1] * half + [2] * half
 
     @pytest.mark.parametrize(
-        "build", [dyck.to_dyck_diagram, dyck.reconstruct_multislalom, dyck.circular_words,
+        # _bounded is the check `gvec dyck` runs before printing any step
+        "build", [dyck._bounded, dyck.reconstruct_multislalom, dyck.circular_words,
                   dyck.component_gvectors, dyck.single_component],
     )
     def test_past_the_bound(self, build):
@@ -428,4 +449,4 @@ class TestStepBound:
     def test_validation_stays_unbounded(self):
         assert dyck.validate_gvector((-10**12, 10**12))
         with pytest.raises(InvalidGVector):
-            dyck.to_dyck_diagram((10**12, -10**12))
+            dyck.reconstruct_multislalom((10**12, -10**12))

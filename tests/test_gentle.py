@@ -460,7 +460,7 @@ def _small_walks():
     for n in (2, 3, 4):
         for g in itertools.product(range(-5, 6), repeat=n):
             if any(g) and sum(g) == 0 and all(sum(g[: k + 1]) <= 0 for k in range(n)):
-                for comp in dyck.reconstruct_multislalom(g).components:
+                for comp in dyck.reconstruct_multislalom(g):
                     found.add(gentle.slalom_to_band_walk(comp))
     small = {gentle.canonical_walk(w) for w in found if len(w) <= 12}
     small |= {gentle.canonical_walk(_inverse(w)) for w in small}
@@ -1005,15 +1005,15 @@ class TestGVector:
 
 class TestSlalom:
     def test_single_component_walk(self):
-        ms = dyck.reconstruct_multislalom((-1, -1, 2))
-        walk = gentle.slalom_to_band_walk(ms.components[0])
+        (component,) = dyck.reconstruct_multislalom((-1, -1, 2))
+        walk = gentle.slalom_to_band_walk(component)
         assert gentle.canonical_walk(walk) == gentle.walk_from_str(
             "a1 a2 b2- a2 b2- b1-"
         )
 
     def test_minimal_component_is_psi_2(self):
-        ms = dyck.reconstruct_multislalom((-1, 1))
-        walk = gentle.slalom_to_band_walk(ms.components[0])
+        (component,) = dyck.reconstruct_multislalom((-1, 1))
+        walk = gentle.slalom_to_band_walk(component)
         assert gentle.canonical_walk(walk) == gentle.canonical_walk(gentle.psi((2,)))
 
     @given(
@@ -1028,9 +1028,8 @@ class TestSlalom:
     )
     @settings(max_examples=50, deadline=None)
     def test_component_walks_validate_and_sum(self, g):
-        ms = dyck.reconstruct_multislalom(g)
         total = [0] * len(g)
-        for comp in ms.components:
+        for comp in dyck.reconstruct_multislalom(g):
             walk = gentle.slalom_to_band_walk(comp)
             assert gentle.validate_band_walk(walk, len(g))
             gv = gentle.g_vector_of_band(walk, len(g))

@@ -109,7 +109,7 @@ class TestRender:
 
     def test_chord_count_is_up_steps(self):
         for g in [(-1, 1), (-1, -1, 2), (-3, -1, 3, -2, 3), (-8, 2, 2, 4)]:
-            ups = dyck.to_dyck_diagram(g).word.count("u")
+            ups = sum(-a for a in g if a < 0)
             assert len(chord_elements(render.render_dyck(g))) == ups
 
 
@@ -138,12 +138,25 @@ def _reference_palette(count, seed):
     return colors
 
 
+def _reference_diagram(g):
+    # one ('u'|'d', label) pair per step, the path heights before each step
+    # plus the final one, and the nested matching in up-step order
+    steps = [("u" if a < 0 else "d", label) for label, a in enumerate(g, 1) for _ in range(abs(a))]
+    heights = list(itertools.accumulate((1 if d == "u" else -1 for d, _ in steps), initial=0))
+    opened, matching = [], []
+    for pos, (direction, _) in enumerate(steps):
+        if direction == "u":
+            opened.append(pos)
+        else:
+            matching.append((opened.pop(), pos))
+    return steps, heights, sorted(matching)
+
+
 def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     # the renderer as it was before it formatted coordinates inline: one
     # _fmt call per coordinate, and w, h and the grid ends looked up anew
-    ms = dyck.reconstruct_multislalom(g)
-    steps = ms.diagram.steps
-    heights = ms.diagram.heights
+    components = dyck.reconstruct_multislalom(g)  # validates and bounds g
+    steps, heights, matching = _reference_diagram(g)
     count = len(steps)
     top = max(heights)
     if width is not None:
@@ -157,7 +170,7 @@ def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     chord_ys = [_fmt(h - margin - (level + 0.5) * unit) for level in range(top)]
     label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
     chord_color = {}
-    for comp, color in zip(ms.components, _reference_palette(len(ms.components), palette_seed)):
+    for comp, color in zip(components, _reference_palette(len(components), palette_seed)):
         for up in comp.chords:
             chord_color[up] = color
     parts = [
@@ -188,7 +201,7 @@ def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     parts += [
         f'<line x1="{half_xs[up]}" y1="{chord_ys[heights[up]]}" '
         f'x2="{half_xs[down]}" y2="{chord_ys[heights[up]]}" stroke="{chord_color[up]}"/>'
-        for up, down in ms.matching
+        for up, down in matching
     ]
     parts.append("</g>")
     parts.append("</svg>")

@@ -49,6 +49,22 @@ def test_no_rotation_copies_in_package():
     assert found == []
 
 
+def test_trace_internals_stay_in_dyck_and_render():
+    # every other library caller reaches the trace through
+    # dyck.reconstruct_multislalom, the one public trace; render keeps its
+    # direct read because it draws the chord partners too
+    internal = {"_int_diagram", "_trace_components"}
+    found = []
+    for name, tree in package_trees():
+        if name in ("dyck.py", "render.py"):
+            continue
+        for node in ast.walk(tree):
+            text = {node.value} if isinstance(node, ast.Constant) else _names(node)
+            if text & internal:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_error_is_raised():
     # an error class that no raise names is dead code
     trees = dict(package_trees())
