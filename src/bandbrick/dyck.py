@@ -9,22 +9,22 @@ through both copies yields a circular word over the labels; erasing the
 letter 1 relates these words to the necklace bijection of `words`.
 
 The matching and the trace run on flat int lists over the step positions
-(labels, chord partners, glued steps) with a bytearray of traced steps.
-The one public trace is reconstruct_multislalom, which returns the
-components; circular_words and component_gvectors read them through it.
-A Component is its word and its chords: component_gvectors counts the
-labels of the word, and gentle.slalom_to_band_walk reads the segments of
-the curve off it.  single_component traces only the curve through the
-first step, which is all a brick test reads: on the 160 valid g-vectors
-with n <= 5 and entries in [-2, 2] it takes 10.8 us a call against
-14.5 us for reconstruct_multislalom (Python 3.11, 2 CPUs).
-render.render_dyck reads the same int lists, with the chord partners,
-one label run at a time.  The curves of a diagram are mostly copies of a
-few words (on 100 seeded 1000-letter words, 107 curves of 1.3 distinct
-words on average), so circular_words and erase_ones canonicalize each
-distinct word once per call.  A diagram holds at most MAX_STEPS steps:
-larger g-vectors raise GVectorTooLarge before any step is built, while
-validate_gvector stays unbounded.
+(labels, chord partners, glued steps) with a bytearray of traced steps;
+no other module reads them.  The one public trace is
+reconstruct_multislalom, which returns the components; circular_words,
+component_gvectors and render.render_dyck read them through it.  A
+Component is its word and its chord ends: component_gvectors counts the
+labels of the word, gentle.slalom_to_band_walk reads the segments of the
+curve off it, and render draws each chord from its two ends.
+single_component traces only the curve through the first step, which is
+all a brick test reads: on the 160 valid g-vectors with n <= 5 and
+entries in [-2, 2] it takes 5.2 us a call against 7.4 us for
+reconstruct_multislalom (Python 3.11.7, 2 CPUs, best of 7).  The curves
+of a diagram are mostly copies of a few words (on 100 seeded 1000-letter
+words, 107 curves of 1.3 distinct words on average), so circular_words
+and erase_ones canonicalize each distinct word once per call.  A diagram
+holds at most MAX_STEPS steps: larger g-vectors raise GVectorTooLarge
+before any step is built, while validate_gvector stays unbounded.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes 1.0-1.2 s and 150 MB on
-# (-75000, 75000), its slowest shape, and gvec words 0.4-0.5 s (as
+# steps: at the bound, render takes 0.7-1.1 s and 150 MB on
+# (-75000, 75000), its slowest shape, and gvec words 0.3-0.5 s (as
 # subprocesses, Python 3.11, 2 CPUs)
 MAX_STEPS = 150_000
 
@@ -70,7 +70,8 @@ class Component:
     """One closed curve of a multislalom: its word and its chords.
 
     word      labels written at each chord exit, in traversal order
-    chords    up-step positions of the chords this curve uses on copy 1
+    chords    entry, exit, entry, exit, ... of the curve on copy 1, in
+              traversal order: (up-step, down-step) pairs of the matching
 
     The rest is read off the word: exit k alternates copies, starting on
     copy 1, and the label entered is the previous exit's, because glued
@@ -123,25 +124,28 @@ def _trace(
     # the closed curve through the up-step start: each round enters copy 1
     # at pos, leaves along its chord, crosses to the glued step on copy 2,
     # leaves along that chord and crosses back.  Collects the labels of the
-    # exits and the copy-1 chords used, and marks each copy-1 entry visited
+    # exits and the copy-1 entry and exit, and marks each copy-1 entry visited
     word: list[int] = []
     chords: list[int] = []
     pos = start
     while True:
         visited[pos] = 1
         out = partner[pos]
-        chords.append(pos if pos < out else out)
+        chords.append(pos)
+        chords.append(out)
         back = partner[glued[out]]
         word.append(labels[out])
         word.append(labels[back])
         pos = glued[back]
         if pos == start:
-            return Component(tuple(word), tuple(sorted(chords)))
+            return Component(tuple(word), tuple(chords))
 
 
-def _trace_components(
-    labels: list[int], partner: list[int], glued: list[int]
-) -> tuple[Component, ...]:
+def reconstruct_multislalom(g: Sequence[int]) -> tuple[Component, ...]:
+    """The closed components of the multislalom of g, in the order of
+    their first up-steps.  More than MAX_STEPS steps raise
+    GVectorTooLarge before any step is built."""
+    labels, partner, glued = _int_diagram(_bounded(g))
     visited = bytearray(len(labels))  # copy-1 entries already traced
     return tuple(
         _trace(start, labels, partner, glued, visited)
@@ -150,23 +154,16 @@ def _trace_components(
     )
 
 
-def reconstruct_multislalom(g: Sequence[int]) -> tuple[Component, ...]:
-    """The closed components of the multislalom of g, in the order of
-    their first up-steps.  More than MAX_STEPS steps raise
-    GVectorTooLarge before any step is built."""
-    return _trace_components(*_int_diagram(_bounded(g)))
-
-
 def single_component(g: Sequence[int]) -> Component | None:
     """The component of g when its multislalom has exactly one, else None.
 
     Traces only the curve through step 0, the first component of
-    reconstruct_multislalom: g has one component exactly when that curve
-    uses every chord."""
+    reconstruct_multislalom: g has one component exactly when the chord
+    ends of that curve cover every step."""
     entries = _bounded(g)
     labels, partner, glued = _int_diagram(entries)
     component = _trace(0, labels, partner, glued, bytearray(len(labels)))
-    return component if 2 * len(component.chords) == len(labels) else None
+    return component if len(component.chords) == len(labels) else None
 
 
 def _sorted_canonical(

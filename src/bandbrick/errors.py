@@ -94,4 +94,4 @@ class ListingTooLarge(DomainError):
 
 
 class AllZero(DomainError):
-    """An exponent vector that must have a positive entry is all zero."""
+    """An exponent vector is all zero or has a negative entry."""

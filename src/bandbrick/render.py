@@ -5,7 +5,8 @@ one horizontal chord per matched up/down pair at height nesting depth
 plus one half, in a distinct color per multislalom component.  Output is
 byte-identical for equal input and options.
 
-The picture is read off dyck's flat int diagram one label run at a time:
+The chords come from the curves of dyck.reconstruct_multislalom, and
+the rest is read off the entries of g one label run at a time:
 a run climbs or falls one level a step, so the path heights, the label
 baselines and the chord levels of a run are one forward or reversed slice
 of the per-level strings.  Each of the five coordinate lists (columns,
@@ -22,7 +23,7 @@ import operator
 import random
 from typing import Sequence
 
-from .dyck import _bounded, _int_diagram, _trace_components
+from .dyck import _bounded, reconstruct_multislalom
 from .errors import DrawingTooLarge, DrawingTooSmall
 
 # coordinates print with two decimals, so a smaller unit merges half
@@ -66,22 +67,24 @@ def _formatted(values: list[float]) -> list[str]:
 
 def _smallest_width(count: int) -> str:
     # the least width of two decimals whose unit width / (count + 2) is
-    # at least _MIN_UNIT; (count + 2) / 100 itself falls short for some counts
-    cents = count + 2
+    # at least _MIN_UNIT; 2 * (count + 2) cents falls short for some counts
+    cents = 2 * (count + 2)
     while cents / 100 / (count + 2) < _MIN_UNIT:
         cents += 1
     return f"{cents / 100:.2f}"
 
 
 def _chord_strokes(entries: tuple[int, ...], palette_seed: int) -> tuple[list[int], list[str]]:
-    # each step's partner in the matching, and the color of the chord at
-    # each up-step: one palette color per component.  The components die
+    # the partner and the chord color of each up-step, read off the chord
+    # ends of the curves: one palette color per curve.  The components die
     # here, before any element string is built
-    labels, partner, glued = _int_diagram(entries)
-    components = _trace_components(labels, partner, glued)
-    stroke = [""] * len(labels)
+    components = reconstruct_multislalom(entries)
+    partner = [0] * sum(map(abs, entries))
+    stroke = [""] * len(partner)
     for comp, color in zip(components, _palette(len(components), palette_seed)):
-        for up in comp.chords:
+        ends = iter(comp.chords)
+        for up, down in zip(ends, ends):
+            partner[up] = down
             stroke[up] = color
     return partner, stroke
 

@@ -221,7 +221,7 @@ def _trace_components(steps, matching, signs):
             visited.add((copy, pos))
             exit_pos = partner[pos]
             if copy == 1:
-                chords.append(min(pos, exit_pos))
+                chords += (pos, exit_pos)
             segments.append((copy, labels[pos], labels[exit_pos]))
             word.append(labels[exit_pos])
             copy, pos = 3 - copy, ident[exit_pos]
@@ -230,7 +230,7 @@ def _trace_components(steps, matching, signs):
         gvec = [0] * len(signs)
         for label in word:
             gvec[label - 1] += signs[label - 1]
-        component = dyck.Component(word=tuple(word), chords=tuple(sorted(chords)))
+        component = dyck.Component(word=tuple(word), chords=tuple(chords))
         traces.append((component, tuple(gvec), tuple(segments)))
     return traces
 
@@ -308,6 +308,32 @@ class TestAgainstTupleTrace:
         gs = _long_gvectors(seed=12, count=20)
         assert all(sum(map(abs, g)) >= 2000 for g in gs)
         for g in gs:
+            self._check(g)
+
+
+class TestChordEnds:
+    # Component.chords holds the copy-1 entry and exit of each round, which
+    # render reads as the chord partners: together the curves cover every
+    # step once, each (entry, exit) pair is an (up, down) pair of the
+    # matching, and one curve means single_component finds it
+
+    @staticmethod
+    def _check(g):
+        components = dyck.reconstruct_multislalom(g)
+        steps = _steps(g)
+        ends = [pos for component in components for pos in component.chords]
+        assert sorted(ends) == list(range(len(steps))), g
+        matching = set(_nested_matching(steps))
+        for component in components:
+            pairs = set(zip(component.chords[::2], component.chords[1::2]))
+            assert pairs <= matching, g
+        assert (dyck.single_component(g) is not None) == (len(components) == 1), g
+
+    def test_every_small_gvector(self):
+        assert sum(1 for g in _small_valid_gvectors() if self._check(g) is None) == 498
+
+    def test_seeded_long_gvectors(self):
+        for g in _long_gvectors(seed=12, count=20):
             self._check(g)
 
 

@@ -482,6 +482,10 @@ class TestNecklaceBound:
         with pytest.raises(AllZero):
             forms.necklace_count_bound_check((0, 0, 0))
 
+    def test_rejects_negative(self):
+        with pytest.raises(AllZero, match="exponents must be non-negative"):
+            forms.necklace_count_bound_check((-1, 2))
+
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple))
     @settings(max_examples=60, deadline=None)
     def test_random_multiplicities(self, alpha):

@@ -171,8 +171,8 @@ def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     label_ys = [_fmt(h - margin - ((2 * level + 1) / 2 - 0.45) * unit) for level in range(top)]
     chord_color = {}
     for comp, color in zip(components, _reference_palette(len(components), palette_seed)):
-        for up in comp.chords:
-            chord_color[up] = color
+        for entry, exit_ in zip(comp.chords[::2], comp.chords[1::2]):
+            chord_color[min(entry, exit_)] = color  # keyed by the chord's up-step
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w)}" '
         f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">',

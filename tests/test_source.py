@@ -49,14 +49,14 @@ def test_no_rotation_copies_in_package():
     assert found == []
 
 
-def test_trace_internals_stay_in_dyck_and_render():
-    # every other library caller reaches the trace through
-    # dyck.reconstruct_multislalom, the one public trace; render keeps its
-    # direct read because it draws the chord partners too
-    internal = {"_int_diagram", "_trace_components"}
+def test_trace_internals_stay_in_dyck():
+    # every other library caller, render included, reaches the trace
+    # through dyck.reconstruct_multislalom, the one public trace, whose
+    # curves carry their chord ends
+    internal = {"_int_diagram", "_trace_components", "_trace"}
     found = []
     for name, tree in package_trees():
-        if name in ("dyck.py", "render.py"):
+        if name == "dyck.py":
             continue
         for node in ast.walk(tree):
             text = {node.value} if isinstance(node, ast.Constant) else _names(node)
