@@ -7,7 +7,6 @@ the CLI and the test run cannot drift apart.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -116,7 +115,7 @@ def brick_pcw(seed: int = 0) -> Result:
                 pcw = words.is_perfectly_clustering(w)
                 module = gentle.band_module(gentle.psi(w, n), 1, n)
                 brick = all(
-                    gentle.is_brick(dataclasses.replace(module, lam=Fraction(lam)))
+                    gentle.is_brick(module.replace(lam=Fraction(lam)))
                     for lam in (1, 2, 3)
                 )
                 if pcw != brick:

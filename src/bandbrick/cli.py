@@ -3,8 +3,9 @@
 Words arrive as lowercase letters (a maps to 1), digit strings, or
 comma-separated integers; output repeats the input encoding.  g-vectors
 are comma-separated integers.  ``--json`` (or BANDBRICK_FORMAT=json)
-switches every subcommand to machine output.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+switches every subcommand to machine output, errors included: one line
+{"error": class, "message": text, "exit": code} on stderr.  Exit codes:
+0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,10 +41,42 @@ class UsageError(Exception):
 _NEG_CSV = re.compile(r"^-[0-9]+(?:,-?[0-9]+)*$")
 
 
+def _json_format(asked: bool) -> bool:
+    # --json on the subcommand, or BANDBRICK_FORMAT=json
+    return asked or os.environ.get("BANDBRICK_FORMAT", "").lower() == "json"
+
+
+def _report(asked: bool, name: str, message: str, code: int, human: str) -> int:
+    # one error line on stderr, as JSON when the format asks for it
+    if _json_format(asked):
+        human = json.dumps({"error": name, "message": message, "exit": code})
+    print(human, file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEG_CSV
+        self._json_asked = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser looks for --json, or a prefix of it, among its
+        # own tokens before reading them, so that its errors, and tokens left
+        # unrecognized, answer in JSON too.  The parsers above it have no
+        # --json and see only BANDBRICK_FORMAT
+        if args is not None and "--json" in self._option_string_actions:
+            own = args[: args.index("--")] if "--" in args else args
+            self._json_asked = any(len(a) > 2 and "--json".startswith(a) for a in own)
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._json_asked:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        if not _json_format(self._json_asked):
+            super().error(message)  # the usage and the message as text, exit 2
+        sys.exit(_report(True, "UsageError", message, 2, message))
 
 
 _ALPHA = re.compile(r"^[a-z]+$")
@@ -128,7 +161,7 @@ def _parse_band_spec(text: str, n: int | None) -> gentle.Walk:
 
 
 def _emit(args: argparse.Namespace, human: str, data) -> None:
-    if getattr(args, "json", False) or os.environ.get("BANDBRICK_FORMAT", "").lower() == "json":
+    if _json_format(args.json):
         print(json.dumps(data))
     else:
         print(human)
@@ -496,11 +529,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _report(args.json, "UsageError", str(exc), 2, f"usage error: {exc}")
     except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        name = type(exc).__name__
+        return _report(args.json, name, str(exc), 1, f"error: {name}: {exc}")
 
 
 if __name__ == "__main__":

@@ -30,8 +30,7 @@ before any step is built, while validate_gvector stays unbounded.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BadDimension, GVectorTooLarge, InternalInconsistency, InvalidGVector
 from .words import necklace
@@ -65,8 +64,7 @@ def _check_gvector(g: Sequence[int]) -> GVector:
     return entries
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One closed curve of a multislalom: its word and its chords.
 
     word      labels written at each chord exit, in traversal order
@@ -75,7 +73,8 @@ class Component:
 
     The rest is read off the word: exit k alternates copies, starting on
     copy 1, and the label entered is the previous exit's, because glued
-    steps share a label.
+    steps share a label.  A Component is a named tuple: immutable,
+    hashable and compared by its two fields.
     """
 
     word: tuple[int, ...]

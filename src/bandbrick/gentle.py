@@ -24,17 +24,16 @@ top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
 one band, the one cycle if the parameters agree.  Each module carries
 what the count reads of it (its tops, its bottoms and indexes of its
-start positions), built with it and shared by its family, so a Hom call
-rebuilds nothing.  No equation is built and the count is independent of
-the base field.  The brick test reads End from the same tables and
-answers at the first graph map past the identity.
+start positions), built with it and shared by its family through
+BandModule.replace, so a Hom call rebuilds nothing.  No equation is built
+and the count is independent of the base field.  The brick test reads End
+from the same tables and answers at the first graph map past the identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -161,7 +160,6 @@ def canonical_walk(walk: Sequence[int]) -> Walk:
     return walk[k:] + walk[:k]
 
 
-@dataclass
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
@@ -178,20 +176,57 @@ class BandModule:
     reach by arrows into them, starts[c] lists the positions t with
     codes[t] == c whose previous step is an arrow, and source_starts the
     positions t whose previous step is an inverse arrow, ascending.
-    dataclasses.replace(module, lam=mu) is the member mu of the same
-    family, sharing dims, walk, codes and the tables.
+    The tables are fixed by codes, so == and repr read only n, dims, lam,
+    walk and codes, and a module is unhashable.  module.replace(lam=mu) is
+    the member mu of the same family, sharing dims, walk, codes and the
+    tables.
     """
 
-    n: int
-    dims: tuple[int, ...]
-    lam: Fraction
-    walk: Walk
-    codes: tuple[int, ...]
-    # the Hom tables, fixed by codes, so left out of repr and ==
-    tops: dict[int, int] = field(repr=False, compare=False)
-    bottoms: dict[int, int] = field(repr=False, compare=False)
-    starts: dict[int, list[int]] = field(repr=False, compare=False)
-    source_starts: list[int] = field(repr=False, compare=False)
+    __slots__ = (
+        "n", "dims", "lam", "walk", "codes", "tops", "bottoms", "starts", "source_starts"
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        n: int,
+        dims: tuple[int, ...],
+        lam: Fraction,
+        walk: Walk,
+        codes: tuple[int, ...],
+        tops: dict[int, int],
+        bottoms: dict[int, int],
+        starts: dict[int, list[int]],
+        source_starts: list[int],
+    ) -> None:
+        self.n = n
+        self.dims = dims
+        self.lam = lam
+        self.walk = walk
+        self.codes = codes
+        self.tops = tops
+        self.bottoms = bottoms
+        self.starts = starts
+        self.source_starts = source_starts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.dims, self.lam, self.walk, self.codes) == (
+            other.n, other.dims, other.lam, other.walk, other.codes
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"BandModule(n={self.n!r}, dims={self.dims!r}, lam={self.lam!r}, "
+            f"walk={self.walk!r}, codes={self.codes!r})"
+        )
+
+    def replace(self, **changes) -> BandModule:
+        """A copy with the given fields changed, sharing every other one."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return BandModule(**fields)
 
     def g_vector(self) -> tuple[int, ...]:
         """Tops minus bottoms per vertex."""

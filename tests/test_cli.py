@@ -10,13 +10,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandbrick
-from bandbrick import acceptance, cli, dyck, gentle, words
+from bandbrick import acceptance, cli, dyck, errors, gentle, words
 from bandbrick.cli import main
 
 
@@ -300,8 +301,11 @@ class TestRender:
         extra = [str(tmp_path / a) if a == "out.svg" else a for a in extra]
         code, out, err = run(capsys, "render", "-1,1", "--unit", "5e307", *extra)
         assert (code, out) == (1, "")
-        assert err.startswith("error: DrawingTooLarge: ")
         assert err.count("\n") == 1
+        if "--json" in extra:
+            assert json.loads(err)["error"] == "DrawingTooLarge"
+        else:
+            assert err.startswith("error: DrawingTooLarge: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_largest_unit_admitted(self, capsys):
@@ -365,7 +369,11 @@ class TestErrorsAndFormats:
         # JSON true is a Python bool, an int subclass, but not a letter
         code, out, err = run(capsys, "phi-inverse", multiset, *extra)
         assert (code, out) == (2, "")
-        assert err == "usage error: multiset must be a JSON array of arrays of positive integers\n"
+        message = "multiset must be a JSON array of arrays of positive integers"
+        if extra:
+            assert json.loads(err) == {"error": "UsageError", "message": message, "exit": 2}
+        else:
+            assert err == f"usage error: {message}\n"
 
     def test_non_primitive_factors_method(self, capsys):
         code, _, err = run(capsys, "pcw", "2323", "--method", "factors")
@@ -387,6 +395,57 @@ class TestErrorsAndFormats:
         code, out, _ = run(capsys, "bw", "acab")
         assert code == 0
         assert json.loads(out) == [3, 2, 1, 1]
+
+    def test_json_errors(self, capsys, monkeypatch):
+        # under --json a domain or usage error is one JSON line on stderr
+        monkeypatch.delenv("BANDBRICK_FORMAT", raising=False)
+        for argv, expected in (
+            (["gvec", "dyck", "1,2", "--json"],
+             {"error": "InvalidGVector", "message": "(1, 2) is not a valid g-vector", "exit": 1}),
+            (["bw", "a1b", "--json"],
+             {"error": "UsageError",
+              "message": "cannot read word 'a1b': use a-z, digits 1-9, or comma-separated integers",
+              "exit": 2}),
+            # argparse errors of the subcommand, before and after --json
+            (["bw", "--json"],
+             {"error": "UsageError", "message": "the following arguments are required: word",
+              "exit": 2}),
+            (["band", "brick", "2", "--n", "x", "--json"],
+             {"error": "UsageError", "message": "argument --n: must be an integer: 'x'", "exit": 2}),
+            (["bw", "abc", "extra", "--js"],
+             {"error": "UsageError", "message": "unrecognized arguments: extra", "exit": 2}),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, json.loads(err)) == (expected["exit"], "", expected), argv
+            assert err.count("\n") == 1
+
+    def test_text_errors_unchanged(self, capsys, monkeypatch):
+        monkeypatch.delenv("BANDBRICK_FORMAT", raising=False)
+        assert run(capsys, "gvec", "dyck", "1,2") == (
+            1, "", "error: InvalidGVector: (1, 2) is not a valid g-vector\n"
+        )
+        assert run(capsys, "bw", "abc", "extra") == (
+            2, "", "usage: bandbrick [-h] command ...\n"
+            "bandbrick: error: unrecognized arguments: extra\n"
+        )
+        # --json after -- is a word, not the flag
+        code, out, err = run(capsys, "bw", "--", "--json")
+        assert (code, out) == (2, "") and err.startswith("usage error: cannot read word '--json'")
+
+    def test_errors_before_the_subcommand_read_only_the_environment(self, capsys, monkeypatch):
+        # the top-level parser has no --json, so it answers in text unless
+        # BANDBRICK_FORMAT asks for JSON
+        monkeypatch.delenv("BANDBRICK_FORMAT", raising=False)
+        for argv in (["--json", "gvec", "dyck", "1,2"], ["gvec", "bogus", "1,2", "--json"], []):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith("usage: bandbrick"), argv
+        monkeypatch.setenv("BANDBRICK_FORMAT", "json")
+        code, out, err = run(capsys, "--json", "gvec", "dyck", "1,2")
+        assert (code, out, json.loads(err)) == (
+            2, "", {"error": "UsageError", "message": "unrecognized arguments: --json", "exit": 2}
+        )
+        code, out, err = run(capsys, "euler", "1,-1", "x")
+        assert (code, out, json.loads(err)["error"]) == (2, "", "UsageError")
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
@@ -527,7 +586,7 @@ def _command_argv(draw, out_dir):
     return argv
 
 
-def _check_accepted_output(argv, out):
+def _check_accepted_output(argv, out, env_json):
     # what an accepted render or phi-inverse prints is well formed
     if argv[0] == "render":
         svg = Path(argv[argv.index("-o") + 1]).read_text() if "-o" in argv else out
@@ -535,11 +594,42 @@ def _check_accepted_output(argv, out):
         size = re.match(r'<svg xmlns="[^"]*" width="([^"]*)" height="([^"]*)"', svg)
         assert "0.00" not in size.groups(), argv
     elif argv[0] == "phi-inverse":
-        if "--json" in argv:
+        if env_json or "--json" in argv:
             letters = json.loads(out)
             assert all(type(v) is int and v >= 1 for v in letters), argv
         else:
             assert re.fullmatch(r"[A-Za-z0-9,]+\n", out), argv
+
+
+def _run_main(argv, env_json):
+    # main under BANDBRICK_FORMAT=json or without it; (code, out, err, seconds)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("BANDBRICK_FORMAT", None)
+        if env_json:
+            os.environ["BANDBRICK_FORMAT"] = "json"
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+    return code, out.getvalue(), err.getvalue(), seconds
+
+
+def _check_error_line(argv, env_json, code, err):
+    # a failure prints one line on stderr: JSON when the format is set (the
+    # environment, or --json among the subcommand's tokens before any --)
+    if code == 0:
+        return
+    own = argv[: argv.index("--")] if "--" in argv else argv
+    if env_json or "--json" in own:
+        data = json.loads(err)
+        assert err.count("\n") == 1 and set(data) == {"error", "message", "exit"}, argv
+        assert data["exit"] == code, argv
+        expected = errors.DomainError if code == 1 else cli.UsageError
+        cls = cli.UsageError if data["error"] == "UsageError" else getattr(errors, data["error"])
+        assert issubclass(cls, expected), argv
+    else:
+        assert err.startswith(("usage", "error: ")) and not err.startswith("{"), argv
 
 
 @pytest.fixture(scope="module")
@@ -601,7 +691,7 @@ class TestExitContract:
         code, out, err = run(capsys, "band", "module", "2", "--n", "1000001", "--json")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert err.startswith("error: QuiverTooLarge: ") and err.count("\n") == 1
+        assert json.loads(err)["error"] == "QuiverTooLarge" and err.count("\n") == 1
         monkeypatch.setattr(cli, "MAX_LISTED_VERTICES", 5)
         code, out, _ = run(capsys, "band", "module", "2", "--n", "5")
         assert code == 0 and out.startswith("n: 5\n")
@@ -624,7 +714,7 @@ class TestExitContract:
         monkeypatch.setattr(cli, "MAX_LISTED_ENTRIES", 71)
         code, out, err = run(capsys, "band", "module", "2332", "--json")
         assert (code, out) == (1, "")
-        assert err.startswith("error: ListingTooLarge: ")
+        assert json.loads(err)["error"] == "ListingTooLarge"
 
     @pytest.mark.parametrize(
         "argv",
@@ -680,29 +770,25 @@ class TestExitContract:
     def test_gvector_commands_without_a_diagram_stay_unbounded(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 
-    @given(_band_argv())
+    @given(_band_argv(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_band_commands_exit_cleanly(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert time.perf_counter() - start < _TIME_LIMIT_S, argv
+    def test_band_commands_exit_cleanly(self, argv, env_json):
+        code, _, err, seconds = _run_main(argv, env_json)
+        assert seconds < _TIME_LIMIT_S, argv
         assert code in (0, 1, 2), argv
+        _check_error_line(argv, env_json, code, err)
 
-    @given(st.data())
+    @given(st.data(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_every_command_exits_cleanly(self, render_dir, data):
+    def test_every_command_exits_cleanly(self, render_dir, data, env_json):
         # exit 0, 1 or 2, nothing escaping main, and no unbounded work
         argv = data.draw(_command_argv(render_dir))
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert time.perf_counter() - start < _TIME_LIMIT_S, argv
+        code, out, err, seconds = _run_main(argv, env_json)
+        assert seconds < _TIME_LIMIT_S, argv
         assert code in (0, 1, 2), argv
+        _check_error_line(argv, env_json, code, err)
         if code == 0:
-            _check_accepted_output(argv, out.getvalue())
+            _check_accepted_output(argv, out, env_json)
 
 
 def test_python_m_bandbrick():
@@ -752,6 +838,20 @@ def test_cli_import_leaves_the_suites_unloaded():
     loaded, verdict = proc.stdout.split("\n", 1)
     assert loaded == "[]"
     assert verdict.startswith("criterion 1 (golden): PASS")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # as the benchmark worker imports it: no site, the package on PYTHONPATH
+    script = (
+        "import sys\n"
+        "import bandbrick.cli\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

@@ -415,6 +415,25 @@ class TestCanonicalizedOnce:
         self._check((-6765, 2584, 4181))
 
 
+class TestComponentContract:
+    # a Component is a named tuple: keyword-constructible, hashable,
+    # immutable, and printed with its field names
+
+    def test_keywords_hash_and_repr(self):
+        component = dyck.Component(word=(1, 3, 2, 3), chords=(0, 3))
+        assert component.word == (1, 3, 2, 3) and component.chords == (0, 3)
+        assert hash(component) == hash(dyck.Component((1, 3, 2, 3), (0, 3)))
+        assert len({component, dyck.Component(word=(1, 3, 2, 3), chords=(0, 3))}) == 1
+        assert repr(component) == "Component(word=(1, 3, 2, 3), chords=(0, 3))"
+
+    def test_immutable(self):
+        component = dyck.reconstruct_multislalom((-1, -1, 2))[0]
+        with pytest.raises(AttributeError):
+            component.word = ()
+        with pytest.raises(AttributeError):
+            component.chords = ()
+
+
 class TestSingleComponent:
     # single_component traces only the curve through step 0
 

@@ -1,7 +1,6 @@
 """Band walks and band modules: validity, matrices, Hom spaces, g-vectors."""
 
 import collections
-import dataclasses
 import itertools
 import operator
 import random
@@ -494,7 +493,7 @@ class TestHomAgainstDenseElimination:
             n = _quiver(w1, w2)
             x, y = gentle.band_module(w1, 1, n), gentle.band_module(w2, 1, n)
             for lam1, lam2 in itertools.product(SWEEP, repeat=2):
-                xl, yl = dataclasses.replace(x, lam=lam1), dataclasses.replace(y, lam=lam2)
+                xl, yl = x.replace(lam=lam1), y.replace(lam=lam2)
                 assert gentle.hom_dim(xl, yl) == _reference_hom_dim(xl, yl), (w1, w2, lam1, lam2)
 
 
@@ -632,8 +631,8 @@ class TestHomAgainstIntertwiner:
                 for lam1, lam2 in itertools.product(SWEEP, repeat=2):
                     if g1 == g2 and lam1 == lam2:
                         continue
-                    x = dataclasses.replace(modules[g1], lam=lam1)
-                    y = dataclasses.replace(modules[g2], lam=lam2)
+                    x = modules[g1].replace(lam=lam1)
+                    y = modules[g2].replace(lam=lam2)
                     u = _unoriented_module(x.walk, lam1, x.n)
                     v = _unoriented_module(y.walk, lam2, y.n)
                     pairs += 1
@@ -772,12 +771,12 @@ def _table_walks():
 
 
 class TestParameterMembers:
-    # dataclasses.replace(module, lam=mu) is the member mu of the same band:
+    # module.replace(lam=mu) is the member mu of the same band:
     # one build, and everything but the parameter shared
 
     def _members(self):
         module = gentle.band_module(gentle.psi((2, 3, 3)), 1, 3)
-        return [module] + [dataclasses.replace(module, lam=Fraction(lam)) for lam in (2, 3)]
+        return [module] + [module.replace(lam=Fraction(lam)) for lam in (2, 3)]
 
     def test_members_share_maps(self):
         members = self._members()
@@ -845,14 +844,48 @@ class TestHomTables:
         m = gentle.band_module(gentle.psi((2, 2, 3, 3)), 1)
         assert gentle.hom_dim(m, m) == 2
         assert sum(c * m.bottoms.get(v, 0) for v, c in m.tops.items()) == 0
-        assert gentle.hom_dim(m, dataclasses.replace(m, starts={})) == 1
+        assert gentle.hom_dim(m, m.replace(starts={})) == 1
         # the source side of that walk comes from the source's own table
-        assert gentle.hom_dim(dataclasses.replace(m, source_starts=[]), m) == 1
+        assert gentle.hom_dim(m.replace(source_starts=[]), m) == 1
 
     def test_tables_stay_out_of_repr_and_equality(self):
         m = gentle.band_module(gentle.psi((2, 2, 3)), 1)
         assert "source_starts" not in repr(m)
-        assert dataclasses.replace(m, source_starts=None) == m
+        assert m.replace(source_starts=None) == m
+
+
+class TestBandModuleContract:
+    # repr and == read the five identity fields n, dims, lam, walk and
+    # codes, a module is unhashable, and replace shares what it keeps
+
+    def test_repr(self):
+        assert repr(gentle.band_module(gentle.psi((2, 3)), 1)) == (
+            "BandModule(n=3, dims=(2, 3, 1), lam=Fraction(1, 1), "
+            "walk=(4, 8, 11, 7, 4, 7), codes=(7, 4, 7, 11, 8, 4))"
+        )
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(gentle.band_module(gentle.psi((2, 3)), 1))
+
+    def test_equality_reads_the_identity_fields(self):
+        m = gentle.band_module(gentle.psi((2, 3)), 1)
+        assert m == gentle.band_module(gentle.psi((3, 2)), 1)
+        assert m != m.replace(lam=Fraction(2))
+        assert m != gentle.band_module(gentle.psi((2, 3), 4), 1, 4)
+        assert m != (m.n, m.dims, m.lam, m.walk, m.codes)
+
+    def test_replace_shares_what_it_does_not_change(self):
+        m = gentle.band_module(gentle.psi((2, 3, 3)), 1)
+        mu = Fraction(5, 3)
+        member = m.replace(lam=mu)
+        assert member is not m and member.lam == mu and m.lam == 1
+        for name in ("n", "dims", "walk", "codes", "tops", "bottoms", "starts", "source_starts"):
+            assert getattr(member, name) is getattr(m, name), name
+
+    def test_replace_refuses_an_unknown_field(self):
+        with pytest.raises(TypeError):
+            gentle.band_module(gentle.psi((2, 3)), 1).replace(arrows={})
 
 
 def _perfectly_clustering_words(rng, length, count):
@@ -967,14 +1000,14 @@ class TestBrickTestAgainstEnd:
 
 
 class TestFamilyMembers:
-    # a member made by dataclasses.replace is the module a fresh build at
+    # a member made by BandModule.replace is the module a fresh build at
     # its parameter gives, down to the Hom tables
 
     def test_members_equal_fresh_builds(self):
         walk = gentle.psi((2, 3, 2, 3, 3), 4)
         module = gentle.band_module(walk, 1, 4)
         for lam in (1, 2, 3, Fraction(1, 2), -1):
-            member = dataclasses.replace(module, lam=Fraction(lam))
+            member = module.replace(lam=Fraction(lam))
             fresh = gentle.band_module(walk, lam, 4)
             assert member == fresh and member.lam == Fraction(lam)
             for name in ("tops", "bottoms", "starts", "source_starts"):

@@ -49,6 +49,23 @@ def test_no_rotation_copies_in_package():
     assert found == []
 
 
+def test_no_dataclasses_in_package():
+    # importing dataclasses loads inspect, ast, dis and tokenize, about half
+    # of a cold `import bandbrick.cli`; the two record classes are plain
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_trace_internals_stay_in_dyck():
     # every other library caller, render included, reaches the trace
     # through dyck.reconstruct_multislalom, the one public trace, whose
