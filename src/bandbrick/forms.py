@@ -8,6 +8,19 @@ parameter 1: gentle.hom_dim reads the parameter only on the cycle two
 modules of one band share, so every other count is the same at every
 parameter.  A brick is compatible with itself: Hom between two members
 of its family counts End minus 1, which the brick test has found to be 0.
+
+The search does each mirror pair's work once.  The mirror k -> n - k of
+the arrow indices identifies the double-line algebra with its opposite,
+so the vector-space dual D = Hom_k(-, k) sends the band module of a walk
+x to the band module of gentle.mirror_walk(x), and sends the graph maps
+X -> Y to the graph maps DY -> DX.  With sigma(g) = -reverse(g):
+
+    g(D X) = sigma(g(X))    and    Hom(X, Y) = Hom(D Y, D X),
+
+so g is a brick g-vector exactly when sigma(g) is, and the Euler form
+satisfies <sigma a, sigma b> = <b, a>.  The enumeration traces only the
+g <= sigma(g) and builds the other bricks from their mirrors, and the
+search counts Hom once per sigma-orbit of zero-form pairs.
 """
 
 from __future__ import annotations
@@ -33,8 +46,9 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (about 2 s, Python 3.11, 2 CPUs),
-# while (6, 3) takes 0.2 s and (7, 2) 0.1 s
+# admitted search is n = 3, box = 70 (about 1.7 s in process, Python 3.11,
+# 2 CPUs, nearly all of it the End self-check on long walks), while
+# (4, 13) takes 0.7 s, (6, 3) 0.09 s and (7, 2) 0.08 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -158,8 +172,18 @@ def witness_family(n: int) -> tuple[GVector, ...]:
     return tuple(family)
 
 
+def _sigma(g: GVector) -> GVector:
+    # the g-vector of the mirror dual, -reverse(g)
+    return tuple(map(operator.neg, g[::-1]))
+
+
 def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModule]:
-    # brick g-vectors with max-norm <= box, each with its band module
+    # brick g-vectors with max-norm <= box in lexicographic order, each
+    # with its band module.  Only the candidates g <= sigma(g) are traced:
+    # sigma(g) comes first otherwise, and g is a brick exactly when it is
+    # one, with the module built from the mirror of its walk.  A prefix
+    # whose sum returns to 0 after a non-zero entry closes its Dyck steps
+    # among themselves, so only its all-zero completion is a candidate.
     bricks = {}
 
     def extend(prefix: list[int], partial: int) -> None:
@@ -167,9 +191,18 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
             last = -partial
             if abs(last) <= box:
                 candidate = tuple(prefix) + (last,)
-                module = _brick_module(candidate) if any(candidate) else None
+                mirror = _sigma(candidate)
+                if candidate <= mirror:
+                    module = _brick_module(candidate) if any(candidate) else None
+                elif mirror in bricks:
+                    module = _mirror_module(bricks[mirror], mirror)
+                else:
+                    module = None
                 if module is not None:
                     bricks[candidate] = module
+            return
+        if not partial and any(prefix):
+            extend(prefix + [0], 0)  # closed: only zeros may follow
             return
         for a in range(-box, box + 1):
             if partial + a <= 0:
@@ -177,6 +210,15 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
 
     extend([], 0)
     return bricks
+
+
+def _mirror_module(module: gentle.BandModule, g: GVector) -> gentle.BandModule:
+    # the brick of sigma(g), where module is the brick of g: the dual of
+    # module, on the mirror walk
+    mirror = gentle.band_module(gentle.mirror_walk(module.walk, module.n), 1, module.n)
+    if not gentle.is_brick(mirror):
+        raise InternalInconsistency(f"mirror of the brick {g} is not a brick")
+    return mirror
 
 
 def _euler_zero_pairs(bricks: Sequence[GVector]) -> list[list[int]]:
@@ -250,11 +292,19 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     modules = _enumerate_brick_gvectors(n, box)
     bricks = list(modules)
     index = {g: i for i, g in enumerate(bricks)}
+    mirror = [index[_sigma(g)] for g in bricks]
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
     for i, later in enumerate(_euler_zero_pairs(bricks)):
         for j in later:
-            # a zero Euler form makes Hom equally large both ways
-            if gentle.hom_dim(modules[bricks[i]], modules[bricks[j]]) == 0:
+            # a zero Euler form makes Hom equally large both ways, and the
+            # mirror pair, a zero-form pair too, has the same Hom: when it
+            # comes first, its answer is already in adj
+            p, q = sorted((mirror[i], mirror[j]))
+            if (p, q) < (i, j):
+                no_hom = q in adj[p]
+            else:
+                no_hom = gentle.hom_dim(modules[bricks[i]], modules[bricks[j]]) == 0
+            if no_hom:
                 adj[i].add(j)
                 adj[j].add(i)
     seed = [index[g] for g in witness_family(n) if g in index]

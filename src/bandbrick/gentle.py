@@ -160,6 +160,16 @@ def canonical_walk(walk: Sequence[int]) -> Walk:
     return walk[k:] + walk[:k]
 
 
+def mirror_walk(walk: Sequence[int], n: int) -> Walk:
+    """The walk tau(walk) over n vertices: index k becomes n - k on every
+    step, kind and sign kept, and the written order is reversed.  The
+    mirror i -> n + 1 - i of the vertices turns the quiver into its
+    opposite, so M(tau(x)) is the vector-space dual of M(x):
+    Hom(M(x), M(y)) = Hom(M(tau y), M(tau x)) and g(M(tau x)) is
+    -reverse(g(M(x))).  tau is an involution."""
+    return tuple((n - (c >> 2)) << 2 | c & 3 for c in reversed(walk))
+
+
 class BandModule:
     """Exact-rational representation attached to a band walk.
 

@@ -17,6 +17,7 @@ from bandbrick.errors import (
     BadDimension,
     DimensionMismatch,
     GVectorTooLarge,
+    InternalInconsistency,
     InvalidWalk,
     NotABrick,
     NotInHyperplane,
@@ -323,6 +324,138 @@ class TestFamilies:
         monkeypatch.setattr(gentle, "band_module", counted)
         forms.max_compatible_search(5, 2)
         assert len(calls) == bricks
+
+
+def _reference_enumeration(n, box):
+    # the enumeration before mirrors: every candidate of the box goes
+    # through the Dyck trace and, when it has one component, its own build
+    bricks = {}
+
+    def extend(prefix, partial):
+        if len(prefix) == n - 1:
+            last = -partial
+            if abs(last) <= box:
+                candidate = tuple(prefix) + (last,)
+                module = forms._brick_module(candidate) if any(candidate) else None
+                if module is not None:
+                    bricks[candidate] = module
+            return
+        for a in range(-box, box + 1):
+            if partial + a <= 0:
+                extend(prefix + [a], partial + a)
+
+    extend([], 0)
+    return bricks
+
+
+_MIRROR_BOXES = (
+    [(2, box) for box in range(1, 6)]
+    + [(3, box) for box in range(1, 13)]
+    + [(4, box) for box in range(1, 5)]
+    + [(5, 2), (5, 3), (6, 2), (7, 2)]
+)
+
+
+def _sigma(g):
+    return tuple(-a for a in reversed(g))
+
+
+class TestMirrorEnumeration:
+    # the enumeration traces g <= sigma(g) only, builds the rest from
+    # mirror walks, and the search counts Hom once per mirror pair
+
+    @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
+    def test_matches_reference(self, n, box):
+        got = forms._enumerate_brick_gvectors(n, box)
+        want = _reference_enumeration(n, box)
+        assert list(got) == list(want)  # same keys in the same order
+        assert got == want  # and equal modules
+        assert {_sigma(g) for g in got} == set(got)
+
+    @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
+    def test_adjacency_matches_all_pairs(self, monkeypatch, n, box):
+        graphs = []
+        search = forms._max_clique
+
+        def recorded(adj, best):
+            graphs.append(adj)
+            return search(adj, best)
+
+        monkeypatch.setattr(forms, "_max_clique", recorded)
+        forms.max_compatible_search(n, box)
+        modules = list(_reference_enumeration(n, box).values())
+        want = {i: set() for i in range(len(modules))}
+        for i, j in itertools.combinations(range(len(modules)), 2):
+            x, y = modules[i], modules[j]
+            if gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0:
+                want[i].add(j)
+                want[j].add(i)
+        assert graphs == [want]
+
+    @pytest.mark.parametrize("n, box, orbits", [(5, 3, 233), (6, 2, 333)])
+    def test_one_hom_count_per_mirror_orbit(self, n, box, orbits):
+        bricks = list(forms._enumerate_brick_gvectors(n, box))
+        index = {g: i for i, g in enumerate(bricks)}
+        mirror = [index[_sigma(g)] for g in bricks]
+        orbits_found = {
+            frozenset({frozenset({i, j}), frozenset({mirror[i], mirror[j]})})
+            for i, later in enumerate(forms._euler_zero_pairs(bricks))
+            for j in later
+        }
+        assert len(orbits_found) == orbits
+        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
+            forms.max_compatible_search(n, box)
+        assert hom.call_count == orbits
+
+    def test_mirrors_are_not_traced(self):
+        # a brick g > sigma(g) is built from its mirror, with no Dyck trace
+        with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace:
+            bricks = forms._enumerate_brick_gvectors(4, 3)
+        traced = {c.args[0] for c in trace.call_args_list}
+        assert all(g <= _sigma(g) for g in traced)
+        assert any(g > _sigma(g) for g in bricks)
+
+    def test_dyck_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(gentle, "is_brick", lambda module: False)
+        with pytest.raises(InternalInconsistency, match="single component of"):
+            forms._enumerate_brick_gvectors(3, 1)
+
+    def test_mirror_self_check_raises(self, monkeypatch):
+        # (0, -1, 1) > sigma(0, -1, 1) = (-1, 1, 0), so its module is only
+        # ever built as the mirror of the traced brick (-1, 1, 0)
+        check = gentle.is_brick
+        monkeypatch.setattr(
+            gentle, "is_brick", lambda module: module.g_vector() != (0, -1, 1) and check(module)
+        )
+        with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace, \
+                pytest.raises(InternalInconsistency, match=r"^mirror of the brick \(-1, 1, 0\)"):
+            forms._enumerate_brick_gvectors(3, 1)
+        assert (0, -1, 1) not in [c.args[0] for c in trace.call_args_list]
+
+
+def _returns_to_zero(g):
+    # a proper prefix sums to 0 with non-zero entries on both sides of it
+    return any(
+        sum(g[:k]) == 0 and any(g[:k]) and any(g[k:]) for k in range(1, len(g))
+    )
+
+
+class TestReturnToZero:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_prefix_splits_the_diagram(self, n):
+        # the steps of the prefix close among themselves under the
+        # matching and the gluing, so they form components of their own
+        seen = 0
+        for g in itertools.product(range(-3, 4), repeat=n):
+            if dyck.validate_gvector(g) and _returns_to_zero(g):
+                seen += 1
+                assert dyck.single_component(g) is None, g
+        assert (seen > 0) == (n >= 4)  # n <= 3 leaves no room after the prefix
+
+    def test_zero_completion_still_enumerated(self):
+        # (-1, 1, 0) returns to 0 and is a brick: the prune keeps its zeros
+        assert (-1, 1, 0) in forms._enumerate_brick_gvectors(3, 1)
+        assert (-1, 1, 0, 0) in forms._enumerate_brick_gvectors(4, 1)
 
 
 def _reference_max_clique(vertices, adj):

@@ -1036,6 +1036,89 @@ class TestGVector:
         assert gentle.g_vector_of_band(gentle.psi(w)) == expected
 
 
+def _sigma(g):
+    return tuple(-a for a in reversed(g))
+
+
+def _necklace_walks(n):
+    # psi of one primitive word of at most 4 letters over 2..5 per
+    # conjugacy class; a rotated word gives a rotated walk, so the same module
+    necklaces = {
+        words.necklace(w)
+        for length in range(1, 5)
+        for w in itertools.product((2, 3, 4, 5), repeat=length)
+        if words.is_primitive(w)
+    }
+    return [gentle.psi(w, n) for w in sorted(necklaces)]
+
+
+class TestDuality:
+    # the mirror k -> n - k identifies the double-line algebra with its
+    # opposite, so M(tau x) is the dual of M(x): Hom(M(x, lam), M(y, mu))
+    # = Hom(M(tau y, mu), M(tau x, lam)) and g(M(tau x)) = sigma(g(M(x)))
+    N = 6
+
+    def test_involution_and_gvector(self):
+        for x in _necklace_walks(self.N):
+            tx = gentle.mirror_walk(x, self.N)
+            assert gentle.validate_band_walk(tx, self.N)
+            assert gentle.mirror_walk(tx, self.N) == x
+            assert gentle.g_vector_of_band(tx, self.N) == _sigma(
+                gentle.g_vector_of_band(x, self.N)
+            )
+
+    def test_hom_on_small_walks(self):
+        walks = _necklace_walks(self.N)
+        assert len(walks) == 90
+        modules = {}
+        for x in walks:
+            for lam in (1, 2):
+                modules[x, lam] = gentle.band_module(x, lam, self.N)
+                modules[x, -lam] = gentle.band_module(gentle.mirror_walk(x, self.N), lam, self.N)
+        nonzero = 0
+        for x, y in itertools.product(walks, repeat=2):
+            for lam, mu in ((1, 1), (1, 2)):
+                hom = gentle.hom_dim(modules[x, lam], modules[y, mu])
+                assert hom == gentle.hom_dim(modules[y, -mu], modules[x, -lam]), (x, y, mu)
+                nonzero += hom > 0
+        assert nonzero > 1000
+
+    def test_hom_on_long_walks(self):
+        # three seeded pairs of 200-800 letters, and one band against a
+        # second member of its family
+        rng = random.Random(25)
+        pairs = []
+        while len(pairs) < 3:
+            a, b = (tuple(rng.choice((2, 3, 4, 5)) for _ in range(rng.randint(200, 800)))
+                    for _ in range(2))
+            if words.is_primitive(a) and words.is_primitive(b):
+                pairs.append((gentle.psi(a, self.N), gentle.psi(b, self.N), 1))
+        x = pairs[0][0]
+        pairs.append((x, x, 2))
+        for x, y, mu in pairs:
+            tx, ty = gentle.mirror_walk(x, self.N), gentle.mirror_walk(y, self.N)
+            mx, my = gentle.band_module(x, 1, self.N), gentle.band_module(y, mu, self.N)
+            dx, dy = gentle.band_module(tx, 1, self.N), gentle.band_module(ty, mu, self.N)
+            assert gentle.hom_dim(mx, my) == gentle.hom_dim(dy, dx)
+            assert gentle.hom_dim(my, mx) == gentle.hom_dim(dx, dy)
+            assert dx.g_vector() == _sigma(mx.g_vector())
+
+    @pytest.mark.parametrize("n, box", [(4, 3), (5, 2), (6, 2)])
+    def test_bricks_closed_under_sigma(self, n, box):
+        # the Dyck trace on every valid g-vector of the box, not the search's
+        # enumeration, which builds mirrors instead of tracing them
+        bricks = [
+            g for g in itertools.product(range(-box, box + 1), repeat=n)
+            if dyck.validate_gvector(g) and forms.is_brick_gvector(g)
+        ]
+        assert len(bricks) > 10
+        for g in bricks:
+            assert forms.is_brick_gvector(_sigma(g)), g
+            module = forms._brick_module(g)
+            mirror = gentle.band_module(gentle.mirror_walk(module.walk, n), 1, n)
+            assert mirror == forms._brick_module(_sigma(g)), g
+
+
 class TestSlalom:
     def test_single_component_walk(self):
         (component,) = dyck.reconstruct_multislalom((-1, -1, 2))
