@@ -187,18 +187,39 @@ def _walk_pool(rng: random.Random, count: int) -> list[gentle.Walk]:
 
 
 def hom_euler(seed: int = 0) -> Result:
-    """Euler form equals the Hom difference on random band pairs."""
+    """Euler form equals the Hom difference on random band pairs, and Hom
+    is unchanged by the duality tau, also between two rotations of one band."""
     rng = random.Random(seed)
     pool = _walk_pool(rng, 30)
     trials = 200
-    bad = 0
-    for _ in range(trials):
-        z1 = rng.choice(pool)
-        z2 = rng.choice(pool)
-        if not forms.hom_difference_check(z1, z2):
-            bad += 1
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(trials)]
+    bad = sum(not forms.hom_difference_check(z1, z2) for z1, z2 in pairs)
+    # the duality on 100 of the pairs and on every pool walk against a
+    # seeded other rotation of itself, at parameters 1, 1 and 1, 2: one
+    # band needs no equal codes, and its cycle adds 1 when the parameters agree
+    checks = [(z1, z2, False) for z1, z2 in pairs[:100]]
+    for z in pool:
+        k = rng.randrange(1, len(z))
+        checks.append((z, z[k:] + z[:k], True))
+    for z1, z2, one_band in checks:
+        (hom, dual), (apart, dual_apart) = _dual_homs(z1, z2, 1), _dual_homs(z1, z2, 2)
+        bad += (hom != dual) + (apart != dual_apart) + (one_band and hom != apart + 1)
     ok = bad == 0
-    return (ok, f"{trials} band pairs from a pool of {len(pool)} walks; {bad} failed")
+    return (
+        ok,
+        f"{trials} band pairs from a pool of {len(pool)} walks, duality on "
+        f"{2 * len(checks)} Hom pairs ({2 * len(pool)} across two rotations of one band); "
+        f"{bad} failed",
+    )
+
+
+def _dual_homs(z1: gentle.Walk, z2: gentle.Walk, mu: int) -> tuple[int, int]:
+    # Hom(M(x, 1), M(y, mu)) and Hom(M(tau y, mu), M(tau x, 1)) over the
+    # pool's four vertices, where tau is the mirror duality
+    x, y = gentle.band_module(z1, 1, 4), gentle.band_module(z2, mu, 4)
+    tx = gentle.band_module(gentle.mirror_walk(z1, 4), 1, 4)
+    ty = gentle.band_module(gentle.mirror_walk(z2, 4), mu, 4)
+    return gentle.hom_dim(x, y), gentle.hom_dim(ty, tx)
 
 
 def bricks_n4(seed: int = 0) -> Result:

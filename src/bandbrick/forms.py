@@ -46,9 +46,10 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (about 1.7 s in process, Python 3.11,
-# 2 CPUs, nearly all of it the End self-check on long walks), while
-# (4, 13) takes 0.7 s, (6, 3) 0.09 s and (7, 2) 0.08 s
+# admitted search is n = 3, box = 70 (0.8-1.3 s in process over five
+# fresh interpreters, Python 3.11, 2 CPUs, nearly all of it the End
+# self-check on long walks), while (4, 13) takes 0.35-0.65 s, (6, 3)
+# 0.06-0.1 s and (7, 2) 0.05-0.08 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -214,8 +215,8 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
 
 def _mirror_module(module: gentle.BandModule, g: GVector) -> gentle.BandModule:
     # the brick of sigma(g), where module is the brick of g: the dual of
-    # module, on the mirror walk
-    mirror = gentle.band_module(gentle.mirror_walk(module.walk, module.n), 1, module.n)
+    # module, on the mirror of its walk as built
+    mirror = gentle.band_module(gentle.mirror_walk(module.codes[::-1], module.n), 1, module.n)
     if not gentle.is_brick(mirror):
         raise InternalInconsistency(f"mirror of the brick {g} is not a brick")
     return mirror

@@ -12,17 +12,21 @@ slalom_to_band_walk build them as ranges, and psi builds one cycle per
 distinct letter.
 
 A band module of multiplicity one is its walk with one scalar.  A build
-stores the walk, its dimensions and what the Hom count reads of it, and
-BandModule.matrices() derives the arrows from the walk, each sending a
-basis vector to at most one basis vector, and checks the gentle relations
-on them before it yields any matrix.  All a-steps of a band walk share
-one sign and all b-steps the other, and a walk and its inverse give one
-module, so every module reads its walk with the a-steps as arrows; two
-modules lie on one band exactly when their codes are equal.
+stores the traversal of the walk, its dimensions and what the Hom count
+reads of it, and BandModule.matrices() derives the arrows from the
+canonical walk, each sending a basis vector to at most one basis vector,
+and checks the gentle relations on them before it yields any matrix.  All
+a-steps of a band walk share one sign and all b-steps the other, and a
+walk and its inverse give one module, so every module reads its walk with
+the a-steps as arrows.  A build does not rotate: two modules lie on one
+band exactly when their codes are rotations of each other, that is when
+their canonical walks are equal, and BandModule.walk derives the canonical
+walk when it is read.
 Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991): a
 top of the source over a bottom of the target, a maximal common subwalk
 of the two walks whose ends are admissible, and, when both modules lie on
-one band, the one cycle if the parameters agree.  Each module carries
+one band, the one cycle if the parameters agree.  The count goes round
+both cycles, so it is the same at every rotation.  Each module carries
 what the count reads of it (its tops, its bottoms and indexes of its
 start positions), built with it and shared by its family through
 BandModule.replace, so a Hom call rebuilds nothing.  No equation is built
@@ -173,28 +177,29 @@ def mirror_walk(walk: Sequence[int], n: int) -> Walk:
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
-    dims[i] is the dimension at vertex i+1.  walk is the canonical walk in
-    written order: a-steps as arrows, least rotation under canonical_walk's
-    order.  codes is the same walk in traversal order, so codes[t] is step
-    t, from basis t to t + 1.  The arrows are not stored: matrices()
-    derives them from codes, with lam on the wrap-around step, an a-step,
+    dims[i] is the dimension at vertex i+1.  codes is the walk as
+    band_module was given it, a-steps as arrows, in traversal order, so
+    codes[t] is step t, from basis t to t + 1; the build does not rotate
+    it.  walk is the canonical walk in written order, canonical_walk of
+    codes[::-1], derived on each read: it names the band, and == and
+    matrices() read it.  The arrows are not stored: matrices() derives them
+    from the canonical walk, with lam on the wrap-around step, an a-step,
     and 1 on every other step.
 
-    The Hom tables are read off the traversal once, by band_module:
-    tops[v] counts the basis vectors at vertex v that both their steps
-    leave by arrows out of them, bottoms[v] those that both their steps
-    reach by arrows into them, starts[c] lists the positions t with
-    codes[t] == c whose previous step is an arrow, and source_starts the
-    positions t whose previous step is an inverse arrow, ascending.
-    The tables are fixed by codes, so == and repr read only n, dims, lam,
-    walk and codes, and a module is unhashable.  module.replace(lam=mu) is
-    the member mu of the same family, sharing dims, walk, codes and the
-    tables.
+    The Hom tables are read off codes once, by band_module: tops[v]
+    counts the basis vectors at vertex v that both their steps leave by
+    arrows out of them, bottoms[v] those that both their steps reach by
+    arrows into them, starts[c] lists the positions t with codes[t] == c
+    whose previous step is an arrow, and source_starts the positions t
+    whose previous step is an inverse arrow, ascending.  The Hom count
+    goes round the cycle, so the tables of any rotation give the same
+    counts.  == and repr read only n, dims, lam and walk, so two modules
+    built from two rotations of one band are equal, and a module is
+    unhashable.  module.replace(lam=mu) is the member mu of the same
+    family, sharing dims, codes and the tables.
     """
 
-    __slots__ = (
-        "n", "dims", "lam", "walk", "codes", "tops", "bottoms", "starts", "source_starts"
-    )
+    __slots__ = ("n", "dims", "lam", "codes", "tops", "bottoms", "starts", "source_starts")
     __hash__ = None
 
     def __init__(
@@ -202,7 +207,6 @@ class BandModule:
         n: int,
         dims: tuple[int, ...],
         lam: Fraction,
-        walk: Walk,
         codes: tuple[int, ...],
         tops: dict[int, int],
         bottoms: dict[int, int],
@@ -212,24 +216,26 @@ class BandModule:
         self.n = n
         self.dims = dims
         self.lam = lam
-        self.walk = walk
         self.codes = codes
         self.tops = tops
         self.bottoms = bottoms
         self.starts = starts
         self.source_starts = source_starts
 
+    @property
+    def walk(self) -> Walk:
+        """The canonical walk of the band, a-steps as arrows."""
+        return canonical_walk(self.codes[::-1])
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.dims, self.lam, self.walk, self.codes) == (
-            other.n, other.dims, other.lam, other.walk, other.codes
-        )
+        return self.n == other.n and self.lam == other.lam and _one_band(self, other)
 
     def __repr__(self) -> str:
         return (
             f"BandModule(n={self.n!r}, dims={self.dims!r}, lam={self.lam!r}, "
-            f"walk={self.walk!r}, codes={self.codes!r})"
+            f"walk={self.walk!r})"
         )
 
     def replace(self, **changes) -> BandModule:
@@ -251,18 +257,21 @@ class BandModule:
         """Dense matrix of every arrow, a_1 .. a_{n-1} then b_1 .. b_{n-1},
         each of shape dims[index-1] x dims[index] and keyed by (kind, index).
 
-        The basis maps of all arrows come from two passes over codes, not
-        from one per arrow, and meet the gentle relation check before the
-        first matrix is yielded.
+        The basis maps of all arrows come from two passes over the
+        canonical walk, not from one per arrow, and meet the gentle
+        relation check before the first matrix is yielded.  The basis
+        numbering and the step that holds lam are therefore the same for
+        every rotation the module was built from.
         """
+        codes = self.walk[::-1]
         count = [0] * (self.n + 1)
         node = []  # basis index of node t, where step t starts
-        for c in self.codes:
+        for c in codes:
             v = (c >> 2) + 1 - (c & 1)
             node.append(count[v])
             count[v] += 1
         arrows: dict[tuple[str, int], dict[int, int]] = {}
-        for c, here, there in zip(self.codes, node, node[1:] + node[:1]):
+        for c, here, there in zip(codes, node, node[1:] + node[:1]):
             if c & 1:
                 here, there = there, here
             arrows.setdefault(("ab"[c >> 1 & 1], c >> 2), {})[here] = there
@@ -283,11 +292,12 @@ def band_module(
     """Band module of a walk with parameter lam (multiplicity 1).
 
     n defaults to the smallest quiver holding the walk and may not exceed
-    MAX_VERTICES.  The walk is checked with validate_band_walk, inverted
-    when its a-steps are inverse arrows (a walk and its inverse with one
-    parameter give isomorphic modules, and lam sits on an a-step either
-    way) and rotated as canonical_walk rotates, so two modules lie on one
-    band exactly when their codes are equal.  One pass over the traversal
+    MAX_VERTICES.  The walk is checked with validate_band_walk and
+    inverted when its a-steps are inverse arrows (a walk and its inverse
+    with one parameter give isomorphic modules, and lam sits on an a-step
+    either way), but not rotated: two modules lie on one band exactly when
+    their codes are rotations of each other, and BandModule.walk names the
+    band by its least rotation when read.  One pass over the traversal
     then counts the basis and fills the Hom tables; no arrow is built
     (BandModule.matrices() derives them and checks the relations there).
     """
@@ -303,11 +313,12 @@ def band_module(
     if not lam:
         raise ZeroLambda("the band parameter must be non-zero")
     # by the sign rule just checked, the a-steps are inverse arrows exactly
-    # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2)
+    # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2);
+    # the inverse walk is traversed as the walk is written, each step flipped
     if walk[0] & 3 in (1, 2):
-        walk = tuple(c ^ 1 for c in reversed(walk))
-    walk = canonical_walk(walk)
-    trav = walk[::-1]
+        trav = tuple(c ^ 1 for c in walk)
+    else:
+        trav = walk[::-1]
     count = [0] * (n + 1)  # basis vectors at each vertex
     tops: dict[int, int] = {}
     bottoms: dict[int, int] = {}
@@ -330,7 +341,7 @@ def band_module(
             else:
                 starts[c] = [t]
         prev = c
-    return BandModule(n, tuple(count[1:]), lam, walk, trav, tops, bottoms, starts, source_starts)
+    return BandModule(n, tuple(count[1:]), lam, trav, tops, bottoms, starts, source_starts)
 
 
 def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:
@@ -359,8 +370,11 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     into it), and the one cycle when m and w lie on one band, free when
     the parameters agree.  A common walk of m and the inverse of w would
     pair an a-step read as an arrow with one read as an inverse arrow, so
-    there is none.  The tables are read, never rebuilt: a call costs one
-    pass over the source starts of m plus the steps of the common walks.
+    there is none.  Both counts go round the cycles, so the rotations the
+    modules were built from do not matter.  The tables are read, never
+    rebuilt: a call costs one pass over the source starts of m plus the
+    steps of the common walks.  Equal codes mean one band; when the codes
+    differ but the dims agree, the canonical walks decide.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
@@ -369,10 +383,16 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     free = sum(count * bottoms.get(v, 0) for v, count in m.tops.items())
     for _ in _admissible_walks(x, y, m.source_starts, w.starts):
         free += 1
-    # one orientation and one rotation put lam on the same step of both
-    # walks, so the cycle is free exactly when the parameters agree
-    free += x == y and m.lam == w.lam
+    # both modules put lam on an a-step, read as an arrow, so on one band
+    # the cycle is free exactly when the parameters agree
+    free += _one_band(m, w) and m.lam == w.lam
     return free
+
+
+def _one_band(m: BandModule, w: BandModule) -> bool:
+    # equal codes are one band; rotations of one band also have equal dims,
+    # which are cheap to compare, so the canonical walks are read last
+    return m.codes == w.codes or (m.dims == w.dims and m.walk == w.walk)
 
 
 def _admissible_walks(

@@ -241,17 +241,22 @@ class TestBandHom:
             forms.hom_difference_check(gentle.psi((2,)), gentle.walk_from_str("a1 a1-"))
 
     def test_one_build_per_walk(self):
-        # each walk is validated and put in canonical form once, inside its
-        # band_module build; the distinct parameter is read off the codes
+        # each walk is validated once, inside its band_module build, which
+        # does not rotate it.  The canonical walks are read only where the
+        # dims agree: not for two bands of different dims, and for two
+        # rotations of one band once per walk in each same-band test, that
+        # of band_hom and that of each of the two Hom counts
         z1, z2 = gentle.psi((2, 3), n=3), gentle.psi((2, 3, 3))
-        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
-                mock.patch.object(gentle, "canonical_walk", wraps=gentle.canonical_walk) as canon, \
-                mock.patch.object(gentle, "validate_band_walk",
-                                  wraps=gentle.validate_band_walk) as validate:
-            assert forms.hom_difference_check(z1, z2)
-        assert [c.args[0] for c in build.call_args_list] == [z1, z2]
-        assert [c.args[0] for c in validate.call_args_list] == [z1, z2]
-        assert canon.call_count == 2
+        for other, canon_calls in ((z2, 0), (z1[1:] + z1[:1], 6)):
+            with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
+                    mock.patch.object(gentle, "canonical_walk",
+                                      wraps=gentle.canonical_walk) as canon, \
+                    mock.patch.object(gentle, "validate_band_walk",
+                                      wraps=gentle.validate_band_walk) as validate:
+                assert forms.hom_difference_check(z1, other)
+            assert [c.args[0] for c in build.call_args_list] == [z1, other]
+            assert [c.args[0] for c in validate.call_args_list] == [z1, other]
+            assert canon.call_count == canon_calls
 
     def test_same_band_gets_a_distinct_parameter(self):
         walk = gentle.psi((2, 3))
@@ -604,6 +609,20 @@ class TestMaxCompatible:
     def test_search_bound_admits(self, monkeypatch, n, box):
         monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda *args: {})
         assert forms.max_compatible_search(n, box) == (0, ())
+
+
+class TestSearchReadsNoRotation:
+    # the search builds, tests and compares its bricks without putting
+    # any walk in canonical form
+
+    @pytest.mark.parametrize(
+        "n, box", [(3, 6), (4, 3), (5, 2), (4, 4), (5, 3), (6, 2), (3, 70)]
+    )
+    def test_no_canonical_walk(self, n, box):
+        with mock.patch.object(gentle, "canonical_walk", wraps=gentle.canonical_walk) as canon:
+            size, _ = forms.max_compatible_search(n, box)
+        assert size == math.ceil((n - 1) / 2)
+        assert canon.call_count == 0
 
 
 class TestNecklaceBound:

@@ -6,6 +6,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -254,12 +255,16 @@ class TestSignRule:
 
 class TestCanonicalBand:
     def test_rotation_and_inversion_invariant(self):
+        # codes keep the rotation the build was given; walk and == do not
         walk = gentle.psi((2, 3, 2, 2, 3))
         canon = gentle.band_module(walk, 2)
         for w in (walk, _inverse(walk)):
             for k in range(len(w)):
-                m = gentle.band_module(w[k:] + w[:k], 2)
-                assert (m.walk, m.codes, m.lam) == (canon.walk, canon.codes, canon.lam)
+                rot = w[k:] + w[:k]
+                m = gentle.band_module(rot, 2)
+                oriented = _inverse(rot) if _has_inverse_a_step(rot) else rot
+                assert m.codes == oriented[::-1]
+                assert (m.walk, m.lam) == (canon.walk, canon.lam) and m == canon
 
     @pytest.mark.parametrize("spec", ["a1 b1-", "a1 a2 b2- b1- a1 b1-"])
     def test_same_band_exactly_when_isomorphic(self, spec):
@@ -270,7 +275,7 @@ class TestCanonicalBand:
         for w in (walk, _inverse(walk)):
             for mu in (Fraction(2), Fraction(1, 2), Fraction(3)):
                 y = gentle.band_module(w, mu)
-                same = y.codes == x.codes and y.lam == x.lam
+                same = y.walk == x.walk and y.lam == x.lam
                 assert gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == int(same)
 
 
@@ -644,9 +649,9 @@ class TestHomAgainstIntertwiner:
 
 
 def _unoriented_module(codes, lam, n=None):
-    """The module of a walk as a SparseModule, with the walk rotated as
-    band_module rotates it but not oriented: a walk whose a-steps are
-    inverse arrows keeps them."""
+    """The module of a walk as a SparseModule, with the walk rotated to
+    its canonical walk, as BandModule.matrices() reads it, but not
+    oriented: a walk whose a-steps are inverse arrows keeps them."""
     walk = tuple(codes)
     if n is None:
         n = _quiver(walk)
@@ -783,7 +788,8 @@ class TestParameterMembers:
         assert [m.lam for m in members] == [1, 2, 3]
         first = dict(members[0].matrices())
         for m in members[1:]:
-            assert m.dims is members[0].dims and m.walk is members[0].walk
+            assert m.dims is members[0].dims and m.codes is members[0].codes
+            assert m.walk == members[0].walk
             # the derived arrows differ in the one entry that holds lam
             changed = [
                 (before, after)
@@ -830,13 +836,15 @@ class TestHomTables:
             assert gentle.band_module(walk, 1).walk == min(rots, key=_walk_key), walk
 
     def test_orientation_matches_a_scan(self):
-        # band_module orients a walk by its first step; the reference scans
-        # the whole walk for an inverse a-step (the rotation is held to
-        # _walk_key above)
+        # band_module orients a walk by its first step and keeps its
+        # rotation; the reference scans the whole walk for an inverse a-step
+        # (the rotation of walk is held to _walk_key above)
         walks = _table_walks()
         for walk in walks + [_inverse(w) for w in walks]:
             oriented = _inverse(walk) if _has_inverse_a_step(walk) else walk
-            assert gentle.band_module(walk, 1).codes == gentle.canonical_walk(oriented)[::-1], walk
+            m = gentle.band_module(walk, 1)
+            assert m.codes == oriented[::-1], walk
+            assert m.walk == gentle.canonical_walk(oriented), walk
 
     def test_hom_reads_the_start_index(self):
         # the second endomorphism is a common walk, found through the
@@ -854,14 +862,67 @@ class TestHomTables:
         assert m.replace(source_starts=None) == m
 
 
+class TestUnrotatedBuild:
+    # band_module keeps the rotation it is given: codes and the Hom tables
+    # follow it, and everything a reader sees of the module does not
+
+    def test_every_rotation_and_inverse_is_one_module(self):
+        # one band per canonical walk; its rotations and their inverses
+        # cover those of every _table_walks() walk on it.  matrices() reads
+        # only the canonical walk, and is compared where it is cheap
+        bands = {}
+        for walk in _table_walks():
+            bands.setdefault(gentle.band_module(walk, 1).walk, walk)
+        for walk in bands.values():
+            ref = gentle.band_module(walk, 3)
+            seen = (ref.walk, ref.dims, ref.g_vector(), gentle.is_brick(ref))
+            maps = list(ref.matrices()) if len(walk) <= 12 else None
+            for w in (walk, _inverse(walk)):
+                for k in range(len(w)):
+                    m = gentle.band_module(w[k:] + w[:k], 3)
+                    assert m == ref, (walk, k)
+                    assert (m.walk, m.dims, m.g_vector(), gentle.is_brick(m)) == seen, (walk, k)
+                    assert maps is None or list(m.matrices()) == maps, (walk, k)
+
+    @pytest.mark.parametrize("lam, mu", [(2, 2), (2, 3), (Fraction(-2, 5), Fraction(-2, 5))])
+    def test_hom_across_two_rotations(self, lam, mu):
+        # the same-band rule on codes that differ, against the intertwiner
+        rng = random.Random(27)
+        for walk in _small_walks():
+            k = rng.randrange(1, len(walk))
+            other = rng.choice((walk[k:] + walk[:k], _inverse(walk[k:] + walk[:k])))
+            n = _quiver(walk)
+            x, y = gentle.band_module(walk, lam, n), gentle.band_module(other, mu, n)
+            assert x.codes != y.codes, walk
+            u, v = _unoriented_module(walk, lam, n), _unoriented_module(other, mu, n)
+            hom_xy, hom_yx = gentle.hom_dim(x, y), gentle.hom_dim(y, x)
+            assert hom_xy == _intertwiner_hom_dim(u, v), (walk, k)
+            assert hom_yx == _intertwiner_hom_dim(v, u), (walk, k)
+            # the cycle of the one band is free exactly at equal parameters
+            apart = gentle.hom_dim(x, y.replace(lam=Fraction(lam) + 1))
+            assert hom_xy == apart + (lam == mu), (walk, k)
+
+    def test_brick_test_reads_no_rotation(self):
+        # the least rotation is computed where the canonical walk is read,
+        # and only there
+        with mock.patch.object(gentle, "canonical_walk", wraps=gentle.canonical_walk) as canon, \
+                mock.patch.object(gentle, "least_rotation", wraps=gentle.least_rotation) as least:
+            modules = [gentle.band_module(gentle.psi(w), 1) for w in ((2, 3), (2, 2, 3, 3))]
+            assert [gentle.is_brick(m) for m in modules] == [True, False]
+            assert canon.call_count == least.call_count == 0
+            assert modules[0].walk == gentle.walk_from_str("a1 a2 b2- b1- a1 b1-")
+            assert canon.call_count == least.call_count == 1
+
+
 class TestBandModuleContract:
-    # repr and == read the five identity fields n, dims, lam, walk and
-    # codes, a module is unhashable, and replace shares what it keeps
+    # repr and == read the four identity fields n, dims, lam and the
+    # canonical walk, a module is unhashable, and replace shares what it
+    # keeps
 
     def test_repr(self):
         assert repr(gentle.band_module(gentle.psi((2, 3)), 1)) == (
             "BandModule(n=3, dims=(2, 3, 1), lam=Fraction(1, 1), "
-            "walk=(4, 8, 11, 7, 4, 7), codes=(7, 4, 7, 11, 8, 4))"
+            "walk=(4, 8, 11, 7, 4, 7))"
         )
 
     def test_unhashable(self):
@@ -880,8 +941,9 @@ class TestBandModuleContract:
         mu = Fraction(5, 3)
         member = m.replace(lam=mu)
         assert member is not m and member.lam == mu and m.lam == 1
-        for name in ("n", "dims", "walk", "codes", "tops", "bottoms", "starts", "source_starts"):
+        for name in ("n", "dims", "codes", "tops", "bottoms", "starts", "source_starts"):
             assert getattr(member, name) is getattr(m, name), name
+        assert member.walk == m.walk
 
     def test_replace_refuses_an_unknown_field(self):
         with pytest.raises(TypeError):
