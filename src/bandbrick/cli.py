@@ -362,11 +362,11 @@ def _cmd_verify(args) -> int:
     results = []
     for num, name, fn in selected:
         start = time.perf_counter()
-        ok, detail = fn(args.seed)
+        record = fn(args.seed)
         seconds = time.perf_counter() - start
-        results.append(
-            {"criterion": num, "name": name, "ok": ok, "detail": detail, "seconds": seconds}
-        )
+        ok, detail = acceptance.verdict(record)
+        results.append({"criterion": num, "name": name, "ok": ok, "detail": detail,
+                        "cases": record[1], "failures": len(record[2]), "seconds": seconds})
     all_ok = all(r["ok"] for r in results)
     human = "\n".join(
         f"criterion {r['criterion']} ({r['name']}): "

@@ -27,7 +27,7 @@ def _report(config, line):
     ids=[name for _, name, _ in acceptance.SUITES],
 )
 def test_criterion(number, name, suite, request):
-    ok, detail = suite(0)
+    ok, detail = acceptance.verdict(suite(0))
     status = "PASS" if ok else "FAIL"
     _report(request.config, f"ACCEPTANCE {number} ({name}): {status}")
     assert ok, f"criterion {number} ({name}): {detail}"
