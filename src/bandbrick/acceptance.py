@@ -10,6 +10,7 @@ drift apart.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -137,7 +138,7 @@ def curves_words(seed: int = 0) -> Record:
 
 
 def _random_valid_gvector(
-    rng: random.Random, nmax: int = 5, entry: int = 4, weight: int = 16
+    rng: random.Random, nmax: int = 5, entry: int = 4, weight: float = 16
 ) -> tuple[int, ...]:
     while True:
         n = rng.randint(2, nmax)
@@ -183,6 +184,12 @@ def hom_euler(seed: int = 0) -> Record:
         for z1, z2 in pairs
         if not forms.hom_difference_check(z1, z2)
     ]
+    # End is 1 exactly on the bricks: a constant offset in Hom cancels in
+    # the Euler difference and in the duality, but not here
+    for z in pool:
+        m = gentle.band_module(z, 1, 4)
+        if (gentle.hom_dim(m, m) == 1) != gentle.is_brick(m):
+            failures.append(f"End {name(z)}")
     # the duality on 100 of the pairs and on every pool walk against a
     # seeded other rotation of itself, at parameters 1, 1 and 1, 2: one
     # band needs no equal codes, and its cycle adds 1 when the parameters agree
@@ -195,11 +202,11 @@ def hom_euler(seed: int = 0) -> Record:
         if hom != dual or apart != dual_apart or (one_band and hom != apart + 1):
             failures.append(f"duality {name(z1)} | {name(z2)}")
     summary = (
-        f"{trials} band pairs from a pool of {len(pool)} walks, duality on "
-        f"{2 * len(checks)} Hom pairs ({2 * len(pool)} across two rotations of one band); "
-        f"{len(failures)} failed"
+        f"{trials} band pairs from a pool of {len(pool)} walks, {len(pool)} End "
+        f"dimensions against the brick test, duality on {2 * len(checks)} Hom pairs "
+        f"({2 * len(pool)} across two rotations of one band); {len(failures)} failed"
     )
-    return summary, trials + len(checks), failures
+    return summary, trials + len(pool) + len(checks), failures
 
 
 def _dual_homs(z1: gentle.Walk, z2: gentle.Walk, mu: int) -> tuple[int, int]:
@@ -245,6 +252,7 @@ def bricks_n4(seed: int = 0) -> Record:
 def max_compat(seed: int = 0) -> Record:
     """Maximum pairwise-compatible brick sets match the ceiling bound."""
     checks: list[tuple[str, bool]] = []
+    sums = 0
     for n in (3, 4, 5, 6, 7):
         size, found = forms.max_compatible_search(n, 2)
         expected = math.ceil((n - 1) / 2)
@@ -254,9 +262,25 @@ def max_compat(seed: int = 0) -> Record:
         for i, g in enumerate(found):
             for h in found[i:]:
                 checks.append((f"n={n} pair {g},{h}", forms.compatible(g, h)))
+        # a second engine on every pair the search tests: a zero-form pair is
+        # compatible exactly when the components of its sum are the pair (seen
+        # on every box tried, not proved); Hom both ways on the enumeration's
+        # modules is forms.compatible without building them again
+        modules = forms._enumerate_brick_gvectors(n, 2)
+        bricks = list(modules)
+        for g, later in zip(bricks, forms._euler_zero_pairs(bricks)):
+            for h in (bricks[j] for j in later):
+                x, y = modules[g], modules[h]
+                compat = gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0
+                split = sorted(dyck.component_gvectors(map(sum, zip(g, h)))) == sorted((g, h))
+                checks.append((f"n={n} sum {g},{h}", split == compat))
+                sums += 1
     size4, _ = forms.max_compatible_search(3, 4)
     checks.append(("n=3 box=4 size", size4 == 1))
-    summary = "boxes for n in {3,4,5,6,7}; sizes match ceil((n-1)/2), witnesses match"
+    summary = (
+        "boxes for n in {3,4,5,6,7}; sizes match ceil((n-1)/2), witnesses match; "
+        f"{sums} zero-form pairs compatible exactly when their sum splits into them"
+    )
     return summary, len(checks), [name for name, ok in checks if not ok]
 
 
@@ -281,8 +305,35 @@ def necklace_bound(seed: int = 0) -> Record:
         total += 1
         if not forms.necklace_count_bound_check(alpha):
             bad.append(alpha)
-    summary = f"{total} multiplicity vectors (exhaustive n=4 plus 500 sampled, n up to 8)"
-    return summary, total, bad
+    # every valid g-vector: its distinct curves have distinct g-vectors, the
+    # components, which are pairwise compatible bricks, so at most
+    # ceil((n-1)/2) of them; compatibility is checked where the walks are
+    # short.  Both counts come from one trace: each curve's g-vector counts
+    # its labels, as dyck.component_gvectors does
+    gvectors = [
+        (_random_valid_gvector(rng, nmax=40, entry=100, weight=math.inf), False)
+        for _ in range(300)
+    ]
+    gvectors += [
+        (_random_valid_gvector(rng, nmax=10, entry=20, weight=math.inf), True)
+        for _ in range(200)
+    ]
+    pairs = 0
+    for g, short in gvectors:
+        curves = set(dyck.circular_words(g))
+        comps = {tuple(-c[i] if a < 0 else c[i] for i, a in enumerate(g, 1))
+                 for c in map(collections.Counter, curves)}
+        if len(comps) != len(curves) or len(comps) > math.ceil((len(g) - 1) / 2):
+            bad.append(f"components of {g}")
+        for c1, c2 in itertools.combinations(sorted(comps), 2) if short else ():
+            pairs += 1
+            if not forms.compatible(c1, c2):
+                bad.append(f"compatible {c1},{c2} of {g}")
+    summary = (
+        f"{total} multiplicity vectors (exhaustive n=4 plus 500 sampled, n up to 8), "
+        f"{len(gvectors)} g-vectors up to n=40 ({pairs} component pairs compatible)"
+    )
+    return summary, total + len(gvectors) + pairs, bad
 
 
 def christoffel(seed: int = 0) -> Record:

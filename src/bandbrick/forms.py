@@ -48,8 +48,9 @@ GVector = tuple[int, ...]
 # enumerate; time also grows with the walk lengths, so the slowest
 # admitted search is n = 3, box = 70 (0.8-1.3 s in process over five
 # fresh interpreters, Python 3.11, 2 CPUs, nearly all of it the End
-# self-check on long walks), while (4, 13) takes 0.35-0.65 s, (6, 3)
-# 0.06-0.1 s and (7, 2) 0.05-0.08 s
+# self-check on long walks; fan maxcompat --n 3 --box 70, pinned in
+# tests/test_cli.py, takes 1.3-1.6 s as a subprocess), while (4, 13)
+# takes 0.35-0.65 s, (6, 3) 0.06-0.1 s and (7, 2) 0.05-0.08 s
 MAX_SEARCH_PREFIXES = 20_000
 
 

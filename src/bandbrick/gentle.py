@@ -59,12 +59,19 @@ from .words import is_primitive, least_rotation
 Walk = tuple[int, ...]
 
 # the largest quiver band_module builds: arrow indices up to 10^6, where
-# band hom takes about 0.3 s; its per-vertex tables grow with n
+# band hom of "a1000000 b1000000-" against itself takes 0.20 s as a
+# subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py; its
+# per-vertex tables grow with n
 MAX_VERTICES = 10**6 + 1
 
 # the most steps psi builds, sum 2 (w_i - 1) over the letters: a word of
-# 10^4 letters over 2..5 has at most 80,000.  band walk, band brick and
-# band hom on 75000,2 take 0.5-0.8 s (Python 3.11, 2 CPUs)
+# 10^4 letters over 2..5 has at most 80,000.  The Hom count is quadratic
+# in the steps, and the nearly periodic walks of 2 followed by k fives
+# are its worst known shape: band brick takes 28 s at k = 10^4 (80,002
+# steps), and band hom of such a walk at k = 9,000 against itself, or
+# against 3 followed by k fives, 39-43 s (Python 3.11, 2 CPUs).  Their
+# pin in tests/test_cli.py waits for a Hom count that is not quadratic
+# (item 1 of ROADMAP.md)
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")

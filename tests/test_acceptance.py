@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import bandbrick
-from bandbrick import acceptance
+from bandbrick import acceptance, cli, dyck, forms, gentle, words
 
 
 def _report(config, line):
@@ -45,3 +46,46 @@ def test_suite_passes_under_optimize(name):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# one planted fault per suite, as (suite, module, attribute, fault of the
+# original function); hom_dim + 1 everywhere cancels in the Euler
+# difference and in the duality, so within hom-euler only the End check
+# sees it
+_FAULTS = [
+    ("golden", words, "bw_transform", lambda f: lambda w: f(w)[::-1]),
+    ("brick-pcw", gentle, "is_brick", lambda f: lambda m: True),
+    ("curves-words", dyck, "erase_ones", lambda f: lambda ms: f(ms)[1:]),
+    ("hom-euler", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
+    ("hom-euler", gentle, "hom_dim", lambda f: lambda m, w: f(m, w) + 1),
+    ("bricks-n4", forms, "is_brick_gvector_n4", lambda f: lambda g: not f(g)),
+    ("max-compat", forms, "witness_family", lambda f: lambda n: f(n)[:-1]),
+    ("necklace-bound", words, "phi", lambda f: lambda w: tuple(sorted((a,) for a in w))),
+    ("christoffel", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
+    ("witness", forms, "compatible", lambda f: lambda g1, g2: True),
+    ("structural", dyck, "component_gvectors", lambda f: lambda g: f(g)[1:]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,module,attribute,fault",
+    _FAULTS,
+    ids=[f"{name}-{attribute}" for name, _, attribute, _ in _FAULTS],
+)
+def test_a_planted_fault_fails_the_suite(name, module, attribute, fault, capsys):
+    # verify runs the suite once; the spy keeps the record and its verdict
+    number = next(num for num, suite, _ in acceptance.SUITES if suite == name)
+    seen = []
+    verdict = acceptance.verdict
+
+    def spy(record):
+        seen.append((record, verdict(record)))
+        return seen[-1][1]
+
+    with mock.patch.object(module, attribute, fault(getattr(module, attribute))):
+        with mock.patch.object(acceptance, "verdict", spy):
+            code = cli.main(["verify", name])
+    [((summary, cases, failures), (ok, detail))] = seen
+    assert not ok and 1 <= len(failures) <= cases
+    assert detail == f"{summary}; failed: {failures[:5]}"
+    assert (code, capsys.readouterr().out) == (1, f"criterion {number} ({name}): FAIL ({detail})\n")

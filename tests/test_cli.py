@@ -254,6 +254,7 @@ class TestVerify:
         data = json.loads(out)
         assert data["ok"] is True
         assert data["results"][0]["name"] == "witness"
+        assert (data["results"][0]["cases"], data["results"][0]["failures"]) == (6, 0)
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nope")
@@ -265,6 +266,7 @@ class TestVerify:
         results = json.loads(out)["results"]
         assert code == 0 and len(results) == len(acceptance.SUITES)
         assert all(type(r["seconds"]) is float and r["seconds"] >= 0 for r in results)
+        assert all(r["cases"] > 0 and r["failures"] == 0 for r in results)
 
     def test_text_carries_no_time(self, capsys):
         code, out, _ = run(capsys, "verify", "witness")
@@ -820,6 +822,36 @@ def test_band_brick_on_a_long_random_word():
     )
     assert time.perf_counter() - start < _TIME_LIMIT_S
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
+
+
+# each size bound pinned by its worst known admitted input, which must
+# exit 0 inside the 5 s contract (times as subprocesses, Python 3.11, 2 CPUs)
+_BOUND_PINS = {
+    # dyck.MAX_STEPS: render of its slowest shape at the bound, 0.82-0.87 s
+    "render-max-steps": ["render", "--", "-75000,75000"],
+    # cli.MAX_LISTED_ENTRIES: 2 followed by 450 threes lists 1,623,602
+    # entries in 0.62-0.66 s; 500 threes are refused in 0.08 s
+    "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
+    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.20 s
+    "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
+    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 1.3-1.6 s
+    "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BOUND_PINS.values()), ids=list(_BOUND_PINS))
+def test_a_size_bound_admits_its_pinned_input_in_time(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bandbrick", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < _TIME_LIMIT_S
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_import_leaves_the_suites_unloaded():
