@@ -3,9 +3,8 @@
 Each suite is a function taking a seed and returning a record
 ``(summary, cases, failures)``: what it checked, how many checks it made,
 and the checks that failed.  ``verdict`` turns a record into ``(ok,
-detail)``.  The same suites and the same verdict back ``bandbrick
-verify`` and the acceptance tests, so the CLI and the test run cannot
-drift apart.
+detail)``.  ``bandbrick verify`` runs them, and the acceptance tests
+run ``bandbrick verify``, so the CLI and the test run cannot drift apart.
 """
 
 from __future__ import annotations

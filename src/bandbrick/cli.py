@@ -348,20 +348,13 @@ def _cmd_verify(args) -> int:
     # the suites and their xml parser load only for verify, not at import
     from . import acceptance
 
-    names = acceptance.suite_names()
-    if args.suite == "all":
-        selected = acceptance.SUITES
-    else:
-        wanted = args.suite
-        # a criterion number has at most two digits past its leading zeros,
-        # so int() never meets a digit string past Python's int-string limit
-        number = wanted.lstrip("0")
-        if _DIGITS.fullmatch(wanted) and len(number) <= 2:
-            selected = [s for s in acceptance.SUITES if s[0] == int(number or "0")]
-        else:
-            selected = [s for s in acceptance.SUITES if s[1] == wanted]
-        if not selected:
-            raise UsageError(f"unknown suite {args.suite!r}: pick from all, {', '.join(names)}")
+    number = args.suite.lstrip("0")
+    selected = [
+        s for s in acceptance.SUITES if args.suite in ("all", s[1]) or number == str(s[0])
+    ]
+    if not selected:
+        names = ", ".join(acceptance.suite_names())
+        raise UsageError(f"unknown suite {args.suite!r}: pick from all, {names}")
     results = []
     for num, name, fn in selected:
         start = time.perf_counter()

@@ -159,6 +159,8 @@ def witness_family(n: int) -> tuple[GVector, ...]:
     For 1 <= i <= floor((n-1)/2): -2 at entry 1, 1 at entries i+1 and
     n-i+1; when n is even, additionally -1 at entry 1 with 1 at n/2 + 1.
     """
+    if n < 2:
+        raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
     family = []
     for i in range(1, (n - 1) // 2 + 1):
         vec = [0] * n

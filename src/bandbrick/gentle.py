@@ -59,7 +59,7 @@ from .words import is_primitive, least_rotation
 Walk = tuple[int, ...]
 
 # the largest quiver band_module builds: arrow indices up to 10^6, where
-# band hom of "a1000000 b1000000-" against itself takes 0.20 s as a
+# band hom of "a1000000 b1000000-" against itself takes 0.22-0.30 s as a
 # subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py; its
 # per-vertex tables grow with n
 MAX_VERTICES = 10**6 + 1

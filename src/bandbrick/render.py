@@ -101,7 +101,7 @@ def render_dyck(
     count = sum(map(abs, entries))
     if width is not None:
         unit = width / (count + 2)
-    if unit < _MIN_UNIT:
+    if not unit >= _MIN_UNIT:  # a NaN unit too, which no comparison holds for
         raise DrawingTooSmall(
             f"a unit of {unit:.3g} sets {count} steps in columns under {_MIN_UNIT} apart, "
             f"whose half columns two decimals merge; use --unit {_MIN_UNIT} or --width "

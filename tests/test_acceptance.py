@@ -1,5 +1,6 @@
 """Acceptance gate: every criterion runs and prints one status line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -22,30 +23,35 @@ def _report(config, line):
         print(line, file=sys.__stdout__, flush=True)
 
 
-@pytest.mark.parametrize(
-    "number,name,suite",
-    acceptance.SUITES,
-    ids=[name for _, name, _ in acceptance.SUITES],
-)
-def test_criterion(number, name, suite, request):
-    ok, detail = acceptance.verdict(suite(0))
-    status = "PASS" if ok else "FAIL"
-    _report(request.config, f"ACCEPTANCE {number} ({name}): {status}")
-    assert ok, f"criterion {number} ({name}): {detail}"
-
-
-@pytest.mark.parametrize("name", ["golden", "witness", "hom-euler", "brick-pcw", "max-compat"])
-def test_suite_passes_under_optimize(name):
-    # python -O strips assert statements; the invariants must still be checked
+@pytest.fixture(scope="module")
+def verify_all():
+    # every suite runs once, through the command users run, under -O: the
+    # package has no assert and never reads __debug__, so -O strips nothing
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "bandbrick.cli", "verify", name],
+        [sys.executable, "-O", "-m", "bandbrick", "verify", "all", "--json"],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode in (0, 1) and proc.stderr == "", proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert [r["name"] for r in results] == acceptance.suite_names()
+    return {r["name"]: r for r in results}
+
+
+@pytest.mark.parametrize(
+    "number,name",
+    [(number, name) for number, name, _ in acceptance.SUITES],
+    ids=acceptance.suite_names(),
+)
+def test_criterion(number, name, verify_all, request):
+    result = verify_all[name]
+    ok = result["ok"] and result["cases"] > 0 and result["failures"] == 0
+    _report(request.config, f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'}")
+    assert ok, f"criterion {number} ({name}): {result['detail']}"
+    assert type(result["seconds"]) is float and result["seconds"] >= 0
 
 
 # one planted fault per suite, as (suite, module, attribute, fault of the

@@ -215,6 +215,11 @@ class TestCompatibility:
         fam = forms.witness_family(4)
         assert set(fam) == {(-2, 1, 0, 1), (-1, 0, 1, 0)}
 
+    @pytest.mark.parametrize("n", [0, 1, -2])
+    def test_witness_family_needs_two_entries(self, n):
+        with pytest.raises(BadDimension, match=f"^a g-vector needs at least 2 entries, got n = {n}$"):
+            forms.witness_family(n)
+
     def test_requires_bricks(self):
         with pytest.raises(NotABrick):
             forms.compatible((-2, 0, 2), (-1, 1, 0))

@@ -77,10 +77,12 @@ class TestRender:
     @pytest.mark.parametrize(
         "g, options",
         [((-1, 1), {"unit": 0.001}), ((-1, 1), {"width": 1e-300}),
-         ((-75000, 75000), {"width": 480.0}), ((-1, 1), {"unit": 0.0099})],
+         ((-75000, 75000), {"width": 480.0}), ((-1, 1), {"unit": 0.0099}),
+         ((-1, 1), {"unit": float("nan")}), ((-1, 1), {"width": float("nan")})],
     )
     def test_too_small_unit_refused(self, g, options):
-        # two decimals would print every column at one x
+        # two decimals would print every column at one x; a NaN scale is
+        # refused here too, not as an overflow
         with pytest.raises(DrawingTooSmall, match=r"use --unit 0\.02 or --width [0-9.]+ or more$"):
             render.render_dyck(g, **options)
 

@@ -25,6 +25,19 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_debug_in_package():
+    # with no assert and no __debug__, python -O strips nothing, so the one
+    # -O run of the suites in tests/test_acceptance.py and the in-process
+    # runs elsewhere execute the same code
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
+        if "__debug__" in _names(node)
+    ]
+    assert found == []
+
+
 def _names(node):
     if isinstance(node, ast.Name):
         return {node.id}
