@@ -253,9 +253,9 @@ def max_compat(seed: int = 0) -> Record:
     checks: list[tuple[str, bool]] = []
     sums = 0
     for n in (3, 4, 5, 6, 7):
-        size, found = forms.max_compatible_search(n, 2)
+        found, bricks, zero_pairs, adj = forms._compatibility_search(n, 2)
         expected = math.ceil((n - 1) / 2)
-        checks.append((f"n={n} box=2 size", size == expected))
+        checks.append((f"n={n} box=2 size", len(found) == expected))
         family = tuple(sorted(forms.witness_family(n)))
         checks.append((f"n={n} witness family", found == family))
         for i, g in enumerate(found):
@@ -263,16 +263,13 @@ def max_compat(seed: int = 0) -> Record:
                 checks.append((f"n={n} pair {g},{h}", forms.compatible(g, h)))
         # a second engine on every pair the search tests: a zero-form pair is
         # compatible exactly when the components of its sum are the pair (seen
-        # on every box tried, not proved); Hom both ways on the enumeration's
-        # modules is forms.compatible without building them again
-        modules = forms._enumerate_brick_gvectors(n, 2)
-        bricks = list(modules)
-        for g, later in zip(bricks, forms._euler_zero_pairs(bricks)):
-            for h in (bricks[j] for j in later):
-                x, y = modules[g], modules[h]
-                compat = gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0
+        # on every box tried, not proved), read against the edges the clique
+        # ran on, mirror-orbit reuse included
+        for i, later in enumerate(zero_pairs):
+            for j in later:
+                g, h = bricks[i], bricks[j]
                 split = sorted(dyck.component_gvectors(map(sum, zip(g, h)))) == sorted((g, h))
-                checks.append((f"n={n} sum {g},{h}", split == compat))
+                checks.append((f"n={n} sum {g},{h}", split == (j in adj[i])))
                 sums += 1
     size4, _ = forms.max_compatible_search(3, 4)
     checks.append(("n=3 box=4 size", size4 == 1))

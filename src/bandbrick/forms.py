@@ -20,7 +20,8 @@ X -> Y to the graph maps DY -> DX.  With sigma(g) = -reverse(g):
 so g is a brick g-vector exactly when sigma(g) is, and the Euler form
 satisfies <sigma a, sigma b> = <b, a>.  The enumeration traces only the
 g <= sigma(g) and builds the other bricks from their mirrors, and the
-search counts Hom once per sigma-orbit of zero-form pairs.
+search counts Hom once per sigma-orbit of zero-form pairs.  The search
+returns that compatibility graph, and the max-compat suite checks it.
 """
 
 from __future__ import annotations
@@ -279,9 +280,19 @@ def _max_clique(adj: dict[int, set[int]], best: list[int]) -> list[int]:
 
 
 def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
-    """Exact maximum set of mutually compatible brick g-vectors with
-    max-norm <= box.  The standard witness family is preferred as the
-    returned witness when no strictly larger clique exists."""
+    """Exact maximum set (size, witness) of mutually compatible brick
+    g-vectors with max-norm <= box, found by _compatibility_search.  The
+    standard witness family is preferred as the returned witness when no
+    strictly larger clique exists."""
+    witness, _, _, _ = _compatibility_search(n, box)
+    return len(witness), witness
+
+
+def _compatibility_search(
+    n: int, box: int
+) -> tuple[tuple[GVector, ...], list[GVector], list[list[int]], dict[int, set[int]]]:
+    # (witness, bricks, zero_pairs, adj): the clique, the bricks in
+    # enumeration order, their Euler-zero pairs and the graph of the clique
     if n < 2:
         raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
     if box < 1:
@@ -298,7 +309,8 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     index = {g: i for i, g in enumerate(bricks)}
     mirror = [index[_sigma(g)] for g in bricks]
     adj: dict[int, set[int]] = {i: set() for i in index.values()}
-    for i, later in enumerate(_euler_zero_pairs(bricks)):
+    zero_pairs = _euler_zero_pairs(bricks)
+    for i, later in enumerate(zero_pairs):
         for j in later:
             # a zero Euler form makes Hom equally large both ways, and the
             # mirror pair, a zero-form pair too, has the same Hom: when it
@@ -315,7 +327,7 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     if not all(j in adj[i] for i in seed for j in seed if j != i):
         seed = []
     witness = tuple(sorted(bricks[i] for i in _max_clique(adj, seed)))
-    return len(witness), witness
+    return witness, bricks, zero_pairs, adj
 
 
 def necklace_count_bound_check(alpha: Sequence[int]) -> bool:

@@ -64,8 +64,11 @@ Walk = tuple[int, ...]
 # per-vertex tables grow with n
 MAX_VERTICES = 10**6 + 1
 
-# the most steps psi builds, sum 2 (w_i - 1) over the letters: a word of
-# 10^4 letters over 2..5 has at most 80,000.  The Hom count is quadratic
+# the most steps psi or slalom_to_band_walk builds: psi's walk has sum
+# 2 (w_i - 1) steps over the letters, so a word of 10^4 letters over 2..5
+# has at most 80,000; a slalom walk has sum |word[k] - word[k-1]| over
+# its cyclic word, which dyck.MAX_STEPS does not bound, since zero
+# entries of a g-vector cost no Dyck steps.  The Hom count is quadratic
 # in the steps, and the nearly periodic walks of 2 followed by k fives
 # are its worst known shape: band brick takes 28 s at k = 10^4 (80,002
 # steps), and band hom of such a walk at k = 9,000 against itself, or
@@ -461,9 +464,14 @@ def slalom_to_band_walk(component: Component) -> Walk:
     Segment k of the curve runs from label word[k-1] to label word[k]: on
     copy 1 when k is even, on copy 2 when it is odd.  A copy-1 segment
     from edge i up to edge j contributes b_i^- ... b_{j-1}^-; a copy-2
-    segment from edge j down to edge i contributes a_{j-1} ... a_i.
+    segment from edge j down to edge i contributes a_{j-1} ... a_i.  A
+    walk of more than MAX_WALK_STEPS steps raises WalkTooLarge before any
+    step is built.
     """
     word = component.word
+    steps = sum(abs(end - word[k - 1]) for k, end in enumerate(word))
+    if steps > MAX_WALK_STEPS:
+        raise WalkTooLarge(f"{steps} walk steps exceed the bound of {MAX_WALK_STEPS}")
     trav: list[int] = []
     for k, end in enumerate(word):
         start = word[k - 1]

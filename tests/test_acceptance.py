@@ -95,3 +95,11 @@ def test_a_planted_fault_fails_the_suite(name, module, attribute, fault, capsys)
     assert not ok and 1 <= len(failures) <= cases
     assert detail == f"{summary}; failed: {failures[:5]}"
     assert (code, capsys.readouterr().out) == (1, f"criterion {number} ({name}): FAIL ({detail})\n")
+
+
+def test_max_compat_enumerates_each_box_once():
+    # five box-2 searches, each read for its witness, pairs and graph, then (3, 4)
+    enumerate_bricks = forms._enumerate_brick_gvectors
+    with mock.patch.object(forms, "_enumerate_brick_gvectors", wraps=enumerate_bricks) as spy:
+        acceptance.max_compat(0)
+    assert [c.args for c in spy.call_args_list] == [(3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (3, 4)]

@@ -322,18 +322,10 @@ class TestCompatibilityAgainstRebuild:
 class TestFamilies:
     # the compatible-family search holds one module per brick
 
-    def test_search_builds_each_brick_once(self, monkeypatch):
-        bricks = len(forms._enumerate_brick_gvectors(5, 2))
-        build = gentle.band_module
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(gentle, "band_module", counted)
-        forms.max_compatible_search(5, 2)
-        assert len(calls) == bricks
+    def test_search_builds_each_brick_once(self):
+        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
+            _, bricks, _, _ = forms._compatibility_search(5, 2)
+        assert build.call_count == len(bricks)
 
 
 def _reference_enumeration(n, box):
@@ -383,16 +375,8 @@ class TestMirrorEnumeration:
         assert {_sigma(g) for g in got} == set(got)
 
     @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
-    def test_adjacency_matches_all_pairs(self, monkeypatch, n, box):
-        graphs = []
-        search = forms._max_clique
-
-        def recorded(adj, best):
-            graphs.append(adj)
-            return search(adj, best)
-
-        monkeypatch.setattr(forms, "_max_clique", recorded)
-        forms.max_compatible_search(n, box)
+    def test_adjacency_matches_all_pairs(self, n, box):
+        _, _, _, adj = forms._compatibility_search(n, box)
         modules = list(_reference_enumeration(n, box).values())
         want = {i: set() for i in range(len(modules))}
         for i, j in itertools.combinations(range(len(modules)), 2):
@@ -400,21 +384,20 @@ class TestMirrorEnumeration:
             if gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0:
                 want[i].add(j)
                 want[j].add(i)
-        assert graphs == [want]
+        assert adj == want
 
     @pytest.mark.parametrize("n, box, orbits", [(5, 3, 233), (6, 2, 333)])
     def test_one_hom_count_per_mirror_orbit(self, n, box, orbits):
-        bricks = list(forms._enumerate_brick_gvectors(n, box))
+        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
+            _, bricks, zero_pairs, _ = forms._compatibility_search(n, box)
         index = {g: i for i, g in enumerate(bricks)}
         mirror = [index[_sigma(g)] for g in bricks]
         orbits_found = {
             frozenset({frozenset({i, j}), frozenset({mirror[i], mirror[j]})})
-            for i, later in enumerate(forms._euler_zero_pairs(bricks))
+            for i, later in enumerate(zero_pairs)
             for j in later
         }
         assert len(orbits_found) == orbits
-        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
-            forms.max_compatible_search(n, box)
         assert hom.call_count == orbits
 
     def test_mirrors_are_not_traced(self):
@@ -496,9 +479,8 @@ def _reference_selection(adj, seed):
     return clique if len(clique) > len(seed) else seed
 
 
-def _reference_search(n, box, adj):
+def _reference_search(n, bricks, adj):
     # the witness the search returned before it was seeded, on its graph
-    bricks = list(forms._enumerate_brick_gvectors(n, box))
     index = {g: i for i, g in enumerate(bricks)}
     seed = [g for g in forms.witness_family(n) if g in index]
     if not all(index[h] in adj[index[g]] for g in seed for h in seed if h != g):
@@ -537,17 +519,10 @@ class TestSeededClique:
         [(n, box) for n in range(2, 6) for box in (1, 2, 3)]
         + [(3, 6), (4, 4), (6, 2)],
     )
-    def test_search_matches_reference(self, monkeypatch, n, box):
+    def test_search_matches_reference(self, n, box):
         # n = 2..5 at box 1..3 and the fan-search boxes, on the same graph
-        graphs = []
-        search = forms._max_clique
-
-        def recorded(adj, best):
-            graphs.append(adj)
-            return search(adj, best)
-
-        monkeypatch.setattr(forms, "_max_clique", recorded)
-        assert forms.max_compatible_search(n, box) == _reference_search(n, box, graphs[0])
+        witness, bricks, _, adj = forms._compatibility_search(n, box)
+        assert (len(witness), witness) == _reference_search(n, bricks, adj)
 
     def test_seed_smaller_than_maximum(self):
         # the triangle {0, 1, 2} beats the seeded edge {3, 4}

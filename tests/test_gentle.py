@@ -1194,6 +1194,21 @@ class TestSlalom:
         walk = gentle.slalom_to_band_walk(component)
         assert gentle.canonical_walk(walk) == gentle.canonical_walk(gentle.psi((2,)))
 
+    def test_step_bound(self, monkeypatch):
+        # sum |word[k] - word[k-1]| steps over the cyclic word, which zero
+        # entries widen at no Dyck cost: 466 Dyck steps give 280,354 walk
+        # steps, refused before any is built
+        start = time.perf_counter()
+        with pytest.raises(WalkTooLarge, match="^280354 walk steps"):
+            forms.is_brick_gvector((-233,) + (0,) * 600 + (89, 144))
+        assert time.perf_counter() - start < 1
+        (component,) = dyck.reconstruct_multislalom((-1, -1, 2))  # 6 steps
+        monkeypatch.setattr(gentle, "MAX_WALK_STEPS", 6)
+        assert len(gentle.slalom_to_band_walk(component)) == 6
+        monkeypatch.setattr(gentle, "MAX_WALK_STEPS", 5)
+        with pytest.raises(WalkTooLarge, match="^6 walk steps"):
+            gentle.slalom_to_band_walk(component)
+
     @given(
         st.lists(st.integers(-4, 4), min_size=1, max_size=4)
         .map(lambda h: tuple(h) + (-sum(h),))
