@@ -16,7 +16,6 @@ from .dyck import (
 from .forms import (
     compatible,
     euler_form,
-    euler_skew_check,
     hom_difference_check,
     is_brick_gvector,
     is_brick_gvector_n4,
@@ -57,7 +56,6 @@ __all__ = [
     "component_gvectors",
     "erase_ones",
     "euler_form",
-    "euler_skew_check",
     "ext1_dim",
     "g_vector_of_band",
     "hom_difference_check",

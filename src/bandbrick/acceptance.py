@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -253,7 +254,7 @@ def max_compat(seed: int = 0) -> Record:
     checks: list[tuple[str, bool]] = []
     sums = 0
     for n in (3, 4, 5, 6, 7):
-        found, bricks, zero_pairs, adj = forms._compatibility_search(n, 2)
+        found, bricks, adj = forms._compatibility_search(n, 2)
         expected = math.ceil((n - 1) / 2)
         checks.append((f"n={n} box=2 size", len(found) == expected))
         family = tuple(sorted(forms.witness_family(n)))
@@ -261,15 +262,20 @@ def max_compat(seed: int = 0) -> Record:
         for i, g in enumerate(found):
             for h in found[i:]:
                 checks.append((f"n={n} pair {g},{h}", forms.compatible(g, h)))
-        # a second engine on every pair the search tests: a zero-form pair is
-        # compatible exactly when the components of its sum are the pair (seen
-        # on every box tried, not proved), read against the edges the clique
-        # ran on, mirror-orbit reuse included
-        for i, later in enumerate(zero_pairs):
-            for j in later:
-                g, h = bricks[i], bricks[j]
+        # a second engine on the graph the clique ran on, over every pair of
+        # the box: an edge has Euler form 0, and a zero-form pair is an edge
+        # exactly when the components of its sum are the pair (seen on every
+        # box tried, not proved)
+        for i, g in enumerate(bricks):
+            row = forms._euler_row(g)
+            for j, h in enumerate(bricks[i + 1 :], i + 1):
+                edge = bool(adj[i] >> j & 1)
+                if sum(map(operator.mul, row, h)):
+                    if edge:
+                        checks.append((f"n={n} edge {g},{h} of non-zero form", False))
+                    continue
                 split = sorted(dyck.component_gvectors(map(sum, zip(g, h)))) == sorted((g, h))
-                checks.append((f"n={n} sum {g},{h}", split == (j in adj[i])))
+                checks.append((f"n={n} sum {g},{h}", split == edge))
                 sums += 1
     size4, _ = forms.max_compatible_search(3, 4)
     checks.append(("n=3 box=4 size", size4 == 1))

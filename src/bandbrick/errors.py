@@ -49,10 +49,6 @@ class DimensionMismatch(DomainError):
     """Two objects live over different vertex sets or vector lengths."""
 
 
-class NotInHyperplane(DomainError):
-    """A vector does not sum to zero."""
-
-
 class NotABrick(DomainError):
     """A g-vector that must belong to a band brick does not."""
 

@@ -9,28 +9,32 @@ modules of one band share, so every other count is the same at every
 parameter.  A brick is compatible with itself: Hom between two members
 of its family counts End minus 1, which the brick test has found to be 0.
 
-The search does each mirror pair's work once.  The mirror k -> n - k of
-the arrow indices identifies the double-line algebra with its opposite,
-so the vector-space dual D = Hom_k(-, k) sends the band module of a walk
-x to the band module of gentle.mirror_walk(x), and sends the graph maps
-X -> Y to the graph maps DY -> DX.  With sigma(g) = -reverse(g):
+The enumeration does each mirror pair's work once.  The mirror
+k -> n - k of the arrow indices identifies the double-line algebra with
+its opposite, so the vector-space dual D = Hom_k(-, k) sends the band
+module of a walk x to the band module of gentle.mirror_walk(x), and
+sends the graph maps X -> Y to the graph maps DY -> DX.  With
+sigma(g) = -reverse(g):
 
     g(D X) = sigma(g(X))    and    Hom(X, Y) = Hom(D Y, D X),
 
-so g is a brick g-vector exactly when sigma(g) is, and the Euler form
-satisfies <sigma a, sigma b> = <b, a>.  The enumeration traces only the
-g <= sigma(g) and builds the other bricks from their mirrors, and the
-search counts Hom once per sigma-orbit of zero-form pairs.  The search
-returns that compatibility graph, and the max-compat suite checks it.
+so g is a brick g-vector exactly when sigma(g) is.  The enumeration
+traces only the g <= sigma(g) and builds the other bricks from their
+mirrors.  The compatibility graph of all bricks then comes from one
+joint rotation sort of their walks, gentle.hom_orthogonal, with no
+Euler-form prefilter: Hom vanishing both ways already forces the form
+to vanish.  The search returns that graph, and the max-compat suite
+checks it against the Euler form and the components of each sum.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import dyck, gentle, words
 from .errors import (
@@ -39,7 +43,6 @@ from .errors import (
     DimensionMismatch,
     InternalInconsistency,
     NotABrick,
-    NotInHyperplane,
     SearchTooLarge,
 )
 
@@ -47,11 +50,11 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (0.8-1.3 s in process over five
+# admitted search is n = 3, box = 70 (1.0-1.3 s in process over eight
 # fresh interpreters, Python 3.11, 2 CPUs, nearly all of it the End
 # self-check on long walks; fan maxcompat --n 3 --box 70, pinned in
-# tests/test_cli.py, takes 1.3-1.6 s as a subprocess), while (4, 13)
-# takes 0.35-0.65 s, (6, 3) 0.06-0.1 s and (7, 2) 0.05-0.08 s
+# tests/test_cli.py, takes 0.85-1.3 s as a subprocess), while (4, 13)
+# takes 0.37-0.61 s, (6, 3) 0.04-0.07 s and (7, 2) 0.03-0.06 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -65,13 +68,6 @@ def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
 def _euler_row(x: Sequence[int]) -> list[int]:
     # c_j = x_j + 2 sum_{i<j} x_i, so euler_form(x, y) == sum(c_j y_j)
     return [2 * prefix - xj for prefix, xj in zip(itertools.accumulate(x), x)]
-
-
-def euler_skew_check(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Assert skew symmetry; both vectors must sum to zero."""
-    if sum(x) != 0 or sum(y) != 0:
-        raise NotInHyperplane("both vectors must sum to zero")
-    return euler_form(x, y) == -euler_form(y, x)
 
 
 def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
@@ -226,57 +222,38 @@ def _mirror_module(module: gentle.BandModule, g: GVector) -> gentle.BandModule:
     return mirror
 
 
-def _euler_zero_pairs(bricks: Sequence[GVector]) -> list[list[int]]:
-    # later[i] lists, ascending, the j > i with euler_form(bricks[i],
-    # bricks[j]) == 0.  Every g2 sums to zero, so with c = _euler_row(g1)
-    # the form is sum_{j<n} (c_j - c_n) g2_j; once the first n - 2 entries
-    # of g2 are fixed, one linear equation in g2_{n-1} is left, whose
-    # solution is looked up among the bricks with that prefix.  When its
-    # coefficient is 0, all of them qualify or none does.
-    buckets: dict[GVector, dict[int, int]] = {}  # prefix -> {g2_{n-1}: j}
-    later: list[list[int]] = [[] for _ in bricks]
-    for i in range(len(bricks) - 1, -1, -1):  # buckets hold the j > i
-        g1 = bricks[i]
-        row = _euler_row(g1)
-        cn = row[-1]
-        coeffs = [c - cn for c in row[:-2]]
-        lead = row[-2] - cn
-        found = later[i]
-        for prefix, bucket in buckets.items():
-            rest = sum(map(operator.mul, coeffs, prefix))
-            if lead:
-                last, remainder = divmod(-rest, lead)
-                if not remainder and last in bucket:
-                    found.append(bucket[last])
-            elif not rest:
-                found.extend(bucket.values())
-        found.sort()
-        buckets.setdefault(g1[:-2], {})[g1[-2]] = i
-    return later
+def _max_clique(adj: list[int], best: list[int]) -> list[int]:
+    # Bron-Kerbosch with pivoting on bit masks (bit j of adj[i]: the edge
+    # ij) from the clique best, replaced only by a strictly larger one; a
+    # branch is cut only when it cannot beat best, so a larger maximum is
+    # still the first one in search order: ascending, pivot ties to the lowest
 
-
-def _max_clique(adj: dict[int, set[int]], best: list[int]) -> list[int]:
-    # Bron-Kerbosch with pivoting over adj's keys, starting from the clique
-    # best and replacing it only by a strictly larger one; a branch is cut
-    # only when it cannot beat best, so a larger maximum is still the first
-    # one in search order
-
-    def expand(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
+    def expand(clique: list[int], candidates: int, excluded: int) -> None:
         nonlocal best
         if not candidates and not excluded:
             if len(clique) > len(best):
                 best = clique[:]
             return
-        if len(clique) + len(candidates) <= len(best):
+        if len(clique) + candidates.bit_count() <= len(best):
             return
-        pivot = max(candidates | excluded, key=lambda u: len(adj[u] & candidates))
-        for v in sorted(candidates - adj[pivot]):
+        pivot = max(
+            _members(candidates | excluded), key=lambda u: (adj[u] & candidates).bit_count()
+        )
+        for v in _members(candidates & ~adj[pivot]):
             expand(clique + [v], candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    expand([], set(adj), set())
+    expand([], (1 << len(adj)) - 1, 0)
     return best
+
+
+def _members(mask: int) -> Iterator[int]:
+    # the set bits of mask, ascending
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
@@ -284,15 +261,16 @@ def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     g-vectors with max-norm <= box, found by _compatibility_search.  The
     standard witness family is preferred as the returned witness when no
     strictly larger clique exists."""
-    witness, _, _, _ = _compatibility_search(n, box)
+    witness, _, _ = _compatibility_search(n, box)
     return len(witness), witness
 
 
 def _compatibility_search(
     n: int, box: int
-) -> tuple[tuple[GVector, ...], list[GVector], list[list[int]], dict[int, set[int]]]:
-    # (witness, bricks, zero_pairs, adj): the clique, the bricks in
-    # enumeration order, their Euler-zero pairs and the graph of the clique
+) -> tuple[tuple[GVector, ...], list[GVector], list[int]]:
+    # (witness, bricks, adj): the clique, the bricks in enumeration order
+    # and the graph of the clique, bit j of adj[i] when bricks i and j
+    # are compatible
     if n < 2:
         raise BadDimension(f"a g-vector needs at least 2 entries, got n = {n}")
     if box < 1:
@@ -306,28 +284,23 @@ def _compatibility_search(
             )
     modules = _enumerate_brick_gvectors(n, box)
     bricks = list(modules)
+    chosen = range(len(bricks))
+    if n == 3:
+        # the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc, and valid
+        # g-vectors lie in the pointed cone b >= 0, a + b >= 0, so a
+        # compatible pair, of form 0, is two bricks of one direction
+        directions = [(a // math.gcd(a, b), b // math.gcd(a, b)) for _, a, b in bricks]
+        repeats = collections.Counter(directions)
+        chosen = [i for i, d in enumerate(directions) if repeats[d] > 1]
+    adj = [0] * len(bricks)
+    for i, mask in zip(chosen, gentle.hom_orthogonal([modules[bricks[i]] for i in chosen])):
+        adj[i] = sum(1 << chosen[k] for k in _members(mask))
     index = {g: i for i, g in enumerate(bricks)}
-    mirror = [index[_sigma(g)] for g in bricks]
-    adj: dict[int, set[int]] = {i: set() for i in index.values()}
-    zero_pairs = _euler_zero_pairs(bricks)
-    for i, later in enumerate(zero_pairs):
-        for j in later:
-            # a zero Euler form makes Hom equally large both ways, and the
-            # mirror pair, a zero-form pair too, has the same Hom: when it
-            # comes first, its answer is already in adj
-            p, q = sorted((mirror[i], mirror[j]))
-            if (p, q) < (i, j):
-                no_hom = q in adj[p]
-            else:
-                no_hom = gentle.hom_dim(modules[bricks[i]], modules[bricks[j]]) == 0
-            if no_hom:
-                adj[i].add(j)
-                adj[j].add(i)
     seed = [index[g] for g in witness_family(n) if g in index]
-    if not all(j in adj[i] for i in seed for j in seed if j != i):
+    if not all(adj[i] >> j & 1 for i in seed for j in seed if j != i):
         seed = []
     witness = tuple(sorted(bricks[i] for i in _max_clique(adj, seed)))
-    return witness, bricks, zero_pairs, adj
+    return witness, bricks, adj
 
 
 def necklace_count_bound_check(alpha: Sequence[int]) -> bool:

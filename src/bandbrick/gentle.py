@@ -53,7 +53,7 @@ from .errors import (
     WalkTooLarge,
     ZeroLambda,
 )
-from .words import is_primitive, least_rotation
+from .words import _rotation_order, is_primitive, least_rotation
 
 # written step codes, index << 2 | (kind b) << 1 | (inverse)
 Walk = tuple[int, ...]
@@ -432,6 +432,46 @@ def _admissible_walks(
                 raise InternalInconsistency(f"a common walk outruns its bound {bound}")
             if xs[a] & 1 < ys[b] & 1:
                 yield i, j, a - i
+
+
+def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
+    """Bit j of entry i is set when no morphism goes either way between
+    modules[i] and modules[j], which lie on distinct bands; entry i never
+    has bit i.
+
+    Label each step 2v for the arrow a_{v-1} and 2v + 1 for the inverse
+    b_v^- that leave vertex v.  A graph map of x into y (see hom_dim) is
+    then a source start of x and a start of y leaving one vertex, x's
+    rotation sorted first: past their common walk, empty for a top over a
+    bottom, x goes on by an arrow and y by an inverse.  Twice the longest
+    walk bounds the joint sort (Fine-Wilf); one sweep each way reads it.
+    """
+    letters: list[int] = []
+    succ: list[int] = []
+    owner: list[int] = []
+    source: list[int] = []  # 1 where the step before is an inverse arrow
+    for k, m in enumerate(modules):
+        codes = m.codes
+        start = len(letters)
+        letters += [(c >> 2 << 1) + 2 - (c & 1) for c in codes]
+        succ += [*range(start + 1, start + len(codes)), start]
+        owner += [k] * len(codes)
+        source += [c & 1 for c in codes[-1:] + codes[:-1]]
+    order = _rotation_order(letters, succ, 2 * max((len(m.codes) for m in modules), default=0))
+    # forward, the source starts of each vertex block mark the starts after
+    # them; backward, the starts mark the source starts before them
+    linked = [0] * len(modules)  # bit j of linked[i]: a morphism either way
+    for sweep, marking in ((order, 1), (order[::-1], 0)):
+        block = seen = 0
+        for p in sweep:
+            if letters[p] >> 1 != block:
+                block, seen = letters[p] >> 1, 0
+            if source[p] == marking:
+                seen |= 1 << owner[p]
+            elif seen:
+                linked[owner[p]] |= seen
+    everything = (1 << len(modules)) - 1
+    return [everything ^ (mask | 1 << k) for k, mask in enumerate(linked)]
 
 
 def is_brick(m: BandModule) -> bool:

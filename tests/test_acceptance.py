@@ -54,6 +54,19 @@ def test_criterion(number, name, verify_all, request):
     assert type(result["seconds"]) is float and result["seconds"] >= 0
 
 
+def _edge_of_nonzero_form(f):
+    # one more edge, between the first and the last brick of each box, whose
+    # Euler form is 3; no clique grows, so only the form check sees it
+    def orthogonal(modules):
+        adj = f(modules)
+        if len(adj) > 1:
+            adj[0] |= 1 << len(adj) - 1
+            adj[-1] |= 1
+        return adj
+
+    return orthogonal
+
+
 # one planted fault per suite, as (suite, module, attribute, fault of the
 # original function); hom_dim + 1 everywhere cancels in the Euler
 # difference and in the duality, so within hom-euler only the End check
@@ -66,6 +79,7 @@ _FAULTS = [
     ("hom-euler", gentle, "hom_dim", lambda f: lambda m, w: f(m, w) + 1),
     ("bricks-n4", forms, "is_brick_gvector_n4", lambda f: lambda g: not f(g)),
     ("max-compat", forms, "witness_family", lambda f: lambda n: f(n)[:-1]),
+    ("max-compat", gentle, "hom_orthogonal", _edge_of_nonzero_form),
     ("necklace-bound", words, "phi", lambda f: lambda w: tuple(sorted((a,) for a in w))),
     ("christoffel", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
     ("witness", forms, "compatible", lambda f: lambda g1, g2: True),
@@ -98,7 +112,7 @@ def test_a_planted_fault_fails_the_suite(name, module, attribute, fault, capsys)
 
 
 def test_max_compat_enumerates_each_box_once():
-    # five box-2 searches, each read for its witness, pairs and graph, then (3, 4)
+    # five box-2 searches, each read for its witness, bricks and graph, then (3, 4)
     enumerate_bricks = forms._enumerate_brick_gvectors
     with mock.patch.object(forms, "_enumerate_brick_gvectors", wraps=enumerate_bricks) as spy:
         acceptance.max_compat(0)

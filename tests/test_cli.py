@@ -836,7 +836,7 @@ _BOUND_PINS = {
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
     # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.22-0.30 s
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
-    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 1.3-1.6 s
+    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.85-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
 }
 

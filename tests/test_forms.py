@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +19,6 @@ from bandbrick.errors import (
     InternalInconsistency,
     InvalidWalk,
     NotABrick,
-    NotInHyperplane,
     SearchTooLarge,
 )
 
@@ -75,11 +73,7 @@ class TestEulerForm:
     def test_skew_on_hyperplane(self, x, y):
         if len(x) != len(y):
             return
-        assert forms.euler_skew_check(x, y)
-
-    def test_skew_requires_hyperplane(self):
-        with pytest.raises(NotInHyperplane):
-            forms.euler_skew_check((1, 0), (0, 0))
+        assert forms.euler_form(x, y) == -forms.euler_form(y, x)
 
 
 class TestEulerRows:
@@ -90,40 +84,6 @@ class TestEulerRows:
             row = forms._euler_row(g1)
             for g2 in bricks:
                 assert sum(a * b for a, b in zip(row, g2)) == _euler_by_definition(g1, g2)
-
-
-def _pairwise_euler_zero(bricks):
-    # the pairwise loop the search ran before the buckets: one Euler row
-    # per brick, applied to every later brick
-    later = [[] for _ in bricks]
-    for i, g1 in enumerate(bricks):
-        row = forms._euler_row(g1)
-        for j in range(i + 1, len(bricks)):
-            if sum(map(operator.mul, row, bricks[j])) == 0:
-                later[i].append(j)
-    return later
-
-
-class TestEulerPairsByBucket:
-    @pytest.mark.parametrize(
-        "n, box",
-        [(n, 2) for n in range(2, 8)] + [(n, 3) for n in range(3, 7)] + [(3, 6), (4, 4)],
-    )
-    def test_matches_pairwise_loop(self, n, box):
-        bricks = list(forms._enumerate_brick_gvectors(n, box))
-        assert forms._euler_zero_pairs(bricks) == _pairwise_euler_zero(bricks)
-
-    @pytest.mark.parametrize("n, box", [(2, 4), (3, 2), (4, 2)])
-    def test_matches_on_every_valid_gvector(self, n, box):
-        # not only bricks: n = 2 has an empty prefix, and every pair of
-        # (-a, a) and (-b, b) has a zero form, so a whole bucket qualifies
-        gs = [
-            g for g in itertools.product(range(-box, box + 1), repeat=n)
-            if dyck.validate_gvector(g)
-        ]
-        pairs = forms._euler_zero_pairs(gs)
-        assert pairs == _pairwise_euler_zero(gs)
-        assert any(pairs)
 
 
 class TestBrickGVectors:
@@ -323,9 +283,12 @@ class TestFamilies:
     # the compatible-family search holds one module per brick
 
     def test_search_builds_each_brick_once(self):
-        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
-            _, bricks, _, _ = forms._compatibility_search(5, 2)
+        # and counts no Hom: the graph comes from one joint rotation sort
+        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
+                mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
+            _, bricks, _ = forms._compatibility_search(5, 2)
         assert build.call_count == len(bricks)
+        assert hom.call_count == 0
 
 
 def _reference_enumeration(n, box):
@@ -363,8 +326,8 @@ def _sigma(g):
 
 
 class TestMirrorEnumeration:
-    # the enumeration traces g <= sigma(g) only, builds the rest from
-    # mirror walks, and the search counts Hom once per mirror pair
+    # the enumeration traces g <= sigma(g) only and builds the rest from
+    # mirror walks
 
     @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
     def test_matches_reference(self, n, box):
@@ -376,29 +339,15 @@ class TestMirrorEnumeration:
 
     @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
     def test_adjacency_matches_all_pairs(self, n, box):
-        _, _, _, adj = forms._compatibility_search(n, box)
+        _, _, adj = forms._compatibility_search(n, box)
         modules = list(_reference_enumeration(n, box).values())
-        want = {i: set() for i in range(len(modules))}
+        want = [0] * len(modules)
         for i, j in itertools.combinations(range(len(modules)), 2):
             x, y = modules[i], modules[j]
             if gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0:
-                want[i].add(j)
-                want[j].add(i)
+                want[i] |= 1 << j
+                want[j] |= 1 << i
         assert adj == want
-
-    @pytest.mark.parametrize("n, box, orbits", [(5, 3, 233), (6, 2, 333)])
-    def test_one_hom_count_per_mirror_orbit(self, n, box, orbits):
-        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
-            _, bricks, zero_pairs, _ = forms._compatibility_search(n, box)
-        index = {g: i for i, g in enumerate(bricks)}
-        mirror = [index[_sigma(g)] for g in bricks]
-        orbits_found = {
-            frozenset({frozenset({i, j}), frozenset({mirror[i], mirror[j]})})
-            for i, later in enumerate(zero_pairs)
-            for j in later
-        }
-        assert len(orbits_found) == orbits
-        assert hom.call_count == orbits
 
     def test_mirrors_are_not_traced(self):
         # a brick g > sigma(g) is built from its mirror, with no Dyck trace
@@ -452,7 +401,9 @@ class TestReturnToZero:
 
 
 def _reference_max_clique(vertices, adj):
-    # the search before it was seeded: Bron-Kerbosch from an empty clique
+    # the search before it was seeded and before it ran on bit masks:
+    # Bron-Kerbosch on sets from an empty clique, a tie between pivots
+    # going to the lowest vertex
     best = []
 
     def expand(clique, candidates, excluded):
@@ -463,7 +414,7 @@ def _reference_max_clique(vertices, adj):
             return
         if len(clique) + len(candidates) <= len(best):
             return
-        pivot = max(candidates | excluded, key=lambda u: len(adj[u] & candidates))
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(adj[u] & candidates))
         for v in sorted(candidates - adj[pivot]):
             expand(clique + [v], candidates & adj[v], excluded & adj[v])
             candidates = candidates - {v}
@@ -473,23 +424,25 @@ def _reference_max_clique(vertices, adj):
     return best
 
 
+def _masks(adj):
+    # a graph on the vertices 0..k-1 as the search holds it, one int per vertex
+    return [sum(1 << u for u in adj[v]) for v in range(len(adj))]
+
+
 def _reference_selection(adj, seed):
     # the post-selection that followed it: the seed unless strictly beaten
     clique = _reference_max_clique(list(adj), adj)
     return clique if len(clique) > len(seed) else seed
 
 
-def _reference_search(n, bricks, adj):
+def _reference_search(n, bricks, masks):
     # the witness the search returned before it was seeded, on its graph
+    adj = {v: {u for u in range(len(masks)) if mask >> u & 1} for v, mask in enumerate(masks)}
     index = {g: i for i, g in enumerate(bricks)}
-    seed = [g for g in forms.witness_family(n) if g in index]
-    if not all(index[h] in adj[index[g]] for g in seed for h in seed if h != g):
+    seed = [index[g] for g in forms.witness_family(n) if g in index]
+    if not all(j in adj[i] for i in seed for j in seed if j != i):
         seed = []
-    clique = _reference_max_clique(list(index.values()), adj)
-    if len(clique) > len(seed):
-        witness = tuple(sorted(bricks[i] for i in clique))
-    else:
-        witness = tuple(sorted(seed))
+    witness = tuple(sorted(bricks[i] for i in _reference_selection(adj, seed)))
     return len(witness), witness
 
 
@@ -521,13 +474,13 @@ class TestSeededClique:
     )
     def test_search_matches_reference(self, n, box):
         # n = 2..5 at box 1..3 and the fan-search boxes, on the same graph
-        witness, bricks, _, adj = forms._compatibility_search(n, box)
+        witness, bricks, adj = forms._compatibility_search(n, box)
         assert (len(witness), witness) == _reference_search(n, bricks, adj)
 
     def test_seed_smaller_than_maximum(self):
         # the triangle {0, 1, 2} beats the seeded edge {3, 4}
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2, 4}, 4: {3}}
-        found = forms._max_clique(adj, [3, 4])
+        found = forms._max_clique(_masks(adj), [3, 4])
         assert sorted(found) == [0, 1, 2]
         assert found == _reference_selection(adj, [3, 4])
 
@@ -536,14 +489,14 @@ class TestSeededClique:
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
         assert _reference_max_clique(list(adj), adj) == [0, 1, 2]
         seed = [5, 3, 4]
-        assert forms._max_clique(adj, seed) == [5, 3, 4]
+        assert forms._max_clique(_masks(adj), seed) == [5, 3, 4]
         assert seed == [5, 3, 4]
 
     def test_empty_seed(self):
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
-        assert forms._max_clique(adj, []) == [0, 1, 2]
-        assert forms._max_clique({}, []) == []
-        assert forms._max_clique({0: set(), 1: set()}, []) == [0]
+        assert forms._max_clique(_masks(adj), []) == [0, 1, 2]
+        assert forms._max_clique([], []) == []
+        assert forms._max_clique([0, 0], []) == [0]
 
     def test_random_graphs_and_seeds(self):
         rng = random.Random(5)
@@ -552,10 +505,27 @@ class TestSeededClique:
             adj = _random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
             seed = rng.choice([[], _greedy_clique(rng, adj)])
             want = _reference_selection(adj, seed)
-            assert forms._max_clique(adj, list(seed)) == want, (adj, seed)
+            assert forms._max_clique(_masks(adj), list(seed)) == want, (adj, seed)
             beaten += want is not seed
             kept += bool(seed) and want is seed
         assert beaten > 50 and kept > 50
+
+
+class TestDirectionsAtN3:
+    # at n = 3 only bricks whose direction (a, b) / gcd(a, b) repeats enter
+    # the sort, since the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc
+
+    def test_a_repeated_direction_is_sorted(self, monkeypatch):
+        # no box has two bricks of one direction, so three modules stand in
+        # under the directions (1, 0), (1, 1) and (1, 0)
+        gs = [(-1, 1, 0), (-2, 1, 1), (-2, 2, 0)]
+        stand_ins = dict(zip(gs, forms._enumerate_brick_gvectors(3, 2).values()))
+        monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda n, box: stand_ins)
+        with mock.patch.object(gentle, "hom_orthogonal", return_value=[0b10, 0b01]) as sort:
+            witness, _, adj = forms._compatibility_search(3, 2)
+        sort.assert_called_once_with([stand_ins[gs[0]], stand_ins[gs[2]]])
+        assert adj == [0b100, 0, 0b001]
+        assert witness == (gs[2], gs[0])
 
 
 class TestMaxCompatible:

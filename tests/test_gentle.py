@@ -1061,6 +1061,54 @@ class TestBrickTestAgainstEnd:
         assert time.perf_counter() - start < 0.5
 
 
+class TestHomOrthogonal:
+    # the joint rotation sort of many walks against hom_dim both ways, on
+    # modules of distinct bands, bricks or not
+
+    def _check(self, modules):
+        masks = gentle.hom_orthogonal(modules)
+        assert len(masks) == len(modules)
+        for (i, x), (j, y) in itertools.product(enumerate(modules), repeat=2):
+            want = i != j and gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0
+            assert bool(masks[i] >> j & 1) == want, (x.walk, y.walk)
+        return masks
+
+    def test_seeded_words(self):
+        rng = random.Random(31)
+        bands = {}
+        while len(bands) < 60:
+            w = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 8)))
+            if words.is_primitive(w):
+                m = gentle.band_module(gentle.psi(w, 6), 1, 6)
+                bands.setdefault(m.walk, m)
+        modules = list(bands.values())
+        assert len({len(m.codes) for m in modules}) > 10
+        assert not all(map(gentle.is_brick, modules))
+        assert any(self._check(modules))
+
+    def test_a_top_over_a_bottom_alone(self):
+        # psi(4) has a top at vertex 4, where a4 b4- has a bottom, and the
+        # two walks share no step: that top over that bottom is the one map
+        x = gentle.band_module(gentle.psi((4,), 5), 1, 5)
+        y = gentle.band_module(gentle.walk_from_str("a4 b4-"), 1, 5)
+        assert not list(gentle._admissible_walks(x.codes, y.codes, x.source_starts, y.starts))
+        assert (gentle.hom_dim(x, y), gentle.hom_dim(y, x)) == (1, 0)
+        assert self._check([x, y]) == [0, 0]
+
+    def test_long_walks(self):
+        # two random words of unequal lengths, and the mirror of one of
+        # them, which lives on vertices the other two never reach
+        rng = random.Random(500)
+        w1, w2 = (tuple(rng.randint(2, 6) for _ in range(k)) for k in (130, 170))
+        x, y = (gentle.band_module(gentle.psi(w, 12), 1, 12) for w in (w1, w2))
+        far = gentle.band_module(gentle.mirror_walk(gentle.psi(w2, 12), 12), 1, 12)
+        assert min(len(m.codes) for m in (x, y, far)) >= 500
+        assert self._check([x, y, far]) == [0b100, 0b100, 0b011]
+
+    def test_no_modules(self):
+        assert gentle.hom_orthogonal([]) == []
+
+
 class TestFamilyMembers:
     # a member made by BandModule.replace is the module a fresh build at
     # its parameter gives, down to the Hom tables
