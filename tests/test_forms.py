@@ -349,6 +349,30 @@ class TestMirrorEnumeration:
                 want[j] |= 1 << i
         assert adj == want
 
+    @pytest.mark.parametrize("n, box, orbits", [(5, 3, 233), (6, 2, 333)])
+    def test_one_hom_count_per_mirror_orbit(self, n, box, orbits):
+        # the pairs of Euler form 0 fall into `orbits` mirror orbits, once
+        # one Hom count each; the graph now costs none, every edge is such
+        # a pair, and the mirror of an edge is an edge
+        with mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
+            _, bricks, adj = forms._compatibility_search(n, box)
+        assert hom.call_count == 0
+        index = {g: i for i, g in enumerate(bricks)}
+        mirror = [index[_sigma(g)] for g in bricks]
+        zero_pairs = [
+            (i, j)
+            for i, g in enumerate(bricks)
+            for j in range(i + 1, len(bricks))
+            if forms.euler_form(g, bricks[j]) == 0
+        ]
+        orbits_found = {
+            frozenset({frozenset({i, j}), frozenset({mirror[i], mirror[j]})}) for i, j in zero_pairs
+        }
+        assert len(orbits_found) == orbits
+        edges = [(i, j) for i in range(len(bricks)) for j in range(i + 1, len(bricks)) if adj[i] >> j & 1]
+        assert set(edges) <= set(zero_pairs)
+        assert all(adj[mirror[i]] >> mirror[j] & 1 for i, j in edges)
+
     def test_mirrors_are_not_traced(self):
         # a brick g > sigma(g) is built from its mirror, with no Dyck trace
         with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace:
