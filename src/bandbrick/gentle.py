@@ -11,9 +11,9 @@ cycle or of a multislalom segment step by 4 in index, so psi and
 slalom_to_band_walk build them as ranges, and psi builds one cycle per
 distinct letter.
 
-A band module of multiplicity one is its walk with one scalar.  A build
-stores the traversal of the walk, its dimensions and what the Hom count
-reads of it, and BandModule.matrices() derives the arrows from the
+A band module of multiplicity one is its walk with one scalar: a
+BandModule holds n, dims, lam and codes, the traversal of the walk, and
+nothing else.  BandModule.matrices() derives the arrows from the
 canonical walk, each sending a basis vector to at most one basis vector,
 and checks the gentle relations on them before it yields any matrix.  All
 a-steps of a band walk share one sign and all b-steps the other, and a
@@ -22,16 +22,17 @@ the a-steps as arrows.  A build does not rotate: two modules lie on one
 band exactly when their codes are rotations of each other, that is when
 their canonical walks are equal, and BandModule.walk derives the canonical
 walk when it is read.
-Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991): a
-top of the source over a bottom of the target, a maximal common subwalk
-of the two walks whose ends are admissible, and, when both modules lie on
-one band, the one cycle if the parameters agree.  The count goes round
-both cycles, so it is the same at every rotation.  Each module carries
-what the count reads of it (its tops, its bottoms and indexes of its
-start positions), built with it and shared by its family through
-BandModule.replace, so a Hom call rebuilds nothing.  No equation is built
-and the count is independent of the base field.  The brick test reads End
-from the same tables and answers at the first graph map past the identity.
+Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991), read
+off the two codes by one rule: a graph map starts where the source enters
+a vertex by an inverse step and the target by an arrow, runs along the
+longest common walk from there, of d >= 0 steps, and ends where the
+source goes on by an arrow and the target by an inverse; at d = 0 it is a
+top of the source over a bottom of the target.  When both modules lie on
+one band, the one cycle counts too if the parameters agree.  The count
+goes round both cycles, so it is the same at every rotation, and nothing
+is stored for it: hom_dim, is_brick and hom_orthogonal read only the
+codes.  No equation is built and the count is independent of the base
+field.  The brick test answers at the first graph map past the identity.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from .words import _rotation_order, is_primitive, least_rotation
 Walk = tuple[int, ...]
 
 # the largest quiver band_module builds: arrow indices up to 10^6, where
-# band hom of "a1000000 b1000000-" against itself takes 0.22-0.30 s as a
-# subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py; its
-# per-vertex tables grow with n
+# band hom of "a1000000 b1000000-" against itself takes 0.21-0.27 s and
+# 62 MB as a subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py;
+# of what a module holds, only its dimension vector grows with n
 MAX_VERTICES = 10**6 + 1
 
 # the most steps psi or slalom_to_band_walk builds: psi's walk has sum
@@ -187,50 +188,33 @@ def mirror_walk(walk: Sequence[int], n: int) -> Walk:
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
-    dims[i] is the dimension at vertex i+1.  codes is the walk as
-    band_module was given it, a-steps as arrows, in traversal order, so
-    codes[t] is step t, from basis t to t + 1; the build does not rotate
-    it.  walk is the canonical walk in written order, canonical_walk of
-    codes[::-1], derived on each read: it names the band, and == and
-    matrices() read it.  The arrows are not stored: matrices() derives them
-    from the canonical walk, with lam on the wrap-around step, an a-step,
-    and 1 on every other step.
+    Four fields: n vertices, dims[i] the dimension at vertex i+1, the
+    parameter lam, and codes, the walk as band_module was given it,
+    a-steps as arrows, in traversal order, so codes[t] is step t, from
+    basis t to t + 1; the build does not rotate it.  Everything else is
+    read off codes: walk is the canonical walk in written order,
+    canonical_walk of codes[::-1], derived on each read, which names the
+    band; g_vector() counts the turns of codes; hom_dim and is_brick scan
+    them.  The arrows are not stored: matrices() derives them from the
+    canonical walk, with lam on the wrap-around step, an a-step, and 1 on
+    every other step.
 
-    The Hom tables are read off codes once, by band_module: tops[v]
-    counts the basis vectors at vertex v that both their steps leave by
-    arrows out of them, bottoms[v] those that both their steps reach by
-    arrows into them, starts[c] lists the positions t with codes[t] == c
-    whose previous step is an arrow, and source_starts the positions t
-    whose previous step is an inverse arrow, ascending.  The Hom count
-    goes round the cycle, so the tables of any rotation give the same
-    counts.  == and repr read only n, dims, lam and walk, so two modules
-    built from two rotations of one band are equal, and a module is
-    unhashable.  module.replace(lam=mu) is the member mu of the same
-    family, sharing dims, codes and the tables.
+    == and repr read only n, dims, lam and walk, so two modules built
+    from two rotations of one band are equal, and a module is unhashable.
+    module.replace(lam=mu) is the member mu of the same family, sharing
+    dims and codes.
     """
 
-    __slots__ = ("n", "dims", "lam", "codes", "tops", "bottoms", "starts", "source_starts")
+    __slots__ = ("n", "dims", "lam", "codes")
     __hash__ = None
 
     def __init__(
-        self,
-        n: int,
-        dims: tuple[int, ...],
-        lam: Fraction,
-        codes: tuple[int, ...],
-        tops: dict[int, int],
-        bottoms: dict[int, int],
-        starts: dict[int, list[int]],
-        source_starts: list[int],
+        self, n: int, dims: tuple[int, ...], lam: Fraction, codes: tuple[int, ...]
     ) -> None:
         self.n = n
         self.dims = dims
         self.lam = lam
         self.codes = codes
-        self.tops = tops
-        self.bottoms = bottoms
-        self.starts = starts
-        self.source_starts = source_starts
 
     @property
     def walk(self) -> Walk:
@@ -255,12 +239,16 @@ class BandModule:
         return BandModule(**fields)
 
     def g_vector(self) -> tuple[int, ...]:
-        """Tops minus bottoms per vertex."""
+        """Tops minus bottoms per vertex: a top where an inverse step is
+        followed by an arrow, a bottom where an arrow is followed by an
+        inverse step."""
         g = [0] * self.n
-        for vertex, count in self.tops.items():
-            g[vertex - 1] += count
-        for vertex, count in self.bottoms.items():
-            g[vertex - 1] -= count
+        codes = self.codes
+        for prev, c in zip(codes[-1:] + codes[:-1], codes):
+            if prev & 1 != c & 1:
+                # a top at vertex index + 1, left by the arrow c; a bottom
+                # at vertex index, left by the inverse c
+                g[(c >> 2) - (c & 1)] += 1 - 2 * (c & 1)
         return tuple(g)
 
     def matrices(self) -> Iterator[tuple[tuple[str, int], tuple[tuple[Fraction, ...], ...]]]:
@@ -308,8 +296,8 @@ def band_module(
     either way), but not rotated: two modules lie on one band exactly when
     their codes are rotations of each other, and BandModule.walk names the
     band by its least rotation when read.  One pass over the traversal
-    then counts the basis and fills the Hom tables; no arrow is built
-    (BandModule.matrices() derives them and checks the relations there).
+    then counts the basis; no arrow is built (BandModule.matrices()
+    derives them and checks the relations there).
     """
     walk = tuple(walk)
     if n is None:
@@ -330,28 +318,10 @@ def band_module(
     else:
         trav = walk[::-1]
     count = [0] * (n + 1)  # basis vectors at each vertex
-    tops: dict[int, int] = {}
-    bottoms: dict[int, int] = {}
-    starts: dict[int, list[int]] = {}
-    source_starts: list[int] = []
-    prev = trav[-1]
-    for t, c in enumerate(trav):
-        # step t leaves vertex index + 1 if it is an arrow, index if not
-        v = (c >> 2) + 1 - (c & 1)
-        count[v] += 1
-        if prev & 1:
-            source_starts.append(t)
-            if not c & 1:
-                tops[v] = tops.get(v, 0) + 1
-        else:
-            if c & 1:
-                bottoms[v] = bottoms.get(v, 0) + 1
-            if c in starts:
-                starts[c].append(t)
-            else:
-                starts[c] = [t]
-        prev = c
-    return BandModule(n, tuple(count[1:]), lam, trav, tops, bottoms, starts, source_starts)
+    for c in trav:
+        # a step leaves vertex index + 1 if it is an arrow, index if not
+        count[(c >> 2) + 1 - (c & 1)] += 1
+    return BandModule(n, tuple(count[1:]), lam, trav)
 
 
 def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:
@@ -370,29 +340,24 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     """Dimension of the space of morphisms m -> w, counted as graph maps.
 
     Both modules come from band_module, so both walks read their a-steps
-    as arrows and carry the Hom tables.  A graph map is a free component
-    of the pair graph: its nodes pair a basis vector of m with one of w at
-    the same vertex, and an edge joins two nodes when both modules move
-    along one arrow, so every component is a path or a cycle.  The free
-    ones are the singletons that pair a top of m with a bottom of w, the
-    maximal common walks of at least one step whose two ends are
-    admissible (m leaves the end by an arrow out of it, w by an arrow
-    into it), and the one cycle when m and w lie on one band, free when
-    the parameters agree.  A common walk of m and the inverse of w would
-    pair an a-step read as an arrow with one read as an inverse arrow, so
-    there is none.  Both counts go round the cycles, so the rotations the
-    modules were built from do not matter.  The tables are read, never
-    rebuilt: a call costs one pass over the source starts of m plus the
-    steps of the common walks.  Equal codes mean one band; when the codes
-    differ but the dims agree, the canonical walks decide.
+    as arrows.  A graph map is a free component of the pair graph: its
+    nodes pair a basis vector of m with one of w at the same vertex, and
+    an edge joins two nodes when both modules move along one arrow, so
+    every component is a path or a cycle.  The free ones are the maximal
+    common walks, of d >= 0 steps, whose two ends are admissible (m
+    leaves the end by an arrow out of it, w by an arrow into it; at
+    d = 0 that is a top of m over a bottom of w), and the one cycle when
+    m and w lie on one band, free when the parameters agree.  A common
+    walk of m and the inverse of w would pair an a-step read as an arrow
+    with one read as an inverse arrow, so there is none.  Both counts go
+    round the cycles, so the rotations the modules were built from do not
+    matter.  A call reads only the two codes: one pass over each, plus
+    the steps of the common walks.  Equal codes mean one band; when the
+    codes differ but the dims agree, the canonical walks decide.
     """
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
-    x, y = m.codes, w.codes
-    bottoms = w.bottoms
-    free = sum(count * bottoms.get(v, 0) for v, count in m.tops.items())
-    for _ in _admissible_walks(x, y, m.source_starts, w.starts):
-        free += 1
+    free = sum(1 for _ in _admissible_walks(m.codes, w.codes))
     # both modules put lam on an a-step, read as an arrow, so on one band
     # the cycle is free exactly when the parameters agree
     free += _one_band(m, w) and m.lam == w.lam
@@ -405,33 +370,47 @@ def _one_band(m: BandModule, w: BandModule) -> bool:
     return m.codes == w.codes or (m.dims == w.dims and m.walk == w.walk)
 
 
-def _admissible_walks(
-    x: Sequence[int], y: Sequence[int], source_starts: list[int], starts: dict[int, list[int]]
-) -> Iterator[tuple[int, int, int]]:
+def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     # yields (i, j, d) for each maximal common walk x[i:i+d] == y[j:j+d],
-    # d >= 1, with admissible ends, so a caller may stop at the first one.
+    # d >= 0, with admissible ends, so a caller may stop at the first one.
     # A start node is admissible exactly when x arrives at it by a
     # negative step and y by a positive one, so the steps before it differ
-    # and each walk is found once, from its first step; source_starts holds
-    # the positions of x that x arrives at by a negative step, and starts
-    # the positions of y that y arrives at by a positive one.  An end node is
+    # and each walk is found once, from its first step.  An end node is
     # admissible when x goes on by a positive step and y by a negative one.
-    # Fine-Wilf: a common walk longer than both periods never ends, which
-    # only the cycle of one band does, and no start lies on it.
+    # Of the two steps that leave a vertex, the arrow has code c and the
+    # inverse c + 7, so x's step c starts a walk against y's steps c and
+    # c + 7 (none when c is an inverse, since y reads its b-steps as
+    # inverses): against c + 7, at d = 0, the start is the end, a top of x
+    # over a bottom of y.  Fine-Wilf: a common walk longer than both periods
+    # never ends, which only the cycle of one band does, and no start lies
+    # on it.
+    starts: dict[int, list[int]] = {}  # the positions y enters by an arrow
+    prev = y[-1]
+    for j, c in enumerate(y):
+        if not prev & 1:
+            if c in starts:
+                starts[c].append(j)
+            else:
+                starts[c] = [j]
+        prev = c
     bound = len(x) + len(y)
     # repeated past any common walk, then a sentinel that matches nothing
     xs = [*x] * (bound // len(x) + 3) + [-1]
     ys = [*y] * (bound // len(y) + 3) + [-2]
-    for i in source_starts:
-        for j in starts.get(x[i], ()):
-            a, b = i + 1, j + 1
-            while xs[a] == ys[b]:
-                a += 1
-                b += 1
-            if a - i > bound:
-                raise InternalInconsistency(f"a common walk outruns its bound {bound}")
-            if xs[a] & 1 < ys[b] & 1:
-                yield i, j, a - i
+    prev = x[-1]
+    for i, c in enumerate(x):
+        if prev & 1:
+            for code in (c, c + 7):
+                for j in starts.get(code, ()):
+                    a, b = i, j
+                    while xs[a] == ys[b]:
+                        a += 1
+                        b += 1
+                    if a - i > bound:
+                        raise InternalInconsistency(f"a common walk outruns its bound {bound}")
+                    if xs[a] & 1 < ys[b] & 1:
+                        yield i, j, a - i
+        prev = c
 
 
 def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
@@ -477,14 +456,11 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
 def is_brick(m: BandModule) -> bool:
     """True iff the endomorphism space of m is one-dimensional.
 
-    End counts the identity cycle, each top over a bottom at one vertex
-    and each admissible common walk of m with itself (see hom_dim), so
-    the test returns False at the first top over a bottom or the first
-    such walk; only a brick runs the whole scan.
+    End counts the identity cycle and each admissible common walk of m
+    with itself, of d >= 0 steps (see hom_dim), so the test returns False
+    at the first such walk; only a brick runs the whole scan.
     """
-    if any(v in m.bottoms for v in m.tops):
-        return False
-    return next(_admissible_walks(m.codes, m.codes, m.source_starts, m.starts), None) is None
+    return next(_admissible_walks(m.codes, m.codes), None) is None
 
 
 def ext1_dim(x: BandModule, y: BandModule) -> int:

@@ -834,7 +834,7 @@ _BOUND_PINS = {
     # cli.MAX_LISTED_ENTRIES: 2 followed by 450 threes lists 1,623,602
     # entries in 0.62-0.66 s; 500 threes are refused in 0.08 s
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
-    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.22-0.30 s
+    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.21-0.27 s
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
     # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.85-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],

@@ -338,9 +338,8 @@ class TestBandModule:
         m = gentle.band_module(walk, 3)
         assert m.n == 100001
         # nothing is stored per arrow: past the dimensions, which are per
-        # vertex, every field is as long as the walk at most
-        stored = (m.walk, m.codes, m.tops, m.bottoms, m.starts, m.source_starts)
-        assert max(map(len, stored)) <= len(walk)
+        # vertex, the module holds its walk and one scalar
+        assert len(m.walk) == len(m.codes) == len(walk)
         assert gentle.hom_dim(m, m) == 1
         mats = dict(m.matrices())
         assert len(mats) == 2 * (m.n - 1)
@@ -743,7 +742,7 @@ class TestOrientation:
 
 def _reference_turns(codes):
     # (vertex, 1) for each top of a cyclic traversal, (vertex, -1) for each
-    # bottom, as hom_dim and g_vector read them before the tables existed
+    # bottom
     for p, c in itertools.pairwise(itertools.chain(codes[-1:], codes)):
         if p & 1 != c & 1:
             yield (c >> 2) + (p & 1), (p & 1) - (c & 1)
@@ -761,6 +760,35 @@ def _reference_starts(y):
 def _reference_source_starts(x):
     # the positions of x that x arrives at by a negative step
     return [i for i in range(len(x)) if x[i - 1] & 1]
+
+
+def _table_hom_dim(m, w):
+    # a second Hom count from per-module tables, as hom_dim once stored
+    # them: the tops of m times the bottoms of w, then each source start of
+    # m against the starts of w with its code, walked with the positions
+    # taken modulo the lengths, and the cycle when the codes are rotations
+    # of each other and the parameters agree
+    x, y = m.codes, w.codes
+    tops = collections.Counter(v for v, t in _reference_turns(x) if t > 0)
+    bottoms = collections.Counter(v for v, t in _reference_turns(y) if t < 0)
+    free = sum(count * bottoms[v] for v, count in tops.items())
+    starts = _reference_starts(y)
+    for i in _reference_source_starts(x):
+        for j in starts.get(x[i], ()):
+            d = 1
+            while x[(i + d) % len(x)] == y[(j + d) % len(y)]:
+                d += 1
+                assert d <= len(x) + len(y), "a common walk outruns its bound"
+            free += x[(i + d) % len(x)] & 1 < y[(j + d) % len(y)] & 1
+    rotations = {x[k:] + x[:k] for k in range(len(x))}
+    return free + (y in rotations and m.lam == w.lam)
+
+
+def _table_g_vector(m):
+    g = [0] * m.n
+    for v, t in _reference_turns(m.codes):
+        g[v - 1] += t
+    return tuple(g)
 
 
 def _table_walks():
@@ -805,28 +833,64 @@ class TestParameterMembers:
         assert all(m.codes is members[0].codes for m in members)
         assert len(members[0].codes) == len(members[0].walk)
 
-    def test_members_share_hom_tables(self):
-        members = self._members()
-        for m in members[1:]:
-            assert m.tops is members[0].tops
-            assert m.bottoms is members[0].bottoms
-            assert m.starts is members[0].starts
-            assert m.source_starts is members[0].source_starts
+
+def _seeded_walks(rng, count):
+    # psi of short primitive words, the slalom components of small
+    # g-vectors and up-down walks, which may have a top and a bottom at one
+    # vertex, over 5 vertices, each at a random rotation, half of them
+    # inverted
+    up_down = _up_down_walks(10, 5)
+    found = []
+    while len(found) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 8)))
+            walks = [gentle.psi(w, 5)] if words.is_primitive(w) else []
+        elif kind == 1:
+            walks = [rng.choice(up_down)]
+        else:
+            g = tuple(rng.randint(-4, 4) for _ in range(5))
+            walks = []
+            if dyck.validate_gvector(g):
+                walks = [gentle.slalom_to_band_walk(c) for c in dyck.reconstruct_multislalom(g)]
+        for walk in walks:
+            k = rng.randrange(len(walk))
+            walk = walk[k:] + walk[:k]
+            found.append(_inverse(walk) if rng.random() < 0.5 else walk)
+    return found
 
 
 class TestHomTables:
+    # the count from per-module tables, _table_hom_dim, is a second engine
+    # for hom_dim, is_brick and g_vector(), which read only the codes
+
     def test_tables_match_reference(self):
         for walk in _table_walks():
             m = gentle.band_module(walk, 1)
-            turns = list(_reference_turns(m.codes))
-            assert m.tops == dict(collections.Counter(v for v, t in turns if t > 0)), walk
-            assert m.bottoms == dict(collections.Counter(v for v, t in turns if t < 0)), walk
-            assert m.starts == _reference_starts(m.codes), walk
-            assert m.source_starts == _reference_source_starts(m.codes), walk
-            g = [0] * m.n
-            for v, t in turns:
-                g[v - 1] += t
-            assert m.g_vector() == tuple(g), walk
+            end = _table_hom_dim(m, m)
+            assert m.g_vector() == _table_g_vector(m), walk
+            assert (gentle.hom_dim(m, m), gentle.is_brick(m)) == (end, end == 1), walk
+
+    def test_seeded_pairs_match_the_table_count(self):
+        # pairs of walks at rotations and inversions, the same band among
+        # them, at parameters 1 and 2 on both sides
+        rng = random.Random(32)
+        walks = _seeded_walks(rng, 200)
+        pairs = [(w, w) for w in walks] + [tuple(rng.sample(walks, 2)) for _ in range(2000)]
+        pairs += [(w, _inverse(w[k:] + w[:k])) for w in walks[:100] for k in (0, len(w) // 2)]
+        counts = collections.Counter()
+        for w1, w2 in pairs:
+            x = gentle.band_module(w1, rng.choice((1, 2)), 5)
+            y = gentle.band_module(w2, rng.choice((1, 2)), 5)
+            for m in (x, y):
+                assert m.g_vector() == _table_g_vector(m), m.codes
+                assert gentle.is_brick(m) == (_table_hom_dim(m, m) == 1), m.codes
+            hom = gentle.hom_dim(x, y)
+            assert hom == _table_hom_dim(x, y), (w1, w2)
+            counts[min(hom, 2)] += 1
+            # the maps of no steps, a top of x over a bottom of y
+            counts["top"] += any(d == 0 for *_, d in gentle._admissible_walks(x.codes, y.codes))
+        assert min(counts.values()) > 100, counts
 
     def test_rotation_is_least_under_walk_key(self):
         # the int rotation key of band_module orders steps as _walk_key does
@@ -847,24 +911,25 @@ class TestHomTables:
             assert m.walk == gentle.canonical_walk(oriented), walk
 
     def test_hom_reads_the_start_index(self):
-        # the second endomorphism is a common walk, found through the
-        # target's start index; with that index emptied only the cycle stays
+        # the second endomorphism is a common walk of at least one step,
+        # from a source start of the walk to a start of the same code
         m = gentle.band_module(gentle.psi((2, 2, 3, 3)), 1)
-        assert gentle.hom_dim(m, m) == 2
-        assert sum(c * m.bottoms.get(v, 0) for v, c in m.tops.items()) == 0
-        assert gentle.hom_dim(m, m.replace(starts={})) == 1
-        # the source side of that walk comes from the source's own table
-        assert gentle.hom_dim(m.replace(source_starts=[]), m) == 1
+        assert gentle.hom_dim(m, m) == _table_hom_dim(m, m) == 2
+        [(i, j, d)] = gentle._admissible_walks(m.codes, m.codes)
+        assert d >= 1 and m.codes[i] == m.codes[j]
+        assert i in _reference_source_starts(m.codes)
+        assert j in _reference_starts(m.codes)[m.codes[i]]
 
-    def test_tables_stay_out_of_repr_and_equality(self):
+    def test_a_module_holds_no_table(self):
+        # a module is its walk with one scalar: Hom reads only the codes
         m = gentle.band_module(gentle.psi((2, 2, 3)), 1)
-        assert "source_starts" not in repr(m)
-        assert m.replace(source_starts=None) == m
+        assert gentle.BandModule.__slots__ == ("n", "dims", "lam", "codes")
+        assert not hasattr(m, "__dict__")
 
 
 class TestUnrotatedBuild:
-    # band_module keeps the rotation it is given: codes and the Hom tables
-    # follow it, and everything a reader sees of the module does not
+    # band_module keeps the rotation it is given: codes follow it, and
+    # everything a reader sees of the module does not
 
     def test_every_rotation_and_inverse_is_one_module(self):
         # one band per canonical walk; its rotations and their inverses
@@ -941,7 +1006,7 @@ class TestBandModuleContract:
         mu = Fraction(5, 3)
         member = m.replace(lam=mu)
         assert member is not m and member.lam == mu and m.lam == 1
-        for name in ("n", "dims", "codes", "tops", "bottoms", "starts", "source_starts"):
+        for name in ("n", "dims", "codes"):
             assert getattr(member, name) is getattr(m, name), name
         assert member.walk == m.walk
 
@@ -1031,7 +1096,8 @@ class TestBrickTestAgainstEnd:
         shared = 0
         for walk in _up_down_walks(12, 5):
             m = gentle.band_module(walk, 1)
-            shared += any(v in m.bottoms for v in m.tops)
+            turns = set(_reference_turns(m.codes))
+            shared += any((v, -1) in turns for v, t in turns if t > 0)
             self._check(m)
         assert shared
 
@@ -1062,14 +1128,16 @@ class TestBrickTestAgainstEnd:
 
 
 class TestHomOrthogonal:
-    # the joint rotation sort of many walks against hom_dim both ways, on
-    # modules of distinct bands, bricks or not
+    # the joint rotation sort of many walks against the table count both
+    # ways, and hom_dim with it, on modules of distinct bands, bricks or not
 
     def _check(self, modules):
         masks = gentle.hom_orthogonal(modules)
         assert len(masks) == len(modules)
         for (i, x), (j, y) in itertools.product(enumerate(modules), repeat=2):
-            want = i != j and gentle.hom_dim(x, y) == gentle.hom_dim(y, x) == 0
+            hom = _table_hom_dim(x, y)
+            assert gentle.hom_dim(x, y) == hom, (x.walk, y.walk)
+            want = i != j and hom == _table_hom_dim(y, x) == 0
             assert bool(masks[i] >> j & 1) == want, (x.walk, y.walk)
         return masks
 
@@ -1088,10 +1156,12 @@ class TestHomOrthogonal:
 
     def test_a_top_over_a_bottom_alone(self):
         # psi(4) has a top at vertex 4, where a4 b4- has a bottom, and the
-        # two walks share no step: that top over that bottom is the one map
+        # two walks share no step: that top over that bottom is the one map,
+        # a common walk of no steps
         x = gentle.band_module(gentle.psi((4,), 5), 1, 5)
         y = gentle.band_module(gentle.walk_from_str("a4 b4-"), 1, 5)
-        assert not list(gentle._admissible_walks(x.codes, y.codes, x.source_starts, y.starts))
+        assert [d for _, _, d in gentle._admissible_walks(x.codes, y.codes)] == [0]
+        assert not list(gentle._admissible_walks(y.codes, x.codes))
         assert (gentle.hom_dim(x, y), gentle.hom_dim(y, x)) == (1, 0)
         assert self._check([x, y]) == [0, 0]
 
@@ -1111,7 +1181,7 @@ class TestHomOrthogonal:
 
 class TestFamilyMembers:
     # a member made by BandModule.replace is the module a fresh build at
-    # its parameter gives, down to the Hom tables
+    # its parameter gives, down to its codes
 
     def test_members_equal_fresh_builds(self):
         walk = gentle.psi((2, 3, 2, 3, 3), 4)
@@ -1120,8 +1190,8 @@ class TestFamilyMembers:
             member = module.replace(lam=Fraction(lam))
             fresh = gentle.band_module(walk, lam, 4)
             assert member == fresh and member.lam == Fraction(lam)
-            for name in ("tops", "bottoms", "starts", "source_starts"):
-                assert getattr(member, name) == getattr(fresh, name), name
+            assert (member.dims, member.codes) == (fresh.dims, fresh.codes)
+            assert member.g_vector() == fresh.g_vector()
             assert dict(member.matrices()) == dict(fresh.matrices())
             assert gentle.is_brick(member) == gentle.is_brick(fresh)
             assert gentle.hom_dim(member, fresh) == gentle.hom_dim(module, module)
