@@ -422,21 +422,20 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
     b_v^- that leave vertex v.  A graph map of x into y (see hom_dim) is
     then a source start of x and a start of y leaving one vertex, x's
     rotation sorted first: past their common walk, empty for a top over a
-    bottom, x goes on by an arrow and y by an inverse.  Twice the longest
-    walk bounds the joint sort (Fine-Wilf); one sweep each way reads it.
+    bottom, x goes on by an arrow and y by an inverse.  The relabelled
+    codes of every module are the cycles of one joint sort, bounded by
+    twice the longest walk (Fine-Wilf), so a search's walks of at most 32
+    steps are sorted by one byte key each; one sweep each way reads it.
     """
-    letters: list[int] = []
-    succ: list[int] = []
+    cycles = [[(c >> 2 << 1) + 2 - (c & 1) for c in m.codes] for m in modules]
+    letters = [*itertools.chain.from_iterable(cycles)]
     owner: list[int] = []
     source: list[int] = []  # 1 where the step before is an inverse arrow
     for k, m in enumerate(modules):
         codes = m.codes
-        start = len(letters)
-        letters += [(c >> 2 << 1) + 2 - (c & 1) for c in codes]
-        succ += [*range(start + 1, start + len(codes)), start]
         owner += [k] * len(codes)
         source += [c & 1 for c in codes[-1:] + codes[:-1]]
-    order = _rotation_order(letters, succ, 2 * max((len(m.codes) for m in modules), default=0))
+    order = _rotation_order(cycles, 2 * max(map(len, cycles), default=0))
     # forward, the source starts of each vertex block mark the starts after
     # them; backward, the starts mark the source starts before them
     linked = [0] * len(modules)  # bit j of linked[i]: a morphism either way

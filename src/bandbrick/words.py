@@ -14,20 +14,22 @@ rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
 ``is_primitive`` compares w with its shifts by |w|/p for the primes p
 dividing |w|, O(|w| log |w|), and factors each length once: the primes
 of the last few thousand lengths are kept.  ``bw_transform`` and
-``phi_inverse`` order rotation start positions by prefix doubling,
-O(|w| log^2 |w|): each round is one pass that packs the key pair of p and
-p + span into one int, key[p] * base + key[p + span], and doubles span.
-A sort runs only to re-rank the keys densely once base passes 2**64, and
-once at the end.  ``phi_inverse`` lays each distinct necklace out once
-and emits the letter of each sorted row once per copy.  The
-circular-factor test reads the same sorted rows: the first two
-neighbours whose letters before them ascend give a crossing aub, a'ub'
-(u their common prefix), and there is a crossing only if some neighbours
-ascend, so it costs one sort plus one common-prefix scan.
+``phi_inverse`` order rotation start positions with one sort of byte
+keys, each the first min(bound, 64) letters read from a start around its
+cycle, compared in C.  Only when the bound is longer and two keys tie do
+their ranks seed prefix doubling, O(|w| log^2 |w|): each round is one
+pass that packs the key pair of p and p + span into one int,
+key[p] * base + key[p + span], and doubles span.  ``phi_inverse`` sorts
+each distinct necklace once and emits the letter of each sorted row once
+per copy.  The circular-factor test reads the same sorted rows: the
+first two neighbours whose letters before them ascend give a crossing
+aub, a'ub' (u their common prefix), and there is a crossing only if some
+neighbours ascend, so it costs one sort plus one common-prefix scan.
 
 The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
 positions stably sorted by letter are the inverse standard permutation,
-so ``phi`` walks its cycles straight off that order and
+so ``phi`` walks its cycles straight off that order, each from its
+smallest position, which reads the necklace itself, and
 ``standard_permutation`` derives its ranks from it.  ``bw_inverse`` is
 ``phi``'s case of one cycle (the extended BWT of Mantaci, Restivo,
 Rosone and Sciortino, TCS 2007).
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
+import operator
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -131,27 +135,72 @@ def necklace(w: Sequence[int]) -> Word:
     return word[k:] + word[:k]
 
 
-def _rotation_order(letters: Sequence, succ: Sequence[int], bound: int) -> list[int]:
-    """Positions sorted by the first ``bound`` letters read along ``succ``.
+# the letters a byte key reads from each start; at most this many, so a
+# key costs a bounded slice however long its cycle
+_SEED_SPAN = 64
 
-    Prefix doubling: key[p] orders the first ``span`` letters from p, every
-    key is below ``base``, and jump[p] is p moved ``span`` steps, so the
-    packed key[p] * base + key[jump[p]] orders 2 * span letters and base
-    squares.  Keys are re-ranked densely only when base passes 2**64.
-    Stops once span reaches bound or every key is distinct; one stable
-    sort then orders the positions, so ties keep position order.
+
+def _rotation_order(cycles: Sequence[Sequence], bound: int) -> list[int]:
+    """Positions of the cycles laid end to end, sorted by at least the
+    first ``bound`` letters read around each position's own cycle.
+
+    Each letter is ranked densely into a fixed-width big-endian code, and
+    each cycle's codes are followed by its first span - 1 letters, so the
+    first span = min(bound, _SEED_SPAN) letters from a start are one
+    slice of them, and one stable sort compares the slices in C; ties
+    keep position order.  When span < bound and two slices are equal,
+    their dense ranks seed prefix doubling: key[p] orders the first
+    ``span`` letters from p, every key is below ``base``, and jump[p] is
+    p moved ``span`` steps, so key[p] * base + key[jump[p]] orders
+    2 * span letters and base squares.  Keys are re-ranked densely only
+    when base passes 2**64 and another round follows, and the rounds stop
+    once span reaches bound or every key is distinct, so they may read up
+    to twice ``bound`` letters.  Callers' bounds make that exact: two
+    rotations of w that tie on |w| letters are equal, and two rotations
+    u, v of primitive necklaces that tie on |u| + |v| letters read equal
+    forever (Fine-Wilf), so no letter past the bound splits a tie.
     """
-    n = len(letters)
-    alphabet = {a: i for i, a in enumerate(sorted(set(letters)))}
-    key = [alphabet[a] for a in letters]
-    base = len(alphabet)
-    jump = list(succ)
-    span = 1
+    alphabet = sorted({a for cycle in cycles for a in cycle})
+    width = max(1, (len(alphabet) - 1).bit_length() + 7 >> 3)
+    code = {a: i.to_bytes(width, "big") for i, a in enumerate(alphabet)}
+    span = min(bound, _SEED_SPAN)
+    pad, size = span - 1, span * width
+    codes = b"".join(map(code.__getitem__, itertools.chain.from_iterable(cycles)))
+    keys: list[bytes] = []
+    start = 0
+    for cycle in cycles:
+        end = start + len(cycle) * width
+        # the cycle followed by its first span - 1 letters
+        rows = codes[start:end] * (pad // len(cycle) + 1)
+        rows += codes[start : start + pad % len(cycle) * width]
+        keys += [rows[i : i + size] for i in range(0, end - start, width)]
+        start = end
+    n = len(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    if span >= bound:
+        return order
+    ranked = list(map(keys.__getitem__, order))
+    # fresh[i]: sorted row i + 1 has a key unlike row i's
+    fresh = list(map(operator.ne, ranked, itertools.islice(ranked, 1, None)))
+    del keys, ranked
+    if all(fresh):
+        return order
+    key = [0] * n
+    for p, rank in zip(order, itertools.accumulate(fresh, initial=0)):
+        key[p] = rank
+    base = key[order[-1]] + 1
+    jump: list[int] = []
+    start = 0
+    for cycle in cycles:
+        end, shift = start + len(cycle), span % len(cycle)
+        jump += range(start + shift, end)
+        jump += range(start, start + shift)
+        start = end
     while span < bound:
         distinct = set(key)
         if len(distinct) == n:
             break
-        if base > 1 << 64:
+        if base > 1 << 64 and 2 * span < bound:  # the last round is left to the final sort
             levels = {k: i for i, k in enumerate(sorted(distinct))}
             key = list(map(levels.__getitem__, key))
             base = len(levels)
@@ -165,10 +214,8 @@ def _rotation_order(letters: Sequence, succ: Sequence[int], bound: int) -> list[
 def bw_transform(w: Sequence[int]) -> Word:
     """Last letters of the sorted rotations of w (duplicates kept)."""
     word = _as_word(w)
-    r = len(word)
-    succ = [*range(1, r), 0]
     before = word[-1:] + word[:-1]  # the letter before each start
-    return tuple(map(before.__getitem__, _rotation_order(word, succ, r)))
+    return tuple(map(before.__getitem__, _rotation_order([word], len(word))))
 
 
 def _weakly_decreasing(w: Sequence[int]) -> bool:
@@ -192,7 +239,7 @@ def _crossing(word: Word) -> tuple[int, Word, int, int, int] | None:
     same letters, so they differ before their last one: |u| <= |w| - 2.
     """
     r = len(word)
-    order = _rotation_order(word, [*range(1, r), 0], r)
+    order = _rotation_order([word], r)
     for p, q in zip(order, order[1:]):
         if word[p - 1] < word[q - 1]:
             break
@@ -242,8 +289,13 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
     """Multiset of primitive necklaces read off the cycles of st(w)^-1.
 
     The letter order is st(w)^-1 itself (order[k] is the position of rank
-    k + 1), so each cycle steps from p to order[p], starting at its
-    smallest position.
+    k + 1), so each cycle steps from p to order[p].  Position p reads
+    w[order[p]], w[order[order[p]]], ...; for p < q the stable sort gives
+    w[order[p]] <= w[order[q]], and order[p] < order[q] on a tie, so by
+    induction p's reading is at most q's on every length.  The positions
+    of a cycle read the powers of its word's rotations, so its smallest
+    position reads the least rotation, the necklace (Crochemore,
+    Desarmenien and Perrin, TCS 2005).
 
     >>> phi((1, 1, 1))
     ((1,), (1,), (1,))
@@ -259,16 +311,16 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
             continue
         cycle = []
         p = start
-        while not seen[p]:
+        while not seen[p]:  # step first, so the read starts at order[start]
             seen[p] = 1
-            cycle.append(word[p])
             p = order[p]
+            cycle.append(word[p])
         cycle_word = tuple(cycle)
         # cycles of the inverse standard permutation always give primitive
         # necklaces, so a failure here is a construction bug
         if not is_primitive(cycle_word):
             raise InternalInconsistency(f"cycle word {cycle_word} is a proper power")
-        out.append(necklace(cycle_word))
+        out.append(cycle_word)
     return tuple(sorted(out))
 
 
@@ -286,26 +338,17 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
     # a Counter keeps first occurrences in input order, so the entries are
     # still checked in the order given
     counts = collections.Counter(map(tuple, ms))
-    letters: list[int] = []
-    succ: list[int] = []
     before: list[int] = []  # the letter before each start
     copies: list[int] = []
-    longest = 0
-    for entry, k in counts.items():
-        word = _as_word(entry)
+    for word, k in counts.items():
         if not is_primitive(word):
             raise NonPrimitiveNecklace(f"{word} is a proper power")
-        start, end = len(letters), len(letters) + len(word)
-        letters.extend(word)
-        succ.extend(range(start + 1, end))
-        succ.append(start)
         before.append(word[-1])
         before.extend(word[:-1])
         copies += [k] * len(word)
-        longest = max(longest, len(word))
-    if not letters:
+    if not before:
         raise EmptyWord("multiset must contain at least one necklace")
-    order = _rotation_order(letters, succ, 2 * longest)
+    order = _rotation_order(list(counts), 2 * max(map(len, counts)))
     return tuple([before[p] for p in order for _ in range(copies[p])])
 
 

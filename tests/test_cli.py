@@ -826,6 +826,13 @@ def test_band_brick_on_a_long_random_word():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
 
 
+def _fibonacci_letters(length):
+    a, b = "a", "ab"
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
 # each size bound pinned by its worst known admitted input, which must
 # exit 0 inside the 5 s contract (times as subprocesses, Python 3.11, 2 CPUs)
 _BOUND_PINS = {
@@ -838,6 +845,10 @@ _BOUND_PINS = {
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
     # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.85-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
+    # the word commands' only bound is Linux's 131,072 bytes per argument:
+    # both pcw methods on a 131,000-letter Fibonacci word, whose repeats
+    # outrun the byte keys, 1.0-1.4 s and 61 MB peak RSS
+    "pcw-longest-argument": ["pcw", "--method", "both", _fibonacci_letters(131_000)],
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bandbrick import words
+from bandbrick import gentle, words
 from bandbrick.errors import (
     EmptyWord, InternalInconsistency, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
 )
@@ -306,7 +306,7 @@ class TestCrossing:
     def test_unsorted_rows_are_caught(self, monkeypatch):
         # rows that are not in rotation order fail the self-check
         monkeypatch.setattr(
-            words, "_rotation_order", lambda letters, succ, bound: list(range(len(letters)))[::-1]
+            words, "_rotation_order", lambda cycles, bound: list(range(len(cycles[0])))[::-1]
         )
         with pytest.raises(InternalInconsistency):
             words._crossing((1, 2, 1, 2, 2))
@@ -430,6 +430,19 @@ class TestAgainstDefinitions:
             if words.is_primitive(w):
                 assert check_cycle_reading(words.bw_transform(w), words.necklace) == 1
 
+    def test_cycle_reading_on_2000_letter_words(self):
+        # phi reads each necklace off its cycle, so long cycles of many
+        # letters are held to the least rotation found by its own scan
+        rng = random.Random(2000)
+        for k in (2, 3, 6):
+            for _ in range(3):
+                w = tuple(rng.randint(1, k) for _ in range(2000))
+                assert check_cycle_reading(w, words.necklace) > 1
+                if words.is_primitive(w):
+                    assert check_cycle_reading(words.bw_transform(w), words.necklace) == 1
+        clustering = perfectly_clustering_word(rng, 2000)
+        assert check_cycle_reading(words.bw_transform(clustering), words.necklace) == 1
+
     def test_least_rotation_of_tuples(self):
         keys = [("b", 1, 0), ("a", 2, 1), ("a", 1, 0), ("a", 2, 1), ("a", 1, 0)]
         assert words.least_rotation(keys) == 2
@@ -465,21 +478,26 @@ class TestAgainstDefinitions:
 
 
 class TestRotationOrder:
-    """Packed keys order rotations exactly as the re-ranking rounds did."""
+    """Byte keys order rotations exactly as the re-ranking rounds did."""
 
     @staticmethod
-    def check_word(w):
-        r = len(w)
-        succ = [*range(1, r), 0]
-        assert words._rotation_order(w, succ, r) == _reranked_rotation_order(w, succ, r), w
-
-    @staticmethod
-    def check_layout(ms):
-        letters, succ = necklace_layout(ms)
-        bound = 2 * max(map(len, ms))
-        assert words._rotation_order(letters, succ, bound) == _reranked_rotation_order(
+    def check(cycles, bound):
+        letters, succ = necklace_layout(cycles)
+        assert words._rotation_order(cycles, bound) == _reranked_rotation_order(
             letters, succ, bound
-        ), ms
+        ), (cycles, bound)
+
+    def check_word(self, w):
+        self.check([w], len(w))
+
+    def check_layout(self, ms):
+        self.check(list(ms), 2 * max(map(len, ms)))
+
+    @staticmethod
+    def longest_repeat_passes_the_span(w):
+        doubled = w + w
+        span = words._SEED_SPAN
+        return len({doubled[p : p + span] for p in range(len(w))}) < len(w)
 
     def test_short_words_and_their_layouts(self):
         for w in all_short_words():
@@ -506,6 +524,63 @@ class TestRotationOrder:
             assert len({doubled[p : p + 128] for p in range(len(w))}) < len(w)
             self.check_word(w)
             self.check_layout(words.phi(w))
+
+    def test_repeats_longer_than_the_span(self):
+        # two rotations tie on the byte keys, so the doubling rounds run
+        cases = [
+            fibonacci_word(987),
+            (1,) * 300 + (2,),
+            perfectly_clustering_word(random.Random(1501), 600),
+        ]
+        for w in cases:
+            assert self.longest_repeat_passes_the_span(w), w
+            self.check_word(w)
+            self.check_layout(words.phi(w))
+
+    def test_two_byte_codes(self):
+        # more than 256 distinct letters; a little-endian code would put
+        # rank 256 (bytes 00 01) before rank 1 (bytes 01 00)
+        rng = random.Random(1502)
+        w = tuple(rng.randint(1, 1000) for _ in range(3000))
+        assert len(set(w)) > 256
+        self.check_word(w)
+        self.check_layout(words.phi(w))
+        u = tuple(range(300, 0, -1))
+        self.check_word(u + u + (1,))
+        self.check_layout([u, u[1:], (257, 2), (2, 257), (1,)])
+
+    def test_one_letter_and_short_cycles(self):
+        # cycles shorter than the span repeat themselves into their keys;
+        # copies of one necklace tie forever, one-letter cycles jump to
+        # themselves
+        long = fibonacci_word(200)
+        self.check_layout([(1,)] * 5 + [(2,)] * 3 + [(1, 2)] * 4 + [(1, 1, 2)])
+        self.check_layout([(1,)] * 5 + [(2,)] * 3 + [(1, 2)] * 4 + [long, long])
+        rng = random.Random(1503)
+        for _ in range(50):
+            ms = [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 40))) for _ in range(8)]
+            self.check_layout(ms)
+
+    def test_a_bound_below_the_span(self):
+        # the keys read exactly bound letters, where the doubling rounds
+        # read up to the next power of two
+        rng = random.Random(1504)
+        for _ in range(30):
+            w = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 120)))
+            bound = rng.randint(1, words._SEED_SPAN - 1)
+            doubled = w * (bound // len(w) + 2)
+            expected = sorted(range(len(w)), key=lambda p: doubled[p : p + bound])
+            assert words._rotation_order([w], bound) == expected, (w, bound)
+        w = ((1,) + (2,) * 7) * 9 + (1, 2, 2, 2)
+        order = words._rotation_order([w], 38)
+        assert order.index(0) < order.index(8) < order.index(32)
+        letters, succ = necklace_layout([w])
+        reranked = _reranked_rotation_order(letters, succ, 38)
+        assert reranked.index(32) < reranked.index(24) < reranked.index(16) < reranked.index(0)
+
+    def test_no_cycles(self):
+        assert words._rotation_order([], 0) == []
+        assert gentle.hom_orthogonal([]) == []
 
 
 class TestPhiInverseCopies:
