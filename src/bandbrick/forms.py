@@ -23,8 +23,10 @@ traces only the g <= sigma(g) and builds the other bricks from their
 mirrors.  The compatibility graph of all bricks then comes from one
 joint rotation sort of their walks, gentle.hom_orthogonal, with no
 Euler-form prefilter: Hom vanishing both ways already forces the form
-to vanish.  The search returns that graph, and the max-compat suite
-checks it against the Euler form and the components of each sum.
+to vanish.  The diagonal of that sort is the End check of every module
+the enumeration built, traced or mirrored.  The search returns the
+graph, and the max-compat suite checks it against the Euler form and
+the components of each sum.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (1.0-1.3 s in process over eight
-# fresh interpreters, Python 3.11, 2 CPUs, nearly all of it the End
-# self-check on long walks; fan maxcompat --n 3 --box 70, pinned in
-# tests/test_cli.py, takes 0.85-1.3 s as a subprocess), while (4, 13)
-# takes 0.37-0.61 s, (6, 3) 0.04-0.07 s and (7, 2) 0.03-0.06 s
+# admitted search is n = 3, box = 70 (0.72-1.03 s in process over eight
+# fresh interpreters, Python 3.11, 2 CPUs, nearly all of it is_brick on
+# long walks, since no brick there enters the sort; fan maxcompat --n 3
+# --box 70, pinned in tests/test_cli.py, takes 0.78-1.3 s as a
+# subprocess), while (4, 13) takes 0.28-0.36 s, (6, 3) 0.03-0.04 s and
+# (7, 2) 0.03-0.06 s
 MAX_SEARCH_PREFIXES = 20_000
 
 
@@ -70,17 +73,20 @@ def _euler_row(x: Sequence[int]) -> list[int]:
     return [2 * prefix - xj for prefix, xj in zip(itertools.accumulate(x), x)]
 
 
-def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
-    # band module of a brick g-vector at parameter 1, None when g decomposes
+def _component_module(g: Sequence[int]) -> gentle.BandModule | None:
+    # band module at parameter 1 of the one component of g, End unchecked
     entries = tuple(g)
     component = dyck.single_component(entries)  # raises InvalidGVector
     if component is None:
         return None
-    module = gentle.band_module(gentle.slalom_to_band_walk(component), 1, len(entries))
-    if not gentle.is_brick(module):
-        raise InternalInconsistency(
-            f"single component of {entries} is not a brick"
-        )
+    return gentle.band_module(gentle.slalom_to_band_walk(component), 1, len(entries))
+
+
+def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
+    # band module of a brick g-vector at parameter 1, None when g decomposes
+    module = _component_module(g)
+    if module is not None and not gentle.is_brick(module):
+        raise InternalInconsistency(f"single component of {tuple(g)} is not a brick")
     return module
 
 
@@ -180,7 +186,7 @@ def _sigma(g: GVector) -> GVector:
 
 def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModule]:
     # brick g-vectors with max-norm <= box in lexicographic order, each
-    # with its band module.  Only the candidates g <= sigma(g) are traced:
+    # with its band module, End unchecked.  Only g <= sigma(g) are traced:
     # sigma(g) comes first otherwise, and g is a brick exactly when it is
     # one, with the module built from the mirror of its walk.  A prefix
     # whose sum returns to 0 after a non-zero entry closes its Dyck steps
@@ -194,9 +200,9 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
                 candidate = tuple(prefix) + (last,)
                 mirror = _sigma(candidate)
                 if candidate <= mirror:
-                    module = _brick_module(candidate) if any(candidate) else None
+                    module = _component_module(candidate) if any(candidate) else None
                 elif mirror in bricks:
-                    module = _mirror_module(bricks[mirror], mirror)
+                    module = _mirror_module(bricks[mirror])
                 else:
                     module = None
                 if module is not None:
@@ -213,13 +219,10 @@ def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModu
     return bricks
 
 
-def _mirror_module(module: gentle.BandModule, g: GVector) -> gentle.BandModule:
-    # the brick of sigma(g), where module is the brick of g: the dual of
-    # module, on the mirror of its walk as built
-    mirror = gentle.band_module(gentle.mirror_walk(module.codes[::-1], module.n), 1, module.n)
-    if not gentle.is_brick(mirror):
-        raise InternalInconsistency(f"mirror of the brick {g} is not a brick")
-    return mirror
+def _mirror_module(module: gentle.BandModule) -> gentle.BandModule:
+    # the module of sigma(g), where module is the module of g: the dual of
+    # module, on the mirror of its walk as built; the search checks its End
+    return gentle.band_module(gentle.mirror_walk(module.codes[::-1], module.n), 1, module.n)
 
 
 def _max_clique(adj: list[int], best: list[int]) -> list[int]:
@@ -284,17 +287,29 @@ def _compatibility_search(
             )
     modules = _enumerate_brick_gvectors(n, box)
     bricks = list(modules)
-    chosen = range(len(bricks))
     if n == 3:
         # the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc, and valid
         # g-vectors lie in the pointed cone b >= 0, a + b >= 0, so a
-        # compatible pair, of form 0, is two bricks of one direction
+        # compatible pair, of form 0, is two bricks of one direction; a
+        # brick kept out of the sort runs its own End check
         directions = [(a // math.gcd(a, b), b // math.gcd(a, b)) for _, a, b in bricks]
         repeats = collections.Counter(directions)
         chosen = [i for i, d in enumerate(directions) if repeats[d] > 1]
-    adj = [0] * len(bricks)
-    for i, mask in zip(chosen, gentle.hom_orthogonal([modules[bricks[i]] for i in chosen])):
-        adj[i] = sum(1 << chosen[k] for k in _members(mask))
+        adj = [
+            (repeats[d] > 1 or gentle.is_brick(modules[g])) << i
+            for i, (g, d) in enumerate(zip(bricks, directions))
+        ]
+        for i, mask in zip(chosen, gentle.hom_orthogonal([modules[bricks[i]] for i in chosen])):
+            adj[i] = sum(1 << chosen[k] for k in _members(mask))
+    else:
+        adj = gentle.hom_orthogonal(list(modules.values()))
+    # bit i of adj[i] is the End check of brick i
+    for i, g in enumerate(bricks):
+        if not adj[i] >> i & 1:
+            mirror = _sigma(g)
+            fault = f"mirror of the brick {mirror}" if mirror < g else f"single component of {g}"
+            raise InternalInconsistency(f"{fault} is not a brick")
+        adj[i] ^= 1 << i
     index = {g: i for i, g in enumerate(bricks)}
     seed = [index[g] for g in witness_family(n) if g in index]
     if not all(adj[i] >> j & 1 for i in seed for j in seed if j != i):

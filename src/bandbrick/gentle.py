@@ -32,7 +32,8 @@ one band, the one cycle counts too if the parameters agree.  The count
 goes round both cycles, so it is the same at every rotation, and nothing
 is stored for it: hom_dim, is_brick and hom_orthogonal read only the
 codes.  No equation is built and the count is independent of the base
-field.  The brick test answers at the first graph map past the identity.
+field.  The brick test answers at the first graph map past the identity;
+hom_orthogonal finds those of many modules in one joint rotation sort.
 """
 
 from __future__ import annotations
@@ -414,31 +415,38 @@ def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> Iterator[tuple[int,
 
 
 def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
-    """Bit j of entry i is set when no morphism goes either way between
-    modules[i] and modules[j], which lie on distinct bands; entry i never
-    has bit i.
+    """Bit j of entry i is set when every morphism between modules[i] and
+    modules[j], either way, is a multiple of an identity: for j != i there
+    is none (the modules lie on distinct bands), and bit i means a brick.
 
     Label each step 2v for the arrow a_{v-1} and 2v + 1 for the inverse
     b_v^- that leave vertex v.  A graph map of x into y (see hom_dim) is
     then a source start of x and a start of y leaving one vertex, x's
     rotation sorted first: past their common walk, empty for a top over a
-    bottom, x goes on by an arrow and y by an inverse.  The relabelled
-    codes of every module are the cycles of one joint sort, bounded by
-    twice the longest walk (Fine-Wilf), so a search's walks of at most 32
-    steps are sorted by one byte key each; one sweep each way reads it.
+    bottom, x goes on by an arrow and y by an inverse; with y = x, these
+    are the endomorphisms is_brick looks for.  The relabelled codes of
+    every module are the cycles of one joint sort, bounded by twice the
+    longest walk (Fine-Wilf), so a search's walks of at most 32 steps are
+    sorted by one byte key each; one sweep each way reads it.
     """
-    cycles = [[(c >> 2 << 1) + 2 - (c & 1) for c in m.codes] for m in modules]
-    letters = [*itertools.chain.from_iterable(cycles)]
+    cycles: list[list[int]] = []
     owner: list[int] = []
     source: list[int] = []  # 1 where the step before is an inverse arrow
     for k, m in enumerate(modules):
         codes = m.codes
+        cycle: list[int] = []
+        prev = codes[-1]
+        for c in codes:  # one pass, which beats a comprehension per list
+            cycle.append((c >> 2 << 1) + 2 - (c & 1))
+            source.append(prev & 1)
+            prev = c
+        cycles.append(cycle)
         owner += [k] * len(codes)
-        source += [c & 1 for c in codes[-1:] + codes[:-1]]
+    letters = [*itertools.chain.from_iterable(cycles)]
     order = _rotation_order(cycles, 2 * max(map(len, cycles), default=0))
     # forward, the source starts of each vertex block mark the starts after
     # them; backward, the starts mark the source starts before them
-    linked = [0] * len(modules)  # bit j of linked[i]: a morphism either way
+    linked = [0] * len(modules)  # bit j of linked[i]: a non-identity map either way
     for sweep, marking in ((order, 1), (order[::-1], 0)):
         block = seen = 0
         for p in sweep:
@@ -449,7 +457,7 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
             elif seen:
                 linked[owner[p]] |= seen
     everything = (1 << len(modules)) - 1
-    return [everything ^ (mask | 1 << k) for k, mask in enumerate(linked)]
+    return [everything ^ mask for mask in linked]
 
 
 def is_brick(m: BandModule) -> bool:

@@ -843,7 +843,7 @@ _BOUND_PINS = {
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
     # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.21-0.27 s
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
-    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.85-1.3 s
+    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.78-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
     # the word commands' only bound is Linux's 131,072 bytes per argument:
     # both pcw methods on a 131,000-letter Fibonacci word, whose repeats

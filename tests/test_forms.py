@@ -283,12 +283,23 @@ class TestFamilies:
     # the compatible-family search holds one module per brick
 
     def test_search_builds_each_brick_once(self):
-        # and counts no Hom: the graph comes from one joint rotation sort
-        with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
-                mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
-            _, bricks, _ = forms._compatibility_search(5, 2)
-        assert build.call_count == len(bricks)
-        assert hom.call_count == 0
+        # and counts no Hom: the graph comes from one joint rotation sort,
+        # whose diagonal is the End check of every brick it reads, so only
+        # the bricks kept out of it, at n = 3 those of a lone direction,
+        # run is_brick, once each
+        for n, box in ((5, 2), (3, 6)):
+            with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
+                    mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom, \
+                    mock.patch.object(gentle, "hom_orthogonal", wraps=gentle.hom_orthogonal) as sort, \
+                    mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as end:
+                _, bricks, _ = forms._compatibility_search(n, box)
+            assert build.call_count == len(bricks)
+            assert hom.call_count == 0
+            [((sorted_modules,), _)] = sort.call_args_list
+            checked = [c.args[0] for c in end.call_args_list]
+            assert len(checked) == len(bricks) - len(sorted_modules)
+            assert not any(m is s for m in checked for s in sorted_modules)
+            assert len(checked) == (len(bricks) if n == 3 else 0), (n, box)
 
 
 def _reference_enumeration(n, box):
@@ -381,22 +392,61 @@ class TestMirrorEnumeration:
         assert all(g <= _sigma(g) for g in traced)
         assert any(g > _sigma(g) for g in bricks)
 
+    # the search reads the End check of each brick off the diagonal of its
+    # sort; planted below is a module that is not a brick, psi(2, 3, 4)
+    # with End of dimension 2, in place of the module one builder makes
+
     def test_dyck_self_check_raises(self, monkeypatch):
-        monkeypatch.setattr(gentle, "is_brick", lambda module: False)
-        with pytest.raises(InternalInconsistency, match="single component of"):
-            forms._enumerate_brick_gvectors(3, 1)
+        # (-1, 1, 0, 0) <= its sigma, so its module is traced
+        _plant_non_brick(monkeypatch, "_component_module", (-1, 1, 0, 0))
+        with pytest.raises(
+            InternalInconsistency, match=r"^single component of \(-1, 1, 0, 0\) is not a brick$"
+        ):
+            forms._compatibility_search(4, 3)
 
     def test_mirror_self_check_raises(self, monkeypatch):
-        # (0, -1, 1) > sigma(0, -1, 1) = (-1, 1, 0), so its module is only
-        # ever built as the mirror of the traced brick (-1, 1, 0)
+        # (0, 0, -1, 1) > sigma(0, 0, -1, 1) = (-1, 1, 0, 0), so its module
+        # is only ever built as the mirror of the traced brick (-1, 1, 0, 0)
+        _plant_non_brick(monkeypatch, "_mirror_module", (0, 0, -1, 1))
+        with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace, \
+                pytest.raises(
+                    InternalInconsistency, match=r"^mirror of the brick \(-1, 1, 0, 0\) is not a brick$"
+                ):
+            forms._compatibility_search(4, 3)
+        assert (0, 0, -1, 1) not in [c.args[0] for c in trace.call_args_list]
+
+    @pytest.mark.parametrize(
+        "planted, message",
+        [
+            ((-1, 0, 1), r"^single component of \(-1, 0, 1\) is not a brick$"),
+            ((0, -1, 1), r"^mirror of the brick \(-1, 1, 0\) is not a brick$"),
+        ],
+        ids=["traced", "mirrored"],
+    )
+    def test_self_check_at_n3_runs_is_brick(self, monkeypatch, planted, message):
+        # at n = 3 no brick of (3, 1) enters the sort, so is_brick checks
+        # each; (0, -1, 1) is only built as the mirror of (-1, 1, 0)
         check = gentle.is_brick
         monkeypatch.setattr(
-            gentle, "is_brick", lambda module: module.g_vector() != (0, -1, 1) and check(module)
+            gentle, "is_brick", lambda module: module.g_vector() != planted and check(module)
         )
         with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace, \
-                pytest.raises(InternalInconsistency, match=r"^mirror of the brick \(-1, 1, 0\)"):
-            forms._enumerate_brick_gvectors(3, 1)
+                pytest.raises(InternalInconsistency, match=message):
+            forms._compatibility_search(3, 1)
         assert (0, -1, 1) not in [c.args[0] for c in trace.call_args_list]
+
+
+def _plant_non_brick(monkeypatch, builder, g):
+    # forms.<builder> returns a module that is not a brick where it built g
+    build = getattr(forms, builder)
+    non_brick = gentle.band_module(gentle.psi((2, 3, 4), len(g)), 1, len(g))
+    assert gentle.hom_dim(non_brick, non_brick) == 2
+
+    def planted(*args):
+        module = build(*args)
+        return non_brick if module is not None and module.g_vector() == g else module
+
+    monkeypatch.setattr(forms, builder, planted)
 
 
 def _returns_to_zero(g):
@@ -545,9 +595,13 @@ class TestDirectionsAtN3:
         gs = [(-1, 1, 0), (-2, 1, 1), (-2, 2, 0)]
         stand_ins = dict(zip(gs, forms._enumerate_brick_gvectors(3, 2).values()))
         monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda n, box: stand_ins)
-        with mock.patch.object(gentle, "hom_orthogonal", return_value=[0b10, 0b01]) as sort:
+        # bit k of entry k says the sorted module k is a brick; the one
+        # brick kept out of the sort runs is_brick instead
+        with mock.patch.object(gentle, "hom_orthogonal", return_value=[0b11, 0b11]) as sort, \
+                mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as end:
             witness, _, adj = forms._compatibility_search(3, 2)
         sort.assert_called_once_with([stand_ins[gs[0]], stand_ins[gs[2]]])
+        end.assert_called_once_with(stand_ins[gs[1]])
         assert adj == [0b100, 0, 0b001]
         assert witness == (gs[2], gs[0])
 

@@ -1129,7 +1129,8 @@ class TestBrickTestAgainstEnd:
 
 class TestHomOrthogonal:
     # the joint rotation sort of many walks against the table count both
-    # ways, and hom_dim with it, on modules of distinct bands, bricks or not
+    # ways, and hom_dim with it, on modules of distinct bands, bricks or
+    # not: off the diagonal no morphism, on it End of dimension 1
 
     def _check(self, modules):
         masks = gentle.hom_orthogonal(modules)
@@ -1137,7 +1138,7 @@ class TestHomOrthogonal:
         for (i, x), (j, y) in itertools.product(enumerate(modules), repeat=2):
             hom = _table_hom_dim(x, y)
             assert gentle.hom_dim(x, y) == hom, (x.walk, y.walk)
-            want = i != j and hom == _table_hom_dim(y, x) == 0
+            want = hom == _table_hom_dim(y, x) == (1 if i == j else 0)
             assert bool(masks[i] >> j & 1) == want, (x.walk, y.walk)
         return masks
 
@@ -1151,8 +1152,10 @@ class TestHomOrthogonal:
                 bands.setdefault(m.walk, m)
         modules = list(bands.values())
         assert len({len(m.codes) for m in modules}) > 10
-        assert not all(map(gentle.is_brick, modules))
-        assert any(self._check(modules))
+        bricks = [_table_hom_dim(m, m) == 1 for m in modules]
+        assert any(bricks) and not all(bricks)
+        masks = self._check(modules)
+        assert any(mask & ~(1 << i) for i, mask in enumerate(masks))
 
     def test_a_top_over_a_bottom_alone(self):
         # psi(4) has a top at vertex 4, where a4 b4- has a bottom, and the
@@ -1163,7 +1166,7 @@ class TestHomOrthogonal:
         assert [d for _, _, d in gentle._admissible_walks(x.codes, y.codes)] == [0]
         assert not list(gentle._admissible_walks(y.codes, x.codes))
         assert (gentle.hom_dim(x, y), gentle.hom_dim(y, x)) == (1, 0)
-        assert self._check([x, y]) == [0, 0]
+        assert self._check([x, y]) == [0b01, 0b10]  # two bricks
 
     def test_long_walks(self):
         # two random words of unequal lengths, and the mirror of one of
@@ -1173,7 +1176,7 @@ class TestHomOrthogonal:
         x, y = (gentle.band_module(gentle.psi(w, 12), 1, 12) for w in (w1, w2))
         far = gentle.band_module(gentle.mirror_walk(gentle.psi(w2, 12), 12), 1, 12)
         assert min(len(m.codes) for m in (x, y, far)) >= 500
-        assert self._check([x, y, far]) == [0b100, 0b100, 0b011]
+        assert self._check([x, y, far]) == [0b100, 0b100, 0b011]  # no brick
 
     def test_no_modules(self):
         assert gentle.hom_orthogonal([]) == []
