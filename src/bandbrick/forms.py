@@ -24,14 +24,16 @@ mirrors.  The compatibility graph of all bricks then comes from one
 joint rotation sort of their walks, gentle.hom_orthogonal, with no
 Euler-form prefilter: Hom vanishing both ways already forces the form
 to vanish.  The diagonal of that sort is the End check of every module
-the enumeration built, traced or mirrored.  The search returns the
-graph, and the max-compat suite checks it against the Euler form and
-the components of each sum.
+the enumeration built, traced or mirrored.  At n = 3 there is no sort:
+the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc, which two distinct
+bricks never make 0, since a brick has gcd(a, b) = 1 and valid g-vectors
+lie in a pointed cone, so the graph has no edge and each brick runs
+gentle.is_brick.  The search returns the graph, and the max-compat suite
+checks it against the Euler form and the components of each sum.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -54,7 +56,7 @@ GVector = tuple[int, ...]
 # enumerate; time also grows with the walk lengths, so the slowest
 # admitted search is n = 3, box = 70 (0.72-1.03 s in process over eight
 # fresh interpreters, Python 3.11, 2 CPUs, nearly all of it is_brick on
-# long walks, since no brick there enters the sort; fan maxcompat --n 3
+# long walks, since n = 3 has no sort; fan maxcompat --n 3
 # --box 70, pinned in tests/test_cli.py, takes 0.78-1.3 s as a
 # subprocess), while (4, 13) takes 0.28-0.36 s, (6, 3) 0.03-0.04 s and
 # (7, 2) 0.03-0.06 s
@@ -288,19 +290,12 @@ def _compatibility_search(
     modules = _enumerate_brick_gvectors(n, box)
     bricks = list(modules)
     if n == 3:
-        # the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc, and valid
-        # g-vectors lie in the pointed cone b >= 0, a + b >= 0, so a
-        # compatible pair, of form 0, is two bricks of one direction; a
-        # brick kept out of the sort runs its own End check
-        directions = [(a // math.gcd(a, b), b // math.gcd(a, b)) for _, a, b in bricks]
-        repeats = collections.Counter(directions)
-        chosen = [i for i, d in enumerate(directions) if repeats[d] > 1]
-        adj = [
-            (repeats[d] > 1 or gentle.is_brick(modules[g])) << i
-            for i, (g, d) in enumerate(zip(bricks, directions))
-        ]
-        for i, mask in zip(chosen, gentle.hom_orthogonal([modules[bricks[i]] for i in chosen])):
-            adj[i] = sum(1 << chosen[k] for k in _members(mask))
+        # no edge, as the module docstring shows, if every gcd(a, b) is 1;
+        # each brick runs its own End check
+        for g in bricks:
+            if math.gcd(*g[1:]) != 1:
+                raise InternalInconsistency(f"the brick {g} has gcd(a, b) != 1")
+        adj = [gentle.is_brick(modules[g]) << i for i, g in enumerate(bricks)]
     else:
         adj = gentle.hom_orthogonal(list(modules.values()))
     # bit i of adj[i] is the End check of brick i

@@ -72,11 +72,11 @@ MAX_VERTICES = 10**6 + 1
 # its cyclic word, which dyck.MAX_STEPS does not bound, since zero
 # entries of a g-vector cost no Dyck steps.  The Hom count is quadratic
 # in the steps, and the nearly periodic walks of 2 followed by k fives
-# are its worst known shape: band brick takes 28 s at k = 10^4 (80,002
-# steps), and band hom of such a walk at k = 9,000 against itself, or
-# against 3 followed by k fives, 39-43 s (Python 3.11, 2 CPUs).  Their
-# pin in tests/test_cli.py waits for a Hom count that is not quadratic
-# (item 1 of ROADMAP.md)
+# are its worst known shape: the largest one admitted, a 2 followed by
+# 18,749 fives (149,994 steps), takes 69 s in band brick as a subprocess
+# (Python 3.11, 2 CPUs), against the 5 s of the exit contract.  Its pin
+# in tests/test_cli.py waits for a Hom count that is not quadratic (item
+# 1 of ROADMAP.md)
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
@@ -425,9 +425,8 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
     rotation sorted first: past their common walk, empty for a top over a
     bottom, x goes on by an arrow and y by an inverse; with y = x, these
     are the endomorphisms is_brick looks for.  The relabelled codes of
-    every module are the cycles of one joint sort, bounded by twice the
-    longest walk (Fine-Wilf), so a search's walks of at most 32 steps are
-    sorted by one byte key each; one sweep each way reads it.
+    every module are the cycles of one joint sort, and one sweep each way
+    reads it.
     """
     cycles: list[list[int]] = []
     owner: list[int] = []
@@ -443,7 +442,7 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
         cycles.append(cycle)
         owner += [k] * len(codes)
     letters = [*itertools.chain.from_iterable(cycles)]
-    order = _rotation_order(cycles, 2 * max(map(len, cycles), default=0))
+    order = _rotation_order(cycles)
     # forward, the source starts of each vertex block mark the starts after
     # them; backward, the starts mark the source starts before them
     linked = [0] * len(modules)  # bit j of linked[i]: a non-identity map either way

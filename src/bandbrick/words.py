@@ -15,16 +15,17 @@ rotation in one linear two-pointer scan, so ``necklace`` is O(|w|).
 dividing |w|, O(|w| log |w|), and factors each length once: the primes
 of the last few thousand lengths are kept.  ``bw_transform`` and
 ``phi_inverse`` order rotation start positions with one sort of byte
-keys, each the first min(bound, 64) letters read from a start around its
-cycle, compared in C.  Only when the bound is longer and two keys tie do
-their ranks seed prefix doubling, O(|w| log^2 |w|): each round is one
-pass that packs the key pair of p and p + span into one int,
-key[p] * base + key[p + span], and doubles span.  ``phi_inverse`` sorts
-each distinct necklace once and emits the letter of each sorted row once
-per copy.  The circular-factor test reads the same sorted rows: the
-first two neighbours whose letters before them ascend give a crossing
-aub, a'ub' (u their common prefix), and there is a crossing only if some
-neighbours ascend, so it costs one sort plus one common-prefix scan.
+keys, each the first min(L, 64) letters read from a start around its
+cycle, compared in C, L the two longest cycle lengths summed.  Only when
+L is longer and two keys tie do their ranks seed prefix doubling,
+O(|w| log^2 |w|): each round is one pass that packs the key pair of p
+and p + span into one int, key[p] * base + key[p + span], and doubles
+span.  ``phi_inverse`` sorts each distinct necklace once and emits the
+letter of each sorted row once per copy.  The circular-factor test reads
+the same sorted rows: the first two neighbours whose letters before them
+ascend give a crossing aub, a'ub' (u their common prefix), and there is
+a crossing only if some neighbours ascend, so it costs one sort plus one
+common-prefix scan.
 
 The cycles of ``phi`` and ``bw_inverse`` come from one letter order: the
 positions stably sorted by letter are the inverse standard permutation,
@@ -140,9 +141,14 @@ def necklace(w: Sequence[int]) -> Word:
 _SEED_SPAN = 64
 
 
-def _rotation_order(cycles: Sequence[Sequence], bound: int) -> list[int]:
-    """Positions of the cycles laid end to end, sorted by at least the
-    first ``bound`` letters read around each position's own cycle.
+def _rotation_order(cycles: Sequence[Sequence]) -> list[int]:
+    """Positions of the cycles laid end to end, sorted by the endless
+    reading around each position's own cycle, ties in position order.
+
+    The first bound letters decide, the two longest cycle lengths summed:
+    rotations of one cycle of length p that tie on p letters are equal,
+    and rotations of cycles of lengths p and q that tie on p + q letters
+    read equal forever (Fine-Wilf).
 
     Each letter is ranked densely into a fixed-width big-endian code, and
     each cycle's codes are followed by its first span - 1 letters, so the
@@ -154,12 +160,9 @@ def _rotation_order(cycles: Sequence[Sequence], bound: int) -> list[int]:
     p moved ``span`` steps, so key[p] * base + key[jump[p]] orders
     2 * span letters and base squares.  Keys are re-ranked densely only
     when base passes 2**64 and another round follows, and the rounds stop
-    once span reaches bound or every key is distinct, so they may read up
-    to twice ``bound`` letters.  Callers' bounds make that exact: two
-    rotations of w that tie on |w| letters are equal, and two rotations
-    u, v of primitive necklaces that tie on |u| + |v| letters read equal
-    forever (Fine-Wilf), so no letter past the bound splits a tie.
+    once span reaches bound or every key is distinct.
     """
+    bound = sum(sorted(map(len, cycles))[-2:])
     alphabet = sorted({a for cycle in cycles for a in cycle})
     width = max(1, (len(alphabet) - 1).bit_length() + 7 >> 3)
     code = {a: i.to_bytes(width, "big") for i, a in enumerate(alphabet)}
@@ -215,7 +218,7 @@ def bw_transform(w: Sequence[int]) -> Word:
     """Last letters of the sorted rotations of w (duplicates kept)."""
     word = _as_word(w)
     before = word[-1:] + word[:-1]  # the letter before each start
-    return tuple(map(before.__getitem__, _rotation_order([word], len(word))))
+    return tuple(map(before.__getitem__, _rotation_order([word])))
 
 
 def _weakly_decreasing(w: Sequence[int]) -> bool:
@@ -239,7 +242,7 @@ def _crossing(word: Word) -> tuple[int, Word, int, int, int] | None:
     same letters, so they differ before their last one: |u| <= |w| - 2.
     """
     r = len(word)
-    order = _rotation_order([word], r)
+    order = _rotation_order([word])
     for p, q in zip(order, order[1:]):
         if word[p - 1] < word[q - 1]:
             break
@@ -329,11 +332,8 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
 
     Lays each distinct necklace out once, sorts every rotation start by
     the infinite power read from it and emits the letter before each
-    start once per copy of its necklace.  Two rotations u, v of primitive
-    necklaces with u^inf = v^inf on the first |u| + |v| letters are equal
-    (Fine-Wilf), so 2 * longest letters decide the order, and repeating a
-    row's letter gives what sorting every copy would: tied rows end in the
-    same letter.
+    start once per copy of its necklace.  Repeating a row's letter gives
+    what sorting every copy would: tied rows end in the same letter.
     """
     # a Counter keeps first occurrences in input order, so the entries are
     # still checked in the order given
@@ -348,7 +348,7 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
         copies += [k] * len(word)
     if not before:
         raise EmptyWord("multiset must contain at least one necklace")
-    order = _rotation_order(list(counts), 2 * max(map(len, counts)))
+    order = _rotation_order(list(counts))
     return tuple([before[p] for p in order for _ in range(copies[p])])
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -469,6 +470,18 @@ class TestSingleComponent:
                 dyck.single_component(g)
         with pytest.raises(BadDimension):
             dyck.single_component((0,))
+
+
+class TestThreeVertexCurves:
+    # the multislalom of a valid (-a-b, a, b) has gcd(a, b) curves, so a
+    # brick g-vector at n = 3 has coprime (a, b)
+
+    def test_gcd_many_curves(self):
+        grid = [(-a - b, a, b) for a in range(-40, 41) for b in range(41)]
+        valid = [g for g in grid if dyck.validate_gvector(g)]
+        assert len(valid) == 2500
+        for g in valid:
+            assert len(dyck.reconstruct_multislalom(g)) == math.gcd(g[1], g[2]), g
 
 
 class TestStepBound:

@@ -284,9 +284,8 @@ class TestFamilies:
 
     def test_search_builds_each_brick_once(self):
         # and counts no Hom: the graph comes from one joint rotation sort,
-        # whose diagonal is the End check of every brick it reads, so only
-        # the bricks kept out of it, at n = 3 those of a lone direction,
-        # run is_brick, once each
+        # whose diagonal is the End check of every brick it reads, except
+        # at n = 3, which has no sort: there each brick runs is_brick once
         for n, box in ((5, 2), (3, 6)):
             with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
                     mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom, \
@@ -295,11 +294,15 @@ class TestFamilies:
                 _, bricks, _ = forms._compatibility_search(n, box)
             assert build.call_count == len(bricks)
             assert hom.call_count == 0
-            [((sorted_modules,), _)] = sort.call_args_list
             checked = [c.args[0] for c in end.call_args_list]
-            assert len(checked) == len(bricks) - len(sorted_modules)
-            assert not any(m is s for m in checked for s in sorted_modules)
-            assert len(checked) == (len(bricks) if n == 3 else 0), (n, box)
+            if n == 3:
+                assert sort.call_count == 0
+                assert len(bricks) == 25
+                assert sorted(m.g_vector() for m in checked) == sorted(bricks)
+            else:
+                [((sorted_modules,), _)] = sort.call_args_list
+                assert len(sorted_modules) == len(bricks)
+                assert checked == []
 
 
 def _reference_enumeration(n, box):
@@ -424,8 +427,8 @@ class TestMirrorEnumeration:
         ids=["traced", "mirrored"],
     )
     def test_self_check_at_n3_runs_is_brick(self, monkeypatch, planted, message):
-        # at n = 3 no brick of (3, 1) enters the sort, so is_brick checks
-        # each; (0, -1, 1) is only built as the mirror of (-1, 1, 0)
+        # n = 3 has no sort, so is_brick checks each brick; (0, -1, 1) is
+        # only built as the mirror of (-1, 1, 0)
         check = gentle.is_brick
         monkeypatch.setattr(
             gentle, "is_brick", lambda module: module.g_vector() != planted and check(module)
@@ -586,24 +589,20 @@ class TestSeededClique:
 
 
 class TestDirectionsAtN3:
-    # at n = 3 only bricks whose direction (a, b) / gcd(a, b) repeats enter
-    # the sort, since the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc
+    # the form of (-a-b, a, b) and (-c-d, c, d) is ad - bc, so n = 3 has
+    # an edge only between parallel bricks, which gcd(a, b) = 1 rules out
 
-    def test_a_repeated_direction_is_sorted(self, monkeypatch):
-        # no box has two bricks of one direction, so three modules stand in
-        # under the directions (1, 0), (1, 1) and (1, 0)
-        gs = [(-1, 1, 0), (-2, 1, 1), (-2, 2, 0)]
-        stand_ins = dict(zip(gs, forms._enumerate_brick_gvectors(3, 2).values()))
-        monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda n, box: stand_ins)
-        # bit k of entry k says the sorted module k is a brick; the one
-        # brick kept out of the sort runs is_brick instead
-        with mock.patch.object(gentle, "hom_orthogonal", return_value=[0b11, 0b11]) as sort, \
-                mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as end:
-            witness, _, adj = forms._compatibility_search(3, 2)
-        sort.assert_called_once_with([stand_ins[gs[0]], stand_ins[gs[2]]])
-        end.assert_called_once_with(stand_ins[gs[1]])
-        assert adj == [0b100, 0, 0b001]
-        assert witness == (gs[2], gs[0])
+    def test_a_parallel_brick_raises(self, monkeypatch):
+        # (-2, 2, 0) has two curves, so it is no brick; planted beside
+        # (-1, 1, 0), of its direction, it stops the search unsorted
+        bricks = forms._enumerate_brick_gvectors(3, 2)
+        planted = {**bricks, (-2, 2, 0): bricks[(-1, 1, 0)]}
+        monkeypatch.setattr(forms, "_enumerate_brick_gvectors", lambda n, box: planted)
+        with mock.patch.object(gentle, "hom_orthogonal") as sort, pytest.raises(
+            InternalInconsistency, match=r"^the brick \(-2, 2, 0\) has gcd\(a, b\) != 1$"
+        ):
+            forms._compatibility_search(3, 2)
+        sort.assert_not_called()
 
 
 class TestMaxCompatible:

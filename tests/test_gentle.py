@@ -1178,6 +1178,17 @@ class TestHomOrthogonal:
         assert min(len(m.codes) for m in (x, y, far)) >= 500
         assert self._check([x, y, far]) == [0b100, 0b100, 0b011]  # no brick
 
+    def test_one_longest_walk(self):
+        # a 2 followed by forty 3s runs along psi(3)'s cycle for 160 steps;
+        # the sort reads 174, its 162 steps and the 12 of psi(2, 4, 3)
+        long = gentle.psi((2,) + (3,) * 40, 4)
+        short = [(3,), (2, 3), (2, 2, 3), (4,), (3, 4), (2, 4, 3)]
+        modules = [gentle.band_module(w, 1, 4) for w in [long, *map(gentle.psi, short)]]
+        lengths = sorted(len(m.codes) for m in modules)
+        assert lengths[-2:] == [12, 162]
+        masks = self._check(modules)
+        assert masks[0] & 1 and masks[0] != (1 << len(modules)) - 1
+
     def test_no_modules(self):
         assert gentle.hom_orthogonal([]) == []
 

@@ -306,7 +306,7 @@ class TestCrossing:
     def test_unsorted_rows_are_caught(self, monkeypatch):
         # rows that are not in rotation order fail the self-check
         monkeypatch.setattr(
-            words, "_rotation_order", lambda cycles, bound: list(range(len(cycles[0])))[::-1]
+            words, "_rotation_order", lambda cycles: list(range(len(cycles[0])))[::-1]
         )
         with pytest.raises(InternalInconsistency):
             words._crossing((1, 2, 1, 2, 2))
@@ -478,20 +478,29 @@ class TestAgainstDefinitions:
 
 
 class TestRotationOrder:
-    """Byte keys order rotations exactly as the re-ranking rounds did."""
+    """Byte keys order rotations exactly as the re-ranking rounds did, at
+    the bound the sort derives: the two longest cycle lengths summed."""
 
     @staticmethod
-    def check(cycles, bound):
+    def check(cycles):
         letters, succ = necklace_layout(cycles)
-        assert words._rotation_order(cycles, bound) == _reranked_rotation_order(
-            letters, succ, bound
-        ), (cycles, bound)
+        bound = sum(sorted(map(len, cycles))[-2:])
+        order = words._rotation_order(cycles)
+        assert order == _reranked_rotation_order(letters, succ, bound), cycles
+        if len(letters) * bound <= 20000:
+            # and on short inputs the first bound letters around each cycle
+            readings = [
+                tuple(itertools.islice(itertools.cycle(u[k:] + u[:k]), bound))
+                for u in cycles
+                for k in range(len(u))
+            ]
+            assert order == sorted(range(len(letters)), key=readings.__getitem__), cycles
 
     def check_word(self, w):
-        self.check([w], len(w))
+        self.check([w])
 
     def check_layout(self, ms):
-        self.check(list(ms), 2 * max(map(len, ms)))
+        self.check(list(ms))
 
     @staticmethod
     def longest_repeat_passes_the_span(w):
@@ -561,25 +570,26 @@ class TestRotationOrder:
             ms = [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 40))) for _ in range(8)]
             self.check_layout(ms)
 
-    def test_a_bound_below_the_span(self):
-        # the keys read exactly bound letters, where the doubling rounds
-        # read up to the next power of two
-        rng = random.Random(1504)
-        for _ in range(30):
-            w = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 120)))
-            bound = rng.randint(1, words._SEED_SPAN - 1)
-            doubled = w * (bound // len(w) + 2)
-            expected = sorted(range(len(w)), key=lambda p: doubled[p : p + bound])
-            assert words._rotation_order([w], bound) == expected, (w, bound)
-        w = ((1,) + (2,) * 7) * 9 + (1, 2, 2, 2)
-        order = words._rotation_order([w], 38)
-        assert order.index(0) < order.index(8) < order.index(32)
-        letters, succ = necklace_layout([w])
-        reranked = _reranked_rotation_order(letters, succ, 38)
-        assert reranked.index(32) < reranked.index(24) < reranked.index(16) < reranked.index(0)
+    def test_one_longest_cycle(self):
+        # the bound falls below twice the longest cycle: a 200-letter
+        # Fibonacci necklace with short ones, and two standard Sturmian
+        # words of 144 and 89 letters whose powers share 231 letters
+        fib = words.necklace(fibonacci_word(200))
+        assert self.longest_repeat_passes_the_span(fib)
+        short = [(1,), (2,), (1, 2), (1, 2), (1, 1, 2), (1, 2, 2)]
+        sturmian = [fibonacci_word(144), fibonacci_word(89)]
+        assert fibonacci_word(233)[:231] == (sturmian[0] * 2)[:231] == (sturmian[1] * 3)[:231]
+        # (1, 2, 1)^42 1 2 and (1, 2, 1) read equal for 129 letters, one
+        # more than the 128 a bound of the longest length alone would read
+        periodic = [(1, 2, 1) * 42 + (1, 2), (1, 2, 1)]
+        first, second = (periodic[0] * 2)[:130], (periodic[1] * 44)[:130]
+        assert first[:129] == second[:129] and first != second
+        for ms in ([fib] + short, short + [fib], sturmian + short[:3], periodic):
+            self.check_layout(ms)
+            assert words.phi_inverse(ms) == ref_phi_inverse(ms), ms
 
     def test_no_cycles(self):
-        assert words._rotation_order([], 0) == []
+        assert words._rotation_order([]) == []
         assert gentle.hom_orthogonal([]) == []
 
 
