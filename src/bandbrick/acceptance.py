@@ -331,11 +331,21 @@ def necklace_bound(seed: int = 0) -> Record:
             pairs += 1
             if not forms.compatible(c1, c2):
                 bad.append(f"compatible {c1},{c2} of {g}")
+    # the bound at scale: about 10^6 letters in all
+    large = 0
+    while large < 100:
+        alpha = tuple(rng.randint(0, 1000) for _ in range(rng.randint(1, 39)))
+        if not any(alpha):
+            continue
+        large += 1
+        if not forms.necklace_count_bound_check(alpha):
+            bad.append(alpha)
     summary = (
-        f"{total} multiplicity vectors (exhaustive n=4 plus 500 sampled, n up to 8), "
+        f"{total} multiplicity vectors (exhaustive n=4 plus 500 sampled, n up to 8) "
+        f"and {large} with n up to 40 and entries up to 1000, "
         f"{len(gvectors)} g-vectors up to n=40 ({pairs} component pairs compatible)"
     )
-    return summary, total + len(gvectors) + pairs, bad
+    return summary, total + large + len(gvectors) + pairs, bad
 
 
 def christoffel(seed: int = 0) -> Record:

@@ -8,6 +8,9 @@ parameter 1: gentle.hom_dim reads the parameter only on the cycle two
 modules of one band share, so every other count is the same at every
 parameter.  A brick is compatible with itself: Hom between two members
 of its family counts End minus 1, which the brick test has found to be 0.
+compatible and the fan search decide by one rule: both read
+gentle.hom_orthogonal, one joint rotation sort whose diagonal is the End
+check of every module it sorts.
 
 The enumeration does each mirror pair's work once.  The mirror
 k -> n - k of the arrow indices identifies the double-line algebra with
@@ -114,25 +117,27 @@ def is_brick_gvector_n4(g: Sequence[int]) -> bool:
 def compatible(g1: Sequence[int], g2: Sequence[int]) -> bool:
     """No morphisms in either direction between the two band bricks.
 
-    The vanishing of the Euler form is checked first: a non-zero value
-    already forces a morphism, so the modules are only compared on the
-    zero-form pairs.  A brick is compatible with itself: between two
-    members of its family Hom has dimension End - 1 each way, and the
-    brick test has found End = 1.
+    Both modules are read off one joint rotation sort,
+    gentle.hom_orthogonal, whose diagonal is the End check of each; no
+    Euler form is computed, since Hom vanishing both ways forces it to
+    vanish.  A brick is compatible with itself: between two members of
+    its family Hom has dimension End - 1 each way, and the sort of its
+    one module has found End = 1.
     """
     v1, v2 = tuple(g1), tuple(g2)
     if len(v1) != len(v2):
         raise DimensionMismatch(f"lengths differ: {len(v1)} != {len(v2)}")
-    x = _brick_module(v1)
-    y = x if v1 == v2 else _brick_module(v2)
+    x = _component_module(v1)
+    y = x if v1 == v2 else _component_module(v2)
     for v, m in ((v1, x), (v2, y)):
         if m is None:
             raise NotABrick(f"{v} is not a brick g-vector")
-    if y is x:
-        return True  # Hom to another member is End - 1 = 0 each way
-    if euler_form(v1, v2) != 0:
-        return False
-    return gentle.hom_dim(x, y) == 0 and gentle.hom_dim(y, x) == 0
+    adj = gentle.hom_orthogonal([x] if y is x else [x, y])
+    for i, v in enumerate((v1, v2)[: len(adj)]):
+        if not adj[i] >> i & 1:
+            raise InternalInconsistency(f"single component of {v} is not a brick")
+    # bit 1 of entry 0, or for one module its End bit, just checked
+    return bool(adj[0] >> (len(adj) - 1) & 1)
 
 
 def band_hom(

@@ -11,8 +11,12 @@ a run climbs or falls one level a step, so the path heights, the label
 baselines and the chord levels of a run are one forward or reversed slice
 of the per-level strings.  Each of the five coordinate lists (columns,
 half columns, levels, chord levels, label baselines) is formatted by one
-"%.2f" operation over the whole list, and the strings are shared by the
-grid, the path, the labels and the chords.
+string operation over the whole list, and the strings are shared by the
+grid, the path, the labels and the chords.  With a whole unit and a
+drawing narrower than 2**40, as at the default unit of 40, every
+coordinate is a whole number of cents, so each list is an int
+progression printed with a fixed two-digit tail, the digits "%.2f" of
+the float would print; otherwise each list is "%.2f" of its floats.
 """
 
 from __future__ import annotations
@@ -63,6 +67,12 @@ def _palette(count: int, seed: int) -> list[str]:
 def _formatted(values: list[float]) -> list[str]:
     # "%.2f" of every value, as one string operation over the list
     return ("%.2f " * len(values) % tuple(values)).split()
+
+
+def _progression(first: int, step: int, count: int, cents: int) -> list[str]:
+    # first + k * step with the tail .cents, for k < count, as one string
+    # operation over the list
+    return (f"%d.{cents:02d} " * count % tuple(range(first, first + count * step, step))).split()
 
 
 def _smallest_width(count: int) -> str:
@@ -118,13 +128,30 @@ def render_dyck(
     # x of each column and half column, y of each level, of each chord
     # level (half a level up) and of each label baseline (0.45 below the
     # middle of the step it names)
-    xs = _formatted([margin + k * unit for k in range(count + 1)])
-    half_xs = _formatted([margin + (k + 0.5) * unit for k in range(count)])
-    ys = _formatted([h - margin - level * unit for level in range(top + 1)])
-    chord_ys = _formatted([h - margin - (level + 0.5) * unit for level in range(top)])
-    label_ys = _formatted(
-        [h - margin - ((2 * level + 1) / 2 - 0.45) * unit for level in range(top)]
-    )
+    if float(unit).is_integer() and w < 2**40:
+        # a whole unit u puts every value at a whole number of cents, so each
+        # list is an int progression with one two-digit tail.  h <= w, as
+        # top + 1 <= count, so every value is below 2**40.  The first four
+        # lists are multiples of u / 2, exact floats there, whose digits
+        # "%.2f" prints.  A label baseline u (top + 2 - level) - 0.05 u is
+        # off by at most about 3 w 2**-53 < 4e-4 in floats, so "%.2f" rounds
+        # it to that multiple of 0.01: whole part minus ceil(5 u / 100),
+        # tail (-5 u) mod 100 cents
+        u = int(unit)
+        half = 50 * (u & 1)
+        xs = _progression(u, u, count + 1, 0)
+        half_xs = _progression(u + u // 2, u, count, half)
+        ys = _progression(u * (top + 2), -u, top + 1, 0)
+        chord_ys = _progression(u * (top + 1) + u // 2, -u, top, half)
+        label_ys = _progression(u * (top + 2) + -5 * u // 100, -u, top, -5 * u % 100)
+    else:
+        xs = _formatted([margin + k * unit for k in range(count + 1)])
+        half_xs = _formatted([margin + (k + 0.5) * unit for k in range(count)])
+        ys = _formatted([h - margin - level * unit for level in range(top + 1)])
+        chord_ys = _formatted([h - margin - (level + 0.5) * unit for level in range(top)])
+        label_ys = _formatted(
+            [h - margin - ((2 * level + 1) / 2 - 0.45) * unit for level in range(top)]
+        )
 
     partner, stroke = _chord_strokes(entries, palette_seed)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -153,16 +154,50 @@ class TestCompatibility:
         assert forms.compatible((-2, -1, -3, 6), (-2, -1, -3, 6))
 
     def test_self_compatibility_is_the_end_check(self):
-        # the brick test checks End once; no second member is built or
-        # compared, and no Hom is counted
+        # one sort of the one module checks End; no second member is built
+        # or compared, and no Hom is counted
         g = (-2, -1, -3, 6)
-        with mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as count, \
+        with mock.patch.object(gentle, "hom_orthogonal", wraps=gentle.hom_orthogonal) as sort, \
+                mock.patch.object(gentle, "is_brick", wraps=gentle.is_brick) as end, \
                 mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom, \
                 mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
             assert forms.compatible(g, g)
-        assert count.call_count == 1
-        assert hom.call_count == 0
+        assert [len(c.args[0]) for c in sort.call_args_list] == [1]
+        assert end.call_count == hom.call_count == 0
         assert build.call_count == 1
+
+    def test_a_pair_is_one_sort(self):
+        # both modules built once and sorted together, with no Euler
+        # prefilter: a pair of non-zero form is sorted too
+        for x, y, want in [
+            ((-2, 1, 0, 0, 1), (-2, 0, 1, 1, 0), True), ((-1, 1, 0), (0, -1, 1), False)
+        ]:
+            with mock.patch.object(gentle, "hom_orthogonal", wraps=gentle.hom_orthogonal) as sort, \
+                    mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom, \
+                    mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
+                assert forms.compatible(x, y) == want
+            assert [len(c.args[0]) for c in sort.call_args_list] == [2]
+            assert hom.call_count == 0
+            assert build.call_count == 2
+
+    @pytest.mark.parametrize("g1, g2, bad", [
+        ((-1, 1, 0), (0, -1, 1), (-1, 1, 0)),
+        ((-1, 1, 0), (0, -1, 1), (0, -1, 1)),
+        ((-1, 1, 0), (-1, 1, 0), (-1, 1, 0)),
+    ])
+    def test_a_zero_diagonal_bit_raises(self, g1, g2, bad):
+        # a module the sort does not find a brick breaks the correspondence
+        sort = gentle.hom_orthogonal
+
+        def planted(modules):
+            adj = sort(modules)
+            i = (g1, g2).index(bad)
+            return [row & ~(1 << i) if k == i else row for k, row in enumerate(adj)]
+
+        message = rf"^single component of {re.escape(str(bad))} is not a brick$"
+        with mock.patch.object(gentle, "hom_orthogonal", planted), \
+                pytest.raises(InternalInconsistency, match=message):
+            forms.compatible(g1, g2)
 
     def test_witness_family_pairwise(self):
         fam = forms.witness_family(5)

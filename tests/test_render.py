@@ -5,8 +5,11 @@ import hashlib
 import itertools
 import random
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandbrick import dyck, render
 from bandbrick.errors import DrawingTooLarge, DrawingTooSmall, InvalidGVector
@@ -230,12 +233,19 @@ def _long_words_gvectors(count=20):
     return out
 
 
+# whole units take the int path: label baselines end in .00 at 40.0 and
+# 20, .95 at 1 and 41.0, .85 at 3.0 and .65 at 7; half columns end in .50
+# at odd units.  A fractional unit and most widths take the float path
 RENDER_OPTIONS = (
     {},
     {"width": 480.0},
     {"width": 777.3},
     {"unit": 7},
     {"unit": 7.3, "palette_seed": 3},
+    {"unit": 1},
+    {"unit": 3.0},
+    {"unit": 20},
+    {"unit": 41.0},
 )
 
 
@@ -255,6 +265,50 @@ class TestAgainstReference:
     def test_long_words_gvectors(self, options):
         for g in _long_words_gvectors():
             assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
+
+
+@st.composite
+def _valid_gvectors(draw):
+    # each proper prefix sum kept <= 0 by capping its entry; the last entry
+    # closes the sum
+    entries, total = [], 0
+    for a in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5)):
+        a = min(a, -total)
+        entries.append(a)
+        total += a
+    g = (*entries, -total)
+    if not any(g):
+        g = (-1, *g[1:-1], 1)
+    return g
+
+
+class TestIntPath:
+    """A whole unit formats each coordinate list as an int progression."""
+
+    @pytest.mark.parametrize("g", [(-1, 1), _long_words_gvectors()[3]], ids=["single", "long"])
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_switch_at_2_40(self, g, kind):
+        # five progressions at the largest whole unit whose width, steps + 2
+        # units, is below 2**40, and none at the next unit
+        under = (2**40 - 1) // (sum(map(abs, g)) + 2)
+        for u, lists in ((under, 5), (under + 1, 0)):
+            unit = kind(u)
+            with mock.patch.object(render, "_progression", wraps=render._progression) as spy:
+                svg = render.render_dyck(g, unit=unit)
+            assert svg == _reference_render_dyck(g, unit=unit), u
+            assert spy.call_count == lists, u
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _valid_gvectors(),
+        st.one_of(
+            st.integers(1, 2**42),
+            st.integers(1, 2**42).map(float),
+            st.floats(render._MIN_UNIT, 2.0**42),
+        ),
+    )
+    def test_against_reference(self, g, unit):
+        assert render.render_dyck(g, unit=unit) == _reference_render_dyck(g, unit=unit)
 
 
 class TestPalette:
