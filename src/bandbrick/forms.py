@@ -33,6 +33,15 @@ bricks never make 0, since a brick has gcd(a, b) = 1 and valid g-vectors
 lie in a pointed cone, so the graph has no edge and each brick runs
 gentle.is_brick.  The search returns the graph, and the max-compat suite
 checks it against the Euler form and the components of each sum.
+
+The enumeration traces a candidate only when no run of its labels
+closes first: labels m..j, after a non-zero label, whose running sums
+stay <= 0 and sum to 0.  Each down-step of the run closes an up-step of
+the run and gluing stays inside a label block, so the run's steps close
+among themselves and every completion has a second component.  On the
+six fan-search boxes this traces 354 candidates for 476 bricks, and at
+(10, 2) 2,089 for 4,097 bricks.  The clique search cuts a branch by a
+greedy colouring of its candidates.
 """
 
 from __future__ import annotations
@@ -57,13 +66,17 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (0.72-1.03 s in process over eight
-# fresh interpreters, Python 3.11, 2 CPUs, nearly all of it is_brick on
-# long walks, since n = 3 has no sort; fan maxcompat --n 3
-# --box 70, pinned in tests/test_cli.py, takes 0.78-1.3 s as a
-# subprocess), while (4, 13) takes 0.28-0.36 s, (6, 3) 0.03-0.04 s and
-# (7, 2) 0.03-0.06 s
+# admitted search is n = 3, box = 70 (0.71-1.01 s in process over eight
+# fresh interpreters, Python 3.11, 2 CPUs, most of it is_brick on long
+# walks, since n = 3 has no sort; fan maxcompat --n 3
+# --box 70, pinned in tests/test_cli.py, takes 0.80-1.31 s as a
+# subprocess), while (4, 13) takes 0.27-0.50 s, (6, 3) 0.02-0.03 s and
+# (7, 2) 0.02-0.03 s
 MAX_SEARCH_PREFIXES = 20_000
+
+# the parameter of every brick module the search builds, shared so that
+# band_module converts no int on each build
+_ONE = Fraction(1)
 
 
 def euler_form(x: Sequence[int], y: Sequence[int]) -> int:
@@ -84,7 +97,7 @@ def _component_module(g: Sequence[int]) -> gentle.BandModule | None:
     component = dyck.single_component(entries)  # raises InvalidGVector
     if component is None:
         return None
-    return gentle.band_module(gentle.slalom_to_band_walk(component), 1, len(entries))
+    return gentle.band_module(gentle.slalom_to_band_walk(component), _ONE, len(entries))
 
 
 def _brick_module(g: Sequence[int]) -> gentle.BandModule | None:
@@ -193,50 +206,66 @@ def _sigma(g: GVector) -> GVector:
 
 def _enumerate_brick_gvectors(n: int, box: int) -> dict[GVector, gentle.BandModule]:
     # brick g-vectors with max-norm <= box in lexicographic order, each
-    # with its band module, End unchecked.  Only g <= sigma(g) are traced:
-    # sigma(g) comes first otherwise, and g is a brick exactly when it is
-    # one, with the module built from the mirror of its walk.  A prefix
-    # whose sum returns to 0 after a non-zero entry closes its Dyck steps
-    # among themselves, so only its all-zero completion is a candidate.
+    # with its band module, End unchecked.  The prefixes are built level by
+    # level: one whose last labels close a run (_closes_run) is dropped,
+    # and so is one too deep for its remaining entries, each at most box,
+    # to bring back to 0.  A prefix back at 0 after a non-zero entry takes
+    # only zeros: a negative entry there would open a run that the last
+    # label closes, so the leaves need no check.  Only the leaves
+    # g <= sigma(g) are traced: g is a brick exactly when sigma(g) is,
+    # whose module is built from the mirror of the walk of g
+    level = [((), 0)]
+    for rest in range(n - 1, 0, -1):
+        # rest entries follow the next one, the last included
+        level = [
+            (prefix + (a,), partial + a)
+            for prefix, partial in level
+            for a in range(
+                -min(box, box * rest + partial) if partial or not any(prefix) else 0,
+                min(box, -partial) + 1,
+            )
+            if a <= 0 or not _closes_run(prefix + (a,))
+        ]
     bricks = {}
+    for prefix, partial in level:
+        g = prefix + (-partial,)
+        mirror = _sigma(g)
+        if g > mirror or not any(g):
+            continue
+        module = _component_module(g)
+        if module is not None:
+            bricks[g] = module
+            if mirror != g:
+                bricks[mirror] = _mirror_module(module)
+    return {g: bricks[g] for g in sorted(bricks)}
 
-    def extend(prefix: list[int], partial: int) -> None:
-        if len(prefix) == n - 1:
-            last = -partial
-            if abs(last) <= box:
-                candidate = tuple(prefix) + (last,)
-                mirror = _sigma(candidate)
-                if candidate <= mirror:
-                    module = _component_module(candidate) if any(candidate) else None
-                elif mirror in bricks:
-                    module = _mirror_module(bricks[mirror])
-                else:
-                    module = None
-                if module is not None:
-                    bricks[candidate] = module
-            return
-        if not partial and any(prefix):
-            extend(prefix + [0], 0)  # closed: only zeros may follow
-            return
-        for a in range(-box, box + 1):
-            if partial + a <= 0:
-                extend(prefix + [a], partial + a)
 
-    extend([], 0)
-    return bricks
+def _closes_run(prefix: GVector) -> bool:
+    # prefix ends in a positive entry: True when its last labels m..j,
+    # m >= 2, close a run after a non-zero label (see the module
+    # docstring).  Read backwards from j, the sums stay > 0 until the run
+    # closes at 0 or can no longer close
+    total = 0
+    for m in range(len(prefix) - 1, 0, -1):
+        total += prefix[m]
+        if total <= 0:
+            return not total and any(prefix[:m])
+    return False
 
 
 def _mirror_module(module: gentle.BandModule) -> gentle.BandModule:
     # the module of sigma(g), where module is the module of g: the dual of
     # module, on the mirror of its walk as built; the search checks its End
-    return gentle.band_module(gentle.mirror_walk(module.codes[::-1], module.n), 1, module.n)
+    return gentle.band_module(gentle.mirror_walk(module.codes[::-1], module.n), _ONE, module.n)
 
 
 def _max_clique(adj: list[int], best: list[int]) -> list[int]:
     # Bron-Kerbosch with pivoting on bit masks (bit j of adj[i]: the edge
     # ij) from the clique best, replaced only by a strictly larger one; a
     # branch is cut only when it cannot beat best, so a larger maximum is
-    # still the first one in search order: ascending, pivot ties to the lowest
+    # still the first one in search order: ascending, pivot ties to the
+    # lowest.  The cut is a greedy colouring of the candidates (Tomita and
+    # Seki, DMTCS 2003): a clique takes at most one vertex of each class
 
     def expand(clique: list[int], candidates: int, excluded: int) -> None:
         nonlocal best
@@ -244,7 +273,7 @@ def _max_clique(adj: list[int], best: list[int]) -> list[int]:
             if len(clique) > len(best):
                 best = clique[:]
             return
-        if len(clique) + candidates.bit_count() <= len(best):
+        if _colourable(adj, candidates, len(best) - len(clique)):
             return
         pivot = max(
             _members(candidates | excluded), key=lambda u: (adj[u] & candidates).bit_count()
@@ -256,6 +285,19 @@ def _max_clique(adj: list[int], best: list[int]) -> list[int]:
 
     expand([], (1 << len(adj)) - 1, 0)
     return best
+
+
+def _colourable(adj: list[int], vertices: int, colours: int) -> bool:
+    # True when greedy colouring, each class built in ascending order, puts
+    # the vertices in at most colours independent classes
+    while vertices and colours > 0:
+        colours -= 1
+        free = vertices
+        while free:
+            low = free & -free
+            vertices ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return not vertices and colours >= 0
 
 
 def _members(mask: int) -> Iterator[int]:

@@ -378,7 +378,9 @@ class TestMirrorEnumeration:
     # the enumeration traces g <= sigma(g) only and builds the rest from
     # mirror walks
 
-    @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
+    # (8, 2) and (9, 2) lie past MAX_SEARCH_PREFIXES, which only
+    # _compatibility_search reads
+    @pytest.mark.parametrize("n, box", _MIRROR_BOXES + [(8, 2), (9, 2)])
     def test_matches_reference(self, n, box):
         got = forms._enumerate_brick_gvectors(n, box)
         want = _reference_enumeration(n, box)
@@ -487,29 +489,69 @@ def _plant_non_brick(monkeypatch, builder, g):
     monkeypatch.setattr(forms, builder, planted)
 
 
-def _returns_to_zero(g):
-    # a proper prefix sums to 0 with non-zero entries on both sides of it
-    return any(
-        sum(g[:k]) == 0 and any(g[:k]) and any(g[k:]) for k in range(1, len(g))
-    )
+def _ends_in_closed_run(prefix):
+    # by definition: some labels m..j, m >= 2 and j the last, have running
+    # sums <= 0 summing to 0 with a non-zero entry, and a label before m
+    # is non-zero
+    for m in range(1, len(prefix)):
+        run = prefix[m:]
+        if (
+            all(s <= 0 for s in itertools.accumulate(run))
+            and sum(run) == 0
+            and any(run)
+            and any(prefix[:m])
+        ):
+            return True
+    return False
 
 
 class TestReturnToZero:
+    # a prefix whose last labels close a run, a return to 0 among them, is
+    # dropped from the enumeration
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_closed_prefix_splits_the_diagram(self, n):
-        # the steps of the prefix close among themselves under the
-        # matching and the gluing, so they form components of their own
+        # the steps of the run close among themselves under the matching
+        # and the gluing, and a label before it has steps, so every
+        # completion has a second component; a return to 0 followed by
+        # non-zero entries is such a run, the labels after it
         seen = 0
         for g in itertools.product(range(-3, 4), repeat=n):
-            if dyck.validate_gvector(g) and _returns_to_zero(g):
+            if dyck.validate_gvector(g) and any(
+                _ends_in_closed_run(g[:j]) for j in range(2, n + 1)
+            ):
                 seen += 1
                 assert dyck.single_component(g) is None, g
-        assert (seen > 0) == (n >= 4)  # n <= 3 leaves no room after the prefix
+        assert (seen > 0) == (n >= 4)  # n <= 3 leaves no room around the run
 
     def test_zero_completion_still_enumerated(self):
         # (-1, 1, 0) returns to 0 and is a brick: the prune keeps its zeros
         assert (-1, 1, 0) in forms._enumerate_brick_gvectors(3, 1)
         assert (-1, 1, 0, 0) in forms._enumerate_brick_gvectors(4, 1)
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_check_matches_definition(self, length):
+        # the backward scan on a positive last entry; a last entry <= 0
+        # closes a run only when the prefix before it already did, so the
+        # enumeration checks positive entries alone
+        checked = 0
+        for prefix in itertools.product(range(-3, 4), repeat=length):
+            if any(s > 0 for s in itertools.accumulate(prefix)):
+                continue
+            want = _ends_in_closed_run(prefix)
+            if prefix[-1] > 0:
+                checked += 1
+                assert forms._closes_run(prefix) == want, prefix
+            elif want:
+                assert _ends_in_closed_run(prefix[:-1]), prefix
+        assert (checked > 0) == (length >= 2)
+
+    def test_fan_search_traces(self):
+        # the six fan-search boxes trace 354 candidates for their 476 bricks
+        boxes = ((3, 6), (4, 3), (5, 2), (4, 4), (5, 3), (6, 2))
+        with mock.patch.object(dyck, "single_component", wraps=dyck.single_component) as trace:
+            bricks = sum(len(forms._enumerate_brick_gvectors(n, box)) for n, box in boxes)
+        assert (trace.call_count, bricks) == (354, 476)
 
 
 def _reference_max_clique(vertices, adj):
@@ -609,6 +651,25 @@ class TestSeededClique:
         assert forms._max_clique(_masks(adj), []) == [0, 1, 2]
         assert forms._max_clique([], []) == []
         assert forms._max_clique([0, 0], []) == [0]
+
+    def test_colour_classes(self):
+        # greedy classes in ascending order: the 5-cycle 0-1-2-3-4 takes
+        # {0, 2}, {1, 3}, {4}, and no vertex needs no class
+        cycle = {v: {(v - 1) % 5, (v + 1) % 5} for v in range(5)}
+        adj = _masks(cycle)
+        fits = [forms._colourable(adj, 0b11111, k) for k in range(5)]
+        assert fits == [False, False, False, True, True]
+        assert forms._colourable(adj, 0b01010, 1)
+        assert forms._colourable(adj, 0, 0) and not forms._colourable(adj, 0, -1)
+
+    def test_random_graphs_bound_their_cliques(self):
+        # a clique takes one vertex of each class at most
+        rng = random.Random(7)
+        for _ in range(200):
+            adj = _random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
+            masks = _masks(adj)
+            clique = len(_reference_max_clique(list(adj), adj))
+            assert not forms._colourable(masks, (1 << len(adj)) - 1, clique - 1), adj
 
     def test_random_graphs_and_seeds(self):
         rng = random.Random(5)

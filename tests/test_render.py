@@ -233,6 +233,24 @@ def _long_words_gvectors(count=20):
     return out
 
 
+def _assert_same_svg(got, want, context):
+    # a mismatch reports the two lengths and the first line that differs,
+    # not a diff of two documents of up to about 100 kB, which pytest's
+    # assertion rewriting takes minutes to build
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    line = next(
+        (k for k, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+        min(len(got_lines), len(want_lines)),
+    )
+    pytest.fail(
+        f"{context}: {len(got)} bytes against {len(want)}; first difference at line "
+        f"{line + 1}: {got_lines[line:line + 1]!r} against {want_lines[line:line + 1]!r}",
+        pytrace=False,
+    )
+
+
 # whole units take the int path: label baselines end in .00 at 40.0 and
 # 20, .95 at 1 and 41.0, .85 at 3.0 and .65 at 7; half columns end in .50
 # at odd units.  A fractional unit and most widths take the float path
@@ -257,14 +275,14 @@ class TestAgainstReference:
     def test_every_small_gvector(self, options):
         checked = 0
         for g in _small_valid_gvectors():
-            assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
+            _assert_same_svg(render.render_dyck(g, **options), _reference_render_dyck(g, **options), g)
             checked += 1
         assert checked == 498
 
     @pytest.mark.parametrize("options", RENDER_OPTIONS, ids=repr)
     def test_long_words_gvectors(self, options):
         for g in _long_words_gvectors():
-            assert render.render_dyck(g, **options) == _reference_render_dyck(g, **options), g
+            _assert_same_svg(render.render_dyck(g, **options), _reference_render_dyck(g, **options), g)
 
 
 @st.composite
@@ -295,7 +313,7 @@ class TestIntPath:
             unit = kind(u)
             with mock.patch.object(render, "_progression", wraps=render._progression) as spy:
                 svg = render.render_dyck(g, unit=unit)
-            assert svg == _reference_render_dyck(g, unit=unit), u
+            _assert_same_svg(svg, _reference_render_dyck(g, unit=unit), u)
             assert spy.call_count == lists, u
 
     @settings(max_examples=300, deadline=None)
@@ -308,7 +326,8 @@ class TestIntPath:
         ),
     )
     def test_against_reference(self, g, unit):
-        assert render.render_dyck(g, unit=unit) == _reference_render_dyck(g, unit=unit)
+        svg = render.render_dyck(g, unit=unit)
+        _assert_same_svg(svg, _reference_render_dyck(g, unit=unit), (g, unit))
 
 
 class TestPalette:
