@@ -38,7 +38,7 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes 0.6-1.0 s and 150 MB on
+# steps: at the bound, render takes 0.56-0.80 s and 137 MB on
 # (-75000, 75000), its slowest shape and the pin in tests/test_cli.py,
 # and gvec words 0.3-0.5 s (as subprocesses, Python 3.11, 2 CPUs)
 MAX_STEPS = 150_000

@@ -9,14 +9,18 @@ The chords come from the curves of dyck.reconstruct_multislalom, and
 the rest is read off the entries of g one label run at a time:
 a run climbs or falls one level a step, so the path heights, the label
 baselines and the chord levels of a run are one forward or reversed slice
-of the per-level strings.  Each of the five coordinate lists (columns,
-half columns, levels, chord levels, label baselines) is formatted by one
+of the per-level strings.  Each coordinate list is formatted by one
 string operation over the whole list, and the strings are shared by the
 grid, the path, the labels and the chords.  With a whole unit and a
 drawing narrower than 2**40, as at the default unit of 40, every
-coordinate is a whole number of cents, so each list is an int
-progression printed with a fixed two-digit tail, the digits "%.2f" of
-the float would print; otherwise each list is "%.2f" of its floats.
+coordinate is a whole number of cents, so three lists (columns, half
+columns, label baselines) are int progressions printed with a fixed
+two-digit tail, the digits "%.2f" of the float would print, and the
+levels and chord levels are the columns and half columns read
+backwards.  Otherwise each of the five lists is "%.2f" of its floats,
+as the two readings of a coordinate need not round alike.  Each list of
+grid lines, each label run and the path's points are then built by one
+join, with the fixed text between the fields as the separators.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ def _progression(first: int, step: int, count: int, cents: int) -> list[str]:
     return (f"%d.{cents:02d} " * count % tuple(range(first, first + count * step, step))).split()
 
 
+def _elements(head: str, sep: str, tail: str, *columns: list[str]) -> str:
+    # head + the row's fields joined by sep + tail for each row of the
+    # columns, one element a line, as one join
+    return head + f"{tail}\n{head}".join(map(sep.join, zip(*columns))) + tail
+
+
 def _smallest_width(count: int) -> str:
     # the least width of two decimals whose unit width / (count + 2) is
     # at least _MIN_UNIT; 2 * (count + 2) cents falls short for some counts
@@ -131,18 +141,19 @@ def render_dyck(
     if float(unit).is_integer() and w < 2**40:
         # a whole unit u puts every value at a whole number of cents, so each
         # list is an int progression with one two-digit tail.  h <= w, as
-        # top + 1 <= count, so every value is below 2**40.  The first four
-        # lists are multiples of u / 2, exact floats there, whose digits
-        # "%.2f" prints.  A label baseline u (top + 2 - level) - 0.05 u is
-        # off by at most about 3 w 2**-53 < 4e-4 in floats, so "%.2f" rounds
-        # it to that multiple of 0.01: whole part minus ceil(5 u / 100),
-        # tail (-5 u) mod 100 cents
+        # top + 1 <= count, so every value is below 2**40.  Columns and half
+        # columns are multiples of u / 2, exact floats there, whose digits
+        # "%.2f" prints.  Level l sits at u (top + 2 - l), column top + 1 - l,
+        # and chord level l at half column top - l, so both are the columns
+        # read backwards; the slices fit, as top + 1 <= count.  A label
+        # baseline u (top + 2 - level) - 0.05 u is off by at most about
+        # 3 w 2**-53 < 4e-4 in floats, so "%.2f" rounds it to that multiple
+        # of 0.01: whole part minus ceil(5 u / 100), tail (-5 u) mod 100 cents
         u = int(unit)
-        half = 50 * (u & 1)
         xs = _progression(u, u, count + 1, 0)
-        half_xs = _progression(u + u // 2, u, count, half)
-        ys = _progression(u * (top + 2), -u, top + 1, 0)
-        chord_ys = _progression(u * (top + 1) + u // 2, -u, top, half)
+        half_xs = _progression(u + u // 2, u, count, 50 * (u & 1))
+        ys = xs[top + 1 : 0 : -1]
+        chord_ys = half_xs[top:0:-1]
         label_ys = _progression(u * (top + 2) + -5 * u // 100, -u, top, -5 * u % 100)
     else:
         xs = _formatted([margin + k * unit for k in range(count + 1)])
@@ -160,8 +171,7 @@ def render_dyck(
     # lower of the step's two levels, and a chord sits at its up-step's.
     # The elements of a run, like the grid columns below, are joined into
     # one string at once, so that no per-element string outlives its run:
-    # at the bound, render -- -75000,75000 then peaks at about 150 MB,
-    # against about 190 MB when every element string is kept to the end
+    # at the bound, render -- -75000,75000 then peaks at about 137 MB
     path_ys: list[str] = []
     texts: list[str] = []
     chords: list[str] = []
@@ -184,8 +194,7 @@ def render_dyck(
         else:
             path_ys += ys[height - a + 1 : height + 1][::-1]
             lows = label_ys[height - a : height][::-1]
-        text = f'<text x="%s" y="%s">{label}</text>'
-        texts.append("\n".join(map(text.__mod__, zip(run_xs, lows))))
+        texts.append(_elements('<text x="', '" y="', f'">{label}</text>', run_xs, lows))
         start, height = end, height - a
     path_ys.append(ys[0])
 
@@ -197,14 +206,12 @@ def render_dyck(
         '<g stroke="#dddddd" stroke-width="1">',
     ]
     bottom, ceiling = ys[0], ys[top]
-    parts.append(
-        "\n".join([f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{ceiling}"/>' for x in xs])
-    )
+    parts.append(_elements('<line x1="', f'" y1="{bottom}" x2="', f'" y2="{ceiling}"/>', xs, xs))
     left, right = xs[0], xs[count]
-    parts += [f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}"/>' for y in ys]
+    parts.append(_elements(f'<line x1="{left}" y1="', f'" x2="{right}" y2="', '"/>', ys, ys))
     parts.append("</g>")
 
-    points = " ".join([f"{x},{y}" for x, y in zip(xs, path_ys)])
+    points = " ".join(map(",".join, zip(xs, path_ys)))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#222222" '
         'stroke-width="2"/>'

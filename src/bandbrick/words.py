@@ -95,7 +95,10 @@ def is_primitive(w: Sequence[int]) -> bool:
     """
     word = _as_word(w)
     r = len(word)
-    return all(word[r // p :] != word[: r - r // p] for p in _prime_factors(r))
+    for p in _prime_factors(r):
+        if word[r // p :] == word[: r - r // p]:
+            return False
+    return True
 
 
 def least_rotation(seq: Sequence) -> int:
@@ -309,9 +312,8 @@ def phi(w: Sequence[int]) -> tuple[Word, ...]:
     order = _letter_order(word)
     seen = bytearray(len(word))
     out = []
-    for start in range(len(word)):
-        if seen[start]:
-            continue
+    start = 0
+    while (start := seen.find(0, start)) >= 0:  # the next position no cycle has reached
         cycle = []
         p = start
         while not seen[p]:  # step first, so the read starts at order[start]

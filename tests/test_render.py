@@ -306,10 +306,11 @@ class TestIntPath:
     @pytest.mark.parametrize("g", [(-1, 1), _long_words_gvectors()[3]], ids=["single", "long"])
     @pytest.mark.parametrize("kind", [int, float])
     def test_switch_at_2_40(self, g, kind):
-        # five progressions at the largest whole unit whose width, steps + 2
-        # units, is below 2**40, and none at the next unit
+        # three progressions (columns, half columns, label baselines; the
+        # levels are the columns read backwards) at the largest whole unit
+        # whose width, steps + 2 units, is below 2**40, and none at the next
         under = (2**40 - 1) // (sum(map(abs, g)) + 2)
-        for u, lists in ((under, 5), (under + 1, 0)):
+        for u, lists in ((under, 3), (under + 1, 0)):
             unit = kind(u)
             with mock.patch.object(render, "_progression", wraps=render._progression) as spy:
                 svg = render.render_dyck(g, unit=unit)
