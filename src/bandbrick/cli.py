@@ -57,11 +57,39 @@ def _report(asked: bool, name: str, message: str, code: int, human: str) -> int:
     return code
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    # argparse makes a formatter for every argument it adds, and the stock
+    # one reads the terminal width when made, which imports shutil; this
+    # one reads it only when help or usage text is formatted, and sets the
+    # width and the help position from it as the stock one does
+    def __init__(self, prog, indent_increment=2, max_help_position=24):
+        # no text is laid out before format_help, so any width serves here
+        super().__init__(prog, indent_increment, max_help_position, width=80)
+        self._asked_help_position = max_help_position
+
+    def format_help(self):
+        import shutil
+
+        self._width = shutil.get_terminal_size().columns - 2
+        self._max_help_position = min(
+            self._asked_help_position, max(self._width - 20, self._indent_increment * 2)
+        )
+        return super().format_help()
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEG_CSV
         self._json_asked = False
+
+    def add_subparsers(self, **kwargs):
+        # argparse names the subcommands after a usage line it formats, which
+        # with no positional argument before them is this parser's prog
+        if not self._get_positional_actions():
+            kwargs.setdefault("prog", self.prog)
+        return super().add_subparsers(**kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         # a subcommand's parser looks for --json, or a prefix of it, among its

@@ -6,10 +6,14 @@ int step codes, index << 2 | (kind b) << 1 | (inverse), one per signed
 step, stored in written (composition) order: the rightmost step is
 traversed first, and consecutive written steps x, y compose when
 from(x) == to(y).  walk_from_str and walk_to_str are the only code that
-reads or writes the text form, such as 'a1 b1-'.  The codes of a letter
-cycle or of a multislalom segment step by 4 in index, so psi and
-slalom_to_band_walk build them as ranges, and psi builds one cycle per
-distinct letter.
+reads or writes the text form, such as 'a1 b1-'.  validate_band_walk
+reads each consecutive written pair c, d once, as the move
+4 (d - c) + (c & 3): a non-empty primitive walk of indices at least 1
+is a band walk exactly when all its moves lie in one orientation's
+four, {16, 12, -13, -9} with the a-steps as arrows or {-15, 5, 18, -2}
+with the b-steps as arrows.  The codes of a letter cycle or of a
+multislalom segment step by 4 in index, so psi and slalom_to_band_walk
+build them as ranges, and psi builds one cycle per distinct letter.
 
 A band module of multiplicity one is its walk with one scalar: a
 BandModule holds n, dims, lam and codes, the traversal of the walk, and
@@ -32,8 +36,10 @@ one band, the one cycle counts too if the parameters agree.  The count
 goes round both cycles, so it is the same at every rotation, and nothing
 is stored for it: hom_dim, is_brick and hom_orthogonal read only the
 codes.  No equation is built and the count is independent of the base
-field.  The brick test answers at the first graph map past the identity;
-hom_orthogonal finds those of many modules in one joint rotation sort.
+field.  The brick test answers at the first graph map past the identity
+on a walk of at most _SCAN_STEPS steps, and reads hom_orthogonal's
+diagonal on a longer one; hom_orthogonal finds those maps of many
+modules in one joint rotation sort.
 """
 
 from __future__ import annotations
@@ -70,13 +76,14 @@ MAX_VERTICES = 10**6 + 1
 # 2 (w_i - 1) steps over the letters, so a word of 10^4 letters over 2..5
 # has at most 80,000; a slalom walk has sum |word[k] - word[k-1]| over
 # its cyclic word, which dyck.MAX_STEPS does not bound, since zero
-# entries of a g-vector cost no Dyck steps.  The Hom count is quadratic
-# in the steps, and the nearly periodic walks of 2 followed by k fives
-# are its worst known shape: the largest one admitted, a 2 followed by
-# 18,749 fives (149,994 steps), takes 69 s in band brick as a subprocess
-# (Python 3.11, 2 CPUs), against the 5 s of the exit contract.  Its pin
-# in tests/test_cli.py waits for a Hom count that is not quadratic (item
-# 1 of ROADMAP.md)
+# entries of a g-vector cost no Dyck steps.  The nearly periodic walks of
+# 2 followed by k fives are the worst known shape of the scan, which is
+# quadratic in the steps; is_brick sorts past _SCAN_STEPS, so the largest
+# one admitted, a 2 followed by 18,749 fives (149,994 steps), takes
+# 0.89-0.96 s and 74 MB in band brick as a subprocess (Python 3.11, 2
+# CPUs; 69 s with the scan), pinned in tests/test_cli.py.  hom_dim still
+# scans, so band hom on such walks can outrun the 5 s of the exit
+# contract (item 1 of ROADMAP.md)
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
@@ -138,9 +145,10 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
     return walk
 
 
-# the sign patterns (code & 3) of a band walk: a-steps as arrows and
-# b-steps as inverse arrows, or the other way round
-_ORIENTATIONS = ({0, 3}, {1, 2})
+# the moves 4 (d - c) + (c & 3) of a band walk's consecutive written
+# steps c, d: with its a-steps as arrows, or with its b-steps as arrows
+# (see validate_band_walk)
+_MOVES = (frozenset({16, 12, -13, -9}), frozenset({-15, 5, 18, -2}))
 
 
 def validate_band_walk(walk: Sequence[int], n: int | None = None) -> bool:
@@ -153,16 +161,40 @@ def validate_band_walk(walk: Sequence[int], n: int | None = None) -> bool:
     sign form a relation exactly when their kinds differ, and at a sign
     change composability forces equal indices, so the pair backtracks
     exactly when the kind stays.
+
+    So each written pair c, d, with d the next step round the cycle, is
+    read once, as its move 4 (d - c) + (c & 3), which names c & 3 (the
+    move modulo 4) and d - c.  The arrow of index i runs i + 1 -> i and
+    its inverse i -> i + 1, and c comes right after d in the traversal,
+    so c leaves the vertex d enters.  With the a-steps as arrows (code &
+    3 of 0) and the b-steps as inverses (3), the legal pairs are
+
+        c = a_i,    d = a_{i+1}:     d - c = 4,   move 16
+        c = a_i,    d = b_i^-:       d - c = 3,   move 12
+        c = b_i^-,  d = b_{i-1}^-:   d - c = -4,  move -13
+        c = b_i^-,  d = a_i:         d - c = -3,  move -9
+
+    and with the a-steps as inverses (1) and the b-steps as arrows (2)
+
+        c = a_i^-,  d = a_{i-1}^-:   d - c = -4,  move -15
+        c = a_i^-,  d = b_i:         d - c = 1,   move 5
+        c = b_i,    d = b_{i+1}:     d - c = 4,   move 18
+        c = b_i,    d = a_i^-:       d - c = -1,  move -2
+
+    A walk is a composable cycle obeying the sign rule exactly when its
+    moves lie in one of these sets.  Both signs then occur: a walk of
+    arrows alone raises the index at every written step, one of inverses
+    alone lowers it, and neither closes a cycle.  The empty walk has no
+    moves, so it is refused first.
     """
-    if {c & 3 for c in walk} not in _ORIENTATIONS:
+    if not walk or min(walk) < 4 or (n is not None and max(walk) >= n << 2):
         return False
-    if min(walk) < 4 or (n is not None and max(walk) >= n << 2):
-        return False
-    # an arrow runs index + 1 -> index, its inverse the other way; the
-    # written step x is traversed right after y when from(x) == to(y)
-    froms = [(c >> 2) + 1 - (c & 1) for c in walk]
-    tos = [(c >> 2) + (c & 1) for c in walk]
-    if froms != tos[1:] + tos[:1]:
+    moves = set()
+    c = walk[-1]
+    for d in walk:  # a loop beats a comprehension over zipped pairs here
+        moves.add(4 * (d - c) + (c & 3))
+        c = d
+    if not (moves <= _MOVES[0] or moves <= _MOVES[1]):
         return False
     return is_primitive(walk)
 
@@ -320,8 +352,10 @@ def band_module(
         trav = walk[::-1]
     count = [0] * (n + 1)  # basis vectors at each vertex
     for c in trav:
-        # a step leaves vertex index + 1 if it is an arrow, index if not
-        count[(c >> 2) + 1 - (c & 1)] += 1
+        # the walk just passed as a composable cycle, so it enters each
+        # vertex as often as it leaves it: the arrow 4i enters vertex i and
+        # the inverse 4i + 3 vertex i + 1, both (c + 1) >> 2
+        count[c + 1 >> 2] += 1
     return BandModule(n, tuple(count[1:]), lam, trav)
 
 
@@ -395,9 +429,12 @@ def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> Iterator[tuple[int,
                 starts[c] = [j]
         prev = c
     bound = len(x) + len(y)
-    # repeated past any common walk, then a sentinel that matches nothing
+    # repeated past any common walk, then a sentinel that matches nothing.
+    # A walk against itself reads one list: a start of x is entered by an
+    # inverse and one of y by an arrow, so the two read positions differ
+    # at every step and at most one of them is the sentinel
     xs = [*x] * (bound // len(x) + 3) + [-1]
-    ys = [*y] * (bound // len(y) + 3) + [-2]
+    ys = xs if y is x else [*y] * (bound // len(y) + 3) + [-2]
     prev = x[-1]
     for i, c in enumerate(x):
         if prev & 1:
@@ -459,13 +496,37 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
     return [everything ^ mask for mask in linked]
 
 
+# is_brick scans a walk of at most this many steps and sorts a longer one.
+# On a brick the scan tries every start pair, so it grows about as the
+# square of the steps, and the sort about linearly.  Per call, on 25
+# bricks per band of steps, in microseconds (Python 3.11, 2 CPUs):
+#
+#   steps                        0-39  80-119  120-159  160-199  200-239
+#   psi bricks over 2..5, scan     16      90      170      258      292
+#                         sort     32     118      212      233      357
+#   n = 3 components,     scan     25     168      332      423      512
+#                         sort     37     152      249      289      291
+#
+# A non-brick stops the scan at its first map: on 200 psi non-bricks of
+# 86-242 steps the scan took 14 us, the sort 103 us.  So the scan stays
+# below the crossover, brick-sweep's walks of about 31 steps included,
+# and above it a non-brick pays the sort: on random psi non-bricks it
+# took 0.13 s at 50,058 steps and 0.63 s at 144,952, where the scan
+# stopped after 9 ms and 29 ms
+_SCAN_STEPS = 160
+
+
 def is_brick(m: BandModule) -> bool:
     """True iff the endomorphism space of m is one-dimensional.
 
     End counts the identity cycle and each admissible common walk of m
-    with itself, of d >= 0 steps (see hom_dim), so the test returns False
-    at the first such walk; only a brick runs the whole scan.
+    with itself, of d >= 0 steps (see hom_dim).  On a walk of at most
+    _SCAN_STEPS steps the test scans for the first such walk, so only a
+    brick runs the whole scan; on a longer one it reads the diagonal bit
+    of hom_orthogonal's sort.
     """
+    if len(m.codes) > _SCAN_STEPS:
+        return bool(hom_orthogonal([m])[0] & 1)
     return next(_admissible_walks(m.codes, m.codes), None) is None
 
 

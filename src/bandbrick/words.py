@@ -166,12 +166,13 @@ def _rotation_order(cycles: Sequence[Sequence]) -> list[int]:
     once span reaches bound or every key is distinct.
     """
     bound = sum(sorted(map(len, cycles))[-2:])
-    alphabet = sorted({a for cycle in cycles for a in cycle})
-    width = max(1, (len(alphabet) - 1).bit_length() + 7 >> 3)
+    letters = [*itertools.chain.from_iterable(cycles)]
+    alphabet = sorted(set(letters))
+    width = (len(alphabet) - 1).bit_length() + 7 >> 3 or 1
     code = {a: i.to_bytes(width, "big") for i, a in enumerate(alphabet)}
     span = min(bound, _SEED_SPAN)
     pad, size = span - 1, span * width
-    codes = b"".join(map(code.__getitem__, itertools.chain.from_iterable(cycles)))
+    codes = b"".join(map(code.__getitem__, letters))
     keys: list[bytes] = []
     start = 0
     for cycle in cycles:

@@ -1,5 +1,6 @@
 """Command-line interface: encodings, output formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -809,8 +810,8 @@ class TestExitContract:
 
 
 def test_band_brick_on_a_long_random_word():
-    # the brick test answers at the first endomorphism past the identity;
-    # the full End count of this word took about 20 s
+    # a walk this long is tested by the rotation sort, not the scan; the
+    # full End count of this word took about 20 s
     rng = random.Random(10_000)
     word = "".join(rng.choice("2345") for _ in range(10_000))
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
@@ -844,6 +845,10 @@ _BOUND_PINS = {
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
     # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.21-0.27 s
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
+    # gentle.MAX_WALK_STEPS: a 2 followed by 18,749 fives, the largest
+    # nearly periodic walk admitted (149,994 steps), whose brick test
+    # sorts, 0.89-0.96 s and 74 MB peak RSS
+    "band-brick-max-walk-steps": ["band", "brick", "2" + "5" * 18_749],
     # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.78-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
     # the word commands' only bound is Linux's 131,072 bytes per argument:
@@ -898,6 +903,44 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_command_leaves_shutil_unloaded():
+    # argparse's stock formatter imports shutil to read the terminal width
+    # whenever the parser adds an argument; cli's reads it only for help
+    # and usage text, which a command that succeeds never formats
+    script = (
+        "import sys\n"
+        "import bandbrick.cli\n"
+        "code = bandbrick.cli.main(['bw', '2,1,1'])\n"
+        "print(code, [m for m in ('dataclasses', 'inspect', 'shutil') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1\n0 []\n", "")
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "150"])
+def test_help_text_is_the_stock_formatters(monkeypatch, columns):
+    # every parser's help and usage, as argparse's own formatter and its
+    # naming of the subcommands give them
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def texts(parser):
+        found = [parser.format_help(), parser.format_usage()]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    found += texts(sub)
+        return found
+
+    ours = texts(cli.build_parser())
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    monkeypatch.setattr(cli._Parser, "add_subparsers", argparse.ArgumentParser.add_subparsers)
+    stock = texts(cli.build_parser())
+    assert len(ours) > 30 and ours == stock
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

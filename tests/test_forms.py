@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -133,6 +134,12 @@ class TestBrickGVectors:
                     continue
                 expected = math.gcd(a, b) == 1
                 assert forms.is_brick_gvector((-a - b, a, b)) == expected
+
+    def test_a_long_fibonacci_slope(self):
+        # one component of 21,892 steps, so the brick test sorts
+        start = time.perf_counter()
+        assert forms.is_brick_gvector((-6765, 2584, 4181))
+        assert time.perf_counter() - start < 1
 
     def test_christoffel_determinant(self):
         for a, b, c, d in [(1, 0, 0, 1), (2, 3, 1, 1), (5, 2, 3, 4)]:

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import operator
 import random
 import time
@@ -250,6 +251,47 @@ class TestSignRule:
         assert gentle.validate_band_walk(walk, 3)
         assert not gentle.validate_band_walk(walk, 2)
         assert not gentle.validate_band_walk((), 3)
+
+    def test_long_walks_match_reference(self):
+        # past the exhaustive lengths: psi and slalom walks of up to about
+        # 200 steps, each rotated, inverted and mirrored, then with one code
+        # replaced, with a code of the wrap-around pair moved by 4 either
+        # way, and run on past its start, so that only the wrap-around pair
+        # breaks
+        rng = random.Random(39)
+        bases = []
+        while len(bases) < 20:
+            w = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 40)))
+            if words.is_primitive(w):
+                bases.append(gentle.psi(w))
+        while len(bases) < 40:
+            g = [rng.randint(-4, 4) for _ in range(rng.randint(3, 7))]
+            if dyck.validate_gvector(g) and (component := dyck.single_component(g)):
+                bases.append(gentle.slalom_to_band_walk(component))
+        assert max(map(len, bases)) > 150
+        cases = []
+        for base in bases:
+            n = _quiver(base) + 1
+            k = rng.randrange(len(base))
+            for walk in (base, base[k:] + base[:k], _inverse(base), gentle.mirror_walk(base, n)):
+                i = rng.randrange(len(walk))
+                for case in (
+                    walk,
+                    walk[:i] + (rng.randrange(4 * n + 4),) + walk[i + 1 :],
+                    walk[:-1] + (walk[-1] + 4,),
+                    walk[:-1] + (walk[-1] - 4,),
+                    (walk[0] + 4,) + walk[1:],
+                    (walk[0] - 4,) + walk[1:],
+                    walk + walk[:i],
+                ):
+                    cases.append((case, n))
+        accepted = 0
+        for walk, n in cases:
+            expected = _reference_validate_band_walk(walk, n)
+            assert gentle.validate_band_walk(walk, n) == expected, walk
+            assert gentle.validate_band_walk(walk) == _reference_validate_band_walk(walk), walk
+            accepted += expected
+        assert 4 * len(bases) <= accepted < len(cases)
 
 
 
@@ -1075,8 +1117,9 @@ def _end_cases(rng, length):
 
 
 class TestBrickTestAgainstEnd:
-    # is_brick stops at the first graph map past the identity; the full
-    # count of End is the reference
+    # up to gentle._SCAN_STEPS steps is_brick stops at the first graph map
+    # past the identity, and past them it reads hom_orthogonal's diagonal;
+    # the full count of End is the reference
 
     def _check(self, m):
         assert gentle.is_brick(m) == (gentle.hom_dim(m, m) == 1), m.walk
@@ -1115,9 +1158,59 @@ class TestBrickTestAgainstEnd:
         for w in pool:
             self._check(gentle.band_module(gentle.psi(w), 1))
 
+    def test_scan_and_sort_agree_across_the_crossover(self):
+        # bricks and non-bricks from psi, and n = 3 components, which are
+        # all bricks, from well below the crossover to well above it
+        cut = gentle._SCAN_STEPS
+        rng = random.Random(cut)
+        pool = []
+        for length in (12, 20, 28, 32, 36, 44, 60):
+            pool += _end_cases(rng, length)
+        modules = [gentle.band_module(gentle.psi(w), lam) for w in pool for lam in (1, 2)]
+        for a in range(30, 140, 7):
+            b = rng.randrange(1, a)
+            if math.gcd(a, b) == 1:
+                modules.append(forms._component_module((-a - b, a, b)))
+        kinds = collections.Counter()
+        for m in modules:
+            scan = next(gentle._admissible_walks(m.codes, m.codes), None) is None
+            sort = bool(gentle.hom_orthogonal([m])[0] & 1)
+            assert scan == sort == gentle.is_brick(m), m.walk
+            self._check(m)
+            kinds[scan, len(m.codes) > cut] += 1
+        assert len(kinds) == 4 and min(kinds.values()) >= 4, kinds
+
+    def test_short_walks_never_sort(self, monkeypatch):
+        # brick-sweep's words, of 6-12 letters over 2..3 and 2..4, give
+        # walks far below the crossover, where the sort's fixed cost would
+        # dominate; from the crossover on, one sort per test
+        sorted_steps = []
+        sort = gentle.hom_orthogonal
+        monkeypatch.setattr(
+            gentle, "hom_orthogonal", lambda ms: sorted_steps.append(len(ms[0].codes)) or sort(ms)
+        )
+        rng = random.Random(6)
+        for letters, length in [((2, 3), 12), ((2, 3, 4), 8)]:
+            for _ in range(200):
+                w = tuple(rng.choice(letters) for _ in range(length))
+                if words.is_primitive(w):
+                    m = gentle.band_module(gentle.psi(w, max(letters)), 3, max(letters))
+                    assert gentle.is_brick(m) == words.is_perfectly_clustering(w)
+        assert sorted_steps == []
+        # j twos and k threes make a walk of 2 j + 4 k steps
+        cut = gentle._SCAN_STEPS
+        j = 2 - cut // 2 % 2
+        at_cut = gentle.psi((2,) * j + (3,) * ((cut - 2 * j) // 4))
+        past_cut = gentle.psi((2,) + (3,) * (cut // 4 + 1))
+        assert len(at_cut) == cut < len(past_cut)
+        for walk in (at_cut, past_cut):
+            gentle.is_brick(gentle.band_module(walk, 1))
+        assert sorted_steps == [len(past_cut)]
+
     @pytest.mark.parametrize("length", [1000, 3000, 10_000])
     def test_random_long_words_stop_early(self, length):
-        # the full End count of these took 0.22 s, 1.9 s and 21.7 s
+        # the full End count of these took 0.22 s, 1.9 s and 21.7 s; walks
+        # this long are sorted, which took 0.01-0.13 s
         rng = random.Random(length)
         w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(length))
         assert words.is_primitive(w) and not words.is_perfectly_clustering(w)
