@@ -166,7 +166,7 @@ def band_hom(
         # (w2, 1) is X itself: move Y to another member of the family
         y = y.replace(lam=Fraction(2))
     euler = euler_form(x.g_vector(), y.g_vector())
-    return gentle.hom_dim(x, y), gentle.hom_dim(y, x), euler
+    return (*gentle._hom_pair(x, y), euler)  # both ways from one joint sort
 
 
 def hom_difference_check(z1: Sequence[int], z2: Sequence[int]) -> bool:

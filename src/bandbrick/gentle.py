@@ -14,6 +14,12 @@ four, {16, 12, -13, -9} with the a-steps as arrows or {-15, 5, 18, -2}
 with the b-steps as arrows.  The codes of a letter cycle or of a
 multislalom segment step by 4 in index, so psi and slalom_to_band_walk
 build them as ranges, and psi builds one cycle per distinct letter.
+Each walk is validated once: psi and slalom_to_band_walk return a
+_BandWalk, a tuple built only right after their own validate_band_walk
+passes, and band_module does not check its moves or primitivity again,
+only n and the index bound of its own n.  Every other sequence, slices,
+tuple copies and mirror_walk's output included, is validated by
+band_module as given.
 
 A band module of multiplicity one is its walk with one scalar: a
 BandModule holds n, dims, lam and codes, the traversal of the walk, and
@@ -36,10 +42,11 @@ one band, the one cycle counts too if the parameters agree.  The count
 goes round both cycles, so it is the same at every rotation, and nothing
 is stored for it: hom_dim, is_brick and hom_orthogonal read only the
 codes.  No equation is built and the count is independent of the base
-field.  The brick test answers at the first graph map past the identity
-on a walk of at most _SCAN_STEPS steps, and reads hom_orthogonal's
-diagonal on a longer one; hom_orthogonal finds those maps of many
-modules in one joint rotation sort.
+field.  The graph maps of many modules are read off one joint rotation
+sort of their codes: hom_orthogonal marks which pairs have any, and
+hom_dim counts those of two modules both ways.  The brick test answers
+at the first graph map past the identity on a walk of at most
+_SCAN_STEPS steps, and reads hom_orthogonal's diagonal on a longer one.
 """
 
 from __future__ import annotations
@@ -78,12 +85,12 @@ MAX_VERTICES = 10**6 + 1
 # its cyclic word, which dyck.MAX_STEPS does not bound, since zero
 # entries of a g-vector cost no Dyck steps.  The nearly periodic walks of
 # 2 followed by k fives are the worst known shape of the scan, which is
-# quadratic in the steps; is_brick sorts past _SCAN_STEPS, so the largest
-# one admitted, a 2 followed by 18,749 fives (149,994 steps), takes
-# 0.89-0.96 s and 74 MB in band brick as a subprocess (Python 3.11, 2
-# CPUs; 69 s with the scan), pinned in tests/test_cli.py.  hom_dim still
-# scans, so band hom on such walks can outrun the 5 s of the exit
-# contract (item 1 of ROADMAP.md)
+# quadratic in the steps; is_brick sorts past _SCAN_STEPS and hom_dim
+# always sorts, so the largest one admitted, a 2 followed by 18,749 fives
+# (149,994 steps), takes 0.89-0.96 s and 74 MB in band brick as a
+# subprocess (Python 3.11, 2 CPUs; 69 s with the scan), and band hom on it
+# 0.74-0.91 s against itself and 1.4-1.7 s against a 3 followed by 18,748
+# fives, all three pinned in tests/test_cli.py
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
@@ -123,10 +130,20 @@ def letter_cycle(i: int) -> Walk:
     return (*range(4, i << 2, 4), *range((i << 2) - 1, 3, -4))
 
 
+class _BandWalk(tuple):
+    # a walk that validate_band_walk has passed: only psi and
+    # slalom_to_band_walk build one, right after their own check, and
+    # band_module reads an exact _BandWalk without checking its moves and
+    # primitivity again.  Slicing, concatenating or copying one gives a
+    # plain tuple, which is checked as any walk is
+    __slots__ = ()
+
+
 def psi(w: Sequence[int], n: int | None = None) -> Walk:
     """Concatenated letter cycles of a primitive word over {2..n}, one
-    cycle built per distinct letter.  A walk of more than MAX_WALK_STEPS
-    steps raises WalkTooLarge before any step is built."""
+    cycle built per distinct letter, validated once here.  A walk of more
+    than MAX_WALK_STEPS steps raises WalkTooLarge before any step is
+    built."""
     word = tuple(w)
     if n is None:
         n = max(word, default=0)
@@ -142,7 +159,7 @@ def psi(w: Sequence[int], n: int | None = None) -> Walk:
     walk = tuple(itertools.chain.from_iterable(map(cycles.__getitem__, word)))
     if not validate_band_walk(walk):
         raise InternalInconsistency(f"psi{word} is not a band walk")
-    return walk
+    return _BandWalk(walk)
 
 
 # the moves 4 (d - c) + (c & 3) of a band walk's consecutive written
@@ -323,21 +340,27 @@ def band_module(
     """Band module of a walk with parameter lam (multiplicity 1).
 
     n defaults to the smallest quiver holding the walk and may not exceed
-    MAX_VERTICES.  The walk is checked with validate_band_walk and
-    inverted when its a-steps are inverse arrows (a walk and its inverse
-    with one parameter give isomorphic modules, and lam sits on an a-step
-    either way), but not rotated: two modules lie on one band exactly when
-    their codes are rotations of each other, and BandModule.walk names the
-    band by its least rotation when read.  One pass over the traversal
-    then counts the basis; no arrow is built (BandModule.matrices()
-    derives them and checks the relations there).
+    MAX_VERTICES.  The walk is checked with validate_band_walk, unless it
+    is an exact _BandWalk, which psi or slalom_to_band_walk validated as
+    they built it; every walk has its indices checked against n.  The
+    walk is inverted when its a-steps are inverse arrows (a walk and its
+    inverse with one parameter give isomorphic modules, and lam sits on an
+    a-step either way), but not rotated: two modules lie on one band
+    exactly when their codes are rotations of each other, and
+    BandModule.walk names the band by its least rotation when read.  One
+    pass over the traversal then counts the basis; no arrow is built
+    (BandModule.matrices() derives them and checks the relations there).
     """
-    walk = tuple(walk)
+    checked = type(walk) is _BandWalk
+    if not checked:
+        walk = tuple(walk)
     if n is None:
         n = 1 + (max(walk, default=0) >> 2)
     if n > MAX_VERTICES:
         raise QuiverTooLarge(f"n = {n} exceeds the {MAX_VERTICES} vertices a module may have")
-    if not validate_band_walk(walk, n):
+    # a _BandWalk is a non-empty band walk of indices at least 1, so only
+    # the bound of this n is left to check
+    if not (max(walk) < n << 2 if checked else validate_band_walk(walk, n)):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
     if type(lam) is not Fraction:
         lam = Fraction(lam)
@@ -386,17 +409,46 @@ def hom_dim(m: BandModule, w: BandModule) -> int:
     walk of m and the inverse of w would pair an a-step read as an arrow
     with one read as an inverse arrow, so there is none.  Both counts go
     round the cycles, so the rotations the modules were built from do not
-    matter.  A call reads only the two codes: one pass over each, plus
-    the steps of the common walks.  Equal codes mean one band; when the
-    codes differ but the dims agree, the canonical walks decide.
+    matter.  A call reads only the two codes: the common walks are
+    counted both ways in one joint rotation sort of them (see
+    hom_orthogonal), which grows about linearly in the steps whatever
+    the shape of the walks.  Equal codes mean one band; when the codes
+    differ but the dims agree, the canonical walks decide.
     """
+    return _hom_pair(m, w)[0]
+
+
+def _hom_pair(m: BandModule, w: BandModule) -> tuple[int, int]:
+    # (dim Hom(m, w), dim Hom(w, m)).  A graph map x -> y is a source start
+    # of x and a start of y in one vertex block of the joint sort, x's
+    # sorted first (see hom_orthogonal), so one forward sweep counts, in
+    # each block, the source starts seen so far and adds that count at
+    # each start.  Modules of two bands are sorted together, and a start
+    # adds the other module's source starts.  Two modules of one band have
+    # the graph maps of either one with itself, both ways, so m is sorted
+    # alone and a start adds m's: a second copy would tie with m at every
+    # position, so the sort would double its prefixes up to its bound
     if m.n != w.n:
         raise DimensionMismatch(f"modules over different quivers: {m.n} != {w.n}")
-    free = sum(1 for _ in _admissible_walks(m.codes, w.codes))
+    one_band = _one_band(m, w)
+    letters, owner, source, order = _joint_sort((m,) if one_band else (m, w))
+    other = 0 if one_band else 1  # k ^ other: the module whose source starts count
+    maps = [0, 0]  # graph maps into m and into w
+    block = 0
+    for p in order:
+        if letters[p] >> 1 != block:
+            block, seen = letters[p] >> 1, [0, 0]  # source starts of m and of w
+        k = owner[p]
+        if source[p]:
+            seen[k] += 1
+        else:
+            maps[k] += seen[k ^ other]
+    if one_band:
+        maps[1] = maps[0]
     # both modules put lam on an a-step, read as an arrow, so on one band
-    # the cycle is free exactly when the parameters agree
-    free += _one_band(m, w) and m.lam == w.lam
-    return free
+    # the cycle is free, both ways, exactly when the parameters agree
+    cycle = one_band and m.lam == w.lam
+    return maps[1] + cycle, maps[0] + cycle
 
 
 def _one_band(m: BandModule, w: BandModule) -> bool:
@@ -405,50 +457,74 @@ def _one_band(m: BandModule, w: BandModule) -> bool:
     return m.codes == w.codes or (m.dims == w.dims and m.walk == w.walk)
 
 
-def _admissible_walks(x: Sequence[int], y: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    # yields (i, j, d) for each maximal common walk x[i:i+d] == y[j:j+d],
-    # d >= 0, with admissible ends, so a caller may stop at the first one.
-    # A start node is admissible exactly when x arrives at it by a
-    # negative step and y by a positive one, so the steps before it differ
+def _admissible_walks(x: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    # yields (i, j, d) for each maximal common walk x[i:i+d] == x[j:j+d],
+    # d >= 0, with admissible ends, the endomorphisms past the identity,
+    # so is_brick may stop at the first one.  A start node is admissible
+    # exactly when the source reading arrives at it by a negative step and
+    # the target reading by a positive one, so the steps before it differ
     # and each walk is found once, from its first step.  An end node is
-    # admissible when x goes on by a positive step and y by a negative one.
-    # Of the two steps that leave a vertex, the arrow has code c and the
-    # inverse c + 7, so x's step c starts a walk against y's steps c and
-    # c + 7 (none when c is an inverse, since y reads its b-steps as
-    # inverses): against c + 7, at d = 0, the start is the end, a top of x
-    # over a bottom of y.  Fine-Wilf: a common walk longer than both periods
-    # never ends, which only the cycle of one band does, and no start lies
-    # on it.
-    starts: dict[int, list[int]] = {}  # the positions y enters by an arrow
-    prev = y[-1]
-    for j, c in enumerate(y):
+    # admissible when the source goes on by a positive step and the target
+    # by a negative one.  Of the two steps that leave a vertex, the arrow
+    # has code c and the inverse c + 7, so the source step c starts a walk
+    # against the target steps c and c + 7 (none when c is an inverse,
+    # since x reads its b-steps as inverses): against c + 7, at d = 0, the
+    # start is the end, a top over a bottom.  Fine-Wilf: a common walk
+    # longer than both periods never ends, which only the identity cycle
+    # does, and no start lies on it.
+    starts: dict[int, list[int]] = {}  # the positions x enters by an arrow
+    prev = x[-1]
+    for j, c in enumerate(x):
         if not prev & 1:
             if c in starts:
                 starts[c].append(j)
             else:
                 starts[c] = [j]
         prev = c
-    bound = len(x) + len(y)
+    bound = 2 * len(x)
     # repeated past any common walk, then a sentinel that matches nothing.
-    # A walk against itself reads one list: a start of x is entered by an
-    # inverse and one of y by an arrow, so the two read positions differ
-    # at every step and at most one of them is the sentinel
-    xs = [*x] * (bound // len(x) + 3) + [-1]
-    ys = xs if y is x else [*y] * (bound // len(y) + 3) + [-2]
+    # Both readings use one list: a source start is entered by an inverse
+    # and a target start by an arrow, so the two read positions differ at
+    # every step and at most one of them is the sentinel
+    xs = [*x] * 5 + [-1]
     prev = x[-1]
     for i, c in enumerate(x):
         if prev & 1:
             for code in (c, c + 7):
                 for j in starts.get(code, ()):
                     a, b = i, j
-                    while xs[a] == ys[b]:
+                    while xs[a] == xs[b]:
                         a += 1
                         b += 1
                     if a - i > bound:
                         raise InternalInconsistency(f"a common walk outruns its bound {bound}")
-                    if xs[a] & 1 < ys[b] & 1:
+                    if xs[a] & 1 < xs[b] & 1:
                         yield i, j, a - i
         prev = c
+
+
+def _joint_sort(
+    modules: Sequence[BandModule],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    # the codes of the modules laid end to end, each step relabelled by
+    # the vertex it leaves (see hom_orthogonal); the module owning each
+    # step; 1 where the step before is an inverse arrow; and every position
+    # in the order of one joint rotation sort
+    cycles: list[list[int]] = []
+    owner: list[int] = []
+    source: list[int] = []
+    for k, m in enumerate(modules):
+        codes = m.codes
+        cycle: list[int] = []
+        prev = codes[-1]
+        for c in codes:  # one pass, which beats a comprehension per list
+            cycle.append((c >> 2 << 1) + 2 - (c & 1))
+            source.append(prev & 1)
+            prev = c
+        cycles.append(cycle)
+        owner += [k] * len(codes)
+    letters = [*itertools.chain.from_iterable(cycles)]
+    return letters, owner, source, _rotation_order(cycles)
 
 
 def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
@@ -465,21 +541,7 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
     every module are the cycles of one joint sort, and one sweep each way
     reads it.
     """
-    cycles: list[list[int]] = []
-    owner: list[int] = []
-    source: list[int] = []  # 1 where the step before is an inverse arrow
-    for k, m in enumerate(modules):
-        codes = m.codes
-        cycle: list[int] = []
-        prev = codes[-1]
-        for c in codes:  # one pass, which beats a comprehension per list
-            cycle.append((c >> 2 << 1) + 2 - (c & 1))
-            source.append(prev & 1)
-            prev = c
-        cycles.append(cycle)
-        owner += [k] * len(codes)
-    letters = [*itertools.chain.from_iterable(cycles)]
-    order = _rotation_order(cycles)
+    letters, owner, source, order = _joint_sort(modules)
     # forward, the source starts of each vertex block mark the starts after
     # them; backward, the starts mark the source starts before them
     linked = [0] * len(modules)  # bit j of linked[i]: a non-identity map either way
@@ -527,7 +589,7 @@ def is_brick(m: BandModule) -> bool:
     """
     if len(m.codes) > _SCAN_STEPS:
         return bool(hom_orthogonal([m])[0] & 1)
-    return next(_admissible_walks(m.codes, m.codes), None) is None
+    return next(_admissible_walks(m.codes), None) is None
 
 
 def ext1_dim(x: BandModule, y: BandModule) -> int:
@@ -547,9 +609,9 @@ def slalom_to_band_walk(component: Component) -> Walk:
     Segment k of the curve runs from label word[k-1] to label word[k]: on
     copy 1 when k is even, on copy 2 when it is odd.  A copy-1 segment
     from edge i up to edge j contributes b_i^- ... b_{j-1}^-; a copy-2
-    segment from edge j down to edge i contributes a_{j-1} ... a_i.  A
-    walk of more than MAX_WALK_STEPS steps raises WalkTooLarge before any
-    step is built.
+    segment from edge j down to edge i contributes a_{j-1} ... a_i.  The
+    walk is validated once, here.  A walk of more than MAX_WALK_STEPS
+    steps raises WalkTooLarge before any step is built.
     """
     word = component.word
     steps = sum(abs(end - word[k - 1]) for k, end in enumerate(word))
@@ -573,4 +635,4 @@ def slalom_to_band_walk(component: Component) -> Walk:
     walk = tuple(reversed(trav))
     if not validate_band_walk(walk):
         raise InvalidComponent(f"segments do not close into a band walk")
-    return walk
+    return _BandWalk(walk)

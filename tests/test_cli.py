@@ -849,6 +849,11 @@ _BOUND_PINS = {
     # nearly periodic walk admitted (149,994 steps), whose brick test
     # sorts, 0.89-0.96 s and 74 MB peak RSS
     "band-brick-max-walk-steps": ["band", "brick", "2" + "5" * 18_749],
+    # and its Hom counts, which sort: against itself, one band, whose
+    # second member is not sorted again, 0.74-0.91 s and 78 MB; against a
+    # 3 followed by 18,748 fives (149,988 steps), 1.4-1.7 s and 135 MB
+    "band-hom-max-walk-steps": ["band", "hom", "2" + "5" * 18_749, "2" + "5" * 18_749],
+    "band-hom-max-walk-steps-two-bands": ["band", "hom", "2" + "5" * 18_749, "3" + "5" * 18_748],
     # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.78-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
     # the word commands' only bound is Linux's 131,072 bytes per argument:

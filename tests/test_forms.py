@@ -252,9 +252,9 @@ class TestBandHom:
         # does not rotate it.  The canonical walks are read only where the
         # dims agree: not for two bands of different dims, and for two
         # rotations of one band once per walk in each same-band test, that
-        # of band_hom and that of each of the two Hom counts
+        # of band_hom and that of the one count of Hom both ways
         z1, z2 = gentle.psi((2, 3), n=3), gentle.psi((2, 3, 3))
-        for other, canon_calls in ((z2, 0), (z1[1:] + z1[:1], 6)):
+        for other, canon_calls in ((z2, 0), (z1[1:] + z1[:1], 4)):
             with mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build, \
                     mock.patch.object(gentle, "canonical_walk",
                                       wraps=gentle.canonical_walk) as canon, \
@@ -394,6 +394,31 @@ class TestMirrorEnumeration:
         assert list(got) == list(want)  # same keys in the same order
         assert got == want  # and equal modules
         assert {_sigma(g) for g in got} == set(got)
+
+    @pytest.mark.parametrize("n, box", [(5, 2), (6, 2)])
+    def test_each_walk_is_validated_once(self, n, box):
+        # a traced walk by slalom_to_band_walk alone, whose _BandWalk its
+        # build does not check again; a mirror walk, a plain tuple, by its
+        # build
+        with mock.patch.object(gentle, "validate_band_walk",
+                               wraps=gentle.validate_band_walk) as validate, \
+                mock.patch.object(gentle, "band_module", wraps=gentle.band_module) as build:
+            bricks = forms._enumerate_brick_gvectors(n, box)
+        validated = [c.args[0] for c in validate.call_args_list]
+        built = [c.args[0] for c in build.call_args_list]
+        assert len(validated) == len(built) == len(bricks)
+        assert validated == built
+        traced = [w for w in built if type(w) is gentle._BandWalk]
+        assert 2 * len(traced) > len(bricks) > len(traced)
+
+    def test_the_mirror_module_is_validated(self):
+        module = forms._component_module((-2, -1, -3, 6))
+        with mock.patch.object(gentle, "validate_band_walk",
+                               wraps=gentle.validate_band_walk) as validate:
+            mirror = forms._mirror_module(module)
+        [((walk, n), _)] = validate.call_args_list
+        assert type(walk) is tuple and n == module.n
+        assert mirror.g_vector() == _sigma(module.g_vector())
 
     @pytest.mark.parametrize("n, box", _MIRROR_BOXES)
     def test_adjacency_matches_all_pairs(self, n, box):

@@ -18,6 +18,7 @@ from bandbrick.forms import euler_form
 from bandbrick.errors import (
     DimensionMismatch,
     InternalInconsistency,
+    InvalidComponent,
     InvalidWalk,
     LetterOutOfRange,
     MultipleCycles,
@@ -902,6 +903,42 @@ def _seeded_walks(rng, count):
     return found
 
 
+def _scan_graph_maps(x, y):
+    # the pairwise scan, a second engine for hom_dim's count by the joint
+    # sort: yields (i, j, d) for each maximal common walk x[i:i+d] ==
+    # y[j:j+d], d >= 0, with admissible ends.  A start is
+    # a position x enters by an inverse and y by an arrow, and of the two
+    # steps that leave a vertex the arrow has code c and the inverse c + 7,
+    # so x's step c starts a walk against y's steps c and c + 7; the walk
+    # ends where x goes on by an arrow and y by an inverse.  Quadratic in
+    # the steps on nearly periodic walks
+    starts = collections.defaultdict(list)  # the positions y enters by an arrow
+    for j, c in enumerate(y):
+        if not y[j - 1] & 1:
+            starts[c].append(j)
+    bound = len(x) + len(y)
+    xs = [*x] * (bound // len(x) + 3) + [-1]
+    ys = [*y] * (bound // len(y) + 3) + [-2]
+    for i, c in enumerate(x):
+        if x[i - 1] & 1:
+            for j in starts[c] + starts[c + 7]:
+                a, b = i, j
+                while xs[a] == ys[b]:
+                    a += 1
+                    b += 1
+                assert a - i <= bound, "a common walk outruns both periods"
+                if xs[a] & 1 < ys[b] & 1:
+                    yield i, j, a - i
+
+
+def _scan_hom_dim(m, w):
+    # Hom(m, w) by the pairwise scan, plus the cycle when both lie on one
+    # band, named by its canonical walk, and the parameters agree
+    return sum(1 for _ in _scan_graph_maps(m.codes, w.codes)) + (
+        m.walk == w.walk and m.lam == w.lam
+    )
+
+
 class TestHomTables:
     # the count from per-module tables, _table_hom_dim, is a second engine
     # for hom_dim, is_brick and g_vector(), which read only the codes
@@ -931,7 +968,7 @@ class TestHomTables:
             assert hom == _table_hom_dim(x, y), (w1, w2)
             counts[min(hom, 2)] += 1
             # the maps of no steps, a top of x over a bottom of y
-            counts["top"] += any(d == 0 for *_, d in gentle._admissible_walks(x.codes, y.codes))
+            counts["top"] += any(d == 0 for *_, d in _scan_graph_maps(x.codes, y.codes))
         assert min(counts.values()) > 100, counts
 
     def test_rotation_is_least_under_walk_key(self):
@@ -957,7 +994,7 @@ class TestHomTables:
         # from a source start of the walk to a start of the same code
         m = gentle.band_module(gentle.psi((2, 2, 3, 3)), 1)
         assert gentle.hom_dim(m, m) == _table_hom_dim(m, m) == 2
-        [(i, j, d)] = gentle._admissible_walks(m.codes, m.codes)
+        [(i, j, d)] = gentle._admissible_walks(m.codes)
         assert d >= 1 and m.codes[i] == m.codes[j]
         assert i in _reference_source_starts(m.codes)
         assert j in _reference_starts(m.codes)[m.codes[i]]
@@ -1055,6 +1092,82 @@ class TestBandModuleContract:
     def test_replace_refuses_an_unknown_field(self):
         with pytest.raises(TypeError):
             gentle.band_module(gentle.psi((2, 3)), 1).replace(arrows={})
+
+
+class TestCheckedWalk:
+    # psi and slalom_to_band_walk validate the walk they build once and
+    # return it as a _BandWalk, whose moves band_module does not check
+    # again; every other sequence is validated by the build, and every
+    # build checks n and the index bound
+
+    _G = (-2, -1, -3, 6)
+
+    def _slalom_walk(self):
+        return gentle.slalom_to_band_walk(dyck.single_component(self._G))
+
+    def test_the_builders_return_the_type(self):
+        assert type(gentle.psi((2, 3, 3))) is gentle._BandWalk
+        assert type(self._slalom_walk()) is gentle._BandWalk
+        # it reads, prints and compares as the plain tuple of its codes
+        walk = gentle.psi((2, 3), 4)
+        assert walk == tuple(walk) == (4, 7, 4, 8, 11, 7)
+        assert repr(walk) == repr(tuple(walk)) and hash(walk) == hash(tuple(walk))
+
+    def test_the_builders_validate_once(self):
+        component = dyck.single_component(self._G)
+        for build, args in ((gentle.psi, ((2, 3, 3),)), (gentle.slalom_to_band_walk, (component,))):
+            with mock.patch.object(gentle, "validate_band_walk",
+                                   wraps=gentle.validate_band_walk) as validate:
+                walk = build(*args)
+            assert [c.args for c in validate.call_args_list] == [(walk,)]
+
+    def test_the_builders_return_nothing_their_check_refuses(self):
+        component = dyck.single_component(self._G)
+        with mock.patch.object(gentle, "validate_band_walk", return_value=False):
+            with pytest.raises(InternalInconsistency):
+                gentle.psi((2, 3, 3))
+            with pytest.raises(InvalidComponent):
+                gentle.slalom_to_band_walk(component)
+
+    def test_the_build_skips_the_check_of_the_type_only(self):
+        for walk in (gentle.psi((2, 3, 3)), self._slalom_walk()):
+            with mock.patch.object(gentle, "validate_band_walk",
+                                   wraps=gentle.validate_band_walk) as validate:
+                checked = gentle.band_module(walk, 1)
+            assert validate.call_count == 0
+            with mock.patch.object(gentle, "validate_band_walk",
+                                   wraps=gentle.validate_band_walk) as validate:
+                plain = gentle.band_module(tuple(walk), 1)
+            assert [c.args for c in validate.call_args_list] == [(walk, checked.n)]
+            assert (plain.n, plain.dims, plain.codes) == (checked.n, checked.dims, checked.codes)
+
+    def test_copies_are_plain_tuples(self):
+        # so a slice, a rotation, a concatenation, a copy or a mirror of a
+        # checked walk is validated by the build, as any walk is
+        walk = gentle.psi((2, 3, 3), 4)
+        copies = [
+            walk[1:], walk[1:] + walk[:1], walk + walk, walk[::-1], tuple(walk),
+            gentle.mirror_walk(walk, 4), gentle.walk_from_str(gentle.walk_to_str(walk)),
+        ]
+        assert all(type(copy) is tuple for copy in copies)
+        with pytest.raises(InvalidWalk):
+            gentle.band_module(walk + walk, 1)  # a proper power
+        with mock.patch.object(gentle, "validate_band_walk",
+                               wraps=gentle.validate_band_walk) as validate:
+            gentle.band_module(gentle.mirror_walk(walk, 4), 1, 4)
+        assert validate.call_count == 1
+
+    def test_every_build_checks_n_and_the_index_bound(self):
+        walk = gentle.psi((2, 3))  # indices up to 2, so n >= 3
+        with pytest.raises(InvalidWalk):
+            gentle.band_module(walk, 1, 2)
+        with pytest.raises(InvalidWalk):
+            gentle.band_module(walk, 1, 0)
+        assert gentle.band_module(walk, 1, 3).n == 3
+        with pytest.raises(QuiverTooLarge):
+            gentle.band_module(walk, 1, gentle.MAX_VERTICES + 1)
+        with pytest.raises(ZeroLambda):
+            gentle.band_module(walk, 0)
 
 
 def _perfectly_clustering_words(rng, length, count):
@@ -1173,7 +1286,7 @@ class TestBrickTestAgainstEnd:
                 modules.append(forms._component_module((-a - b, a, b)))
         kinds = collections.Counter()
         for m in modules:
-            scan = next(gentle._admissible_walks(m.codes, m.codes), None) is None
+            scan = next(gentle._admissible_walks(m.codes), None) is None
             sort = bool(gentle.hom_orthogonal([m])[0] & 1)
             assert scan == sort == gentle.is_brick(m), m.walk
             self._check(m)
@@ -1256,8 +1369,8 @@ class TestHomOrthogonal:
         # a common walk of no steps
         x = gentle.band_module(gentle.psi((4,), 5), 1, 5)
         y = gentle.band_module(gentle.walk_from_str("a4 b4-"), 1, 5)
-        assert [d for _, _, d in gentle._admissible_walks(x.codes, y.codes)] == [0]
-        assert not list(gentle._admissible_walks(y.codes, x.codes))
+        assert [d for _, _, d in _scan_graph_maps(x.codes, y.codes)] == [0]
+        assert not list(_scan_graph_maps(y.codes, x.codes))
         assert (gentle.hom_dim(x, y), gentle.hom_dim(y, x)) == (1, 0)
         assert self._check([x, y]) == [0b01, 0b10]  # two bricks
 
@@ -1284,6 +1397,81 @@ class TestHomOrthogonal:
 
     def test_no_modules(self):
         assert gentle.hom_orthogonal([]) == []
+
+
+class TestHomCountSweep:
+    # hom_dim and band_hom count both ways in one joint sort; the pairwise
+    # scan _scan_hom_dim is the reference, both ways, on every pair
+
+    def _check(self, x, y):
+        want = (_scan_hom_dim(x, y), _scan_hom_dim(y, x))
+        assert gentle._hom_pair(x, y) == want, (x.codes, y.codes)
+        assert (gentle.hom_dim(x, y), gentle.hom_dim(y, x)) == want
+        return want
+
+    def test_seeded_pairs(self):
+        rng = random.Random(40)
+        walks = _seeded_walks(rng, 150)
+        counts = collections.Counter()
+        for _ in range(1500):
+            w1, w2 = rng.sample(walks, 2)
+            x = gentle.band_module(w1, rng.choice((1, 2)), 5)
+            y = gentle.band_module(w2, rng.choice((1, 2)), 5)
+            for hom in self._check(x, y):
+                counts[min(hom, 3)] += 1
+        assert min(counts.values()) > 50, counts
+
+    def test_one_band_at_two_parameters(self):
+        # a module against itself, against a second member of its family,
+        # and against another rotation or the inverse at both parameters:
+        # the cycle adds 1 both ways exactly when the parameters agree
+        rng = random.Random(41)
+        for walk in _seeded_walks(rng, 80):
+            k = rng.randrange(len(walk))
+            other = walk[k:] + walk[:k]
+            x = gentle.band_module(walk, 1, 5)
+            assert self._check(x, x) == (_scan_hom_dim(x, x),) * 2
+            for w in (walk, other, _inverse(other)):
+                same, apart = (gentle.band_module(w, mu, 5) for mu in (1, 2))
+                hom, hom_apart = self._check(x, same), self._check(x, apart)
+                assert hom == (hom_apart[0] + 1, hom_apart[1] + 1), walk
+
+    def test_long_duality_pairs(self):
+        # the duality pairs of 10^3-10^4 steps and their mirrors
+        n = TestDuality.N
+        for x, y, mu in _long_duality_pairs(n):
+            assert 1000 <= min(len(x), len(y)) and max(len(x), len(y)) <= 10_000
+            for w1, w2 in ((x, y), (gentle.mirror_walk(y, n), gentle.mirror_walk(x, n))):
+                self._check(gentle.band_module(w1, 1, n), gentle.band_module(w2, mu, n))
+
+    def test_nearly_periodic_pairs(self):
+        # 2 followed by k fives against itself and against 3 followed by
+        # k - 1 fives, the shape of the band hom pins, small enough to scan,
+        # and against words that share long runs of fives with it
+        def module(w):
+            return gentle.band_module(gentle.psi(w, 5), 1, 5)
+
+        found = collections.Counter()
+        for k in (1, 2, 7, 40):
+            x = module((2,) + (5,) * k)
+            others = [(3,) + (5,) * (k - 1), (2, 2) + (5,) * k, (3, 3) + (5,) * k,
+                      (2,) + (5,) * (k // 2) + (2,) + (5,) * (k - k // 2 + 1), (2,) + (5,) * 7, (5,)]
+            found[self._check(x, x.replace(lam=Fraction(2)))] += 1
+            for w in others:
+                found[min(self._check(x, module(w)))] += 1
+                found["maps"] += sum(self._check(x, module(w)))
+        assert found[(0, 0)] == 4 and found["maps"] > 100, found
+
+    def test_band_hom_sorts_once(self):
+        # both directions of band_hom come from one joint sort, and no
+        # hom_dim call
+        z1, z2 = gentle.psi((2, 3, 3, 4)), gentle.psi((2, 4, 3))
+        with mock.patch.object(gentle, "_rotation_order", wraps=gentle._rotation_order) as sort, \
+                mock.patch.object(gentle, "hom_dim", wraps=gentle.hom_dim) as hom:
+            homs = forms.band_hom(z1, z2, 5, 1, None)
+        assert sort.call_count == 1 and hom.call_count == 0
+        x, y = gentle.band_module(z1, 1, 5), gentle.band_module(z2, 1, 5)
+        assert homs[:2] == (_scan_hom_dim(x, y), _scan_hom_dim(y, x))
 
 
 class TestFamilyMembers:
@@ -1339,6 +1527,22 @@ def _necklace_walks(n):
     return [gentle.psi(w, n) for w in sorted(necklaces)]
 
 
+def _long_duality_pairs(n):
+    # psi of three seeded pairs of 200-800 letters over 2..5, walks of
+    # 10^3-10^4 steps, and one band against a second member of its family,
+    # as (x, y, parameter of y)
+    rng = random.Random(25)
+    pairs = []
+    while len(pairs) < 3:
+        a, b = (tuple(rng.choice((2, 3, 4, 5)) for _ in range(rng.randint(200, 800)))
+                for _ in range(2))
+        if words.is_primitive(a) and words.is_primitive(b):
+            pairs.append((gentle.psi(a, n), gentle.psi(b, n), 1))
+    x = pairs[0][0]
+    pairs.append((x, x, 2))
+    return pairs
+
+
 class TestDuality:
     # the mirror k -> n - k identifies the double-line algebra with its
     # opposite, so M(tau x) is the dual of M(x): Hom(M(x, lam), M(y, mu))
@@ -1371,18 +1575,7 @@ class TestDuality:
         assert nonzero > 1000
 
     def test_hom_on_long_walks(self):
-        # three seeded pairs of 200-800 letters, and one band against a
-        # second member of its family
-        rng = random.Random(25)
-        pairs = []
-        while len(pairs) < 3:
-            a, b = (tuple(rng.choice((2, 3, 4, 5)) for _ in range(rng.randint(200, 800)))
-                    for _ in range(2))
-            if words.is_primitive(a) and words.is_primitive(b):
-                pairs.append((gentle.psi(a, self.N), gentle.psi(b, self.N), 1))
-        x = pairs[0][0]
-        pairs.append((x, x, 2))
-        for x, y, mu in pairs:
+        for x, y, mu in _long_duality_pairs(self.N):
             tx, ty = gentle.mirror_walk(x, self.N), gentle.mirror_walk(y, self.N)
             mx, my = gentle.band_module(x, 1, self.N), gentle.band_module(y, mu, self.N)
             dx, dy = gentle.band_module(tx, 1, self.N), gentle.band_module(ty, mu, self.N)

@@ -95,6 +95,21 @@ def test_trace_internals_stay_in_dyck():
     assert found == []
 
 
+def test_checked_walks_are_built_by_their_validators():
+    # band_module does not validate a gentle._BandWalk again, so only psi
+    # and slalom_to_band_walk, each right after its own check, build one
+    found = []
+    for name, tree in package_trees():
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_BandWalk" in _names(node.func):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                found.append(f"{name}:{getattr(scope, 'name', '<module>')}")
+    assert sorted(found) == ["gentle.py:psi", "gentle.py:slalom_to_band_walk"]
+
+
 def test_every_error_is_raised():
     # an error class that no raise names is dead code
     trees = dict(package_trees())
