@@ -305,7 +305,8 @@ def _cmd_band_module(args) -> int:
         raise QuiverTooLarge(
             f"n = {mod.n} exceeds the {MAX_LISTED_VERTICES} vertices a dense listing may have"
         )
-    entries = 2 * sum(map(operator.mul, mod.dims, mod.dims[1:]))
+    dims = mod.dims
+    entries = 2 * sum(map(operator.mul, dims, dims[1:]))
     if entries > MAX_LISTED_ENTRIES:
         raise ListingTooLarge(
             f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
@@ -314,13 +315,13 @@ def _cmd_band_module(args) -> int:
         f"{kind}{idx}": [[str(v) for v in row] for row in rows]
         for (kind, idx), rows in mod.matrices()
     }
-    lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, mod.dims))}"]
+    lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, dims))}"]
     for name, rows in arrows.items():
         lines.append(f"{name}: {rows}")
     data = {
         "n": mod.n,
         "lambda": str(mod.lam),
-        "dims": list(mod.dims),
+        "dims": list(dims),
         "arrows": arrows,
     }
     _emit(args, "\n".join(lines), data)

@@ -13,7 +13,8 @@ is a band walk exactly when all its moves lie in one orientation's
 four, {16, 12, -13, -9} with the a-steps as arrows or {-15, 5, 18, -2}
 with the b-steps as arrows.  The codes of a letter cycle or of a
 multislalom segment step by 4 in index, so psi and slalom_to_band_walk
-build them as ranges, and psi builds one cycle per distinct letter.
+build them as ranges, and letter_cycle builds each letter's cycle once
+for many calls of psi.
 Each walk is validated once: psi and slalom_to_band_walk return a
 _BandWalk, a tuple built only right after their own validate_band_walk
 passes, and band_module does not check its moves or primitivity again,
@@ -22,8 +23,10 @@ tuple copies and mirror_walk's output included, is validated by
 band_module as given.
 
 A band module of multiplicity one is its walk with one scalar: a
-BandModule holds n, dims, lam and codes, the traversal of the walk, and
-nothing else.  BandModule.matrices() derives the arrows from the
+BandModule holds n, lam and codes, the traversal of the walk, and
+nothing else, so nothing it holds grows with n.  Its dimension vector
+is derived from codes when read, as its canonical walk is.
+BandModule.matrices() derives the arrows from the
 canonical walk, each sending a basis vector to at most one basis vector,
 and checks the gentle relations on them before it yields any matrix.  All
 a-steps of a band walk share one sign and all b-steps the other, and a
@@ -51,6 +54,7 @@ _SCAN_STEPS steps, and reads hom_orthogonal's diagonal on a longer one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -74,9 +78,10 @@ from .words import _rotation_order, is_primitive, least_rotation
 Walk = tuple[int, ...]
 
 # the largest quiver band_module builds: arrow indices up to 10^6, where
-# band hom of "a1000000 b1000000-" against itself takes 0.21-0.27 s and
-# 62 MB as a subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py;
-# of what a module holds, only its dimension vector grows with n
+# band hom of "a1000000 b1000000-" against itself takes 0.18-0.22 s and
+# 46 MB as a subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py;
+# nothing a module holds grows with n, only what is derived from it: its
+# dims, its g-vector and its matrices
 MAX_VERTICES = 10**6 + 1
 
 # the most steps psi or slalom_to_band_walk builds: psi's walk has sum
@@ -123,6 +128,11 @@ def walk_from_str(text: str) -> Walk:
     return tuple(codes)
 
 
+# psi meets the same few letters again and again, so each letter's cycle
+# is built once; the bound holds every alphabet of up to 16 letters, and
+# keeps at most 16 cycles: about 92 MB if each is of psi's largest
+# admitted letter, 75,001, whose cycle of 150,000 codes takes 5.7 MB
+@functools.lru_cache(maxsize=16)
 def letter_cycle(i: int) -> Walk:
     """Open walk a_1 ... a_{i-1} b_{i-1}^- ... b_1^- for a letter i >= 2."""
     if i < 2:
@@ -140,15 +150,15 @@ class _BandWalk(tuple):
 
 
 def psi(w: Sequence[int], n: int | None = None) -> Walk:
-    """Concatenated letter cycles of a primitive word over {2..n}, one
-    cycle built per distinct letter, validated once here.  A walk of more
-    than MAX_WALK_STEPS steps raises WalkTooLarge before any step is
-    built."""
+    """Concatenated letter cycles of a primitive word over {2..n}, each
+    letter's cycle built once and reused across calls, validated once
+    here.  A walk of more than MAX_WALK_STEPS steps raises WalkTooLarge
+    before any step is built."""
     word = tuple(w)
     if n is None:
         n = max(word, default=0)
     letters = set(word)
-    if any(letter < 2 or letter > n for letter in letters):
+    if letters and (min(letters) < 2 or max(letters) > n):
         raise LetterOutOfRange(f"letters of {word} must lie in 2..{n}")
     steps = 2 * (sum(word) - len(word))
     if steps > MAX_WALK_STEPS:
@@ -238,33 +248,41 @@ def mirror_walk(walk: Sequence[int], n: int) -> Walk:
 class BandModule:
     """Exact-rational representation attached to a band walk.
 
-    Four fields: n vertices, dims[i] the dimension at vertex i+1, the
-    parameter lam, and codes, the walk as band_module was given it,
-    a-steps as arrows, in traversal order, so codes[t] is step t, from
-    basis t to t + 1; the build does not rotate it.  Everything else is
-    read off codes: walk is the canonical walk in written order,
-    canonical_walk of codes[::-1], derived on each read, which names the
-    band; g_vector() counts the turns of codes; hom_dim and is_brick scan
-    them.  The arrows are not stored: matrices() derives them from the
-    canonical walk, with lam on the wrap-around step, an a-step, and 1 on
-    every other step.
+    Three fields: n vertices, the parameter lam, and codes, the walk as
+    band_module was given it, a-steps as arrows, in traversal order, so
+    codes[t] is step t, from basis t to t + 1; the build does not rotate
+    it.  Everything else is read off codes, derived on each read: dims,
+    dims[i] the dimension at vertex i+1; walk, the canonical walk in
+    written order, canonical_walk of codes[::-1], which names the band;
+    g_vector(), which counts the turns of codes.  hom_dim and is_brick
+    scan the codes.  The arrows are not stored: matrices() derives them
+    from the canonical walk, with lam on the wrap-around step, an a-step,
+    and 1 on every other step.
 
     == and repr read only n, dims, lam and walk, so two modules built
     from two rotations of one band are equal, and a module is unhashable.
     module.replace(lam=mu) is the member mu of the same family, sharing
-    dims and codes.
+    n and codes.
     """
 
-    __slots__ = ("n", "dims", "lam", "codes")
+    __slots__ = ("n", "lam", "codes")
     __hash__ = None
 
-    def __init__(
-        self, n: int, dims: tuple[int, ...], lam: Fraction, codes: tuple[int, ...]
-    ) -> None:
+    def __init__(self, n: int, lam: Fraction, codes: tuple[int, ...]) -> None:
         self.n = n
-        self.dims = dims
         self.lam = lam
         self.codes = codes
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """dims[i], the dimension at vertex i+1: the steps entering it."""
+        count = [0] * (self.n + 1)
+        for c in self.codes:
+            # codes is a composable cycle, so it enters each vertex as often
+            # as it leaves it: the arrow 4i enters vertex i and the inverse
+            # 4i + 3 vertex i + 1, both (c + 1) >> 2
+            count[c + 1 >> 2] += 1
+        return tuple(count[1:])
 
     @property
     def walk(self) -> Walk:
@@ -312,7 +330,7 @@ class BandModule:
         every rotation the module was built from.
         """
         codes = self.walk[::-1]
-        count = [0] * (self.n + 1)
+        count = [0] * (self.n + 1)  # the dimension at each vertex, once done
         node = []  # basis index of node t, where step t starts
         for c in codes:
             v = (c >> 2) + 1 - (c & 1)
@@ -326,7 +344,7 @@ class BandModule:
         _check_relations(arrows, len(node))
         lam_key = ("ab"[c >> 1 & 1], c >> 2)  # the loop ends on the wrap-around step
         for kind, index in itertools.product("ab", range(1, self.n)):
-            rows = [[Fraction(0)] * self.dims[index] for _ in range(self.dims[index - 1])]
+            rows = [[Fraction(0)] * count[index + 1] for _ in range(count[index])]
             for col, row in arrows.get((kind, index), {}).items():
                 rows[row][col] = Fraction(1)
             if (kind, index) == lam_key:
@@ -347,9 +365,10 @@ def band_module(
     inverse with one parameter give isomorphic modules, and lam sits on an
     a-step either way), but not rotated: two modules lie on one band
     exactly when their codes are rotations of each other, and
-    BandModule.walk names the band by its least rotation when read.  One
-    pass over the traversal then counts the basis; no arrow is built
-    (BandModule.matrices() derives them and checks the relations there).
+    BandModule.walk names the band by its least rotation when read.  The
+    module keeps the traversal and lam and counts nothing: dims are
+    derived when read, and no arrow is built (BandModule.matrices()
+    derives them and checks the relations there).
     """
     checked = type(walk) is _BandWalk
     if not checked:
@@ -373,13 +392,7 @@ def band_module(
         trav = tuple(c ^ 1 for c in walk)
     else:
         trav = walk[::-1]
-    count = [0] * (n + 1)  # basis vectors at each vertex
-    for c in trav:
-        # the walk just passed as a composable cycle, so it enters each
-        # vertex as often as it leaves it: the arrow 4i enters vertex i and
-        # the inverse 4i + 3 vertex i + 1, both (c + 1) >> 2
-        count[c + 1 >> 2] += 1
-    return BandModule(n, tuple(count[1:]), lam, trav)
+    return BandModule(n, lam, trav)
 
 
 def _check_relations(arrows: dict[tuple[str, int], dict[int, int]], r: int) -> None:
@@ -453,7 +466,8 @@ def _hom_pair(m: BandModule, w: BandModule) -> tuple[int, int]:
 
 def _one_band(m: BandModule, w: BandModule) -> bool:
     # equal codes are one band; rotations of one band also have equal dims,
-    # which are cheap to compare, so the canonical walks are read last
+    # derived in one pass each and cheaper than a least rotation, so the
+    # canonical walks are read last
     return m.codes == w.codes or (m.dims == w.dims and m.walk == w.walk)
 
 

@@ -226,7 +226,7 @@ def bw_transform(w: Sequence[int]) -> Word:
 
 
 def _weakly_decreasing(w: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(w, w[1:]))
+    return [*w] == sorted(w, reverse=True)
 
 
 def is_perfectly_clustering(w: Sequence[int]) -> bool:

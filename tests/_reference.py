@@ -1,0 +1,46 @@
+"""The pairwise scan of graph maps, a second engine beside the joint sort.
+
+gentle counts Hom, tests bricks past gentle._SCAN_STEPS and builds the
+fan search's compatibility graph from one joint rotation sort of the
+codes (gentle._joint_sort).  The scan below reads no sort, so the tests
+that hold those readers to it check the sort's shared front end too.
+"""
+
+import collections
+
+
+def _scan_graph_maps(x, y):
+    # the pairwise scan, a second engine for hom_dim's count by the joint
+    # sort: yields (i, j, d) for each maximal common walk x[i:i+d] ==
+    # y[j:j+d], d >= 0, with admissible ends.  A start is
+    # a position x enters by an inverse and y by an arrow, and of the two
+    # steps that leave a vertex the arrow has code c and the inverse c + 7,
+    # so x's step c starts a walk against y's steps c and c + 7; the walk
+    # ends where x goes on by an arrow and y by an inverse.  Quadratic in
+    # the steps on nearly periodic walks
+    starts = collections.defaultdict(list)  # the positions y enters by an arrow
+    for j, c in enumerate(y):
+        if not y[j - 1] & 1:
+            starts[c].append(j)
+    bound = len(x) + len(y)
+    xs = [*x] * (bound // len(x) + 3) + [-1]
+    ys = [*y] * (bound // len(y) + 3) + [-2]
+    for i, c in enumerate(x):
+        if x[i - 1] & 1:
+            for j in starts[c] + starts[c + 7]:
+                a, b = i, j
+                while xs[a] == ys[b]:
+                    a += 1
+                    b += 1
+                assert a - i <= bound, "a common walk outruns both periods"
+                if xs[a] & 1 < ys[b] & 1:
+                    yield i, j, a - i
+
+
+def _scan_hom_dim(m, w):
+    # Hom(m, w) by the pairwise scan, plus the cycle when both lie on one
+    # band, named by its canonical walk, and the parameters agree; walks of
+    # two lengths are read no further
+    return sum(1 for _ in _scan_graph_maps(m.codes, w.codes)) + (
+        len(m.codes) == len(w.codes) and m.walk == w.walk and m.lam == w.lam
+    )

@@ -843,7 +843,8 @@ _BOUND_PINS = {
     # cli.MAX_LISTED_ENTRIES: 2 followed by 450 threes lists 1,623,602
     # entries in 0.62-0.66 s; 500 threes are refused in 0.08 s
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
-    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.21-0.27 s
+    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.18-0.22 s
+    # and 46 MB peak RSS
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
     # gentle.MAX_WALK_STEPS: a 2 followed by 18,749 fives, the largest
     # nearly periodic walk admitted (149,994 steps), whose brick test

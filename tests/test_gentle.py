@@ -28,6 +28,8 @@ from bandbrick.errors import (
     ZeroLambda,
 )
 
+from _reference import _scan_graph_maps, _scan_hom_dim
+
 
 primitive_words = (
     st.lists(st.integers(2, 5), min_size=1, max_size=7)
@@ -353,9 +355,10 @@ class TestBandModule:
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(7), n=3)
         nonzero = []
+        dims = m.dims
         for (kind, idx), dense in m.matrices():
-            assert len(dense) == m.dims[idx - 1]
-            assert all(len(row) == m.dims[idx] for row in dense)
+            assert len(dense) == dims[idx - 1]
+            assert all(len(row) == dims[idx] for row in dense)
             entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
             # a basis map: at most one non-zero per row and per column
             rows, cols = {r for r, _, _ in entries}, {c for _, c, _ in entries}
@@ -377,11 +380,12 @@ class TestBandModule:
             gentle._check_relations({**arrows, ("a", 1): {}}, 2)
 
     def test_large_index_stores_used_arrows_only(self):
+        start = time.perf_counter()
         walk = gentle.walk_from_str("a100000 b100000-")
         m = gentle.band_module(walk, 3)
         assert m.n == 100001
-        # nothing is stored per arrow: past the dimensions, which are per
-        # vertex, the module holds its walk and one scalar
+        # nothing is stored per arrow or per vertex: the module holds its
+        # walk and one scalar
         assert len(m.walk) == len(m.codes) == len(walk)
         assert gentle.hom_dim(m, m) == 1
         mats = dict(m.matrices())
@@ -389,6 +393,9 @@ class TestBandModule:
         assert mats.pop(("a", 100000)) == ((3,),)
         assert mats.pop(("b", 100000)) == ((1,),)
         assert not any(mats.values())
+        # matrices() counts the dims once, not once per arrow, which would
+        # be quadratic in n
+        assert time.perf_counter() - start < 1
 
     def test_quiver_size_bound(self):
         top = gentle.MAX_VERTICES - 1
@@ -403,6 +410,22 @@ class TestBandModule:
     def test_dimension_vector_counts_visits(self, w, lam):
         m = gentle.band_module(gentle.psi(w), Fraction(lam))
         assert sum(m.dims) == len(m.walk)
+
+    @given(primitive_words)
+    @settings(max_examples=40, deadline=None)
+    def test_dims_are_the_shapes_of_the_matrices(self, w):
+        # dims, derived from the codes as built, against the matrices,
+        # which count the basis along the canonical walk, at every rotation
+        # and inverse of the walk
+        walk = gentle.psi(w)
+        for v in (walk, _inverse(walk)):
+            for k in range(len(v)):
+                m = gentle.band_module(v[k:] + v[:k], 1)
+                dims = m.dims
+                assert len(dims) == m.n, (v, k)
+                for (_, index), rows in m.matrices():
+                    assert len(rows) == dims[index - 1], (v, k, index)
+                    assert all(len(row) == dims[index] for row in rows), (v, k, index)
 
 
 class TestHom:
@@ -473,22 +496,23 @@ def _dense_rank(rows):
 def _reference_hom_dim(m, w):
     """Nullity of f_t M_g - W_g f_s = 0 built from the dense arrow matrices."""
     mm, wm = dict(m.matrices()), dict(w.matrices())
+    mdims, wdims = m.dims, w.dims
     unknowns = {}
     for i in range(m.n):
-        for r in range(w.dims[i]):
-            for c in range(m.dims[i]):
+        for r in range(wdims[i]):
+            for c in range(mdims[i]):
                 unknowns[(i, r, c)] = len(unknowns)
     rows = []
     for kind, idx in itertools.product("ab", range(1, m.n)):
         # 0-based vertices: the arrow runs from idx to idx - 1
         src, tgt = idx, idx - 1
         mg, wg = mm[(kind, idx)], wm[(kind, idx)]
-        for r in range(w.dims[tgt]):
-            for c in range(m.dims[src]):
+        for r in range(wdims[tgt]):
+            for c in range(mdims[src]):
                 row = [Fraction(0)] * len(unknowns)
-                for k in range(m.dims[tgt]):
+                for k in range(mdims[tgt]):
                     row[unknowns[(tgt, r, k)]] += mg[k][c]
-                for k in range(w.dims[src]):
+                for k in range(wdims[src]):
                     row[unknowns[(src, k, c)]] -= wg[r][k]
                 rows.append(row)
     return len(unknowns) - _dense_rank(rows)
@@ -859,8 +883,8 @@ class TestParameterMembers:
         assert [m.lam for m in members] == [1, 2, 3]
         first = dict(members[0].matrices())
         for m in members[1:]:
-            assert m.dims is members[0].dims and m.codes is members[0].codes
-            assert m.walk == members[0].walk
+            assert m.codes is members[0].codes
+            assert (m.dims, m.walk) == (members[0].dims, members[0].walk)
             # the derived arrows differ in the one entry that holds lam
             changed = [
                 (before, after)
@@ -901,42 +925,6 @@ def _seeded_walks(rng, count):
             walk = walk[k:] + walk[:k]
             found.append(_inverse(walk) if rng.random() < 0.5 else walk)
     return found
-
-
-def _scan_graph_maps(x, y):
-    # the pairwise scan, a second engine for hom_dim's count by the joint
-    # sort: yields (i, j, d) for each maximal common walk x[i:i+d] ==
-    # y[j:j+d], d >= 0, with admissible ends.  A start is
-    # a position x enters by an inverse and y by an arrow, and of the two
-    # steps that leave a vertex the arrow has code c and the inverse c + 7,
-    # so x's step c starts a walk against y's steps c and c + 7; the walk
-    # ends where x goes on by an arrow and y by an inverse.  Quadratic in
-    # the steps on nearly periodic walks
-    starts = collections.defaultdict(list)  # the positions y enters by an arrow
-    for j, c in enumerate(y):
-        if not y[j - 1] & 1:
-            starts[c].append(j)
-    bound = len(x) + len(y)
-    xs = [*x] * (bound // len(x) + 3) + [-1]
-    ys = [*y] * (bound // len(y) + 3) + [-2]
-    for i, c in enumerate(x):
-        if x[i - 1] & 1:
-            for j in starts[c] + starts[c + 7]:
-                a, b = i, j
-                while xs[a] == ys[b]:
-                    a += 1
-                    b += 1
-                assert a - i <= bound, "a common walk outruns both periods"
-                if xs[a] & 1 < ys[b] & 1:
-                    yield i, j, a - i
-
-
-def _scan_hom_dim(m, w):
-    # Hom(m, w) by the pairwise scan, plus the cycle when both lie on one
-    # band, named by its canonical walk, and the parameters agree
-    return sum(1 for _ in _scan_graph_maps(m.codes, w.codes)) + (
-        m.walk == w.walk and m.lam == w.lam
-    )
 
 
 class TestHomTables:
@@ -1002,7 +990,7 @@ class TestHomTables:
     def test_a_module_holds_no_table(self):
         # a module is its walk with one scalar: Hom reads only the codes
         m = gentle.band_module(gentle.psi((2, 2, 3)), 1)
-        assert gentle.BandModule.__slots__ == ("n", "dims", "lam", "codes")
+        assert gentle.BandModule.__slots__ == ("n", "lam", "codes")
         assert not hasattr(m, "__dict__")
 
 
@@ -1059,9 +1047,9 @@ class TestUnrotatedBuild:
 
 
 class TestBandModuleContract:
-    # repr and == read the four identity fields n, dims, lam and the
-    # canonical walk, a module is unhashable, and replace shares what it
-    # keeps
+    # repr and == read the identity fields n, lam, the dims and the
+    # canonical walk, both derived from codes, a module is unhashable, and
+    # replace shares what it keeps
 
     def test_repr(self):
         assert repr(gentle.band_module(gentle.psi((2, 3)), 1)) == (
@@ -1085,9 +1073,9 @@ class TestBandModuleContract:
         mu = Fraction(5, 3)
         member = m.replace(lam=mu)
         assert member is not m and member.lam == mu and m.lam == 1
-        for name in ("n", "dims", "codes"):
+        for name in ("n", "codes"):
             assert getattr(member, name) is getattr(m, name), name
-        assert member.walk == m.walk
+        assert (member.dims, member.walk) == (m.dims, m.walk)
 
     def test_replace_refuses_an_unknown_field(self):
         with pytest.raises(TypeError):
