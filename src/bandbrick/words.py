@@ -33,7 +33,12 @@ so ``phi`` walks its cycles straight off that order, each from its
 smallest position, which reads the necklace itself, and
 ``standard_permutation`` derives its ranks from it.  ``bw_inverse`` is
 ``phi``'s case of one cycle (the extended BWT of Mantaci, Restivo,
-Rosone and Sciortino, TCS 2007).
+Rosone and Sciortino, TCS 2007).  The transform test walks one such
+cycle, not the rotation sort: w is perfectly clustering iff the cycle
+through position 0 of its letters sorted in decreasing order reads the
+necklace of w, ``_cycle_through_zero``, so it costs a sort of the
+letters plus O(|w|), and the circular-factor test, which reads the
+rotation sort, stays a second engine beside it.
 """
 
 from __future__ import annotations
@@ -225,14 +230,21 @@ def bw_transform(w: Sequence[int]) -> Word:
     return tuple(map(before.__getitem__, _rotation_order([word])))
 
 
-def _weakly_decreasing(w: Sequence[int]) -> bool:
-    return [*w] == sorted(w, reverse=True)
-
-
 def is_perfectly_clustering(w: Sequence[int]) -> bool:
-    """True iff w is primitive and its transform is weakly decreasing."""
+    """True iff w is primitive and its transform is weakly decreasing.
+
+    The transform of a primitive word is d exactly when the word is
+    conjugate to ``bw_inverse(d)``, and that inverse exists exactly when
+    st(d)^-1 is one cycle (Crochemore, Desarmenien and Perrin, TCS 2005).
+    The only weakly decreasing word with w's letters is w's letters
+    sorted in decreasing order, so w is perfectly clustering (Simpson and
+    Puglisi, EJC 2008) iff that word's cycle through position 0 covers
+    every position and reads the necklace of w; a shorter cycle reads
+    fewer letters than the necklace has.  One linear walk after a sort
+    of the letters, no rotation sort.
+    """
     word = _as_word(w)
-    return is_primitive(word) and _weakly_decreasing(bw_transform(word))
+    return is_primitive(word) and _cycle_through_zero(sorted(word, reverse=True)) == necklace(word)
 
 
 def _crossing(word: Word) -> tuple[int, Word, int, int, int] | None:
@@ -273,10 +285,23 @@ def is_perfectly_clustering_by_factors(w: Sequence[int]) -> bool:
     return _crossing(word) is None
 
 
-def _letter_order(word: Word) -> list[int]:
+def _letter_order(word: Sequence[int]) -> list[int]:
     # positions sorted by letter, ties left to right (sort is stable): the
     # inverse of the standard permutation, 0-based
     return sorted(range(len(word)), key=word.__getitem__)
+
+
+def _cycle_through_zero(word: Sequence[int]) -> Word:
+    """The necklace ``phi`` reads off the cycle of st(word)^-1 through
+    position 0, stepping from p to order[p] as ``phi`` does."""
+    order = _letter_order(word)
+    cycle = []
+    p = order[0]
+    while p:
+        cycle.append(word[p])
+        p = order[p]
+    cycle.append(word[0])
+    return tuple(cycle)
 
 
 def standard_permutation(w: Sequence[int]) -> tuple[int, ...]:

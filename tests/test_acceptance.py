@@ -74,6 +74,7 @@ def _edge_of_nonzero_form(f):
 _FAULTS = [
     ("golden", words, "bw_transform", lambda f: lambda w: f(w)[::-1]),
     ("brick-pcw", gentle, "is_brick", lambda f: lambda m: True),
+    ("brick-pcw", words, "is_perfectly_clustering", lambda f: lambda w: not f(w)),
     ("curves-words", dyck, "erase_ones", lambda f: lambda ms: f(ms)[1:]),
     ("hom-euler", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
     ("hom-euler", gentle, "hom_dim", lambda f: lambda m, w: f(m, w) + 1),

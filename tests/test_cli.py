@@ -858,8 +858,10 @@ _BOUND_PINS = {
     # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.78-1.3 s
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
     # the word commands' only bound is Linux's 131,072 bytes per argument:
-    # both pcw methods on a 131,000-letter Fibonacci word, whose repeats
-    # outrun the byte keys, 1.0-1.4 s and 61 MB peak RSS
+    # both pcw methods on a 131,000-letter Fibonacci word, 0.49-0.99 s and
+    # 61-63 MB peak RSS, nearly all of it the factor test's rotation sort,
+    # whose keys the word's repeats outrun; the transform test walks one
+    # cycle, 0.12-0.28 s and 26-27 MB as --method bw
     "pcw-longest-argument": ["pcw", "--method", "both", _fibonacci_letters(131_000)],
 }
 

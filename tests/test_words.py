@@ -1,5 +1,6 @@
 """Word transforms: Burrows-Wheeler, clustering tests, necklace bijection."""
 
+import collections
 import itertools
 import math
 import random
@@ -167,9 +168,11 @@ def christoffel_word(p, q):
     return tuple(2 if (k + 1) * q // (p + q) > k * q // (p + q) else 1 for k in range(p + q))
 
 
-def all_short_words():
-    for alphabet in ((1, 2), (1, 2, 3)):
-        for length in range(1, 9):
+def all_short_words(longest_binary=8):
+    # every word of up to longest_binary letters over {1,2} and up to 8
+    # over {1,2,3}
+    for alphabet, longest in (((1, 2), longest_binary), ((1, 2, 3), 8)):
+        for length in range(1, longest + 1):
             yield from itertools.product(alphabet, repeat=length)
 
 
@@ -199,6 +202,37 @@ def check_crossing(w):
         factors = {doubled[p : p + len(u) + 2] for p in range(len(w))}
         assert (a, *u, b) in factors and (a2, *u, b2) in factors, (w, crossing)
     return crossing is None
+
+
+# The definition the transform test is held to: primitive, with a weakly
+# decreasing transform read off the rotation sort.
+def _weakly_decreasing(w):
+    return [*w] == sorted(w, reverse=True)
+
+
+def ref_is_perfectly_clustering(w):
+    return words.is_primitive(w) and _weakly_decreasing(words.bw_transform(w))
+
+
+def check_transform_test(w):
+    expected = ref_is_perfectly_clustering(w)
+    assert words.is_perfectly_clustering(w) == expected, w
+    return expected
+
+
+def check_bw_inverse(w):
+    # bw_inverse is phi's one-cycle case; any other word is refused with
+    # phi's cycle count.  The transform test's walk reads one of phi's
+    # necklaces, all of w when there is one cycle
+    ms = words.phi(w)
+    assert words._cycle_through_zero(w) in ms, w
+    if len(ms) == 1:
+        assert words.bw_inverse(w) == ms[0], w
+    else:
+        message = f"inverse standard permutation has {len(ms)} cycles"
+        with pytest.raises(MultipleCycles, match=f"^{message}$"):
+            words.bw_inverse(w)
+    return len(ms)
 
 
 necklace_st = primitive_st.map(words.necklace)
@@ -261,6 +295,78 @@ class TestPerfectlyClustering:
     def test_factors_method_requires_primitive(self):
         with pytest.raises(NonPrimitive):
             words.is_perfectly_clustering_by_factors((1, 2, 1, 2))
+
+
+class TestTransformTestByOneCycle:
+    """The one-cycle walk decides what the weakly decreasing transform does."""
+
+    def test_exhaustive_short_words(self):
+        # powers and rotations off the necklace included
+        verdicts = list(map(check_transform_test, all_short_words(12)))
+        assert len(verdicts) == 8190 + 9840 and 0 < sum(verdicts) < len(verdicts)
+
+    def test_seeded_primitive_words(self):
+        rng = random.Random(4200)
+        clustering = 0
+        for _ in range(400):
+            w = tuple(rng.randint(1, rng.randint(2, 5)) for _ in range(rng.randint(2, 60)))
+            if words.is_primitive(w):
+                clustering += check_transform_test(w)
+            # a perfectly clustering word, rotated off its necklace
+            u = perfectly_clustering_word(rng, rng.randint(8, 60))
+            k = rng.randrange(len(u))
+            assert check_transform_test(u[k:] + u[:k])
+        assert clustering < 400
+
+    def test_long_words(self):
+        # 10**3 to 10**4 letters; half perfectly clustering by construction,
+        # rotated, half random, and a power of a clustering word
+        rng = random.Random(4201)
+        for length in (1000, 3000, 10000):
+            w = tuple(rng.randint(1, 4) for _ in range(length))
+            assert words.is_primitive(w) and not check_transform_test(w)
+            u = perfectly_clustering_word(rng, length)
+            k = rng.randrange(length)
+            assert check_transform_test(u[k:] + u[:k])
+            assert not check_transform_test(u * 2)
+        assert check_transform_test(fibonacci_word(4181))
+
+    def test_engines_are_independent(self, monkeypatch):
+        # the transform test and the factor test are independent engines:
+        # one walks a cycle, the other reads the rotation sort
+        def refuse(*args):
+            raise AssertionError("called")
+
+        clustering = perfectly_clustering_word(random.Random(4202), 200)
+        cases = [clustering, clustering[1:] + clustering[:1], (3, 2, 1), alpha("aabbab")]
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "_rotation_order", refuse)
+            verdicts = [words.is_perfectly_clustering(w) for w in cases]
+        assert verdicts == [True, True, False, False]
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "_cycle_through_zero", refuse)
+            assert [words.is_perfectly_clustering_by_factors(w) for w in cases] == verdicts
+
+
+class TestBWInverseIsPhi:
+    """bw_inverse is phi's single cycle, or phi's refusal."""
+
+    def test_exhaustive_short_words(self):
+        counts = collections.Counter(map(check_bw_inverse, all_short_words(12)))
+        assert counts[1] > 0 and len(counts) > 2
+
+    def test_long_words(self):
+        # transforms of long primitive words are one cycle and random words
+        # are not; a weakly decreasing word is one cycle exactly when its
+        # letters make a perfectly clustering word
+        rng = random.Random(4203)
+        for length in (1000, 5000):
+            w = tuple(rng.randint(1, 4) for _ in range(length))
+            assert check_bw_inverse(w) > 1
+            assert check_bw_inverse(words.bw_transform(w)) == 1
+            check_bw_inverse(sorted(w, reverse=True))
+            u = perfectly_clustering_word(rng, length)
+            assert check_bw_inverse(sorted(u, reverse=True)) == 1
 
 
 class TestCrossing:
