@@ -204,15 +204,9 @@ def _bool_out(args: argparse.Namespace, value: bool) -> int:
 
 
 def _cmd_bw(args) -> int:
+    # bw and bw-inverse: a word to a word, in the input's encoding
     word, style = _parse_word(args.word)
-    out = words.bw_transform(word)
-    _emit(args, _format_word(out, style), list(out))
-    return 0
-
-
-def _cmd_bw_inverse(args) -> int:
-    word, style = _parse_word(args.word)
-    out = words.bw_inverse(word)
+    out = (words.bw_inverse if args.command == "bw-inverse" else words.bw_transform)(word)
     _emit(args, _format_word(out, style), list(out))
     return 0
 
@@ -233,12 +227,15 @@ def _cmd_pcw(args) -> int:
     return _bool_out(args, by_bw)
 
 
-def _cmd_phi(args) -> int:
-    word, style = _parse_word(args.word)
-    ms = words.phi(word)
+def _multiset_out(args: argparse.Namespace, ms, style: str) -> int:
     human = " ".join(f"({_format_word(w, style)})" for w in ms)
     _emit(args, human, [list(w) for w in ms])
     return 0
+
+
+def _cmd_phi(args) -> int:
+    word, style = _parse_word(args.word)
+    return _multiset_out(args, words.phi(word), style)
 
 
 def _cmd_phi_inverse(args) -> int:
@@ -274,10 +271,7 @@ def _cmd_gvec_dyck(args) -> int:
 
 def _cmd_gvec_words(args) -> int:
     g = _parse_gvector(args.gvector)
-    ms = dyck.circular_words(g)
-    human = " ".join("(" + ",".join(map(str, w)) + ")" for w in ms)
-    _emit(args, human, [list(w) for w in ms])
-    return 0
+    return _multiset_out(args, dyck.circular_words(g), "csv")
 
 
 def _cmd_gvec_decompose(args) -> int:
@@ -432,39 +426,36 @@ def _positive(text: str) -> float:
     return value
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
+def _finish(p: argparse.ArgumentParser, fn) -> None:
+    # every command takes --json, its last option in help, and runs fn
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bandbrick", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("bw", help="Burrows-Wheeler transform of a word")
-    p.add_argument("word")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_bw)
-
-    p = sub.add_parser("bw-inverse", help="necklace whose transform is the given word")
-    p.add_argument("word")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_bw_inverse)
+    for name, help_text in [
+        ("bw", "Burrows-Wheeler transform of a word"),
+        ("bw-inverse", "necklace whose transform is the given word"),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("word")
+        _finish(p, _cmd_bw)
 
     p = sub.add_parser("pcw", help="test whether a word is perfectly clustering")
     p.add_argument("word")
     p.add_argument("--method", choices=["bw", "factors", "both"], default="bw")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_pcw)
+    _finish(p, _cmd_pcw)
 
     p = sub.add_parser("phi", help="necklace multiset of a word")
     p.add_argument("word")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_phi)
+    _finish(p, _cmd_phi)
 
     p = sub.add_parser("phi-inverse", help="word of a necklace multiset (JSON)")
     p.add_argument("multiset")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_phi_inverse)
+    _finish(p, _cmd_phi_inverse)
 
     gvec = sub.add_parser("gvec", help="g-vector operations")
     gsub = gvec.add_subparsers(dest="subcommand", required=True, metavar="op")
@@ -476,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = gsub.add_parser(name, help=help_text)
         p.add_argument("gvector")
-        _add_json(p)
-        p.set_defaults(fn=fn)
+        _finish(p, fn)
 
     band = sub.add_parser("band", help="band walks and band modules")
     bsub = band.add_subparsers(dest="subcommand", required=True, metavar="op")
@@ -491,40 +481,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_integer, default=None, help="number of vertices")
         if name != "walk":
             p.add_argument("--lambda", dest="lam", default="1", metavar="P/Q")
-        _add_json(p)
-        p.set_defaults(fn=fn)
+        _finish(p, fn)
     p = bsub.add_parser("hom", help="Hom, Ext and Euler data for two bands")
     p.add_argument("spec1", help="word or walk string such as 'a1 b1-'")
     p.add_argument("spec2")
     p.add_argument("--n", type=_integer, default=None)
     p.add_argument("--lambda1", default="1", metavar="P/Q")
     p.add_argument("--lambda2", default=None, metavar="P/Q")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_band_hom)
+    _finish(p, _cmd_band_hom)
 
     p = sub.add_parser("euler", help="Euler form of two g-vectors")
     p.add_argument("gvector1")
     p.add_argument("gvector2")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_euler)
+    _finish(p, _cmd_euler)
 
     fan = sub.add_parser("fan", help="brick g-vector tests and searches")
     fsub = fan.add_subparsers(dest="subcommand", required=True, metavar="op")
     p = fsub.add_parser("brick4", help="closed-form brick test for four vertices")
     p.add_argument("gvector")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_fan_brick4)
+    _finish(p, _cmd_fan_brick4)
     p = fsub.add_parser("maxcompat", help="maximum pairwise-compatible brick set")
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--box", type=_integer, required=True)
-    _add_json(p)
-    p.set_defaults(fn=_cmd_fan_maxcompat)
+    _finish(p, _cmd_fan_maxcompat)
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("suite", help="suite name, criterion number, or 'all'")
     p.add_argument("--seed", type=_integer, default=0)
-    _add_json(p)
-    p.set_defaults(fn=_cmd_verify)
+    _finish(p, _cmd_verify)
 
     p = sub.add_parser("render", help="draw the Dyck path model as SVG")
     p.add_argument("gvector")
@@ -532,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", type=_positive, default=40.0)
     p.add_argument("--width", type=_positive, default=None)
     p.add_argument("--palette-seed", type=_integer, default=0)
-    _add_json(p)
-    p.set_defaults(fn=_cmd_render)
+    _finish(p, _cmd_render)
 
     return parser
 

@@ -8,9 +8,11 @@ parameter 1: gentle.hom_dim reads the parameter only on the cycle two
 modules of one band share, so every other count is the same at every
 parameter.  A brick is compatible with itself: Hom between two members
 of its family counts End minus 1, which the brick test has found to be 0.
-compatible and the fan search decide by one rule: both read
-gentle.hom_orthogonal, one joint rotation sort whose diagonal is the End
-check of every module it sorts.
+compatible and the fan search decide by one rule, no morphism either
+way: compatible reads gentle.hom_orthogonal, one joint rotation sort
+whose diagonal is the End check of every module it sorts, and so does
+the fan search past n = 3; at n = 3 it reads gentle.is_brick (see
+below).
 
 The enumeration does each mirror pair's work once.  The mirror
 k -> n - k of the arrow indices identifies the double-line algebra with

@@ -254,8 +254,9 @@ class BandModule:
     it.  Everything else is read off codes, derived on each read: dims,
     dims[i] the dimension at vertex i+1; walk, the canonical walk in
     written order, canonical_walk of codes[::-1], which names the band;
-    g_vector(), which counts the turns of codes.  hom_dim and is_brick
-    scan the codes.  The arrows are not stored: matrices() derives them
+    g_vector(), which counts the turns of codes.  hom_dim sorts the codes
+    (see hom_orthogonal); is_brick scans them up to _SCAN_STEPS steps and
+    sorts past that.  The arrows are not stored: matrices() derives them
     from the canonical walk, with lam on the wrap-around step, an a-step,
     and 1 on every other step.
 
@@ -542,9 +543,11 @@ def _joint_sort(
 
 
 def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
-    """Bit j of entry i is set when every morphism between modules[i] and
-    modules[j], either way, is a multiple of an identity: for j != i there
-    is none (the modules lie on distinct bands), and bit i means a brick.
+    """Bit j of entry i is set when no graph map joins modules[i] and
+    modules[j], either way.  On distinct bands that means no morphism; bit
+    i means a brick, End one-dimensional.  Modules of one band, whatever
+    their parameters, rotations or orientation, have the graph maps of
+    either one with itself, so every bit between them is the brick bit.
 
     Label each step 2v for the arrow a_{v-1} and 2v + 1 for the inverse
     b_v^- that leave vertex v.  A graph map of x into y (see hom_dim) is

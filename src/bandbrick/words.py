@@ -238,13 +238,17 @@ def is_perfectly_clustering(w: Sequence[int]) -> bool:
     st(d)^-1 is one cycle (Crochemore, Desarmenien and Perrin, TCS 2005).
     The only weakly decreasing word with w's letters is w's letters
     sorted in decreasing order, so w is perfectly clustering (Simpson and
-    Puglisi, EJC 2008) iff that word's cycle through position 0 covers
-    every position and reads the necklace of w; a shorter cycle reads
-    fewer letters than the necklace has.  One linear walk after a sort
-    of the letters, no rotation sort.
+    Puglisi, EJC 2008) iff w is primitive and that word's cycle through
+    position 0 covers every position and reads the necklace of w.  The
+    one comparison decides all three: every cycle of an inverse standard
+    permutation reads a primitive word, and a proper power's necklace is
+    not primitive, so the two never compare equal; a cycle that misses a
+    position reads fewer letters than the necklace has.  One linear walk
+    after a sort of the letters, no rotation sort and no primitivity
+    pass.
     """
     word = _as_word(w)
-    return is_primitive(word) and _cycle_through_zero(sorted(word, reverse=True)) == necklace(word)
+    return _cycle_through_zero(sorted(word, reverse=True)) == necklace(word)
 
 
 def _crossing(word: Word) -> tuple[int, Word, int, int, int] | None:

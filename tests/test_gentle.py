@@ -1383,6 +1383,39 @@ class TestHomOrthogonal:
         masks = self._check(modules)
         assert masks[0] & 1 and masks[0] != (1 << len(modules)) - 1
 
+    def test_one_band(self):
+        # members of one family at equal and at distinct parameters, a
+        # rotation and an inverse: the graph maps between two of them are
+        # those of either one with itself, so every bit is the brick bit.
+        # Their positions read equal forever in pairs; a walk of at most 32
+        # steps fits twice in one byte key, so the keys alone decide, and
+        # past that the keys tie and the doubling breaks ties by position.
+        # Half the words are perfectly clustering, so about half the bands
+        # are bricks
+        rng = random.Random(43)
+        found = collections.Counter()
+        for t in range(300):
+            if t % 2:
+                [w] = _perfectly_clustering_words(rng, rng.randint(6, 60), 1)
+            else:
+                w = (2, 2)
+                while not words.is_primitive(w):
+                    w = tuple(rng.randint(2, 5) for _ in range(rng.randint(3, 60)))
+            walk = gentle.psi(w, 5)
+            k = rng.randrange(len(walk))
+            x = gentle.band_module(walk, 1, 5)
+            modules = [x, x.replace(lam=Fraction(2)), gentle.band_module(walk[k:] + walk[:k], 1, 5),
+                       gentle.band_module(_inverse(walk[k:] + walk[:k]), rng.choice((1, 2)), 5)]
+            masks = gentle.hom_orthogonal(modules)
+            for (i, m), (j, y) in itertools.product(enumerate(modules), repeat=2):
+                none = not any(_scan_graph_maps(m.codes, y.codes)) and not any(
+                    _scan_graph_maps(y.codes, m.codes)
+                )
+                assert bool(masks[i] >> j & 1) == none, (w, i, j)
+            assert masks in ([0] * 4, [0b1111] * 4), w
+            found[len(walk) > 32, masks[0] == 0] += 1
+        assert len(found) == 4 and min(found.values()) > 5, found
+
     def test_no_modules(self):
         assert gentle.hom_orthogonal([]) == []
 

@@ -333,16 +333,23 @@ class TestTransformTestByOneCycle:
 
     def test_engines_are_independent(self, monkeypatch):
         # the transform test and the factor test are independent engines:
-        # one walks a cycle, the other reads the rotation sort
+        # one walks a cycle, the other reads the rotation sort.  The walk's
+        # comparison also decides primitivity, so the transform test runs
+        # no primitivity pass, and proper powers, of clustering words too,
+        # come out False
         def refuse(*args):
             raise AssertionError("called")
 
         clustering = perfectly_clustering_word(random.Random(4202), 200)
         cases = [clustering, clustering[1:] + clustering[:1], (3, 2, 1), alpha("aabbab")]
+        powers = [clustering * 2, (2, 1) * 3, (1,) * 4, (1, 1, 2) * 2, alpha("ba") * 5, (3, 2, 1) * 2]
         with monkeypatch.context() as patch:
             patch.setattr(words, "_rotation_order", refuse)
+            patch.setattr(words, "is_primitive", refuse)
             verdicts = [words.is_perfectly_clustering(w) for w in cases]
+            assert not any(words.is_perfectly_clustering(w) for w in powers)
         assert verdicts == [True, True, False, False]
+        assert not any(map(words.is_primitive, powers))
         with monkeypatch.context() as patch:
             patch.setattr(words, "_cycle_through_zero", refuse)
             assert [words.is_perfectly_clustering_by_factors(w) for w in cases] == verdicts
