@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import operator
 import os
 import re
@@ -20,7 +19,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import dyck, forms, gentle, render, words
+# render and json load only with the commands that use them.  The layers
+# the other handlers call load here, with the CLI: perfbench's tracer looks
+# each traced layer up in sys.modules when it installs its wrappers
+from . import dyck, forms, gentle, words
 from .errors import (
     DomainError, InternalInconsistency, InvalidWalk, ListingTooLarge, QuiverTooLarge
 )
@@ -52,6 +54,8 @@ def _json_format(asked: bool) -> bool:
 def _report(asked: bool, name: str, message: str, code: int, human: str) -> int:
     # one error line on stderr, as JSON when the format asks for it
     if _json_format(asked):
+        import json
+
         human = json.dumps({"error": name, "message": message, "exit": code})
     print(human, file=sys.stderr)
     return code
@@ -193,6 +197,8 @@ def _parse_band_spec(text: str, n: int | None) -> gentle.Walk:
 
 def _emit(args: argparse.Namespace, human: str, data) -> None:
     if _json_format(args.json):
+        import json
+
         print(json.dumps(data))
     else:
         print(human)
@@ -239,6 +245,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_phi_inverse(args) -> int:
+    import json
+
     try:
         raw = json.loads(args.multiset)
     except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
@@ -397,6 +405,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    # the renderer loads only for render, not at import
+    from . import render
+
     g = _parse_gvector(args.gvector)
     svg = render.render_dyck(
         g, unit=args.unit, width=args.width, palette_seed=args.palette_seed

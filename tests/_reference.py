@@ -1,4 +1,5 @@
-"""The pairwise scan of graph maps, a second engine beside the joint sort.
+"""The pairwise scan of graph maps, a second engine beside the joint sort,
+and perfectly clustering words built by construction.
 
 gentle counts Hom, tests bricks past gentle._SCAN_STEPS and builds the
 fan search's compatibility graph from one joint rotation sort of the
@@ -7,6 +8,9 @@ that hold those readers to it check the sort's shared front end too.
 """
 
 import collections
+
+from bandbrick import words
+from bandbrick.errors import MultipleCycles
 
 
 def _scan_graph_maps(x, y):
@@ -44,3 +48,20 @@ def _scan_hom_dim(m, w):
     return sum(1 for _ in _scan_graph_maps(m.codes, w.codes)) + (
         len(m.codes) == len(w.codes) and m.walk == w.walk and m.lam == w.lam
     )
+
+
+def perfectly_clustering_word(rng, length):
+    # bw_inverse of a weakly decreasing word that uses each of 5, 4, 3, 2
+    # and whose standard permutation is one cycle.  None of 4 or 5 letters
+    # is (of 6 letters, 2 of the 10 are), so shorter lengths are refused
+    # rather than drawn from forever
+    if length < 6:
+        raise ValueError(f"a perfectly clustering word here needs 6 letters, not {length}")
+    while True:
+        cuts = sorted(rng.sample(range(1, length), 3))
+        runs = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
+        decreasing = [letter for letter, run in zip((5, 4, 3, 2), runs) for _ in range(run)]
+        try:
+            return words.bw_inverse(decreasing)
+        except MultipleCycles:
+            continue

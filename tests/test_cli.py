@@ -882,16 +882,18 @@ def test_a_size_bound_admits_its_pinned_input_in_time(argv):
 
 
 def test_cli_import_leaves_the_suites_unloaded():
-    # only verify needs the acceptance suites and the xml parser they use
+    # only verify needs the acceptance suites and the xml parser they use,
+    # only render the renderer, and only JSON output the json codec
     script = (
         "import sys\n"
         "import bandbrick.cli\n"
-        "print([m for m in ('bandbrick.acceptance', 'xml.etree.ElementTree') if m in sys.modules])\n"
+        "print([m for m in ('bandbrick.acceptance', 'xml.etree.ElementTree', 'bandbrick.render',"
+        " 'json') if m in sys.modules])\n"
         "sys.exit(bandbrick.cli.main(['verify', 'golden']))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     loaded, verdict = proc.stdout.split("\n", 1)
@@ -921,13 +923,37 @@ def test_a_command_leaves_shutil_unloaded():
         "import sys\n"
         "import bandbrick.cli\n"
         "code = bandbrick.cli.main(['bw', '2,1,1'])\n"
-        "print(code, [m for m in ('dataclasses', 'inspect', 'shutil') if m in sys.modules])\n"
+        "print(code, [m for m in ('dataclasses', 'inspect', 'shutil', 'bandbrick.render', 'json')"
+        " if m in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1\n0 []\n", "")
+
+
+def test_package_exports_load_on_first_use(monkeypatch):
+    # import bandbrick loads no layer; each export is read from its defining
+    # module on every access, so a binding replaced there shows here too
+    script = "import sys, bandbrick\nprint([m for m in sys.modules if m.startswith('bandbrick.')])\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    star = {}
+    exec("from bandbrick import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == bandbrick.__all__
+    assert set(bandbrick.__all__) <= set(dir(bandbrick))
+    for name in bandbrick.__all__:
+        module = sys.modules[star[name].__module__]
+        assert getattr(bandbrick, name) is vars(module)[name] is star[name]
+        replacement = object()
+        monkeypatch.setattr(module, name, replacement)
+        assert getattr(bandbrick, name) is replacement
+    with pytest.raises(AttributeError, match="^module 'bandbrick' has no attribute 'nothing'$"):
+        bandbrick.nothing
 
 
 @pytest.mark.parametrize("columns", ["30", "80", "150"])

@@ -21,14 +21,13 @@ from bandbrick.errors import (
     InvalidComponent,
     InvalidWalk,
     LetterOutOfRange,
-    MultipleCycles,
     NonPrimitive,
     QuiverTooLarge,
     WalkTooLarge,
     ZeroLambda,
 )
 
-from _reference import _scan_graph_maps, _scan_hom_dim
+from _reference import _scan_graph_maps, _scan_hom_dim, perfectly_clustering_word
 
 
 primitive_words = (
@@ -1158,27 +1157,12 @@ class TestCheckedWalk:
             gentle.band_module(walk, 0)
 
 
-def _perfectly_clustering_words(rng, length, count):
-    # bw_inverse of weakly decreasing words over 2..5 whose standard
-    # permutation is one cycle
-    found = []
-    while len(found) < count:
-        cuts = sorted(rng.sample(range(1, length), 3))
-        runs = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
-        decreasing = [letter for letter, run in zip((5, 4, 3, 2), runs) for _ in range(run)]
-        try:
-            found.append(words.bw_inverse(decreasing))
-        except MultipleCycles:
-            continue
-    return found
-
-
 class TestTheoremAtScale:
     def test_brick_exactly_when_perfectly_clustering(self):
         # the paper's theorem on words of about 300 letters (walks of more
         # than a thousand steps), four of each kind
         rng = random.Random(300)
-        pool = _perfectly_clustering_words(rng, 300, 4)
+        pool = [perfectly_clustering_word(rng, 300) for _ in range(4)]
         while len(pool) < 8:
             w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(300))
             if words.is_primitive(w) and not words.is_perfectly_clustering(w):
@@ -1209,7 +1193,7 @@ def _up_down_walks(longest, n):
 
 def _end_cases(rng, length):
     # one perfectly clustering word and one random primitive word
-    pool = _perfectly_clustering_words(rng, length, 1)
+    pool = [perfectly_clustering_word(rng, length)]
     while len(pool) < 2:
         w = tuple(rng.choice((2, 3, 4, 5)) for _ in range(length))
         if words.is_primitive(w):
@@ -1396,7 +1380,7 @@ class TestHomOrthogonal:
         found = collections.Counter()
         for t in range(300):
             if t % 2:
-                [w] = _perfectly_clustering_words(rng, rng.randint(6, 60), 1)
+                w = perfectly_clustering_word(rng, rng.randint(6, 60))
             else:
                 w = (2, 2)
                 while not words.is_primitive(w):

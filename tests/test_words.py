@@ -16,6 +16,8 @@ from bandbrick.errors import (
     EmptyWord, InternalInconsistency, MultipleCycles, NonPrimitive, NonPrimitiveNecklace
 )
 
+from _reference import perfectly_clustering_word
+
 
 def alpha(s):
     return tuple(ord(c) - ord("a") + 1 for c in s)
@@ -176,19 +178,6 @@ def all_short_words(longest_binary=8):
             yield from itertools.product(alphabet, repeat=length)
 
 
-def perfectly_clustering_word(rng, length):
-    # bw_inverse of a weakly decreasing word over 2..5 whose standard
-    # permutation is one cycle (none is when length < 6)
-    while True:
-        cuts = sorted(rng.sample(range(1, length), 3))
-        runs = [b - a for a, b in zip([0, *cuts], [*cuts, length])]
-        decreasing = [letter for letter, run in zip((5, 4, 3, 2), runs) for _ in range(run)]
-        try:
-            return words.bw_inverse(decreasing)
-        except MultipleCycles:
-            continue
-
-
 def check_crossing(w):
     # the sorted-rotation witness against the cubic reference; a witness
     # must be a real crossing of two circular factors
@@ -330,6 +319,12 @@ class TestTransformTestByOneCycle:
             assert check_transform_test(u[k:] + u[:k])
             assert not check_transform_test(u * 2)
         assert check_transform_test(fibonacci_word(4181))
+
+    def test_construction_refuses_five_letters(self):
+        # no one-cycle word of 5 letters uses each of 5, 4, 3, 2, so the
+        # construction raises instead of drawing forever
+        with pytest.raises(ValueError, match="^a perfectly clustering word here needs 6 letters"):
+            perfectly_clustering_word(random.Random(0), 5)
 
     def test_engines_are_independent(self, monkeypatch):
         # the transform test and the factor test are independent engines:
