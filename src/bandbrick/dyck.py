@@ -18,7 +18,7 @@ labels of the word, gentle.slalom_to_band_walk reads the segments of the
 curve off it, and render draws each chord from its two ends.
 single_component traces only the curve through the first step, which is
 all a brick test reads: on the 160 valid g-vectors with n <= 5 and
-entries in [-2, 2] it takes 5.2 us a call against 7.4 us for
+entries in [-2, 2] it takes 4.2-4.5 us a call against 5.7-5.8 us for
 reconstruct_multislalom (Python 3.11.7, 2 CPUs, best of 7).  The curves
 of a diagram are mostly copies of a few words (on 100 seeded 1000-letter
 words, 107 curves of 1.3 distinct words on average), so circular_words
@@ -38,9 +38,9 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes 0.56-0.80 s and 137 MB on
+# steps: at the bound, render takes 0.42-0.46 s and 129 MB on
 # (-75000, 75000), its slowest shape and the pin in tests/test_cli.py,
-# and gvec words 0.3-0.5 s (as subprocesses, Python 3.11, 2 CPUs)
+# and gvec words 0.24-0.25 s (as subprocesses, Python 3.11, 2 CPUs)
 MAX_STEPS = 150_000
 
 
@@ -137,20 +137,25 @@ def _trace(
         word.append(labels[back])
         pos = glued[back]
         if pos == start:
-            return Component(tuple(word), tuple(chords))
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            return tuple.__new__(Component, (tuple(word), tuple(chords)))
 
 
 def reconstruct_multislalom(g: Sequence[int]) -> tuple[Component, ...]:
     """The closed components of the multislalom of g, in the order of
     their first up-steps.  More than MAX_STEPS steps raise
     GVectorTooLarge before any step is built."""
-    labels, partner, glued = _int_diagram(_bounded(g))
-    visited = bytearray(len(labels))  # copy-1 entries already traced
-    return tuple(
-        _trace(start, labels, partner, glued, visited)
-        for start, end in enumerate(partner)
-        if start < end and not visited[start]  # an up-step not yet traced
-    )
+    entries = _bounded(g)
+    labels, partner, glued = _int_diagram(entries)
+    # every down-step is marked up front and each copy-1 entry as it is
+    # traced, so the first 0 at or past a step is the next untraced up-step
+    visited = bytearray().join((b"\1" if a > 0 else b"\0") * abs(a) for a in entries)
+    components = []
+    start = visited.find(0)
+    while start >= 0:
+        components.append(_trace(start, labels, partner, glued, visited))
+        start = visited.find(0, start + 1)
+    return tuple(components)
 
 
 def single_component(g: Sequence[int]) -> Component | None:

@@ -651,5 +651,5 @@ def slalom_to_band_walk(component: Component) -> Walk:
             trav.extend(range((start - 1) << 2, (end - 1) << 2, -4))
     walk = tuple(reversed(trav))
     if not validate_band_walk(walk):
-        raise InvalidComponent(f"segments do not close into a band walk")
+        raise InvalidComponent("segments do not close into a band walk")
     return _BandWalk(walk)

@@ -19,8 +19,10 @@ two-digit tail, the digits "%.2f" of the float would print, and the
 levels and chord levels are the columns and half columns read
 backwards.  Otherwise each of the five lists is "%.2f" of its floats,
 as the two readings of a coordinate need not round alike.  Each list of
-grid lines, each label run and the path's points are then built by one
-join, with the fixed text between the fields as the separators.
+grid lines, each run of labels or chords and the path's points are then
+built by one join over one list, into which every column and every fixed
+text between the fields is slice-assigned at its own stride, so no
+string is built per element.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ _v, _p = f"{int(_V * 255):02x}", f"{int(_V * (1.0 - _S) * 255):02x}"
 _SECTORS = (
     f"#{_v}%s{_p}", f"#%s{_v}{_p}", f"#{_p}{_v}%s", f"#{_p}%s{_v}", f"#%s{_p}{_v}", f"#{_v}{_p}%s"
 )
+
+
+# the fixed text of a chord, around its x1, y1, x2, y2 and stroke fields
+_CHORD = ('<line x1="', '" y1="', '" x2="', '" y2="', '" stroke="', '"/>')
 
 
 def _palette(count: int, seed: int) -> list[str]:
@@ -79,10 +85,21 @@ def _progression(first: int, step: int, count: int, cents: int) -> list[str]:
     return (f"%d.{cents:02d} " * count % tuple(range(first, first + count * step, step))).split()
 
 
-def _elements(head: str, sep: str, tail: str, *columns: list[str]) -> str:
-    # head + the row's fields joined by sep + tail for each row of the
-    # columns, one element a line, as one join
-    return head + f"{tail}\n{head}".join(map(sep.join, zip(*columns))) + tail
+def _rows(texts: Sequence[str], *columns: list[str], sep: str = "\n") -> str:
+    # texts[0] + field 0 + texts[1] + ... + field k - 1 + texts[k] for each
+    # row of the k columns, the rows joined by sep, as one join.  Every slot
+    # of the list starts as the text between two rows; each column and each
+    # inner text fills its own stride by slice assignment, so no string is
+    # built per row
+    stride = 2 * len(columns)
+    rows = len(columns[0])
+    out = [texts[-1] + sep + texts[0]] * (stride * rows + 1)
+    out[0], out[-1] = texts[0], texts[-1]
+    for k, column in enumerate(columns):
+        out[2 * k + 1 :: stride] = column
+    for k in range(1, len(columns)):
+        out[2 * k :: stride] = [texts[k]] * rows
+    return "".join(out)
 
 
 def _smallest_width(count: int) -> str:
@@ -170,8 +187,8 @@ def render_dyck(
     # height, a run of a > 0 falls from it; a label names its step at the
     # lower of the step's two levels, and a chord sits at its up-step's.
     # The elements of a run, like the grid columns below, are joined into
-    # one string at once, so that no per-element string outlives its run:
-    # at the bound, render -- -75000,75000 then peaks at about 137 MB
+    # one string at once, and no per-element string is built: at the
+    # bound, render -- -75000,75000 then peaks at about 129 MB
     path_ys: list[str] = []
     texts: list[str] = []
     chords: list[str] = []
@@ -184,17 +201,13 @@ def render_dyck(
         if a < 0:
             path_ys += ys[height : height - a]
             lows = label_ys[height : height - a]
-            run_chords = [
-                f'<line x1="{x}" y1="{y}" x2="{half_xs[down]}" y2="{y}" stroke="{color}"/>'
-                for x, y, down, color in zip(
-                    run_xs, chord_ys[height : height - a], partner[start:end], stroke[start:end]
-                )
-            ]
-            chords.append("\n".join(run_chords))
+            run_ys = chord_ys[height : height - a]
+            downs = list(map(half_xs.__getitem__, partner[start:end]))
+            chords.append(_rows(_CHORD, run_xs, run_ys, downs, run_ys, stroke[start:end]))
         else:
             path_ys += ys[height - a + 1 : height + 1][::-1]
             lows = label_ys[height - a : height][::-1]
-        texts.append(_elements('<text x="', '" y="', f'">{label}</text>', run_xs, lows))
+        texts.append(_rows(('<text x="', '" y="', f'">{label}</text>'), run_xs, lows))
         start, height = end, height - a
     path_ys.append(ys[0])
 
@@ -206,12 +219,12 @@ def render_dyck(
         '<g stroke="#dddddd" stroke-width="1">',
     ]
     bottom, ceiling = ys[0], ys[top]
-    parts.append(_elements('<line x1="', f'" y1="{bottom}" x2="', f'" y2="{ceiling}"/>', xs, xs))
+    parts.append(_rows(('<line x1="', f'" y1="{bottom}" x2="', f'" y2="{ceiling}"/>'), xs, xs))
     left, right = xs[0], xs[count]
-    parts.append(_elements(f'<line x1="{left}" y1="', f'" x2="{right}" y2="', '"/>', ys, ys))
+    parts.append(_rows((f'<line x1="{left}" y1="', f'" x2="{right}" y2="', '"/>'), ys, ys))
     parts.append("</g>")
 
-    points = " ".join(map(",".join, zip(xs, path_ys)))
+    points = _rows(("", ",", ""), xs, path_ys, sep=" ")
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#222222" '
         'stroke-width="2"/>'

@@ -381,6 +381,8 @@ def phi_inverse(ms: Iterable[Sequence[int]]) -> Word:
     if not before:
         raise EmptyWord("multiset must contain at least one necklace")
     order = _rotation_order(list(counts))
+    if counts.total() == len(counts):  # no necklace repeats
+        return tuple(map(before.__getitem__, order))
     return tuple([before[p] for p in order for _ in range(copies[p])])
 
 

@@ -837,8 +837,8 @@ def _fibonacci_letters(length):
 # each size bound pinned by its worst known admitted input, which must
 # exit 0 inside the 5 s contract (times as subprocesses, Python 3.11, 2 CPUs)
 _BOUND_PINS = {
-    # dyck.MAX_STEPS: render of its slowest shape at the bound, 0.56-0.80 s
-    # and 137 MB peak RSS
+    # dyck.MAX_STEPS: render of its slowest shape at the bound, 0.42-0.46 s
+    # and 129 MB peak RSS
     "render-max-steps": ["render", "--", "-75000,75000"],
     # cli.MAX_LISTED_ENTRIES: 2 followed by 450 threes lists 1,623,602
     # entries in 0.62-0.66 s; 500 threes are refused in 0.08 s

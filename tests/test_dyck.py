@@ -311,6 +311,13 @@ class TestAgainstTupleTrace:
         for g in gs:
             self._check(g)
 
+    def test_shapes(self):
+        # 500 one-round curves; empty label blocks at both ends and inside;
+        # two climbing blocks closed by three falling ones
+        for g in ((-500, 500), (0, -300, 0, 300, 0), (-3, -3, 2, 2, 2)):
+            self._check(g)
+        assert len(dyck.reconstruct_multislalom((-500, 500))) == 500
+
 
 class TestChordEnds:
     # Component.chords holds the copy-1 entry and exit of each round, which
@@ -426,6 +433,15 @@ class TestComponentContract:
         assert hash(component) == hash(dyck.Component((1, 3, 2, 3), (0, 3)))
         assert len({component, dyck.Component(word=(1, 3, 2, 3), chords=(0, 3))}) == 1
         assert repr(component) == "Component(word=(1, 3, 2, 3), chords=(0, 3))"
+
+    def test_traced_curves_are_components(self):
+        # the traces build their curves with tuple.__new__, which must still
+        # give exactly a Component
+        g = (-3, -1, 3, -2, 3)
+        for component in (*dyck.reconstruct_multislalom(g), dyck.single_component((-1, -1, 2))):
+            assert type(component) is dyck.Component
+            assert component._fields == ("word", "chords")
+            assert component._asdict() == {"word": component.word, "chords": component.chords}
 
     def test_immutable(self):
         component = dyck.reconstruct_multislalom((-1, -1, 2))[0]

@@ -577,6 +577,20 @@ class TestAgainstDefinitions:
         ms = tuple(sorted(ms + ((1,),) * 3))
         assert words.phi_inverse(ms) == ref_phi_inverse(ms)
 
+    def test_phi_inverse_on_1000_letter_multisets(self):
+        # both emission branches at scale: the distinct necklaces of a
+        # 1000-letter word, none repeated, and the necklaces of a 500-letter
+        # word each taken twice
+        rng = random.Random(1001)
+        for k in (2, 3, 5):
+            distinct = tuple(sorted(set(words.phi(tuple(rng.choices(range(1, k + 1), k=1000))))))
+            doubled = tuple(sorted(words.phi(tuple(rng.choices(range(1, k + 1), k=500))) * 2))
+            assert sum(map(len, distinct)) > 900 and sum(map(len, doubled)) == 1000
+            for ms in (distinct, doubled):
+                out = words.phi_inverse(ms)
+                assert out == ref_phi_inverse(ms)
+                assert words.phi(out) == ms
+
     def test_long_round_trip(self):
         rng = random.Random(20000)
         w = tuple(rng.randint(1, 4) for _ in range(20000))
