@@ -88,8 +88,8 @@ def golden(seed: int = 0) -> Record:
             gentle.g_vector_of_band(gentle.psi(_digits("23223"))) == (-5, 3, 2),
         ),
         ("module dims psi(2)", m.dims == (1, 1)),
-        ("module a1 entry", mats[("a", 1)] == ((Fraction(5),),)),
-        ("module b1 entry", mats[("b", 1)] == ((Fraction(1),),)),
+        ("module a1 entry", mats[("a", 1)] == ((1, 1), {(0, 0): Fraction(5)})),
+        ("module b1 entry", mats[("b", 1)] == ((1, 1), {(0, 0): Fraction(1)})),
     ]
     return f"{len(checks)} exact checks", len(checks), [name for name, ok in checks if not ok]
 

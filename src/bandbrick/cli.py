@@ -29,11 +29,11 @@ from .errors import (
 
 
 # band module prints every arrow of the quiver as a dense matrix, so its
-# cost grows with n and with the products of adjacent dimensions.  At the
-# two bounds together it takes about 2.5 s and 260 MB; the pin in
-# tests/test_cli.py, 2 followed by 450 threes (1,623,602 entries), takes
-# 0.62-0.66 s, and 500 threes are refused in 0.08 s (as subprocesses,
-# Python 3.11, 2 CPUs)
+# cost grows with n and with the products of adjacent dimensions.  The
+# pins in tests/test_cli.py, band module of 2 followed by 450 threes
+# (1,623,602 entries) as text and as JSON, have their figures in README's
+# bounds table, and the two bounds together theirs in README's paragraph
+# on band module
 MAX_LISTED_VERTICES = 100_001
 MAX_LISTED_ENTRIES = 2_000_000
 
@@ -313,20 +313,20 @@ def _cmd_band_module(args) -> int:
         raise ListingTooLarge(
             f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
         )
-    arrows = {
-        f"{kind}{idx}": [[str(v) for v in row] for row in rows]
-        for (kind, idx), rows in mod.matrices()
-    }
-    lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, dims))}"]
-    for name, rows in arrows.items():
-        lines.append(f"{name}: {rows}")
-    data = {
-        "n": mod.n,
-        "lambda": str(mod.lam),
-        "dims": list(dims),
-        "arrows": arrows,
-    }
-    _emit(args, "\n".join(lines), data)
+    arrows = {}
+    for (kind, idx), ((rows, cols), mapped) in mod.matrices():
+        # every zero of the listing is the one "0" text, so a row costs one
+        # pointer per entry
+        listed = arrows[f"{kind}{idx}"] = [["0"] * cols for _ in range(rows)]
+        for (row, col), value in mapped.items():
+            listed[row][col] = str(value)
+    data = {"n": mod.n, "lambda": str(mod.lam), "dims": list(dims), "arrows": arrows}
+    # only the format printed is built: the text lines, or the JSON of data
+    human = ""
+    if not _json_format(args.json):
+        lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, dims))}"]
+        human = "\n".join(lines + [f"{name}: {listed}" for name, listed in arrows.items()])
+    _emit(args, human, data)
     return 0
 
 

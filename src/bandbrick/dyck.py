@@ -38,9 +38,8 @@ from .words import necklace
 GVector = tuple[int, ...]
 
 # the most steps sum(|g_i|) a diagram may have.  Cost is linear in the
-# steps: at the bound, render takes 0.42-0.46 s and 129 MB on
-# (-75000, 75000), its slowest shape and the pin in tests/test_cli.py,
-# and gvec words 0.24-0.25 s (as subprocesses, Python 3.11, 2 CPUs)
+# steps: render of (-75000, 75000), its slowest shape at the bound, is the
+# pin in tests/test_cli.py (its figures are in README's bounds table)
 MAX_STEPS = 150_000
 
 

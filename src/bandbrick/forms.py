@@ -70,10 +70,10 @@ GVector = tuple[int, ...]
 # enumerate; time also grows with the walk lengths, so the slowest
 # admitted search is n = 3, box = 70 (0.71-1.01 s in process over eight
 # fresh interpreters, Python 3.11, 2 CPUs, most of it is_brick on long
-# walks, since n = 3 has no sort; fan maxcompat --n 3
-# --box 70, pinned in tests/test_cli.py, takes 0.80-1.31 s as a
-# subprocess), while (4, 13) takes 0.27-0.50 s, (6, 3) 0.02-0.03 s and
-# (7, 2) 0.02-0.03 s
+# walks, since n = 3 has no sort; fan maxcompat --n 3 --box 70 is the
+# pin in tests/test_cli.py, whose figures are in README's bounds table),
+# while (4, 13) takes 0.27-0.50 s, (6, 3) 0.02-0.03 s and (7, 2)
+# 0.02-0.03 s
 MAX_SEARCH_PREFIXES = 20_000
 
 # the parameter of every brick module the search builds, shared so that

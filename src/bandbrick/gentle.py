@@ -26,15 +26,15 @@ A band module of multiplicity one is its walk with one scalar: a
 BandModule holds n, lam and codes, the traversal of the walk, and
 nothing else, so nothing it holds grows with n.  Its dimension vector
 is derived from codes when read, as its canonical walk is.
-BandModule.matrices() derives the arrows from the
-canonical walk, each sending a basis vector to at most one basis vector,
-and checks the gentle relations on them before it yields any matrix.  All
-a-steps of a band walk share one sign and all b-steps the other, and a
-walk and its inverse give one module, so every module reads its walk with
-the a-steps as arrows.  A build does not rotate: two modules lie on one
-band exactly when their codes are rotations of each other, that is when
-their canonical walks are equal, and BandModule.walk derives the canonical
-walk when it is read.
+BandModule.matrices() derives the arrows from the canonical walk as
+sparse basis maps, each sending a basis vector to at most one basis
+vector, and checks the gentle relations on them before it yields any
+map.  All a-steps of a band walk share one sign and all b-steps the
+other, and a walk and its inverse give one module, so every module reads
+its walk with the a-steps as arrows.  A build does not rotate: two
+modules lie on one band exactly when their codes are rotations of each
+other, that is when their canonical walks are equal, and BandModule.walk
+derives the canonical walk when it is read.
 Hom dimensions count graph maps (Crawley-Boevey 1989, Krause 1991), read
 off the two codes by one rule: a graph map starts where the source enters
 a vertex by an inverse step and the target by an arrow, runs along the
@@ -76,12 +76,14 @@ from .words import _rotation_order, is_primitive, least_rotation
 
 # written step codes, index << 2 | (kind b) << 1 | (inverse)
 Walk = tuple[int, ...]
+# an arrow's shape (rows, cols) and its non-zero entries, keyed by (row, col)
+ArrowMap = tuple[tuple[int, int], dict[tuple[int, int], Fraction]]
 
-# the largest quiver band_module builds: arrow indices up to 10^6, where
-# band hom of "a1000000 b1000000-" against itself takes 0.18-0.22 s and
-# 46 MB as a subprocess (Python 3.11, 2 CPUs), pinned in tests/test_cli.py;
-# nothing a module holds grows with n, only what is derived from it: its
-# dims, its g-vector and its matrices
+# the largest quiver band_module builds: arrow indices up to 10^6, pinned
+# in tests/test_cli.py by band hom of "a1000000 b1000000-" against itself
+# (its figures are in README's bounds table); nothing a module holds grows
+# with n, only what is derived from it: its dims, its g-vector and its
+# arrow maps
 MAX_VERTICES = 10**6 + 1
 
 # the most steps psi or slalom_to_band_walk builds: psi's walk has sum
@@ -92,10 +94,9 @@ MAX_VERTICES = 10**6 + 1
 # 2 followed by k fives are the worst known shape of the scan, which is
 # quadratic in the steps; is_brick sorts past _SCAN_STEPS and hom_dim
 # always sorts, so the largest one admitted, a 2 followed by 18,749 fives
-# (149,994 steps), takes 0.89-0.96 s and 74 MB in band brick as a
-# subprocess (Python 3.11, 2 CPUs; 69 s with the scan), and band hom on it
-# 0.74-0.91 s against itself and 1.4-1.7 s against a 3 followed by 18,748
-# fives, all three pinned in tests/test_cli.py
+# (149,994 steps), pins band brick (69 s with the scan) and band hom,
+# against itself and against a 3 followed by 18,748 fives, in
+# tests/test_cli.py (their figures are in README's bounds table)
 MAX_WALK_STEPS = 150_000
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(-?)$")
@@ -256,9 +257,9 @@ class BandModule:
     written order, canonical_walk of codes[::-1], which names the band;
     g_vector(), which counts the turns of codes.  hom_dim sorts the codes
     (see hom_orthogonal); is_brick scans them up to _SCAN_STEPS steps and
-    sorts past that.  The arrows are not stored: matrices() derives them
-    from the canonical walk, with lam on the wrap-around step, an a-step,
-    and 1 on every other step.
+    sorts past that.  The arrows are not stored: matrices() derives their
+    sparse basis maps from the canonical walk, with lam on the wrap-around
+    step, an a-step, and 1 on every other step.
 
     == and repr read only n, dims, lam and walk, so two modules built
     from two rotations of one band are equal, and a module is unhashable.
@@ -320,13 +321,15 @@ class BandModule:
                 g[(c >> 2) - (c & 1)] += 1 - 2 * (c & 1)
         return tuple(g)
 
-    def matrices(self) -> Iterator[tuple[tuple[str, int], tuple[tuple[Fraction, ...], ...]]]:
-        """Dense matrix of every arrow, a_1 .. a_{n-1} then b_1 .. b_{n-1},
-        each of shape dims[index-1] x dims[index] and keyed by (kind, index).
+    def matrices(self) -> Iterator[tuple[tuple[str, int], ArrowMap]]:
+        """Sparse basis map of every arrow, a_1 .. a_{n-1} then b_1 .. b_{n-1},
+        keyed by (kind, index): its shape dims[index-1] x dims[index] and a
+        dict from the (row, col) of each non-zero entry to its value, one
+        shared Fraction(1) on every step and lam on the wrap-around step.
 
         The basis maps of all arrows come from two passes over the
         canonical walk, not from one per arrow, and meet the gentle
-        relation check before the first matrix is yielded.  The basis
+        relation check before the first map is yielded.  The basis
         numbering and the step that holds lam are therefore the same for
         every rotation the module was built from.
         """
@@ -344,13 +347,12 @@ class BandModule:
             arrows.setdefault(("ab"[c >> 1 & 1], c >> 2), {})[here] = there
         _check_relations(arrows, len(node))
         lam_key = ("ab"[c >> 1 & 1], c >> 2)  # the loop ends on the wrap-around step
+        one = Fraction(1)
         for kind, index in itertools.product("ab", range(1, self.n)):
-            rows = [[Fraction(0)] * count[index + 1] for _ in range(count[index])]
-            for col, row in arrows.get((kind, index), {}).items():
-                rows[row][col] = Fraction(1)
+            entries = {(row, col): one for col, row in arrows.get((kind, index), {}).items()}
             if (kind, index) == lam_key:
-                rows[there][here] = self.lam
-            yield (kind, index), tuple(map(tuple, rows))
+                entries[there, here] = self.lam
+            yield (kind, index), ((count[index], count[index + 1]), entries)
 
 
 def band_module(

@@ -187,8 +187,9 @@ def render_dyck(
     # height, a run of a > 0 falls from it; a label names its step at the
     # lower of the step's two levels, and a chord sits at its up-step's.
     # The elements of a run, like the grid columns below, are joined into
-    # one string at once, and no per-element string is built: at the
-    # bound, render -- -75000,75000 then peaks at about 129 MB
+    # one string at once, and no per-element string is built (the peak RSS
+    # of render -- -75000,75000, the pin at the bound, is in README's
+    # bounds table)
     path_ys: list[str] = []
     texts: list[str] = []
     chords: list[str] = []

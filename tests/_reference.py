@@ -1,5 +1,6 @@
 """The pairwise scan of graph maps, a second engine beside the joint sort,
-and perfectly clustering words built by construction.
+the dense arrow matrices the elimination engine reads, and perfectly
+clustering words built by construction.
 
 gentle counts Hom, tests bricks past gentle._SCAN_STEPS and builds the
 fan search's compatibility graph from one joint rotation sort of the
@@ -8,6 +9,7 @@ that hold those readers to it check the sort's shared front end too.
 """
 
 import collections
+from fractions import Fraction
 
 from bandbrick import words
 from bandbrick.errors import MultipleCycles
@@ -48,6 +50,19 @@ def _scan_hom_dim(m, w):
     return sum(1 for _ in _scan_graph_maps(m.codes, w.codes)) + (
         len(m.codes) == len(w.codes) and m.walk == w.walk and m.lam == w.lam
     )
+
+
+def dense_matrices(module):
+    # every arrow of a module as dense rows of Fractions, keyed by (kind,
+    # index), expanded from the sparse basis maps BandModule.matrices()
+    # yields: a zero wherever no entry is listed
+    dense = {}
+    for key, ((rows, cols), entries) in module.matrices():
+        matrix = [[Fraction(0)] * cols for _ in range(rows)]
+        for (row, col), value in entries.items():
+            matrix[row][col] = value
+        dense[key] = tuple(map(tuple, matrix))
+    return dense
 
 
 def perfectly_clustering_word(rng, length):

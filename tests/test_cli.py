@@ -835,50 +835,75 @@ def _fibonacci_letters(length):
 
 
 # each size bound pinned by its worst known admitted input, which must
-# exit 0 inside the 5 s contract (times as subprocesses, Python 3.11, 2 CPUs)
+# exit 0 inside the 5 s contract and below _PIN_PEAK_RSS_MB; README's
+# bounds table quotes each pin's time and peak RSS
 _BOUND_PINS = {
-    # dyck.MAX_STEPS: render of its slowest shape at the bound, 0.42-0.46 s
-    # and 129 MB peak RSS
+    # dyck.MAX_STEPS: render of its slowest shape at the bound
     "render-max-steps": ["render", "--", "-75000,75000"],
     # cli.MAX_LISTED_ENTRIES: 2 followed by 450 threes lists 1,623,602
-    # entries in 0.62-0.66 s; 500 threes are refused in 0.08 s
+    # entries, as text and as JSON; 500 threes are refused
     "band-module-max-listed-entries": ["band", "module", "2" + "3" * 450],
-    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver, 0.18-0.22 s
-    # and 46 MB peak RSS
+    "band-module-max-listed-entries-json": ["band", "module", "2" + "3" * 450, "--json"],
+    # gentle.MAX_VERTICES: a band across the 10^6-vertex quiver
     "band-hom-max-vertices": ["band", "hom", "a1000000 b1000000-", "a1000000 b1000000-"],
     # gentle.MAX_WALK_STEPS: a 2 followed by 18,749 fives, the largest
-    # nearly periodic walk admitted (149,994 steps), whose brick test
-    # sorts, 0.89-0.96 s and 74 MB peak RSS
+    # nearly periodic walk admitted (149,994 steps), whose brick test sorts
     "band-brick-max-walk-steps": ["band", "brick", "2" + "5" * 18_749],
     # and its Hom counts, which sort: against itself, one band, whose
-    # second member is not sorted again, 0.74-0.91 s and 78 MB; against a
-    # 3 followed by 18,748 fives (149,988 steps), 1.4-1.7 s and 135 MB
+    # second member is not sorted again, and against a 3 followed by
+    # 18,748 fives (149,988 steps)
     "band-hom-max-walk-steps": ["band", "hom", "2" + "5" * 18_749, "2" + "5" * 18_749],
     "band-hom-max-walk-steps-two-bands": ["band", "hom", "2" + "5" * 18_749, "3" + "5" * 18_748],
-    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search, 0.78-1.3 s
+    # forms.MAX_SEARCH_PREFIXES: the slowest admitted search
     "maxcompat-max-search-prefixes": ["fan", "maxcompat", "--n", "3", "--box", "70"],
     # the word commands' only bound is Linux's 131,072 bytes per argument:
-    # both pcw methods on a 131,000-letter Fibonacci word, 0.49-0.99 s and
-    # 61-63 MB peak RSS, nearly all of it the factor test's rotation sort,
-    # whose keys the word's repeats outrun; the transform test walks one
-    # cycle, 0.12-0.28 s and 26-27 MB as --method bw
+    # both pcw methods on a 131,000-letter Fibonacci word, nearly all of it
+    # the factor test's rotation sort, whose keys the word's repeats outrun
     "pcw-longest-argument": ["pcw", "--method", "both", _fibonacci_letters(131_000)],
 }
 
+# the peak RSS every pin stays below, on Python 3.10 to 3.13 (README's
+# bounds table gives each pin's peak, and the margin)
+_PIN_PEAK_RSS_MB = 150
 
-@pytest.mark.parametrize("argv", list(_BOUND_PINS.values()), ids=list(_BOUND_PINS))
-def test_a_size_bound_admits_its_pinned_input_in_time(argv):
+# runs `python -m bandbrick` on its arguments, with stdout to /dev/null,
+# and prints the exit code, the wall time and the peak RSS in KB that
+# os.wait4 reads for that one child (RUSAGE_CHILDREN would keep the largest
+# peak of every child reaped so far).  A child's peak RSS counts the peak
+# of the process that spawned it, so a pin runs under this small launcher,
+# not under the test process.  A pin still running after 50 s is killed
+_PIN_LAUNCHER = """\
+import os, signal, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "bandbrick", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+signal.signal(signal.SIGALRM, lambda *_: proc.kill())
+signal.alarm(50)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def _run_pin(argv):
+    # (exit code, stderr, seconds, peak RSS in MB) of one pin's command
     env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
-    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "bandbrick", *argv],
+        [sys.executable, "-S", "-c", _PIN_LAUNCHER, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert time.perf_counter() - start < _TIME_LIMIT_S
-    assert (proc.returncode, proc.stderr) == (0, "")
+    code, seconds, peak_kb = proc.stdout.split()
+    return int(code), proc.stderr, float(seconds), int(peak_kb) / 1024
+
+
+@pytest.mark.parametrize("argv", list(_BOUND_PINS.values()), ids=list(_BOUND_PINS))
+def test_a_size_bound_admits_its_pinned_input_in_time(argv):
+    code, err, seconds, peak_mb = _run_pin(argv)
+    assert (code, err) == (0, "")
+    assert seconds < _TIME_LIMIT_S
+    assert peak_mb < _PIN_PEAK_RSS_MB
 
 
 def test_cli_import_leaves_the_suites_unloaded():

@@ -27,7 +27,7 @@ from bandbrick.errors import (
     ZeroLambda,
 )
 
-from _reference import _scan_graph_maps, _scan_hom_dim, perfectly_clustering_word
+from _reference import _scan_graph_maps, _scan_hom_dim, dense_matrices, perfectly_clustering_word
 
 
 primitive_words = (
@@ -327,19 +327,21 @@ class TestBandModule:
     def test_minimal_module(self):
         m = gentle.band_module(gentle.psi((2,)), Fraction(5))
         assert m.dims == (1, 1)
-        assert dict(m.matrices()) == {("a", 1): ((Fraction(5),),), ("b", 1): ((Fraction(1),),)}
+        assert dict(m.matrices()) == {
+            ("a", 1): ((1, 1), {(0, 0): Fraction(5)}), ("b", 1): ((1, 1), {(0, 0): Fraction(1)})
+        }
 
     def test_multi_visit_module(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(1), n=3)
         assert m.dims == (1, 3, 2)
-        entries = [v for _, rows in m.matrices() for row in rows for v in row if v not in (0, 1)]
-        assert entries == []  # lambda = 1 leaves only 0/1 entries
+        entries = [v for _, (_, mapped) in m.matrices() for v in mapped.values() if v != 1]
+        assert entries == []  # lambda = 1 leaves only entries of 1
 
     def test_lambda_appears_once(self):
         walk = gentle.walk_from_str("a1 a2 b2- a2 b2- b1-")
         m = gentle.band_module(walk, Fraction(7), n=3)
-        entries = [v for _, rows in m.matrices() for row in rows for v in row if v not in (0, 1)]
+        entries = [v for _, (_, mapped) in m.matrices() for v in mapped.values() if v != 1]
         assert entries == [Fraction(7)]
 
     def test_zero_lambda_rejected(self):
@@ -355,14 +357,15 @@ class TestBandModule:
         m = gentle.band_module(walk, Fraction(7), n=3)
         nonzero = []
         dims = m.dims
-        for (kind, idx), dense in m.matrices():
-            assert len(dense) == dims[idx - 1]
-            assert all(len(row) == dims[idx] for row in dense)
-            entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
-            # a basis map: at most one non-zero per row and per column
-            rows, cols = {r for r, _, _ in entries}, {c for _, c, _ in entries}
-            assert len(rows) == len(cols) == len(entries)
-            nonzero += [(kind, v) for _, _, v in entries]
+        for (kind, idx), ((height, width), mapped) in m.matrices():
+            assert (height, width) == (dims[idx - 1], dims[idx])
+            assert all(0 <= r < height and 0 <= c < width for r, c in mapped)
+            # a basis map: at most one non-zero per row and per column, and
+            # no zero is listed
+            rows, cols = {r for r, _ in mapped}, {c for _, c in mapped}
+            assert len(rows) == len(cols) == len(mapped)
+            assert all(mapped.values())
+            nonzero += [(kind, v) for v in mapped.values()]
         # one entry per step, lambda exactly once and on an a-arrow, every
         # other entry 1
         assert len(nonzero) == len(walk)
@@ -389,9 +392,10 @@ class TestBandModule:
         assert gentle.hom_dim(m, m) == 1
         mats = dict(m.matrices())
         assert len(mats) == 2 * (m.n - 1)
-        assert mats.pop(("a", 100000)) == ((3,),)
-        assert mats.pop(("b", 100000)) == ((1,),)
-        assert not any(mats.values())
+        assert mats.pop(("a", 100000)) == ((1, 1), {(0, 0): 3})
+        assert mats.pop(("b", 100000)) == ((1, 1), {(0, 0): 1})
+        # every other arrow leaves a vertex of dimension 0
+        assert all(rows == 0 and not mapped for (rows, _), mapped in mats.values())
         # matrices() counts the dims once, not once per arrow, which would
         # be quadratic in n
         assert time.perf_counter() - start < 1
@@ -422,9 +426,9 @@ class TestBandModule:
                 m = gentle.band_module(v[k:] + v[:k], 1)
                 dims = m.dims
                 assert len(dims) == m.n, (v, k)
-                for (_, index), rows in m.matrices():
-                    assert len(rows) == dims[index - 1], (v, k, index)
-                    assert all(len(row) == dims[index] for row in rows), (v, k, index)
+                for (_, index), ((rows, cols), mapped) in m.matrices():
+                    assert (rows, cols) == (dims[index - 1], dims[index]), (v, k, index)
+                    assert all(r < rows and c < cols for r, c in mapped), (v, k, index)
 
 
 class TestHom:
@@ -494,7 +498,7 @@ def _dense_rank(rows):
 
 def _reference_hom_dim(m, w):
     """Nullity of f_t M_g - W_g f_s = 0 built from the dense arrow matrices."""
-    mm, wm = dict(m.matrices()), dict(w.matrices())
+    mm, wm = dense_matrices(m), dense_matrices(w)
     mdims, wdims = m.dims, w.dims
     unknowns = {}
     for i in range(m.n):
@@ -746,13 +750,15 @@ def _unoriented_module(codes, lam, n=None):
     return SparseModule(n, tuple(dims), arrows, lam, lam_at)
 
 
-def _dense(u):
-    # the matrices of a SparseModule in the order and form of matrices()
+def _basis_maps(u):
+    # the arrows of a SparseModule in the order and form of matrices():
+    # the shape, and each non-zero entry by (row, col)
     for kind, idx in itertools.product("ab", range(1, u.n)):
-        rows = [[0] * u.dims[idx] for _ in range(u.dims[idx - 1])]
-        for col, row in u.arrows.get((kind, idx), {}).items():
-            rows[row][col] = u.lam if (kind, idx, col) == u.lam_at else 1
-        yield (kind, idx), tuple(map(tuple, rows))
+        entries = {
+            (row, col): u.lam if (kind, idx, col) == u.lam_at else 1
+            for col, row in u.arrows.get((kind, idx), {}).items()
+        }
+        yield (kind, idx), ((u.dims[idx - 1], u.dims[idx]), entries)
 
 
 class TestOrientation:
@@ -802,7 +808,7 @@ class TestOrientation:
             for w in (walk, _inverse(walk)):
                 for n in (None, _quiver(w) + 1):
                     m = gentle.band_module(w, lam, n)
-                    expected = list(_dense(_unoriented_module(m.walk, lam, m.n)))
+                    expected = list(_basis_maps(_unoriented_module(m.walk, lam, m.n)))
                     assert list(m.matrices()) == expected, (w, n)
 
 
@@ -884,14 +890,17 @@ class TestParameterMembers:
         for m in members[1:]:
             assert m.codes is members[0].codes
             assert (m.dims, m.walk) == (members[0].dims, members[0].walk)
-            # the derived arrows differ in the one entry that holds lam
-            changed = [
-                (before, after)
-                for key, rows in m.matrices()
-                for row, old_row in zip(rows, first[key])
-                for after, before in zip(row, old_row)
-                if after != before
-            ]
+            # the derived arrows have one shape each and differ in the one
+            # entry that holds lam
+            changed = []
+            for key, (shape, mapped) in m.matrices():
+                old_shape, old = first[key]
+                assert shape == old_shape, key
+                changed += [
+                    (old.get(pos), mapped.get(pos))
+                    for pos in sorted(old.keys() | mapped.keys())
+                    if old.get(pos) != mapped.get(pos)
+                ]
             assert changed == [(1, m.lam)]
 
     def test_members_share_step_codes(self):
