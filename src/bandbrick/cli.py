@@ -313,20 +313,24 @@ def _cmd_band_module(args) -> int:
         raise ListingTooLarge(
             f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
         )
+    # only the format printed is built: the text lines, each added as soon
+    # as its arrow's rows are filled, or the arrows of the JSON payload.  The
+    # text starts with its header, so lines is empty only for JSON
+    lines = [] if _json_format(args.json) else [f"n: {mod.n}", f"lambda: {mod.lam}",
+                                                f"dims: {','.join(map(str, dims))}"]
     arrows = {}
     for (kind, idx), ((rows, cols), mapped) in mod.matrices():
         # every zero of the listing is the one "0" text, so a row costs one
         # pointer per entry
-        listed = arrows[f"{kind}{idx}"] = [["0"] * cols for _ in range(rows)]
+        listed = [["0"] * cols for _ in range(rows)]
         for (row, col), value in mapped.items():
             listed[row][col] = str(value)
+        if lines:
+            lines.append(f"{kind}{idx}: {listed}")
+        else:
+            arrows[f"{kind}{idx}"] = listed
     data = {"n": mod.n, "lambda": str(mod.lam), "dims": list(dims), "arrows": arrows}
-    # only the format printed is built: the text lines, or the JSON of data
-    human = ""
-    if not _json_format(args.json):
-        lines = [f"n: {mod.n}", f"lambda: {mod.lam}", f"dims: {','.join(map(str, dims))}"]
-        human = "\n".join(lines + [f"{name}: {listed}" for name, listed in arrows.items()])
-    _emit(args, human, data)
+    _emit(args, "\n".join(lines), data)
     return 0
 
 

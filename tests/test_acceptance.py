@@ -1,36 +1,24 @@
 """Acceptance gate: every criterion runs and prints one status line."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
-import bandbrick
 from bandbrick import acceptance, cli, dyck, forms, gentle, words
 
-
-def _report(config, line):
-    # bypass output capture so the line reaches the real stdout
-    capman = config.pluginmanager.getplugin("capturemanager")
-    if capman is not None:
-        with capman.global_and_fixture_disabled():
-            print(line, flush=True)
-    else:
-        print(line, file=sys.__stdout__, flush=True)
+from _helpers import _child_env, _report
 
 
 @pytest.fixture(scope="module")
 def verify_all():
     # every suite runs once, through the command users run, under -O: the
     # package has no assert and never reads __debug__, so -O strips nothing
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "bandbrick", "verify", "all", "--json"],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=300,
@@ -49,7 +37,8 @@ def verify_all():
 def test_criterion(number, name, verify_all, request):
     result = verify_all[name]
     ok = result["ok"] and result["cases"] > 0 and result["failures"] == 0
-    _report(request.config, f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'}")
+    verdict = "PASS" if ok else "FAIL"
+    _report(request.config, f"ACCEPTANCE {number} ({name}): {verdict} {result['seconds']:.3f} s")
     assert ok, f"criterion {number} ({name}): {result['detail']}"
     assert type(result["seconds"]) is float and result["seconds"] >= 0
 

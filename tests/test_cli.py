@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 import bandbrick
 from bandbrick import acceptance, cli, dyck, errors, gentle, words
 from bandbrick.cli import main
+
+from _helpers import _child_env, _report
 
 
 def run(capsys, *argv):
@@ -814,11 +817,10 @@ def test_band_brick_on_a_long_random_word():
     # full End count of this word took about 20 s
     rng = random.Random(10_000)
     word = "".join(rng.choice("2345") for _ in range(10_000))
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "bandbrick", "band", "brick", word],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -886,10 +888,9 @@ print(proc.returncode, time.perf_counter() - start, usage.ru_maxrss)
 
 def _run_pin(argv):
     # (exit code, stderr, seconds, peak RSS in MB) of one pin's command
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _PIN_LAUNCHER, *argv],
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -898,73 +899,85 @@ def _run_pin(argv):
     return int(code), proc.stderr, float(seconds), int(peak_kb) / 1024
 
 
-@pytest.mark.parametrize("argv", list(_BOUND_PINS.values()), ids=list(_BOUND_PINS))
-def test_a_size_bound_admits_its_pinned_input_in_time(argv):
+@pytest.mark.parametrize("name, argv", _BOUND_PINS.items(), ids=list(_BOUND_PINS))
+def test_a_size_bound_admits_its_pinned_input_in_time(name, argv, request):
+    # each pin's figures reach the log, also when an assertion fails
     code, err, seconds, peak_mb = _run_pin(argv)
+    _report(request.config, f"PIN {seconds:6.2f} s {peak_mb:6.1f} MB exit {code} {name}")
     assert (code, err) == (0, "")
     assert seconds < _TIME_LIMIT_S
     assert peak_mb < _PIN_PEAK_RSS_MB
 
 
-def test_cli_import_leaves_the_suites_unloaded():
+# imports the CLI as the benchmark worker does (no site, the package on
+# PYTHONPATH) and prints the modules loaded, runs one command that
+# succeeds and prints its exit code and the modules loaded, then runs
+# verify golden
+_CLI_PROBE = """\
+import sys
+import bandbrick.cli
+print(*sorted(sys.modules))
+code = bandbrick.cli.main(["bw", "2,1,1"])
+print(code, *sorted(sys.modules))
+sys.exit(bandbrick.cli.main(["verify", "golden"]))
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_probe():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CLI_PROBE],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    imported, out, commanded, verdict = proc.stdout.split("\n", 3)
+    code, *commanded = commanded.split()
+    return types.SimpleNamespace(
+        returncode=proc.returncode,
+        err=proc.stderr,
+        imported=set(imported.split()),
+        out=out,
+        code=int(code),
+        commanded=set(commanded),
+        verdict=verdict,
+    )
+
+
+def test_cli_import_leaves_the_suites_unloaded(cli_probe):
     # only verify needs the acceptance suites and the xml parser they use,
     # only render the renderer, and only JSON output the json codec
-    script = (
-        "import sys\n"
-        "import bandbrick.cli\n"
-        "print([m for m in ('bandbrick.acceptance', 'xml.etree.ElementTree', 'bandbrick.render',"
-        " 'json') if m in sys.modules])\n"
-        "sys.exit(bandbrick.cli.main(['verify', 'golden']))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    loaded, verdict = proc.stdout.split("\n", 1)
-    assert loaded == "[]"
-    assert verdict.startswith("criterion 1 (golden): PASS")
+    assert (cli_probe.returncode, cli_probe.err) == (0, ""), cli_probe.verdict
+    assert [m for m in ("bandbrick.acceptance", "xml.etree.ElementTree", "bandbrick.render",
+                        "json") if m in cli_probe.imported] == []
+    assert cli_probe.verdict.startswith("criterion 1 (golden): PASS")
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # as the benchmark worker imports it: no site, the package on PYTHONPATH
-    script = (
-        "import sys\n"
-        "import bandbrick.cli\n"
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(cli_probe):
+    assert (cli_probe.returncode, cli_probe.err) == (0, "")
+    assert [m for m in ("dataclasses", "inspect") if m in cli_probe.imported] == []
 
 
-def test_a_command_leaves_shutil_unloaded():
+def test_a_command_leaves_shutil_unloaded(cli_probe):
     # argparse's stock formatter imports shutil to read the terminal width
     # whenever the parser adds an argument; cli's reads it only for help
     # and usage text, which a command that succeeds never formats
-    script = (
-        "import sys\n"
-        "import bandbrick.cli\n"
-        "code = bandbrick.cli.main(['bw', '2,1,1'])\n"
-        "print(code, [m for m in ('dataclasses', 'inspect', 'shutil', 'bandbrick.render', 'json')"
-        " if m in sys.modules])\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1\n0 []\n", "")
+    assert (cli_probe.out, cli_probe.code, cli_probe.err) == ("2,1,1", 0, "")
+    assert [m for m in ("dataclasses", "inspect", "shutil", "bandbrick.render", "json")
+            if m in cli_probe.commanded] == []
 
 
 def test_package_exports_load_on_first_use(monkeypatch):
     # import bandbrick loads no layer; each export is read from its defining
     # module on every access, so a binding replaced there shows here too
     script = "import sys, bandbrick\nprint([m for m in sys.modules if m.startswith('bandbrick.')])\n"
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", script],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     star = {}
@@ -1018,7 +1031,6 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
     built.clear()
     cli._shared_parser.cache_clear()
 
-    env = {**os.environ, "PYTHONPATH": str(Path(bandbrick.__file__).resolve().parents[1])}
     for argv in (
         ["fan", "maxcompat", "--n", "4", "--box", "2", "--json"],
         ["fan", "maxcompat", "--n", "3", "--box", "2"],
@@ -1029,7 +1041,7 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
             code = main(argv)
         fresh = subprocess.run(
             [sys.executable, "-m", "bandbrick", *argv],
-            env=env,
+            env=_child_env(),
             capture_output=True,
             text=True,
             timeout=60,

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import json
 import math
 import random
@@ -17,6 +16,8 @@ from bandbrick.cli import main
 from bandbrick.errors import (
     BadDimension, GVectorTooLarge, InternalInconsistency, InvalidComponent, InvalidGVector
 )
+
+from _helpers import _long_words_gvectors, _small_valid_gvectors
 
 
 def _safe_valid(g):
@@ -277,14 +278,6 @@ def _long_gvectors(seed, count, min_steps=2000):
     return out
 
 
-def _small_valid_gvectors():
-    # all 498 valid g-vectors with n <= 5 and entries in [-3, 3]
-    for n in range(2, 6):
-        for g in itertools.product(range(-3, 4), repeat=n):
-            if dyck.validate_gvector(g):
-                yield g
-
-
 class TestAgainstTupleTrace:
     # the components against the reference trace, and the int diagram's
     # labels, partners and glued steps against the stack matching and the
@@ -385,19 +378,6 @@ def _reference_erase_ones(ms):
     return tuple(sorted(erased))
 
 
-def _long_words_gvectors(count=20):
-    # the long-word g-vectors of tests/test_render.py: letter counts of
-    # seeded 1000-letter words over {1..k}, k from 2 to 6
-    rng = random.Random(1100)
-    out = []
-    for i in range(count):
-        letters = range(1, 2 + i % 5 + 1)
-        w = rng.choices(letters, k=1000)
-        counts = [w.count(letter) for letter in range(2, max(letters) + 1)]
-        out.append((-sum(counts),) + tuple(counts))
-    return out
-
-
 class TestCanonicalizedOnce:
     # circular_words and erase_ones canonicalize each distinct word once;
     # the reference takes one necklace per component of the tuple trace
@@ -466,13 +446,11 @@ class TestSingleComponent:
 
     def test_every_small_gvector(self):
         single = split = 0
-        for n in range(2, 6):
-            for g in itertools.product(range(-3, 4), repeat=n):
-                if dyck.validate_gvector(g):
-                    if self._check(g):
-                        single += 1
-                    else:
-                        split += 1
+        for g in _small_valid_gvectors():
+            if self._check(g):
+                single += 1
+            else:
+                split += 1
         assert single + split == 498
         assert single and split
 

@@ -24,6 +24,7 @@ from bandbrick.errors import (
     SearchTooLarge,
 )
 
+from _helpers import _sigma
 from _reference import _scan_hom_dim
 
 
@@ -378,10 +379,6 @@ _MIRROR_BOXES = (
     + [(4, box) for box in range(1, 5)]
     + [(5, 2), (5, 3), (6, 2), (7, 2)]
 )
-
-
-def _sigma(g):
-    return tuple(-a for a in reversed(g))
 
 
 class TestMirrorEnumeration:

@@ -27,6 +27,7 @@ from bandbrick.errors import (
     ZeroLambda,
 )
 
+from _helpers import _sigma
 from _reference import _scan_graph_maps, _scan_hom_dim, dense_matrices, perfectly_clustering_word
 
 
@@ -1523,10 +1524,6 @@ class TestGVector:
         n = max(w)
         expected = (-len(w),) + tuple(w.count(i) for i in range(2, n + 1))
         assert gentle.g_vector_of_band(gentle.psi(w)) == expected
-
-
-def _sigma(g):
-    return tuple(-a for a in reversed(g))
 
 
 def _necklace_walks(n):

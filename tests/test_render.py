@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from bandbrick import dyck, render
 from bandbrick.errors import DrawingTooLarge, DrawingTooSmall, InvalidGVector
 
+from _helpers import _long_words_gvectors, _small_valid_gvectors
+
 
 def chord_elements(svg):
     root = ET.fromstring(svg)
@@ -211,26 +213,6 @@ def _reference_render_dyck(g, *, unit=40.0, width=None, palette_seed=0):
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _small_valid_gvectors():
-    # all 498 valid g-vectors with n <= 5 and entries in [-3, 3]
-    for n in range(2, 6):
-        for g in itertools.product(range(-3, 4), repeat=n):
-            if dyck.validate_gvector(g):
-                yield g
-
-
-def _long_words_gvectors(count=20):
-    # letter counts of seeded 1000-letter words over {1..k}, k from 2 to 6
-    rng = random.Random(1100)
-    out = []
-    for i in range(count):
-        letters = range(1, 2 + i % 5 + 1)
-        w = rng.choices(letters, k=1000)
-        counts = [w.count(letter) for letter in range(2, max(letters) + 1)]
-        out.append((-sum(counts),) + tuple(counts))
-    return out
 
 
 def _assert_same_svg(got, want, context):

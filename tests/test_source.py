@@ -83,7 +83,7 @@ def test_trace_internals_stay_in_dyck():
     # every other library caller, render included, reaches the trace
     # through dyck.reconstruct_multislalom, the one public trace, whose
     # curves carry their chord ends
-    internal = {"_int_diagram", "_trace_components", "_trace"}
+    internal = {"_int_diagram", "_trace"}
     found = []
     for name, tree in package_trees():
         if name == "dyck.py":
