@@ -68,12 +68,12 @@ GVector = tuple[int, ...]
 
 # bound on the (2 box + 1)^(n - 1) prefixes max_compatible_search may
 # enumerate; time also grows with the walk lengths, so the slowest
-# admitted search is n = 3, box = 70 (0.71-1.01 s in process over eight
+# admitted search is n = 3, box = 70 (0.41-0.55 s in process over eight
 # fresh interpreters, Python 3.11, 2 CPUs, most of it is_brick on long
 # walks, since n = 3 has no sort; fan maxcompat --n 3 --box 70 is the
 # pin in tests/test_cli.py, whose figures are in README's bounds table),
-# while (4, 13) takes 0.27-0.50 s, (6, 3) 0.02-0.03 s and (7, 2)
-# 0.02-0.03 s
+# while (4, 13) takes 0.23-0.25 s, (6, 3) 0.02 s and (7, 2)
+# 0.01-0.02 s
 MAX_SEARCH_PREFIXES = 20_000
 
 # the parameter of every brick module the search builds, shared so that

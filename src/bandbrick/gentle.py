@@ -47,9 +47,10 @@ is stored for it: hom_dim, is_brick and hom_orthogonal read only the
 codes.  No equation is built and the count is independent of the base
 field.  The graph maps of many modules are read off one joint rotation
 sort of their codes: hom_orthogonal marks which pairs have any, and
-hom_dim counts those of two modules both ways.  The brick test answers
-at the first graph map past the identity on a walk of at most
-_SCAN_STEPS steps, and reads hom_orthogonal's diagonal on a longer one.
+hom_dim counts those of two modules both ways.  On a walk of at most
+_SCAN_STEPS steps the brick test decides each start pair by one byte
+comparison of its two readings, and answers at the first graph map past
+the identity; on a longer walk it reads hom_orthogonal's diagonal.
 """
 
 from __future__ import annotations
@@ -91,11 +92,10 @@ MAX_VERTICES = 10**6 + 1
 # has at most 80,000; a slalom walk has sum |word[k] - word[k-1]| over
 # its cyclic word, which dyck.MAX_STEPS does not bound, since zero
 # entries of a g-vector cost no Dyck steps.  The nearly periodic walks of
-# 2 followed by k fives are the worst known shape of the scan, which is
-# quadratic in the steps; is_brick sorts past _SCAN_STEPS and hom_dim
-# always sorts, so the largest one admitted, a 2 followed by 18,749 fives
-# (149,994 steps), pins band brick (69 s with the scan) and band hom,
-# against itself and against a 3 followed by 18,748 fives, in
+# 2 followed by k fives have the longest common walks; is_brick sorts
+# past _SCAN_STEPS and hom_dim always sorts, so the largest one admitted,
+# a 2 followed by 18,749 fives (149,994 steps), pins band brick and band
+# hom, against itself and against a 3 followed by 18,748 fives, in
 # tests/test_cli.py (their figures are in README's bounds table)
 MAX_WALK_STEPS = 150_000
 
@@ -474,21 +474,19 @@ def _one_band(m: BandModule, w: BandModule) -> bool:
     return m.codes == w.codes or (m.dims == w.dims and m.walk == w.walk)
 
 
-def _admissible_walks(x: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    # yields (i, j, d) for each maximal common walk x[i:i+d] == x[j:j+d],
-    # d >= 0, with admissible ends, the endomorphisms past the identity,
-    # so is_brick may stop at the first one.  A start node is admissible
-    # exactly when the source reading arrives at it by a negative step and
-    # the target reading by a positive one, so the steps before it differ
-    # and each walk is found once, from its first step.  An end node is
-    # admissible when the source goes on by a positive step and the target
-    # by a negative one.  Of the two steps that leave a vertex, the arrow
-    # has code c and the inverse c + 7, so the source step c starts a walk
-    # against the target steps c and c + 7 (none when c is an inverse,
-    # since x reads its b-steps as inverses): against c + 7, at d = 0, the
-    # start is the end, a top over a bottom.  Fine-Wilf: a common walk
-    # longer than both periods never ends, which only the identity cycle
-    # does, and no start lies on it.
+def _first_endomorphism(x: Sequence[int]) -> tuple[int, int] | None:
+    # the (i, j) of the first admissible common walk x[i:i+d] == x[j:j+d],
+    # d >= 0, an endomorphism past the identity, or None.  A start is
+    # admissible when the source reading enters it by an inverse and the
+    # target by an arrow, so each walk is found once, from its first step;
+    # an end when the source leaves it by an arrow and the target by an
+    # inverse.  The arrow a_{u-1} leaving vertex u has code c = 4u - 4 and
+    # the inverse b_u^- code c + 7: against a target step c + 7 the start
+    # is the end, a top over a bottom; against c, where the two readings
+    # first differ one leaves by the arrow and the other by the inverse, so
+    # the end is admissible exactly when the source's r letters sort first.
+    # The r-th letters, the steps before the starts, are an inverse and an
+    # arrow, so the two readings never tie, even on a proper power
     starts: dict[int, list[int]] = {}  # the positions x enters by an arrow
     prev = x[-1]
     for j, c in enumerate(x):
@@ -498,26 +496,25 @@ def _admissible_walks(x: Sequence[int]) -> Iterator[tuple[int, int, int]]:
             else:
                 starts[c] = [j]
         prev = c
-    bound = 2 * len(x)
-    # repeated past any common walk, then a sentinel that matches nothing.
-    # Both readings use one list: a source start is entered by an inverse
-    # and a target start by an arrow, so the two read positions differ at
-    # every step and at most one of them is the sentinel
-    xs = [*x] * 5 + [-1]
+    r = len(x)
+    # the codes as bytes, or past n = 64, where a code reaches 256, their
+    # dense ranks, which keep their order and fit a byte on a walk of at
+    # most _SCAN_STEPS <= 256 steps; doubled, so each reading is one slice
+    try:
+        xs = bytes(x) * 2
+    except ValueError:
+        rank = {c: k for k, c in enumerate(sorted(set(x)))}
+        xs = bytes(map(rank.__getitem__, x)) * 2
     prev = x[-1]
     for i, c in enumerate(x):
         if prev & 1:
-            for code in (c, c + 7):
-                for j in starts.get(code, ()):
-                    a, b = i, j
-                    while xs[a] == xs[b]:
-                        a += 1
-                        b += 1
-                    if a - i > bound:
-                        raise InternalInconsistency(f"a common walk outruns its bound {bound}")
-                    if xs[a] & 1 < xs[b] & 1:
-                        yield i, j, a - i
+            if c + 7 in starts:
+                return i, starts[c + 7][0]
+            for j in starts.get(c, ()):
+                if xs[i : i + r] < xs[j : j + r]:
+                    return i, j
         prev = c
+    return None
 
 
 def _joint_sort(
@@ -578,23 +575,26 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
 
 
 # is_brick scans a walk of at most this many steps and sorts a longer one.
-# On a brick the scan tries every start pair, so it grows about as the
-# square of the steps, and the sort about linearly.  Per call, on 25
-# bricks per band of steps, in microseconds (Python 3.11, 2 CPUs):
+# On a brick the scan compares every start pair, one byte slice each, so
+# it grows about as the square of the steps, and the sort about linearly.
+# Per call, on 25 bricks per band of steps (2-5 for a 2 then k fives),
+# in microseconds (Python 3.11, 2 CPUs):
 #
-#   steps                        0-39  80-119  120-159  160-199  200-239
-#   psi bricks over 2..5, scan     16      90      170      258      292
-#                         sort     32     118      212      233      357
-#   n = 3 components,     scan     25     168      332      423      512
-#                         sort     37     152      249      289      291
+#   steps                    0-39 40-79 80-119 120-159 160-199 200-239 240-255
+#   psi bricks, 2..5   scan     8    14     33      61      98     122     149
+#                      sort    21    32     63     118     163     201     229
+#   n = 3 components   scan     7    17     45      76     138     168     267
+#                      sort    17    35     88     130     177     208     232
+#   2 then k fives     scan     4     9     14      20      26      32      35
+#                      sort    16    38     79     117     156     186     203
 #
 # A non-brick stops the scan at its first map: on 200 psi non-bricks of
-# 86-242 steps the scan took 14 us, the sort 103 us.  So the scan stays
-# below the crossover, brick-sweep's walks of about 31 steps included,
-# and above it a non-brick pays the sort: on random psi non-bricks it
-# took 0.13 s at 50,058 steps and 0.63 s at 144,952, where the scan
-# stopped after 9 ms and 29 ms
-_SCAN_STEPS = 160
+# 86-236 steps the scan took 11 us, the sort 94 us.  So walks of up to
+# 240 steps are scanned, brick-sweep's of about 31 included, and past it,
+# where n = 3 components meet the crossover, a non-brick pays the sort:
+# on random psi non-bricks it took 0.13 s at 50,058 steps and 0.63 s at
+# 144,952
+_SCAN_STEPS = 240
 
 
 def is_brick(m: BandModule) -> bool:
@@ -602,13 +602,13 @@ def is_brick(m: BandModule) -> bool:
 
     End counts the identity cycle and each admissible common walk of m
     with itself, of d >= 0 steps (see hom_dim).  On a walk of at most
-    _SCAN_STEPS steps the test scans for the first such walk, so only a
-    brick runs the whole scan; on a longer one it reads the diagonal bit
-    of hom_orthogonal's sort.
+    _SCAN_STEPS steps the test scans for the first such walk, one byte
+    comparison per start pair, so only a brick runs the whole scan; on a
+    longer one it reads the diagonal bit of hom_orthogonal's sort.
     """
     if len(m.codes) > _SCAN_STEPS:
         return bool(hom_orthogonal([m])[0] & 1)
-    return next(_admissible_walks(m.codes), None) is None
+    return _first_endomorphism(m.codes) is None
 
 
 def ext1_dim(x: BandModule, y: BandModule) -> int:

@@ -991,8 +991,9 @@ class TestHomTables:
         # from a source start of the walk to a start of the same code
         m = gentle.band_module(gentle.psi((2, 2, 3, 3)), 1)
         assert gentle.hom_dim(m, m) == _table_hom_dim(m, m) == 2
-        [(i, j, d)] = gentle._admissible_walks(m.codes)
-        assert d >= 1 and m.codes[i] == m.codes[j]
+        i, j = gentle._first_endomorphism(m.codes)
+        assert [(i, j)] == [(a, b) for a, b, d in _scan_graph_maps(m.codes, m.codes) if d >= 1]
+        assert m.codes[i] == m.codes[j]
         assert i in _reference_source_starts(m.codes)
         assert j in _reference_starts(m.codes)[m.codes[i]]
 
@@ -1253,13 +1254,38 @@ class TestBrickTestAgainstEnd:
         for w in pool:
             self._check(gentle.band_module(gentle.psi(w), 1))
 
+    def test_walks_past_64_vertices_scan_their_ranks(self):
+        # codes from 256 on do not fit a byte, so the scan compares their
+        # dense ranks: every short up-down walk, 64 vertices higher
+        for walk in _up_down_walks(12, 5):
+            m = gentle.band_module(tuple(c + (64 << 2) for c in walk), 1)
+            assert min(m.codes) >= 256
+            scan = gentle._first_endomorphism(m.codes) is None
+            assert scan == (_scan_hom_dim(m, m) == 1), m.walk
+
+    @pytest.mark.parametrize("shift", [0, 64 << 2])
+    def test_a_proper_power_reads_as_its_root(self, shift):
+        # band_module refuses a proper power, so its codes are passed in
+        # directly.  A reading's last letter is the step before its start,
+        # an inverse for a source start and an arrow for a target start, so
+        # two readings differ even where the walk repeats: the scan of a
+        # walk twice over decides each pair as on the walk once.  Bricks
+        # and non-bricks, on bytes and on ranks
+        answers = collections.Counter()
+        for walk in _up_down_walks(10, 4):
+            codes = tuple(c + shift for c in gentle.band_module(walk, 1).codes)
+            first = gentle._first_endomorphism(codes)
+            assert gentle._first_endomorphism(codes * 2) == first, walk
+            answers[first is None] += 1
+        assert min(answers.values()) >= 10, answers
+
     def test_scan_and_sort_agree_across_the_crossover(self):
         # bricks and non-bricks from psi, and n = 3 components, which are
         # all bricks, from well below the crossover to well above it
         cut = gentle._SCAN_STEPS
         rng = random.Random(cut)
         pool = []
-        for length in (12, 20, 28, 32, 36, 44, 60):
+        for length in (12, 20, 28, 32, 36, 44, 52, 60, 76, 92):
             pool += _end_cases(rng, length)
         modules = [gentle.band_module(gentle.psi(w), lam) for w in pool for lam in (1, 2)]
         for a in range(30, 140, 7):
@@ -1268,7 +1294,7 @@ class TestBrickTestAgainstEnd:
                 modules.append(forms._component_module((-a - b, a, b)))
         kinds = collections.Counter()
         for m in modules:
-            scan = next(gentle._admissible_walks(m.codes), None) is None
+            scan = gentle._first_endomorphism(m.codes) is None
             sort = bool(gentle.hom_orthogonal([m])[0] & 1)
             assert scan == sort == gentle.is_brick(m), m.walk
             self._check(m)

@@ -8,7 +8,7 @@ import time
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandbrick import gentle, words
