@@ -299,10 +299,13 @@ def _cmd_band_walk(args) -> int:
     return 0
 
 
-def _cmd_band_module(args) -> int:
+def _word_module(args):
     word, _ = _parse_word(args.word)
-    walk = gentle.psi(word, args.n)
-    mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
+    return gentle.band_module(gentle.psi(word, args.n), _parse_lambda(args.lam), args.n)
+
+
+def _cmd_band_module(args) -> int:
+    mod = _word_module(args)
     if mod.n > MAX_LISTED_VERTICES:
         raise QuiverTooLarge(
             f"n = {mod.n} exceeds the {MAX_LISTED_VERTICES} vertices a dense listing may have"
@@ -313,32 +316,31 @@ def _cmd_band_module(args) -> int:
         raise ListingTooLarge(
             f"{entries} matrix entries exceed the {MAX_LISTED_ENTRIES} a dense listing may have"
         )
-    # only the format printed is built: the text lines, each added as soon
-    # as its arrow's rows are filled, or the arrows of the JSON payload.  The
-    # text starts with its header, so lines is empty only for JSON
-    lines = [] if _json_format(args.json) else [f"n: {mod.n}", f"lambda: {mod.lam}",
-                                                f"dims: {','.join(map(str, dims))}"]
-    arrows = {}
+    # the header, then each arrow's line as soon as its rows are filled, in
+    # the bytes of the text listing or of json.dumps of the data, whose
+    # arrows and closing "}}" are cut from the header
+    as_json = _json_format(args.json)
+    if as_json:
+        import json
+    print(json.dumps({"n": mod.n, "lambda": str(mod.lam), "dims": list(dims), "arrows": {}})[:-2]
+          if as_json else f"n: {mod.n}\nlambda: {mod.lam}\ndims: {','.join(map(str, dims))}\n",
+          end="")
+    sep = ""
     for (kind, idx), ((rows, cols), mapped) in mod.matrices():
         # every zero of the listing is the one "0" text, so a row costs one
         # pointer per entry
         listed = [["0"] * cols for _ in range(rows)]
         for (row, col), value in mapped.items():
             listed[row][col] = str(value)
-        if lines:
-            lines.append(f"{kind}{idx}: {listed}")
-        else:
-            arrows[f"{kind}{idx}"] = listed
-    data = {"n": mod.n, "lambda": str(mod.lam), "dims": list(dims), "arrows": arrows}
-    _emit(args, "\n".join(lines), data)
+        print(f'{sep}"{kind}{idx}": {json.dumps(listed)}' if as_json
+              else f"{sep}{kind}{idx}: {listed}", end="")
+        sep = ", " if as_json else "\n"
+    print("}}" if as_json else "")
     return 0
 
 
 def _cmd_band_brick(args) -> int:
-    word, _ = _parse_word(args.word)
-    walk = gentle.psi(word, args.n)
-    mod = gentle.band_module(walk, _parse_lambda(args.lam), args.n)
-    return _bool_out(args, gentle.is_brick(mod))
+    return _bool_out(args, gentle.is_brick(_word_module(args)))
 
 
 def _cmd_band_hom(args) -> int:
@@ -493,16 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = bsub.add_parser(name, help=help_text)
         p.add_argument("word")
-        p.add_argument("--n", type=_integer, default=None, help="number of vertices")
+        p.add_argument("--n", type=_integer, help="number of vertices")
         if name != "walk":
             p.add_argument("--lambda", dest="lam", default="1", metavar="P/Q")
         _finish(p, fn)
     p = bsub.add_parser("hom", help="Hom, Ext and Euler data for two bands")
     p.add_argument("spec1", help="word or walk string such as 'a1 b1-'")
     p.add_argument("spec2")
-    p.add_argument("--n", type=_integer, default=None)
+    p.add_argument("--n", type=_integer)
     p.add_argument("--lambda1", default="1", metavar="P/Q")
-    p.add_argument("--lambda2", default=None, metavar="P/Q")
+    p.add_argument("--lambda2", metavar="P/Q")
     _finish(p, _cmd_band_hom)
 
     p = sub.add_parser("euler", help="Euler form of two g-vectors")
@@ -527,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw the Dyck path model as SVG")
     p.add_argument("gvector")
-    p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--unit", type=_positive, default=40.0)
-    p.add_argument("--width", type=_positive, default=None)
+    p.add_argument("--width", type=_positive)
     p.add_argument("--palette-seed", type=_integer, default=0)
     _finish(p, _cmd_render)
 

@@ -42,8 +42,9 @@ stay <= 0 and sum to 0.  Each down-step of the run closes an up-step of
 the run and gluing stays inside a label block, so the run's steps close
 among themselves and every completion has a second component.  On the
 six fan-search boxes this traces 354 candidates for 476 bricks, and at
-(10, 2) 2,089 for 4,097 bricks.  The clique search cuts a branch by a
-greedy colouring of its candidates.
+(10, 2) 2,089 for 4,097 bricks.  The clique search is MCQ: it colours
+each branch's candidates greedily and cuts the branch once its clique
+and colour cannot beat the best clique.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import dyck, gentle, words
 from .errors import (
@@ -262,59 +263,54 @@ def _mirror_module(module: gentle.BandModule) -> gentle.BandModule:
 
 
 def _max_clique(adj: list[int], best: list[int]) -> list[int]:
-    # Bron-Kerbosch with pivoting on bit masks (bit j of adj[i]: the edge
-    # ij) from the clique best, replaced only by a strictly larger one; a
-    # branch is cut only when it cannot beat best, so a larger maximum is
-    # still the first one in search order: ascending, pivot ties to the
-    # lowest.  The cut is a greedy colouring of the candidates (Tomita and
-    # Seki, DMTCS 2003): a clique takes at most one vertex of each class
+    # MCQ (Tomita and Seki, DMTCS 2003) on bit masks (bit j of adj[i]: the
+    # edge ij) from the clique best, replaced only by a strictly larger
+    # one, so the witness is the seed or the first larger clique found.
+    # Each branch colours its candidates greedily and takes them from the
+    # last colour back; a clique takes at most one vertex of each class, so
+    # once the clique and the colour cannot beat best, neither can any
+    # candidate left, all of lower colour.  A candidate with no neighbour
+    # left among them ends the clique, which then beats best if longer
 
-    def expand(clique: list[int], candidates: int, excluded: int) -> None:
+    def expand(clique: list[int], candidates: int) -> None:
         nonlocal best
-        if not candidates and not excluded:
-            if len(clique) > len(best):
-                best = clique[:]
-            return
-        if _colourable(adj, candidates, len(best) - len(clique)):
-            return
-        pivot = max(
-            _members(candidates | excluded), key=lambda u: (adj[u] & candidates).bit_count()
-        )
-        for v in _members(candidates & ~adj[pivot]):
-            expand(clique + [v], candidates & adj[v], excluded & adj[v])
-            candidates &= ~(1 << v)
-            excluded |= 1 << v
+        for v, colour in reversed(_colour_classes(adj, candidates)):
+            if len(clique) + colour <= len(best):
+                return
+            rest = candidates & adj[v]
+            if rest:
+                expand(clique + [v], rest)
+            elif len(clique) >= len(best):
+                best = clique + [v]
+            candidates ^= 1 << v
 
-    expand([], (1 << len(adj)) - 1, 0)
+    expand([], (1 << len(adj)) - 1)
     return best
 
 
-def _colourable(adj: list[int], vertices: int, colours: int) -> bool:
-    # True when greedy colouring, each class built in ascending order, puts
-    # the vertices in at most colours independent classes
-    while vertices and colours > 0:
-        colours -= 1
+def _colour_classes(adj: list[int], vertices: int) -> list[tuple[int, int]]:
+    # (vertex, colour) for a greedy colouring of the vertices, colours from
+    # 1, each class built in ascending order from the vertices left
+    coloured = []
+    colour = 0
+    while vertices:
+        colour += 1
         free = vertices
         while free:
             low = free & -free
+            v = low.bit_length() - 1
+            coloured.append((v, colour))
             vertices ^= low
-            free &= ~(adj[low.bit_length() - 1] | low)
-    return not vertices and colours >= 0
-
-
-def _members(mask: int) -> Iterator[int]:
-    # the set bits of mask, ascending
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+            free &= ~(adj[v] | low)
+    return coloured
 
 
 def max_compatible_search(n: int, box: int) -> tuple[int, tuple[GVector, ...]]:
     """Exact maximum set (size, witness) of mutually compatible brick
     g-vectors with max-norm <= box, found by _compatibility_search.  The
-    standard witness family is preferred as the returned witness when no
-    strictly larger clique exists."""
+    witness is the standard witness family when no strictly larger clique
+    exists, and otherwise the first strictly larger clique in the order
+    of the MCQ search."""
     witness, _, _ = _compatibility_search(n, box)
     return len(witness), witness
 

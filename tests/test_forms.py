@@ -589,9 +589,9 @@ class TestReturnToZero:
 
 
 def _reference_max_clique(vertices, adj):
-    # the search before it was seeded and before it ran on bit masks:
-    # Bron-Kerbosch on sets from an empty clique, a tie between pivots
-    # going to the lowest vertex
+    # the size oracle: Bron-Kerbosch on sets from an empty clique, a tie
+    # between pivots going to the lowest vertex; it shares no code and no
+    # search order with the seeded MCQ search
     best = []
 
     def expand(clique, candidates, excluded):
@@ -617,21 +617,22 @@ def _masks(adj):
     return [sum(1 << u for u in adj[v]) for v in range(len(adj))]
 
 
-def _reference_selection(adj, seed):
-    # the post-selection that followed it: the seed unless strictly beaten
-    clique = _reference_max_clique(list(adj), adj)
-    return clique if len(clique) > len(seed) else seed
+def _is_clique(masks, vertices):
+    return len(set(vertices)) == len(vertices) and all(
+        masks[u] >> v & 1 for u, v in itertools.combinations(vertices, 2)
+    )
 
 
 def _reference_search(n, bricks, masks):
-    # the witness the search returned before it was seeded, on its graph
+    # (the reference's clique size, the seed) on the search's graph: the
+    # seed is the standard family's bricks in the box, or none if they are
+    # not a clique
     adj = {v: {u for u in range(len(masks)) if mask >> u & 1} for v, mask in enumerate(masks)}
     index = {g: i for i, g in enumerate(bricks)}
     seed = [index[g] for g in forms.witness_family(n) if g in index]
-    if not all(j in adj[i] for i in seed for j in seed if j != i):
+    if not _is_clique(masks, seed):
         seed = []
-    witness = tuple(sorted(bricks[i] for i in _reference_selection(adj, seed)))
-    return len(witness), witness
+    return len(_reference_max_clique(list(adj), adj)), seed
 
 
 def _random_graph(rng, size, density):
@@ -654,6 +655,44 @@ def _greedy_clique(rng, adj):
     return clique
 
 
+# the witnesses fan maxcompat prints: at box 1 the standard family's -2
+# entries fall outside the box, so its seed is smaller than the maximum and
+# the witness is the first larger clique in the search's order; on the six
+# fan-search boxes the witness is the standard family
+_PINNED_WITNESSES = {
+    (3, 1): ((0, -1, 1),),
+    (4, 1): ((-1, 1, 0, 0), (0, 0, -1, 1)),
+    (5, 1): ((0, -1, 1, 0, 0), (0, 0, 0, -1, 1)),
+    (6, 1): ((-1, 1, 0, 0, 0, 0), (0, 0, -1, 1, 0, 0), (0, 0, 0, 0, -1, 1)),
+    (7, 1): ((0, -1, 1, 0, 0, 0, 0), (0, 0, 0, -1, 1, 0, 0), (0, 0, 0, 0, 0, -1, 1)),
+    (8, 1): (
+        (-1, 1, 0, 0, 0, 0, 0, 0),
+        (0, 0, -1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, -1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1, 1),
+    ),
+    (9, 1): (
+        (0, -1, 1, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, -1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, -1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, -1, 1),
+    ),
+    (10, 1): (
+        (-1, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, -1, 1, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, -1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, -1, 1),
+    ),
+    (3, 6): ((-2, 1, 1),),
+    (4, 3): ((-2, 1, 0, 1), (-1, 0, 1, 0)),
+    (5, 2): ((-2, 0, 1, 1, 0), (-2, 1, 0, 0, 1)),
+    (4, 4): ((-2, 1, 0, 1), (-1, 0, 1, 0)),
+    (5, 3): ((-2, 0, 1, 1, 0), (-2, 1, 0, 0, 1)),
+    (6, 2): ((-2, 0, 1, 0, 1, 0), (-2, 1, 0, 0, 0, 1), (-1, 0, 0, 1, 0, 0)),
+}
+
+
 class TestSeededClique:
     @pytest.mark.parametrize(
         "n, box",
@@ -661,60 +700,87 @@ class TestSeededClique:
         + [(3, 6), (4, 4), (6, 2)],
     )
     def test_search_matches_reference(self, n, box):
-        # n = 2..5 at box 1..3 and the fan-search boxes, on the same graph
+        # n = 2..5 at box 1..3 and the fan-search boxes, on the same graph:
+        # a clique of the reference's size, and the seed when it is one
         witness, bricks, adj = forms._compatibility_search(n, box)
-        assert (len(witness), witness) == _reference_search(n, bricks, adj)
+        size, seed = _reference_search(n, bricks, adj)
+        index = {g: i for i, g in enumerate(bricks)}
+        assert len(witness) == size and _is_clique(adj, [index[g] for g in witness])
+        if len(seed) == size:
+            assert witness == tuple(sorted(bricks[i] for i in seed))
+
+    @pytest.mark.parametrize(
+        "n, box", list(_PINNED_WITNESSES), ids=[f"{n}-{box}" for n, box in _PINNED_WITNESSES]
+    )
+    def test_pinned_witnesses(self, n, box):
+        witness = _PINNED_WITNESSES[n, box]
+        assert forms.max_compatible_search(n, box) == (len(witness), witness)
+        assert (set(witness) == set(forms.witness_family(n))) == (box > 1)
 
     def test_seed_smaller_than_maximum(self):
         # the triangle {0, 1, 2} beats the seeded edge {3, 4}
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2, 4}, 4: {3}}
-        found = forms._max_clique(_masks(adj), [3, 4])
-        assert sorted(found) == [0, 1, 2]
-        assert found == _reference_selection(adj, [3, 4])
+        seed = [3, 4]
+        assert sorted(forms._max_clique(_masks(adj), seed)) == [0, 1, 2]
+        assert seed == [3, 4]
 
     def test_seed_that_is_a_maximum(self):
-        # two triangles: the seed is kept though the search finds {0, 1, 2} first
+        # two triangles: the seed itself is returned, and unchanged; its
+        # three colours already cut the root
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
-        assert _reference_max_clique(list(adj), adj) == [0, 1, 2]
+        assert len(_reference_max_clique(list(adj), adj)) == 3
         seed = [5, 3, 4]
-        assert forms._max_clique(_masks(adj), seed) == [5, 3, 4]
-        assert seed == [5, 3, 4]
+        with mock.patch.object(forms, "_colour_classes", wraps=forms._colour_classes) as colour:
+            assert forms._max_clique(_masks(adj), seed) is seed
+        assert seed == [5, 3, 4] and colour.call_count == 1
 
     def test_empty_seed(self):
+        # the first clique found, branching from the last colour back: 5,
+        # then 4 of the two left, then 3
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}}
-        assert forms._max_clique(_masks(adj), []) == [0, 1, 2]
+        assert forms._max_clique(_masks(adj), []) == [5, 4, 3]
         assert forms._max_clique([], []) == []
-        assert forms._max_clique([0, 0], []) == [0]
+        assert forms._max_clique([0, 0], []) == [1]
 
     def test_colour_classes(self):
         # greedy classes in ascending order: the 5-cycle 0-1-2-3-4 takes
         # {0, 2}, {1, 3}, {4}, and no vertex needs no class
         cycle = {v: {(v - 1) % 5, (v + 1) % 5} for v in range(5)}
         adj = _masks(cycle)
-        fits = [forms._colourable(adj, 0b11111, k) for k in range(5)]
-        assert fits == [False, False, False, True, True]
-        assert forms._colourable(adj, 0b01010, 1)
-        assert forms._colourable(adj, 0, 0) and not forms._colourable(adj, 0, -1)
+        assert forms._colour_classes(adj, 0b11111) == [(0, 1), (2, 1), (1, 2), (3, 2), (4, 3)]
+        assert forms._colour_classes(adj, 0b01010) == [(1, 1), (3, 1)]
+        assert forms._colour_classes(adj, 0) == []
 
     def test_random_graphs_bound_their_cliques(self):
-        # a clique takes one vertex of each class at most
+        # every vertex takes one colour, in classes of non-adjacent vertices
+        # listed by colour; a clique takes one vertex of each class at most
         rng = random.Random(7)
         for _ in range(200):
             adj = _random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
-            masks = _masks(adj)
-            clique = len(_reference_max_clique(list(adj), adj))
-            assert not forms._colourable(masks, (1 << len(adj)) - 1, clique - 1), adj
+            classes = forms._colour_classes(_masks(adj), (1 << len(adj)) - 1)
+            colours = [c for _, c in classes]
+            assert sorted(v for v, _ in classes) == list(adj), adj
+            assert colours == sorted(colours) and colours[0] == 1, adj
+            for (u, c), (v, d) in itertools.combinations(classes, 2):
+                assert c != d or v not in adj[u], adj
+            assert colours[-1] >= len(_reference_max_clique(list(adj), adj)), adj
 
     def test_random_graphs_and_seeds(self):
+        # a clique of the reference's size; the seed itself whenever it is
+        # one, and unchanged
         rng = random.Random(5)
         beaten = kept = 0
         for _ in range(300):
             adj = _random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
             seed = rng.choice([[], _greedy_clique(rng, adj)])
-            want = _reference_selection(adj, seed)
-            assert forms._max_clique(_masks(adj), list(seed)) == want, (adj, seed)
-            beaten += want is not seed
-            kept += bool(seed) and want is seed
+            before = list(seed)
+            size = len(_reference_max_clique(list(adj), adj))
+            found = forms._max_clique(_masks(adj), seed)
+            assert len(found) == size and _is_clique(_masks(adj), found), (adj, seed)
+            assert found is seed if len(seed) == size else found is not seed, (adj, seed)
+            assert seed == before
+            beaten += found is not seed
+            kept += bool(seed) and found is seed
         assert beaten > 50 and kept > 50
 
 

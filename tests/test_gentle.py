@@ -1281,14 +1281,19 @@ class TestBrickTestAgainstEnd:
 
     def test_scan_and_sort_agree_across_the_crossover(self):
         # bricks and non-bricks from psi, and n = 3 components, which are
-        # all bricks, from well below the crossover to well above it
+        # all bricks, from well below the crossover to well above it.  A psi
+        # word over 2..5 has about 5 steps per letter, so the words run from
+        # a quarter of the cut to about twice it.  The component of
+        # (-a-b, a, b) has 2 a + 4 b steps, 0 < b < a: all below the cut at
+        # a = cut / 8, and all past it as a nears 7 cut / 12
         cut = gentle._SCAN_STEPS
         rng = random.Random(cut)
         pool = []
-        for length in (12, 20, 28, 32, 36, 44, 52, 60, 76, 92):
+        letters = cut // 5
+        for length in range(letters // 4, 2 * letters, letters // 6):
             pool += _end_cases(rng, length)
         modules = [gentle.band_module(gentle.psi(w), lam) for w in pool for lam in (1, 2)]
-        for a in range(30, 140, 7):
+        for a in range(cut // 8, cut * 7 // 12, 7):
             b = rng.randrange(1, a)
             if math.gcd(a, b) == 1:
                 modules.append(forms._component_module((-a - b, a, b)))
