@@ -108,7 +108,7 @@ def brick_pcw(seed: int = 0) -> Record:
                 pcw = words.is_perfectly_clustering(w)
                 module = gentle.band_module(gentle.psi(w, n), 1, n)
                 brick = all(
-                    gentle.is_brick(module.replace(lam=Fraction(lam)))
+                    gentle.is_brick(module.replace(lam=lam))
                     for lam in (1, 2, 3)
                 )
                 if pcw != brick:

@@ -328,11 +328,12 @@ def _cmd_band_module(args) -> int:
     sep = ""
     for (kind, idx), ((rows, cols), mapped) in mod.matrices():
         # every zero of the listing is the one "0" text, so a row costs one
-        # pointer per entry
+        # pointer per entry; an arrow with no rows, most of them at a large
+        # n, is written as [] without a json.dumps call
         listed = [["0"] * cols for _ in range(rows)]
         for (row, col), value in mapped.items():
             listed[row][col] = str(value)
-        print(f'{sep}"{kind}{idx}": {json.dumps(listed)}' if as_json
+        print(f'{sep}"{kind}{idx}": {json.dumps(listed) if rows else "[]"}' if as_json
               else f"{sep}{kind}{idx}: {listed}", end="")
         sep = ", " if as_json else "\n"
     print("}}" if as_json else "")

@@ -167,7 +167,7 @@ def band_hom(
     y = gentle.band_module(w2, 1 if lam2 is None else lam2, n)
     if lam2 is None and y == x:
         # (w2, 1) is X itself: move Y to another member of the family
-        y = y.replace(lam=Fraction(2))
+        y = y.replace(lam=2)
     euler = euler_form(x.g_vector(), y.g_vector())
     return (*gentle._hom_pair(x, y), euler)  # both ways from one joint sort
 

@@ -263,14 +263,21 @@ class BandModule:
 
     == and repr read only n, dims, lam and walk, so two modules built
     from two rotations of one band are equal, and a module is unhashable.
-    module.replace(lam=mu) is the member mu of the same family, sharing
-    n and codes.
+    The constructor states the one parameter rule: lam is converted to a
+    Fraction when it is not one, and 0 raises ZeroLambda, so every module
+    holds a non-zero Fraction.  module.replace(lam=mu) changes lam only:
+    it is the member mu of the same family, sharing n and codes, with mu
+    held to that rule.
     """
 
     __slots__ = ("n", "lam", "codes")
     __hash__ = None
 
-    def __init__(self, n: int, lam: Fraction, codes: tuple[int, ...]) -> None:
+    def __init__(self, n: int, lam: Fraction | int, codes: tuple[int, ...]) -> None:
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
+        if not lam:
+            raise ZeroLambda("the band parameter must be non-zero")
         self.n = n
         self.lam = lam
         self.codes = codes
@@ -302,11 +309,10 @@ class BandModule:
             f"walk={self.walk!r})"
         )
 
-    def replace(self, **changes) -> BandModule:
-        """A copy with the given fields changed, sharing every other one."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
-        fields.update(changes)
-        return BandModule(**fields)
+    def replace(self, *, lam: Fraction | int) -> BandModule:
+        """The member lam of the same family, sharing n and codes; lam is
+        held to the constructor's rule."""
+        return BandModule(self.n, lam, self.codes)
 
     def g_vector(self) -> tuple[int, ...]:
         """Tops minus bottoms per vertex: a top where an inverse step is
@@ -371,7 +377,9 @@ def band_module(
     BandModule.walk names the band by its least rotation when read.  The
     module keeps the traversal and lam and counts nothing: dims are
     derived when read, and no arrow is built (BandModule.matrices()
-    derives them and checks the relations there).
+    derives them and checks the relations there).  lam is held to the
+    rule of BandModule, which converts it to a Fraction and raises
+    ZeroLambda at 0, as BandModule.replace does for every other member.
     """
     checked = type(walk) is _BandWalk
     if not checked:
@@ -384,10 +392,6 @@ def band_module(
     # the bound of this n is left to check
     if not (max(walk) < n << 2 if checked else validate_band_walk(walk, n)):
         raise InvalidWalk(f"not a band walk: {walk_to_str(walk)}")
-    if type(lam) is not Fraction:
-        lam = Fraction(lam)
-    if not lam:
-        raise ZeroLambda("the band parameter must be non-zero")
     # by the sign rule just checked, the a-steps are inverse arrows exactly
     # when walk[0] is an inverse a-step (code & 3 == 1) or a b-arrow (2);
     # the inverse walk is traversed as the walk is written, each step flipped

@@ -1088,8 +1088,22 @@ class TestBandModuleContract:
         assert (member.dims, member.walk) == (m.dims, m.walk)
 
     def test_replace_refuses_an_unknown_field(self):
-        with pytest.raises(TypeError):
-            gentle.band_module(gentle.psi((2, 3)), 1).replace(arrows={})
+        # replace changes lam only, so even a field a module holds is refused
+        m = gentle.band_module(gentle.psi((2, 3)), 1)
+        for changes in ({"arrows": {}}, {"n": 1}, {"codes": m.codes}):
+            with pytest.raises(TypeError):
+                m.replace(lam=2, **changes)
+
+    def test_replace_refuses_a_zero_parameter(self):
+        with pytest.raises(ZeroLambda):
+            gentle.band_module(gentle.psi((2, 3)), 1).replace(lam=0)
+
+    def test_replace_holds_lam_as_a_fraction(self):
+        m = gentle.band_module(gentle.psi((2, 3, 3)), 1)
+        member = m.replace(lam=2)
+        assert member == m.replace(lam=Fraction(2))
+        assert type(member.lam) is Fraction
+        assert list(member.matrices()) == list(m.replace(lam=Fraction(2)).matrices())
 
 
 class TestCheckedWalk:

@@ -97,17 +97,25 @@ def test_trace_internals_stay_in_dyck():
 
 def test_checked_walks_are_built_by_their_validators():
     # band_module does not validate a gentle._BandWalk again, so only psi
-    # and slalom_to_band_walk, each right after its own check, build one
-    found = []
+    # and slalom_to_band_walk, each right after its own check, build one;
+    # a BandModule trusts its walk, so only band_module, after its checks,
+    # and replace, which keeps the walk, build one
+    builders = {
+        "_BandWalk": ["gentle.py:psi", "gentle.py:slalom_to_band_walk"],
+        "BandModule": ["gentle.py:band_module", "gentle.py:replace"],
+    }
+    found = {built: [] for built in builders}
     for name, tree in package_trees():
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "_BandWalk" in _names(node.func):
+            if not isinstance(node, ast.Call):
+                continue
+            for built in builders.keys() & _names(node.func):
                 scope = node
                 while not isinstance(scope, (ast.FunctionDef, ast.Module)):
                     scope = parent[scope]
-                found.append(f"{name}:{getattr(scope, 'name', '<module>')}")
-    assert sorted(found) == ["gentle.py:psi", "gentle.py:slalom_to_band_walk"]
+                found[built].append(f"{name}:{getattr(scope, 'name', '<module>')}")
+    assert {built: sorted(sites) for built, sites in found.items()} == builders
 
 
 def test_every_error_is_raised():
