@@ -95,10 +95,11 @@ def golden(seed: int = 0) -> Record:
 
 
 def brick_pcw(seed: int = 0) -> Record:
-    """Perfectly clustering equals brick, swept over two alphabets."""
+    """Perfectly clustering equals brick, swept over two alphabets; the
+    transform test equals the factor test on the same words."""
     sweeps = [((2, 3), 10, 3), ((2, 3, 4), 7, 4)]
     total = 0
-    mismatches: list[tuple[int, ...]] = []
+    mismatches: list[tuple] = []
     for letters, maxlen, n in sweeps:
         for length in range(1, maxlen + 1):
             for w in itertools.product(letters, repeat=length):
@@ -106,6 +107,8 @@ def brick_pcw(seed: int = 0) -> Record:
                     continue
                 total += 1
                 pcw = words.is_perfectly_clustering(w)
+                if words.is_perfectly_clustering_by_factors(w) != pcw:
+                    mismatches.append(("factors", w))
                 module = gentle.band_module(gentle.psi(w, n), 1, n)
                 brick = all(
                     gentle.is_brick(module.replace(lam=lam))
@@ -113,7 +116,8 @@ def brick_pcw(seed: int = 0) -> Record:
                 )
                 if pcw != brick:
                     mismatches.append(w)
-    return f"{total} primitive words over two alphabets", total, mismatches
+    summary = f"{total} primitive words over two alphabets, each also by the factor test"
+    return summary, 2 * total, mismatches
 
 
 def curves_words(seed: int = 0) -> Record:
@@ -349,7 +353,8 @@ def necklace_bound(seed: int = 0) -> Record:
 
 
 def christoffel(seed: int = 0) -> Record:
-    """Two-letter regime: coprimality and the determinant identity."""
+    """Two-letter regime: coprimality and the determinant identity, on
+    every small slope and on consecutive Fibonacci slopes."""
     failures = []
     pairs = [(a, b) for a in range(13) for b in range(13) if (a, b) != (0, 0)]
     for a, b in pairs:
@@ -363,9 +368,29 @@ def christoffel(seed: int = 0) -> Record:
             y = (-c - d, c, d)
             if forms.euler_form(x, y) != a * d - b * c:
                 failures.append(f"det ({a},{b}),({c},{d})")
+    # consecutive Fibonacci numbers are coprime, and their walks pass
+    # gentle._SCAN_STEPS from (34, 55) on, so is_brick sorts them; the
+    # doubled slope has two components, and the next slope's determinant
+    # is +-1.  The modules are read directly, so a wrong answer is a
+    # failure, not the InternalInconsistency of is_brick_gvector
+    fibonacci = [(1, 2)]
+    while fibonacci[-1] != (2584, 4181):
+        a, b = fibonacci[-1]
+        fibonacci.append((b, a + b))
+    for a, b in fibonacci:
+        module = forms._component_module((-a - b, a, b))
+        if module is None or not gentle.is_brick(module):
+            failures.append(f"fibonacci brick ({a},{b})")
+        if forms._component_module((-2 * a - 2 * b, 2 * a, 2 * b)) is not None:
+            failures.append(f"fibonacci doubled ({a},{b})")
+        if forms.euler_form((-a - b, a, b), (-a - 2 * b, b, a + b)) != a * (a + b) - b * b:
+            failures.append(f"fibonacci det ({a},{b})")
     dets = len(pairs) ** 2
-    summary = f"{len(pairs)} slope vectors, {dets} determinant pairs"
-    return summary, len(pairs) + dets, failures
+    summary = (
+        f"{len(pairs)} slope vectors, {dets} determinant pairs, "
+        f"{len(fibonacci)} Fibonacci slopes"
+    )
+    return summary, len(pairs) + dets + 3 * len(fibonacci), failures
 
 
 def witness(seed: int = 0) -> Record:

@@ -5,7 +5,8 @@ comma-separated integers; output repeats the input encoding.  g-vectors
 are comma-separated integers.  ``--json`` (or BANDBRICK_FORMAT=json)
 switches every subcommand to machine output, errors included: one line
 {"error": class, "message": text, "exit": code} on stderr.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error, 141 (128 + SIGPIPE) when
+stdout closes before the result is written.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class UsageError(Exception):
     """Bad flags or unparseable input; maps to exit code 2."""
 
 
-# Lets tokens like "-3,-1,3" pass as positional values instead of flags.
-_NEG_CSV = re.compile(r"^-[0-9]+(?:,-?[0-9]+)*$")
+# Lets tokens like "-3,-1,3" and "-2/3" pass as values instead of flags.
+_NEG_CSV = re.compile(r"^-[0-9]+(?:/[0-9]+|(?:,-?[0-9]+)*)$")
 
 
 def _json_format(asked: bool) -> bool:
@@ -553,7 +554,17 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stdout now writes to the null device, so the
+        # flush at exit cannot raise again (Python's signal docs, "Note on
+        # SIGPIPE"), and the code is the shell's for a SIGPIPE death
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         return _report(args.json, "UsageError", str(exc), 2, f"usage error: {exc}")
     except DomainError as exc:

@@ -48,9 +48,10 @@ codes.  No equation is built and the count is independent of the base
 field.  The graph maps of many modules are read off one joint rotation
 sort of their codes: hom_orthogonal marks which pairs have any, and
 hom_dim counts those of two modules both ways.  On a walk of at most
-_SCAN_STEPS steps the brick test decides each start pair by one byte
-comparison of its two readings, and answers at the first graph map past
-the identity; on a longer walk it reads hom_orthogonal's diagonal.
+_SCAN_STEPS steps over at most 64 vertices, where every code fits a
+byte, the brick test decides each start pair by one byte comparison of
+its two readings, and answers at the first graph map past the identity;
+on every other walk it reads hom_orthogonal's diagonal.
 """
 
 from __future__ import annotations
@@ -256,18 +257,20 @@ class BandModule:
     dims[i] the dimension at vertex i+1; walk, the canonical walk in
     written order, canonical_walk of codes[::-1], which names the band;
     g_vector(), which counts the turns of codes.  hom_dim sorts the codes
-    (see hom_orthogonal); is_brick scans them up to _SCAN_STEPS steps and
-    sorts past that.  The arrows are not stored: matrices() derives their
-    sparse basis maps from the canonical walk, with lam on the wrap-around
-    step, an a-step, and 1 on every other step.
+    (see hom_orthogonal); is_brick scans them up to _SCAN_STEPS steps over
+    at most 64 vertices and sorts them otherwise.  The arrows are not
+    stored: matrices() derives their sparse basis maps from the canonical
+    walk, with lam on the wrap-around step, an a-step, and 1 on every
+    other step.
 
     == and repr read only n, dims, lam and walk, so two modules built
     from two rotations of one band are equal, and a module is unhashable.
-    The constructor states the one parameter rule: lam is converted to a
-    Fraction when it is not one, and 0 raises ZeroLambda, so every module
-    holds a non-zero Fraction.  module.replace(lam=mu) changes lam only:
-    it is the member mu of the same family, sharing n and codes, with mu
-    held to that rule.
+    The constructor states the one parameter rule: lam is an int, which
+    is converted to a Fraction, or a Fraction; any other type, bool,
+    float and str included, raises TypeError, and 0 raises ZeroLambda, so
+    every module holds a non-zero Fraction of exactly the value given.
+    module.replace(lam=mu) changes lam only: it is the member mu of the
+    same family, sharing n and codes, with mu held to that rule.
     """
 
     __slots__ = ("n", "lam", "codes")
@@ -275,6 +278,8 @@ class BandModule:
 
     def __init__(self, n: int, lam: Fraction | int, codes: tuple[int, ...]) -> None:
         if type(lam) is not Fraction:
+            if type(lam) is not int:
+                raise TypeError(f"lam must be an int or a Fraction, not {type(lam).__name__}")
             lam = Fraction(lam)
         if not lam:
             raise ZeroLambda("the band parameter must be non-zero")
@@ -378,8 +383,9 @@ def band_module(
     module keeps the traversal and lam and counts nothing: dims are
     derived when read, and no arrow is built (BandModule.matrices()
     derives them and checks the relations there).  lam is held to the
-    rule of BandModule, which converts it to a Fraction and raises
-    ZeroLambda at 0, as BandModule.replace does for every other member.
+    rule of BandModule, which takes an int or a Fraction, raises TypeError
+    for any other type and ZeroLambda at 0, as BandModule.replace does for
+    every other member.
     """
     checked = type(walk) is _BandWalk
     if not checked:
@@ -501,14 +507,9 @@ def _first_endomorphism(x: Sequence[int]) -> tuple[int, int] | None:
                 starts[c] = [j]
         prev = c
     r = len(x)
-    # the codes as bytes, or past n = 64, where a code reaches 256, their
-    # dense ranks, which keep their order and fit a byte on a walk of at
-    # most _SCAN_STEPS <= 256 steps; doubled, so each reading is one slice
-    try:
-        xs = bytes(x) * 2
-    except ValueError:
-        rank = {c: k for k, c in enumerate(sorted(set(x)))}
-        xs = bytes(map(rank.__getitem__, x)) * 2
+    # the codes as bytes, which is_brick admits only up to n = 64, where
+    # every code is below 4n <= 256; doubled, so each reading is one slice
+    xs = bytes(x) * 2
     prev = x[-1]
     for i, c in enumerate(x):
         if prev & 1:
@@ -578,7 +579,8 @@ def hom_orthogonal(modules: Sequence[BandModule]) -> list[int]:
     return [everything ^ mask for mask in linked]
 
 
-# is_brick scans a walk of at most this many steps and sorts a longer one.
+# is_brick scans a walk of at most this many steps over at most 64 vertices
+# and sorts every other one.
 # On a brick the scan compares every start pair, one byte slice each, so
 # it grows about as the square of the steps, and the sort about linearly.
 # Per call, on 25 bricks per band of steps (2-5 for a 2 then k fives),
@@ -606,13 +608,14 @@ def is_brick(m: BandModule) -> bool:
 
     End counts the identity cycle and each admissible common walk of m
     with itself, of d >= 0 steps (see hom_dim).  On a walk of at most
-    _SCAN_STEPS steps the test scans for the first such walk, one byte
-    comparison per start pair, so only a brick runs the whole scan; on a
-    longer one it reads the diagonal bit of hom_orthogonal's sort.
+    _SCAN_STEPS steps over at most 64 vertices, where every code fits a
+    byte, the test scans for the first such walk, one byte comparison per
+    start pair, so only a brick runs the whole scan; on every other walk
+    it reads the diagonal bit of hom_orthogonal's sort.
     """
-    if len(m.codes) > _SCAN_STEPS:
-        return bool(hom_orthogonal([m])[0] & 1)
-    return _first_endomorphism(m.codes) is None
+    if len(m.codes) <= _SCAN_STEPS and m.n <= 64:
+        return _first_endomorphism(m.codes) is None
+    return bool(hom_orthogonal([m])[0] & 1)
 
 
 def ext1_dim(x: BandModule, y: BandModule) -> int:

@@ -59,11 +59,13 @@ def _edge_of_nonzero_form(f):
 # one planted fault per suite, as (suite, module, attribute, fault of the
 # original function); hom_dim + 1 everywhere cancels in the Euler
 # difference and in the duality, so within hom-euler only the End check
-# sees it
+# sees it.  A sort that finds a map on every diagonal reaches christoffel
+# only through its Fibonacci slopes, the walks past gentle._SCAN_STEPS
 _FAULTS = [
     ("golden", words, "bw_transform", lambda f: lambda w: f(w)[::-1]),
     ("brick-pcw", gentle, "is_brick", lambda f: lambda m: True),
     ("brick-pcw", words, "is_perfectly_clustering", lambda f: lambda w: not f(w)),
+    ("brick-pcw", words, "is_perfectly_clustering_by_factors", lambda f: lambda w: not f(w)),
     ("curves-words", dyck, "erase_ones", lambda f: lambda ms: f(ms)[1:]),
     ("hom-euler", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
     ("hom-euler", gentle, "hom_dim", lambda f: lambda m, w: f(m, w) + 1),
@@ -72,6 +74,7 @@ _FAULTS = [
     ("max-compat", gentle, "hom_orthogonal", _edge_of_nonzero_form),
     ("necklace-bound", words, "phi", lambda f: lambda w: tuple(sorted((a,) for a in w))),
     ("christoffel", forms, "euler_form", lambda f: lambda x, y: f(x, y) + 1),
+    ("christoffel", gentle, "hom_orthogonal", lambda f: lambda modules: [0] * len(modules)),
     ("witness", forms, "compatible", lambda f: lambda g1, g2: True),
     ("structural", dyck, "component_gvectors", lambda f: lambda g: f(g)[1:]),
 ]

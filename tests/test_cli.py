@@ -494,6 +494,20 @@ class TestErrorsAndFormats:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "joined",
+        [["module", "2", "--lambda=-2/3"], ["brick", "23", "--lambda=-2/3"],
+         ["hom", "2", "2", "--lambda1=-2/3", "--lambda2=-5/7"]],
+        ids=["module", "brick", "hom"],
+    )
+    def test_a_negative_fraction_is_a_value(self, capsys, joined):
+        # argparse reads "-2/3" as a value, as it reads "-2", so the spaced
+        # form prints what the = form prints
+        spaced = [part for arg in joined for part in arg.split("=")]
+        code, out, err = run(capsys, "band", *joined)
+        assert code == 0 and err == "" and out
+        assert run(capsys, "band", *spaced) == (code, out, err)
+
 
 _words = st.one_of(
     st.text("abcdef", min_size=1, max_size=6),
@@ -517,7 +531,7 @@ _specs = st.one_of(_words, _walks, _junk)
 # a number of 5,000 digits, past Python's int-string conversion limit
 _LONG = "1" * 5000
 _lambdas = st.sampled_from(
-    ["0", "1", "-1", "3/2", "1/0", "x", "nan", "1e5000", "1e10000000", _LONG, "1.5"]
+    ["0", "1", "-1", "3/2", "-2/3", "1/0", "x", "nan", "1e5000", "1e10000000", _LONG, "1.5"]
 )
 
 
@@ -810,6 +824,55 @@ class TestExitContract:
         _check_error_line(argv, env_json, code, err)
         if code == 0:
             _check_accepted_output(argv, out, env_json)
+
+
+# one argv for each of the 18 subcommands that print a result
+_RESULT_ARGV = [
+    ["bw", "2,1,1"], ["bw-inverse", "cbaa"], ["pcw", "2,1,1"], ["phi", "baacbcab"],
+    ["phi-inverse", "[[1,1,1,3,2],[2],[2,3]]"], ["gvec", "check", "-3,-1,3"],
+    ["gvec", "dyck", "-1,-1,2"], ["gvec", "words", "-1,-1,2"],
+    ["gvec", "decompose", "-3,-1,3,-2,3"], ["band", "walk", "23223"],
+    ["band", "module", "2", "--lambda", "-2/3"], ["band", "brick", "23223"],
+    ["band", "hom", "a1 b1-", "a1 a2 b2- b1-"], ["euler", "-1,1", "-1,1"],
+    ["fan", "brick4", "-1,1,0,0"], ["fan", "maxcompat", "--n", "3", "--box", "2"],
+    ["verify", "golden"], ["render", "-1,1"],
+]
+
+
+def _run_to_a_closed_pipe(flags, argv):
+    # stdout is a pipe whose read end closes before the child starts; both
+    # ends are closed here, so no descriptor is left for -X dev to report
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "bandbrick", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _RESULT_ARGV,
+    ids=[argv[0] + (f"-{argv[1]}" if argv[0] in ("gvec", "band", "fan") else "")
+         for argv in _RESULT_ARGV],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # buffered, a short result reaches the pipe at main's flush, where the
+    # closed pipe raises; the exit code is 128 + SIGPIPE, which is not a
+    # domain error's 1
+    proc = _run_to_a_closed_pipe([], argv)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_closed_stdout_raises_at_print_unbuffered():
+    # unbuffered, the first print raises, before main's flush
+    proc = _run_to_a_closed_pipe(["-u"], ["band", "module", "2332"])
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_band_brick_on_a_long_random_word():

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -1105,6 +1106,19 @@ class TestBandModuleContract:
         assert type(member.lam) is Fraction
         assert list(member.matrices()) == list(m.replace(lam=Fraction(2)).matrices())
 
+    @pytest.mark.parametrize(
+        "lam", [0.1, 2.0, "3/4", True, Decimal("1.5")],
+        ids=["float", "whole-float", "str", "bool", "decimal"],
+    )
+    def test_lam_is_an_int_or_a_fraction(self, lam):
+        # Fraction() would take each of these, a float as its binary
+        # expansion; the rule takes the two exact types only
+        walk = gentle.psi((2,))
+        with pytest.raises(TypeError, match=type(lam).__name__):
+            gentle.band_module(walk, lam)
+        with pytest.raises(TypeError, match=type(lam).__name__):
+            gentle.band_module(walk, 1).replace(lam=lam)
+
 
 class TestCheckedWalk:
     # psi and slalom_to_band_walk validate the walk they build once and
@@ -1226,10 +1240,23 @@ def _end_cases(rng, length):
     return pool
 
 
+@pytest.fixture
+def sorted_steps(monkeypatch):
+    # the steps of the first module of each hom_orthogonal call, in call
+    # order; is_brick sorts its one module
+    steps = []
+    sort = gentle.hom_orthogonal
+    monkeypatch.setattr(
+        gentle, "hom_orthogonal", lambda ms: steps.append(len(ms[0].codes)) or sort(ms)
+    )
+    return steps
+
+
 class TestBrickTestAgainstEnd:
-    # up to gentle._SCAN_STEPS steps is_brick stops at the first graph map
-    # past the identity, and past them it reads hom_orthogonal's diagonal;
-    # the full count of End is the reference
+    # up to gentle._SCAN_STEPS steps over at most 64 vertices is_brick
+    # stops at the first graph map past the identity, and otherwise it
+    # reads hom_orthogonal's diagonal; the full count of End is the
+    # reference
 
     def _check(self, m):
         assert gentle.is_brick(m) == (gentle.hom_dim(m, m) == 1), m.walk
@@ -1268,26 +1295,44 @@ class TestBrickTestAgainstEnd:
         for w in pool:
             self._check(gentle.band_module(gentle.psi(w), 1))
 
-    def test_walks_past_64_vertices_scan_their_ranks(self):
-        # codes from 256 on do not fit a byte, so the scan compares their
-        # dense ranks: every short up-down walk, 64 vertices higher
+    def test_walks_past_64_vertices_sort(self, sorted_steps):
+        # codes from 256 on do not fit a byte, so is_brick sorts these short
+        # walks: every short up-down walk, 64 vertices higher
+        steps, answers = [], set()
         for walk in _up_down_walks(12, 5):
             m = gentle.band_module(tuple(c + (64 << 2) for c in walk), 1)
-            assert min(m.codes) >= 256
-            scan = gentle._first_endomorphism(m.codes) is None
-            assert scan == (_scan_hom_dim(m, m) == 1), m.walk
+            assert min(m.codes) >= 256 and len(m.codes) <= gentle._SCAN_STEPS
+            brick = gentle.is_brick(m)
+            assert brick == (_scan_hom_dim(m, m) == 1), m.walk
+            steps.append(len(m.codes))
+            answers.add(brick)
+        assert sorted_steps == steps and answers == {True, False}
 
-    @pytest.mark.parametrize("shift", [0, 64 << 2])
-    def test_a_proper_power_reads_as_its_root(self, shift):
+    def test_the_scan_ends_at_64_vertices(self, sorted_steps):
+        # every code of 64 vertices is below 4 * 64 = 256, so short walks up
+        # to index 63 scan at n = 64 and sort at n = 65, with one answer
+        answers = collections.Counter()
+        for walk in _up_down_walks(10, 5):
+            top = tuple(c + (59 << 2) for c in walk)
+            scanned, sorted_ = (gentle.band_module(top, 1, n) for n in (64, 65))
+            assert max(scanned.codes) < 256
+            brick = gentle.is_brick(scanned)
+            assert not sorted_steps, scanned.walk
+            assert gentle.is_brick(sorted_) == brick == (_scan_hom_dim(scanned, scanned) == 1)
+            assert sorted_steps.pop() == len(top)
+            answers[brick] += 1
+        assert min(answers.values()) >= 10, answers
+
+    def test_a_proper_power_reads_as_its_root(self):
         # band_module refuses a proper power, so its codes are passed in
         # directly.  A reading's last letter is the step before its start,
         # an inverse for a source start and an arrow for a target start, so
         # two readings differ even where the walk repeats: the scan of a
         # walk twice over decides each pair as on the walk once.  Bricks
-        # and non-bricks, on bytes and on ranks
+        # and non-bricks
         answers = collections.Counter()
         for walk in _up_down_walks(10, 4):
-            codes = tuple(c + shift for c in gentle.band_module(walk, 1).codes)
+            codes = gentle.band_module(walk, 1).codes
             first = gentle._first_endomorphism(codes)
             assert gentle._first_endomorphism(codes * 2) == first, walk
             answers[first is None] += 1
@@ -1320,15 +1365,10 @@ class TestBrickTestAgainstEnd:
             kinds[scan, len(m.codes) > cut] += 1
         assert len(kinds) == 4 and min(kinds.values()) >= 4, kinds
 
-    def test_short_walks_never_sort(self, monkeypatch):
+    def test_short_walks_never_sort(self, sorted_steps):
         # brick-sweep's words, of 6-12 letters over 2..3 and 2..4, give
         # walks far below the crossover, where the sort's fixed cost would
         # dominate; from the crossover on, one sort per test
-        sorted_steps = []
-        sort = gentle.hom_orthogonal
-        monkeypatch.setattr(
-            gentle, "hom_orthogonal", lambda ms: sorted_steps.append(len(ms[0].codes)) or sort(ms)
-        )
         rng = random.Random(6)
         for letters, length in [((2, 3), 12), ((2, 3, 4), 8)]:
             for _ in range(200):
